@@ -67,17 +67,16 @@ class VectorizedBackend(ExecutionBackend):
         if stripe.vals.size == 0 or k == 0:
             return stripe.out_indices, np.zeros((stripe.n_runs, k), dtype=np.float64)
         # One batched gather serves every right-hand side; accumulation
-        # uses the order-preserving length-grouped segment sum, whose
+        # uses the order-preserving position-major segment sum, whose
         # left-associated stream-order adds replay bincount exactly (the
         # bit-compatibility contract) while staying k-wide vectorized.
         # Deferred import: repro.core pulls the backend registry back in
         # at package-init time, so a module-level import would cycle.
-        from repro.core.segsum import build_run_groups, mul_segment_sum_batch
+        from repro.core.segsum import mul_segment_sum_batch
 
-        groups = stripe.run_groups
-        if groups is None:
-            groups = build_run_groups(stripe.run_ids, stripe.n_runs)
-        values = mul_segment_sum_batch(segments, stripe.cols, stripe.vals, groups)
+        values = mul_segment_sum_batch(
+            segments, stripe.batch_cols, stripe.batch_vals, stripe.run_groups
+        )
         return stripe.out_indices, values
 
     def merge_accumulate_batch(self, lists: list, k: int) -> SparseVector:
@@ -103,11 +102,10 @@ class VectorizedBackend(ExecutionBackend):
         new_run = np.empty(all_idx.size, dtype=bool)
         new_run[0] = True
         new_run[1:] = all_idx[1:] != all_idx[:-1]
-        from repro.core.segsum import build_run_groups, segment_sum_batch
+        from repro.core.segsum import build_run_layout, segment_sum_batch
 
-        run_ids = np.cumsum(new_run) - 1
-        n_runs = int(run_ids[-1]) + 1 if run_ids.size else 0
-        summed = segment_sum_batch(all_val, build_run_groups(run_ids, n_runs))
+        run_starts = np.append(np.flatnonzero(new_run), all_idx.size)
+        summed = segment_sum_batch(all_val, build_run_layout(run_starts))
         return all_idx[new_run], summed
 
     def inject_missing_keys(
@@ -159,22 +157,16 @@ class VectorizedBackend(ExecutionBackend):
     ) -> np.ndarray:
         if k == 0 or symbolic.total_records == 0:
             return np.zeros((symbolic.n_merged, k), dtype=np.float64)
-        from repro.core.segsum import build_run_groups, segment_sum_batch
+        from repro.core.segsum import segment_sum_batch
 
         all_val = np.concatenate(
             [np.asarray(v, dtype=np.float64) for _, v in lists], axis=0
         )
-        # The symbolic record maps are composed with the merge
-        # permutation at plan-build time, so the sorted stream is never
-        # materialized: the segment sum reads the raw concatenated block
-        # and still replays bincount's stream-order addition, k columns
-        # at a time.
-        groups = symbolic.run_groups
-        if groups is None:
-            groups = build_run_groups(
-                symbolic.run_ids, symbolic.n_merged, order=symbolic.order
-            )
-        return segment_sum_batch(all_val, groups)
+        # The symbolic record map is composed with the merge permutation
+        # at plan-build time, so the sorted stream is never materialized:
+        # the segment sum reads the raw concatenated block and still
+        # replays bincount's stream-order addition, k columns at a time.
+        return segment_sum_batch(all_val, symbolic.run_groups)
 
     def inject_classes_plan(self, symbolic, merged_vals, workspace=None) -> list:
         streams = []
@@ -190,10 +182,9 @@ class VectorizedBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # SpGEMM kernels: the partial-product expansion is one batched
     # gather-multiply over the plan's precomputed indices, and the merge
-    # reuses the order-preserving segment sum with the merge permutation
-    # composed into the record maps -- the sorted stream is never
-    # materialized and no argsort runs per call.  Both replay the scalar
-    # oracle's stream-order addition exactly (bincount semantics).
+    # is one bincount over the products gathered into merge order by the
+    # plan's permutation -- no argsort runs per call.  Both replay the
+    # scalar oracle's stream-order addition exactly.
     # ------------------------------------------------------------------
 
     def spgemm_products(self, splan, b_vals, workspace=None) -> np.ndarray:
@@ -210,10 +201,13 @@ class VectorizedBackend(ExecutionBackend):
     def spgemm_merge(self, splan, products, workspace=None) -> np.ndarray:
         if splan.total_records == 0:
             return np.zeros(splan.n_merged, dtype=np.float64)
-        from repro.core.segsum import segment_sum_batch
-
-        values = np.asarray(products, dtype=np.float64)
-        return segment_sum_batch(values[:, None], splan.run_groups)[:, 0]
+        products = np.asarray(products, dtype=np.float64)
+        if workspace is not None:
+            ordered = workspace.buffer("spgemm.ordered", splan.total_records)
+            np.take(products, splan.order, out=ordered)
+        else:
+            ordered = products[splan.order]
+        return np.bincount(splan.run_ids, weights=ordered, minlength=splan.n_merged)
 
     def vldi_stream_bits(self, deltas: np.ndarray, block_bits: int) -> int:
         return total_encoded_bits(deltas, block_bits)

@@ -29,13 +29,14 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.backends import ExecutionBackend
 from repro.compression.delta import delta_encode, stripe_column_deltas
 from repro.core.config import TwoStepConfig
-from repro.core.segsum import RunGroups, build_run_groups
+from repro.core.segsum import RunLayout, build_run_layout
 from repro.core.step1 import Step1Engine, Step1Stats
 from repro.core.step2 import Step2Stats
 from repro.filters.hdn import HDNDetector
@@ -91,9 +92,14 @@ class StripePlan:
         matrix_bytes: Off-chip bytes to stream the stripe (meta + values).
         iv_index_bits: Encoded bits of the intermediate index stream
             (VLDI when enabled, fixed fields otherwise).
-        run_groups: Length-grouped run layout
-            (:class:`~repro.core.segsum.RunGroups`) for the
-            order-preserving multi-RHS accumulation kernel.
+        run_groups: Position-major run layout
+            (:class:`~repro.core.segsum.RunLayout`) for the
+            order-preserving multi-RHS accumulation kernel; it keeps no
+            record map, because the kernel reads ``batch_cols`` and
+            ``batch_vals``.
+        batch_cols: ``cols`` permuted into the layout's position-major
+            order.
+        batch_vals: ``vals`` in the same position-major order.
         run_starts: CSR-style run offsets (length ``n_runs + 1``):
             records of output run ``r`` occupy stream positions
             ``run_starts[r]:run_starts[r+1]``.  The native backend's
@@ -112,7 +118,9 @@ class StripePlan:
     fmt: StripeFormat
     matrix_bytes: float
     iv_index_bits: int
-    run_groups: RunGroups | None = None
+    run_groups: RunLayout
+    batch_cols: np.ndarray
+    batch_vals: np.ndarray
     run_starts: np.ndarray | None = None
 
     @property
@@ -164,9 +172,10 @@ class Step2Symbolic:
             (``(key - r) // p``) for value injection.
         class_keys: Per residue class, the full dense key stream
             ``r, r+p, ... < padded`` (what the store queue interleaves).
-        run_groups: Length-grouped run layout
-            (:class:`~repro.core.segsum.RunGroups`) of the sorted merge
-            stream, for the order-preserving multi-RHS kernel.
+        run_groups: Position-major run layout
+            (:class:`~repro.core.segsum.RunLayout`) of the sorted merge
+            stream with ``order`` composed in, for the order-preserving
+            multi-RHS kernel.
         run_starts: CSR-style offsets into the *sorted* merge stream
             (length ``n_merged + 1``): records of merged key ``r``
             occupy sorted positions ``run_starts[r]:run_starts[r+1]``.
@@ -185,7 +194,7 @@ class Step2Symbolic:
     class_sel: tuple
     class_positions: tuple
     class_keys: tuple
-    run_groups: RunGroups | None = None
+    run_groups: RunLayout
     run_starts: np.ndarray | None = None
 
 
@@ -231,6 +240,9 @@ def build_step2_symbolic(stripes: list, n_out: int, p: int) -> Step2Symbolic:
         run_ids = np.empty(0, dtype=np.int64)
         merged_keys = np.empty(0, dtype=np.int64)
         run_starts = np.zeros(1, dtype=np.int64)
+    # The key streams are dead; free them before the layout's temporaries.
+    del all_keys, sorted_keys
+    run_groups = build_run_layout(run_starts, order=order)
     padded = -(-n_out // p) * p
     sel, positions, class_keys = [], [], []
     for radix in range(p):
@@ -242,7 +254,7 @@ def build_step2_symbolic(stripes: list, n_out: int, p: int) -> Step2Symbolic:
         p=p,
         n_out=int(n_out),
         padded=int(padded),
-        total_records=int(all_keys.size),
+        total_records=int(order.size),
         n_merged=int(merged_keys.size),
         order=order,
         run_ids=run_ids,
@@ -250,7 +262,7 @@ def build_step2_symbolic(stripes: list, n_out: int, p: int) -> Step2Symbolic:
         class_sel=tuple(sel),
         class_positions=tuple(positions),
         class_keys=tuple(class_keys),
-        run_groups=build_run_groups(run_ids, int(merged_keys.size), order=order),
+        run_groups=run_groups,
         run_starts=run_starts,
     )
 
@@ -271,7 +283,7 @@ class SpGEMMPlan:
     *structure* (which entries of ``B`` each stripe record touches, the
     stable merge permutation over linearized ``(row, col)`` keys, the
     run boundaries, the output coordinates) is computed once; the
-    per-call numeric path is a pure gather / multiply / segment-sum over
+    per-call numeric path is a pure gather / multiply / ``bincount`` over
     these arrays -- no per-call argsort, exactly like warm SpMV replay.
 
     Stream order: column blocks ascending, and within a block the
@@ -302,10 +314,6 @@ class SpGEMMPlan:
         run_starts: CSR-style offsets into the *sorted* stream (length
             ``n_merged + 1``); the native backend's fused merge loop
             composes these ranges with ``order``.
-        run_groups: Length-grouped run layout
-            (:class:`~repro.core.segsum.RunGroups`) with ``order``
-            composed in, so the order-preserving segment-sum kernel
-            reads the unsorted product stream directly.
         out_rows: Row coordinate of each merged output record.
         out_cols: Column coordinate of each merged output record.
         total_records: Partial-product records across all blocks.
@@ -322,7 +330,6 @@ class SpGEMMPlan:
     order: np.ndarray
     run_ids: np.ndarray
     run_starts: np.ndarray
-    run_groups: RunGroups
     out_rows: np.ndarray
     out_cols: np.ndarray
     total_records: int
@@ -332,6 +339,18 @@ class SpGEMMPlan:
     def compression(self) -> float:
         """Partial-product records per output record (merge reduction)."""
         return self.total_records / self.n_merged if self.n_merged else 1.0
+
+    @property
+    def run_groups(self) -> SimpleNamespace:
+        """The merge's index maps, ``((run_ids, order),)``, as ``groups``.
+
+        The SpGEMM merge is one ``bincount`` over ``products[order]``,
+        so it needs no segment-sum layout; this view exposes the two
+        arrays it reads in the ``groups`` shape that
+        :class:`~repro.core.segsum.RunLayout` offers for byte
+        accounting.  Nothing is built.
+        """
+        return SimpleNamespace(groups=((self.run_ids, self.order),))
 
 
 def build_spgemm_plan(stripes: list, b: COOMatrix, n_rows: int) -> SpGEMMPlan:
@@ -408,7 +427,6 @@ def build_spgemm_plan(stripes: list, b: COOMatrix, n_rows: int) -> SpGEMMPlan:
         order=order,
         run_ids=run_ids,
         run_starts=run_starts,
-        run_groups=build_run_groups(run_ids, n_merged, order=order),
         out_rows=merged_keys // b.n_cols if n_merged else merged_keys,
         out_cols=merged_keys % b.n_cols if n_merged else merged_keys.copy(),
         total_records=int(total),
@@ -718,6 +736,7 @@ def build_plan(
     for block in column_blocks(matrix, config.segment_width):
         stripe = block.matrix
         out_indices, run_ids, n_runs, run_starts = _stripe_structure(stripe.rows)
+        layout = build_run_layout(run_starts)
         fmt = choose_stripe_format(block.nnz, matrix.n_rows)
         formats.append(fmt)
         stripes.append(
@@ -736,7 +755,9 @@ def build_plan(
                     block, fmt, matrix.n_rows, config, backend
                 ),
                 iv_index_bits=_iv_index_bits(out_indices, config, backend),
-                run_groups=build_run_groups(run_ids, n_runs),
+                run_groups=replace(layout, rec=None),
+                batch_cols=stripe.cols[layout.rec],
+                batch_vals=stripe.vals[layout.rec],
                 run_starts=run_starts,
             )
         )
