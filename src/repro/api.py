@@ -221,7 +221,6 @@ _CONFIG_FIELDS = (
     "task_timeout",
     "strict_validate",
     "telemetry",
-    "fused_step2",
     "min_parallel_nnz",
     "tuning",
 )
@@ -239,7 +238,6 @@ ENV_VARS = {
     "task_timeout": "REPRO_TASK_TIMEOUT",
     "strict_validate": "REPRO_STRICT_VALIDATE",
     "telemetry": "REPRO_TELEMETRY",
-    "fused_step2": "REPRO_FUSED_STEP2",
     "min_parallel_nnz": "REPRO_MIN_PARALLEL_NNZ",
     "tuning": "REPRO_TUNING",
 }
@@ -267,7 +265,6 @@ _STATIC_DEFAULTS = {
     "plan_cache": 8,
     "strict_validate": False,
     "telemetry": True,
-    "fused_step2": True,
     "tuning": "off",
 }
 
@@ -282,9 +279,9 @@ def _parse_env(field_name: str, raw: str):
     """Parse one environment value into its field's native type.
 
     Boolean parsing mirrors the historical per-module resolvers exactly:
-    default-on flags (``telemetry``, ``fused_step2``) treat any value
-    outside the falsy set as on; default-off flags (``strict_validate``)
-    require an explicit truthy value.
+    the default-on flag (``telemetry``) treats any value outside the
+    falsy set as on; the default-off flag (``strict_validate``) requires
+    an explicit truthy value.
     """
     raw = raw.strip()
     if field_name in ("n_jobs", "max_retries", "min_parallel_nnz"):
@@ -303,7 +300,7 @@ def _parse_env(field_name: str, raw: str):
             ) from None
     if field_name == "strict_validate":
         return raw.lower() in _TRUTHY
-    if field_name in ("telemetry", "fused_step2"):
+    if field_name == "telemetry":
         return raw.lower() not in _FALSY
     return raw  # backend / parallel_pool: plain strings
 
@@ -322,7 +319,7 @@ class EngineOptions:
 
     Structural fields (``segment_width`` .. ``index_field_bytes``) mirror
     :class:`~repro.core.config.TwoStepConfig`; execution fields
-    (``backend`` .. ``fused_step2``) subsume the historical ``REPRO_*``
+    (``backend`` .. ``tuning``) subsume the historical ``REPRO_*``
     environment variables; ``design_point`` selects the
     :class:`~repro.core.accelerator.Accelerator` facade instead of a bare
     :class:`~repro.core.twostep.TwoStepEngine`.
@@ -364,8 +361,6 @@ class EngineOptions:
         strict_validate: Full-scan input hardening
             (``REPRO_STRICT_VALIDATE``, then off).
         telemetry: Span/metric collection (``REPRO_TELEMETRY``, then on).
-        fused_step2: Precomputed symbolic step-2 path
-            (``REPRO_FUSED_STEP2``, then on).
         min_parallel_nnz: Record count below which the parallel
             backend's fan-out sites degrade to the inline vectorized
             path (``REPRO_MIN_PARALLEL_NNZ``, then the backend
@@ -399,7 +394,6 @@ class EngineOptions:
     task_timeout: float | None = None
     strict_validate: bool | None = None
     telemetry: bool | None = None
-    fused_step2: bool | None = None
     min_parallel_nnz: int | None = None
     tuning: str | None = None
     design_point: object | None = None

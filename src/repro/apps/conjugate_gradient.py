@@ -5,10 +5,10 @@ per iteration plus vector updates, and is the archetypal kernel behind
 the "numerous scientific applications" of the paper's abstract.  The
 SpMV inside each iteration runs through the Two-Step engine when a
 configuration is supplied, with the ITS-style traffic accounting
-aggregated over the run.  The engine persists across iterations, so the
-fused step-2 path (default) reuses the cached symbolic merge structure
-and per-thread workspace: warm iterations perform no argsort and
-allocate O(1) new arrays.
+aggregated over the run.  The engine persists across iterations, so its
+step 2 reuses the cached symbolic merge structure and per-thread
+workspace: warm iterations perform no argsort and allocate O(1) new
+arrays.
 """
 
 from __future__ import annotations
@@ -89,8 +89,6 @@ def conjugate_gradient(
     config: TwoStepConfig = None,
     tol: float = 1e-10,
     max_iterations: int = 1000,
-    backend: str = None,
-    n_jobs: int = None,
 ) -> CGResult:
     """Solve ``A z = b`` for SPD ``A`` by conjugate gradients.
 
@@ -102,11 +100,10 @@ def conjugate_gradient(
         matrix: Symmetric positive-definite system matrix.
         b: Right-hand side.
         config: When given, the per-iteration SpMV runs through the
-            Two-Step engine and its traffic is accumulated.
+            Two-Step engine (on the backend and worker count it
+            selects) and its traffic is accumulated.
         tol: Convergence threshold on ``||r|| / ||b||``.
         max_iterations: Iteration cap.
-        backend: Optional execution-backend override (requires ``config``).
-        n_jobs: Worker count for the ``parallel`` backend.
 
     Returns:
         :class:`CGResult`.
@@ -117,17 +114,6 @@ def conjugate_gradient(
     if b.shape != (matrix.n_rows,):
         raise ValueError(f"b must have shape ({matrix.n_rows},)")
     config = ensure_config(config)
-    if config is not None and (backend is not None or n_jobs is not None):
-        from dataclasses import replace
-
-        from repro.apps.pagerank import _warn_legacy_kwargs
-
-        _warn_legacy_kwargs("conjugate_gradient")
-        config = replace(
-            config,
-            backend=backend if backend is not None else config.backend,
-            n_jobs=n_jobs if n_jobs is not None else config.n_jobs,
-        )
     engine = TwoStepEngine(config) if config is not None else None
     traffic = TrafficLedger()
     fault_reports = []

@@ -4,8 +4,8 @@ Solves ``A z = b`` for diagonally dominant ``A`` via
 ``z_{k+1} = D^-1 (b - R z_k)`` where ``R = A - D``.  Each iteration is
 one SpMV with ``R``, so the solver exercises the Two-Step/ITS engines the
 same way the paper's "numerous scientific applications" do -- including
-the fused step-2 path, which reuses ``R``'s cached symbolic merge
-structure across all iterations.
+the planned step 2, which reuses ``R``'s cached symbolic merge structure
+across all iterations.
 """
 
 from __future__ import annotations

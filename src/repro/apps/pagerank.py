@@ -4,16 +4,15 @@ PageRank's power iteration is ``r' = d * M r + (1 - d)/N`` with ``M`` the
 column-stochastic transition matrix; the SpMV result of one iteration is
 the source of the next -- exactly the pattern ITS (section 5.2) overlaps.
 
-Every iteration runs on the same matrix, so the engine's fused step-2
-path (default) replays the plan-cached merge permutation and injection
-structure: iterations 2..N are a pure gather/bincount/scatter datapath
-with no per-iteration argsort, bit-identical to the unfused path.
+Every iteration runs on the same matrix, so the engine's step 2 replays
+the plan-cached merge permutation and injection structure: iterations
+2..N are a pure gather/bincount/scatter datapath with no per-iteration
+argsort.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,17 +20,6 @@ from repro.api import ensure_config
 from repro.core.config import TwoStepConfig
 from repro.core.its import ITSEngine
 from repro.formats.coo import COOMatrix
-
-
-def _warn_legacy_kwargs(app: str) -> None:
-    """One shared deprecation message for the scattered solver keywords."""
-    warnings.warn(
-        f"passing backend=/n_jobs= to {app}() is deprecated; set them on "
-        "repro.api.EngineOptions (or TwoStepConfig) and pass that as "
-        "config instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def stochastic_matrix(adjacency: COOMatrix) -> COOMatrix:
@@ -116,8 +104,6 @@ def pagerank(
     damping: float = 0.85,
     tol: float = 1e-8,
     max_iterations: int = 100,
-    backend: str = None,
-    n_jobs: int = None,
 ) -> PageRankResult:
     """PageRank through the ITS-overlapped Two-Step engine.
 
@@ -128,14 +114,11 @@ def pagerank(
     Args:
         adjacency: Directed graph adjacency (row = source).
         config: Two-Step configuration or :class:`repro.api.EngineOptions`
-            (segment width should be the ITS
-            half-scratchpad width).
+            (segment width should be the ITS half-scratchpad width); it
+            also selects the execution backend and worker count.
         damping: PageRank damping factor d.
         tol: L1 convergence threshold.
         max_iterations: Iteration cap.
-        backend: Optional execution-backend override for every iteration's
-            SpMV (see :mod:`repro.backends`); None keeps ``config.backend``.
-        n_jobs: Worker count for the ``parallel`` backend.
 
     Returns:
         :class:`PageRankResult` whose ``its_report`` carries the ITS
@@ -144,13 +127,6 @@ def pagerank(
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0, 1)")
     config = ensure_config(config)
-    if backend is not None or n_jobs is not None:
-        _warn_legacy_kwargs("pagerank")
-        config = replace(
-            config,
-            backend=backend if backend is not None else config.backend,
-            n_jobs=n_jobs if n_jobs is not None else config.n_jobs,
-        )
     transition = stochastic_matrix(adjacency)
     n = adjacency.n_rows
     engine = ITSEngine(config)

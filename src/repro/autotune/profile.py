@@ -52,7 +52,6 @@ KNOB_FIELDS = (
     "segment_width",
     "vldi_vector_block_bits",
     "hdn_threshold",
-    "fused_step2",
     "min_parallel_nnz",
     "max_batch",
 )
@@ -64,7 +63,6 @@ _CONFIG_KNOBS = (
     "q",
     "segment_width",
     "vldi_vector_block_bits",
-    "fused_step2",
     "min_parallel_nnz",
 )
 

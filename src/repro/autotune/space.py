@@ -156,7 +156,6 @@ def default_search_space(
         Component("segment_width", _segment_width_candidates(n_cols)),
         Component("q", (4, 2, 1, 0)),
         Component("backend", tuple(backends)),
-        Component("fused_step2", (True, False)),
         Component("vldi_vector_block_bits", tuple(vldi_candidates), name="vldi"),
         Component("hdn_threshold", tuple(hdn_candidates), name="hdn"),
     ]

@@ -51,7 +51,6 @@ _BASELINE_DEFAULTS = {
     "segment_width": 8192,
     "q": 4,
     "backend": "vectorized",
-    "fused_step2": True,
 }
 
 
@@ -67,7 +66,7 @@ def knobs_to_config(knobs: dict, *, backend_override: str | None = None):
         "telemetry": False,
         "tuning": "off",
     }
-    for name in ("segment_width", "q", "backend", "n_jobs", "fused_step2",
+    for name in ("segment_width", "q", "backend", "n_jobs",
                  "vldi_vector_block_bits", "min_parallel_nnz"):
         if name in knobs and knobs[name] is not None:
             kwargs[name] = knobs[name]

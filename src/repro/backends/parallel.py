@@ -1,13 +1,14 @@
 """Sharded multi-worker backend: the software analogue of PRaP scaling.
 
 Step 1 fans out across column stripes (each worker computes one
-stripe's intermediate vector ``v_k``) and step 2 fans out across
-residue classes (each worker merge-accumulates, and later
-dense-injects, one ``key mod s`` class -- exactly the ownership rule
-the paper's radix pre-sorter enforces in hardware, section 4.2).  The
-final assembly is a deterministic strided recombination, so results are
-**bit-identical** to the ``vectorized`` and ``reference`` backends and
-traffic ledgers are byte-identical for every ``n_jobs``.
+stripe's intermediate vector ``v_k``).  Step 2 replays the plan's
+precomputed merge: the accumulation fans out over contiguous merged-key
+ranges, and missing-key injection over residue classes (each worker
+dense-injects one ``key mod p`` class -- exactly the ownership rule the
+paper's radix pre-sorter enforces in hardware, section 4.2).  Every
+output key is produced by one worker in the sequential stream order, so
+results are **bit-identical** to the ``vectorized`` and ``reference``
+backends and traffic ledgers are byte-identical for every ``n_jobs``.
 
 Workers default to a thread pool: the kernels are whole-array NumPy
 operations whose C loops release the GIL, so threads overlap without
@@ -51,13 +52,10 @@ from repro.faults.errors import ConfigurationError, ShardFailedError
 from repro.faults.report import record_event
 from repro.parallel.pool import WorkerPool
 from repro.telemetry.session import metric_inc
-from repro.parallel.sharding import recombine_sorted_shards, shard_lists_by_residue
 from repro.parallel.shm import ArrayExporter
 from repro.parallel.workers import (
     inject_class_plan_task,
-    inject_class_task,
     merge_plan_chunk_task,
-    merge_shard_task,
     spgemm_products_task,
     stripe_values_task,
 )
@@ -72,7 +70,8 @@ class ParallelBackend(VectorizedBackend):
 
     Inherits every scalar kernel from :class:`VectorizedBackend` (hence
     the bit-compatibility guarantees) and overrides the fan-out points:
-    stripe mapping, merge accumulation and per-class injection.
+    stripe mapping, planned merge accumulation, per-class injection and
+    the SpGEMM kernels.
     """
 
     name = "parallel"
@@ -288,58 +287,13 @@ class ParallelBackend(VectorizedBackend):
         )
 
     # ------------------------------------------------------------------
-    # Step 2: residue-class sharding (PRaP in software)
+    # Step 2: run-range merge chunks, residue-class injection
     # ------------------------------------------------------------------
-
-    def merge_accumulate(self, lists: list) -> SparseVector:
-        total = sum(np.asarray(idx).size for idx, _ in lists)
-        n_shards = self.pool.n_jobs
-        if self.pool.inline or n_shards <= 1 or self._bypass("merge", total):
-            return super().merge_accumulate(lists)
-        shards = shard_lists_by_residue(lists, n_shards)
-        merge_sequential = super().merge_accumulate
-        if self.pool.uses_processes:
-            with ArrayExporter() as exporter:
-                payloads = [
-                    {
-                        "lists": [
-                            (exporter.export(np.asarray(i, dtype=np.int64)),
-                             exporter.export(np.asarray(v, dtype=np.float64)))
-                            for i, v in shard
-                        ]
-                    }
-                    for shard in shards
-                ]
-                outputs = self._supervised(
-                    merge_shard_task,
-                    payloads,
-                    site="merge",
-                    fallback=lambda i: merge_sequential(shards[i]),
-                )
-        else:
-            outputs = self._supervised(
-                lambda shard: merge_sequential(shard),
-                shards,
-                site="merge",
-                fallback=lambda i: merge_sequential(shards[i]),
-            )
-        # Shard accounting happens supervisor-side on the *final* outputs
-        # (post-retry, post-fallback), so each shard counts exactly once
-        # and the per-shard counters sum to the global merged-record count
-        # even when workers were killed and tasks re-executed.
-        for shard_index, (idx, _val) in enumerate(outputs):
-            metric_inc(
-                "spmv_merge_shard_records_total",
-                int(np.asarray(idx).size),
-                labels={"shard": str(shard_index)},
-                help="Merged records per residue-class shard",
-            )
-        return recombine_sorted_shards(outputs)
 
     def merge_accumulate_plan(
         self, symbolic, lists: list, workspace=None
     ) -> np.ndarray:
-        """Fused merge, sharded over contiguous run ranges.
+        """Planned merge, sharded over contiguous run ranges.
 
         The cheap part -- gathering the concatenated values into merge
         order via the precomputed permutation -- runs supervisor-side;
@@ -410,8 +364,10 @@ class ParallelBackend(VectorizedBackend):
                 site="merge",
                 fallback=lambda i: chunk_values(chunks[i]),
             )
-        # Same supervisor-side shard accounting as the unfused path: each
-        # chunk's final output counts exactly once.
+        # Shard accounting happens supervisor-side on the *final* outputs
+        # (post-retry, post-fallback), so each chunk counts exactly once
+        # and the per-shard counters sum to the global merged-record count
+        # even when workers were killed and tasks re-executed.
         for shard_index, vals in enumerate(outputs):
             metric_inc(
                 "spmv_merge_shard_records_total",
@@ -422,7 +378,7 @@ class ParallelBackend(VectorizedBackend):
         return np.concatenate(outputs)
 
     def inject_classes_plan(self, symbolic, merged_vals, workspace=None) -> list:
-        """Fused injection, fanned out per residue class."""
+        """Planned injection, fanned out per residue class."""
         p = symbolic.p
         if (
             self.pool.inline
@@ -595,50 +551,3 @@ class ParallelBackend(VectorizedBackend):
                 help="SpGEMM records per supervised shard, by fan-out site",
             )
         return np.concatenate(outputs)
-
-    def inject_classes(
-        self, keys: np.ndarray, vals: np.ndarray, hi: int, p: int
-    ) -> list:
-        if (
-            self.pool.inline
-            or p <= 1
-            or self._bypass("inject", keys.size + hi // max(p, 1))
-        ):
-            return super().inject_classes(keys, vals, hi, p)
-        residues = keys & (p - 1)
-        per_class = [
-            (keys[residues == radix], vals[residues == radix], radix)
-            for radix in range(p)
-        ]
-
-        def inject_sequential(i: int) -> SparseVector:
-            k, v, radix = per_class[i]
-            return VectorizedBackend.inject_missing_keys(
-                self, k, v, (0, hi), stride=p, offset=radix
-            )
-
-        if self.pool.uses_processes:
-            with ArrayExporter() as exporter:
-                payloads = [
-                    {
-                        "keys": exporter.export(k),
-                        "vals": exporter.export(v),
-                        "lo": 0,
-                        "hi": hi,
-                        "stride": p,
-                        "offset": radix,
-                    }
-                    for k, v, radix in per_class
-                ]
-                return self._supervised(
-                    inject_class_task,
-                    payloads,
-                    site="inject",
-                    fallback=inject_sequential,
-                )
-        return self._supervised(
-            lambda t: self.inject_missing_keys(t[0], t[1], (0, hi), stride=p, offset=t[2]),
-            per_class,
-            site="inject",
-            fallback=inject_sequential,
-        )

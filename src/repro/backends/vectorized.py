@@ -17,7 +17,7 @@ from repro.backends.base import ExecutionBackend, SparseVector
 from repro.compression.vldi import total_encoded_bits
 from repro.merge.merge_core import inject_missing_keys
 from repro.merge.tournament import merge_accumulate
-from repro.telemetry.session import metric_inc, span
+from repro.telemetry.session import span
 
 
 class VectorizedBackend(ExecutionBackend):
@@ -79,35 +79,6 @@ class VectorizedBackend(ExecutionBackend):
         )
         return stripe.out_indices, values
 
-    def merge_accumulate_batch(self, lists: list, k: int) -> SparseVector:
-        pairs = [
-            (np.asarray(i, dtype=np.int64), np.asarray(v, dtype=np.float64))
-            for i, v in lists
-        ]
-        pairs = [(i, v) for i, v in pairs if i.size]
-        if not pairs:
-            return np.empty(0, dtype=np.int64), np.empty((0, k), dtype=np.float64)
-        all_idx = np.concatenate([i for i, _ in pairs])
-        all_val = np.concatenate([v for _, v in pairs], axis=0)
-        # Same stable sort as the scalar merge: the permutation depends only
-        # on keys, so it is shared by every column.
-        metric_inc(
-            "spmv_step2_argsort_total",
-            labels={"site": "merge_batch"},
-            help="Stable argsorts on the step-2 numeric path",
-        )
-        order = np.argsort(all_idx, kind="stable")
-        all_idx = all_idx[order]
-        all_val = all_val[order]
-        new_run = np.empty(all_idx.size, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = all_idx[1:] != all_idx[:-1]
-        from repro.core.segsum import build_run_layout, segment_sum_batch
-
-        run_starts = np.append(np.flatnonzero(new_run), all_idx.size)
-        summed = segment_sum_batch(all_val, build_run_layout(run_starts))
-        return all_idx[new_run], summed
-
     def inject_missing_keys(
         self,
         keys: np.ndarray,
@@ -126,13 +97,13 @@ class VectorizedBackend(ExecutionBackend):
         return out
 
     # ------------------------------------------------------------------
-    # Fused step-2 kernels: with the merge permutation, run ids and
+    # Planned step-2 kernels: with the merge permutation, run ids and
     # injection positions precomputed (:class:`repro.core.plan.
     # Step2Symbolic`), the per-iteration numeric path collapses to
     # gather + bincount + scatter -- no concatenate-and-argsort, no
     # per-class index construction.  bincount's sequential stream-order
     # addition over the *same* permuted stream keeps outputs
-    # bit-identical to the unfused kernels and the oracle.
+    # bit-identical to :meth:`merge_accumulate` and the oracle.
     # ------------------------------------------------------------------
 
     def merge_accumulate_plan(

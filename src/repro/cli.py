@@ -100,15 +100,6 @@ def add_backend_options(parser: argparse.ArgumentParser) -> None:
         "(default: $REPRO_TELEMETRY, then on; never changes results)",
     )
     parser.add_argument(
-        "--no-fused-step2",
-        dest="fused_step2",
-        action="store_false",
-        default=None,
-        help="disable the precomputed symbolic step-2 path and re-derive "
-        "the merge structure per call "
-        "(default: $REPRO_FUSED_STEP2, then on; never changes results)",
-    )
-    parser.add_argument(
         "--tuning",
         default=None,
         metavar="MODE",
@@ -159,7 +150,6 @@ def _exec_fields(args: argparse.Namespace) -> dict:
         "task_timeout": args.task_timeout,
         "strict_validate": args.strict_validate,
         "telemetry": args.telemetry,
-        "fused_step2": args.fused_step2,
         "tuning": args.tuning,
     }
     return {name: value for name, value in fields.items() if value is not None}

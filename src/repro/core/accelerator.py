@@ -13,17 +13,16 @@ Two-Step engine (simulation scale) and the analytic performance model
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
 
 from repro.api import EngineOptions, SpMVResult
-from repro.core.config import TwoStepConfig
 from repro.core.design_points import DesignPoint
 from repro.core.its import ITSEngine
 from repro.core.perf import PerfEstimate, estimate_performance
 from repro.core.records import Precision
 from repro.core.twostep import TwoStepEngine
+from repro.faults.errors import ConfigurationError
 from repro.formats.coo import COOMatrix
 from repro.generators.datasets import DatasetSpec
 
@@ -37,24 +36,11 @@ class Accelerator:
     Satisfies the :class:`repro.api.SpMVEngine` protocol.
     """
 
-    #: Constructor keywords subsumed by ``EngineOptions``; passing them
-    #: directly still works but warns (see ``repro.api.create_engine``).
-    _LEGACY_KWARGS = (
-        "backend",
-        "n_jobs",
-        "max_retries",
-        "task_timeout",
-        "strict_validate",
-        "telemetry",
-        "fused_step2",
-    )
-
     def __init__(
         self,
         point: DesignPoint,
         simulation_segment_width: int = None,
         options: EngineOptions = None,
-        **legacy,
     ):
         """
         Args:
@@ -66,41 +52,22 @@ class Accelerator:
                 behaviour on small inputs.
             options: Execution options (:class:`repro.api.EngineOptions`)
                 for the functional engine: backend, worker count,
-                supervision budgets, validation/telemetry/fused toggles.
-                Prefer building accelerators through
+                supervision budgets, validation/telemetry toggles; None
+                means all defaults.  Prefer building accelerators through
                 :func:`repro.api.create_engine` with
                 ``design_point=point``.
-            **legacy: The historical scattered keywords (``backend``,
-                ``n_jobs``, ``max_retries``, ``task_timeout``,
-                ``strict_validate``, ``telemetry``, ``fused_step2``).
-                Deprecated -- still honoured, but emits a
-                ``DeprecationWarning`` pointing at ``create_engine``.
+
+        Raises:
+            ConfigurationError: ``options`` is not an ``EngineOptions``.
         """
-        unknown = sorted(set(legacy) - set(self._LEGACY_KWARGS))
-        if unknown:
-            raise TypeError(
-                f"Accelerator() got unexpected keyword argument(s): "
-                f"{', '.join(unknown)}"
-            )
-        if options is not None and not isinstance(options, EngineOptions):
-            # Historical third positional argument was the backend name;
-            # keep `Accelerator(point, width, "vectorized")` working.
-            legacy = {"backend": options, **legacy}
-            options = None
-        passed = {k: v for k, v in legacy.items() if v is not None}
-        if passed:
-            warnings.warn(
-                "passing backend/n_jobs/max_retries/task_timeout/"
-                "strict_validate/telemetry/fused_step2 directly to "
-                "Accelerator() is deprecated; build engines via "
-                "repro.api.create_engine(design_point=..., ...) or pass "
-                "options=EngineOptions(...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if options is None:
             options = EngineOptions()
-        options = options.replace(**passed) if passed else options
+        elif not isinstance(options, EngineOptions):
+            raise ConfigurationError(
+                "Accelerator options must be an EngineOptions, got "
+                f"{type(options).__name__}; build one with "
+                "EngineOptions(...) or EngineOptions.from_config(config)"
+            )
         self.point = point
         width = simulation_segment_width or point.segment_elements
         q = int(np.log2(point.n_merge_cores))

@@ -66,13 +66,6 @@ class TwoStepConfig:
             and ``engine.metrics()``); None defers to
             ``REPRO_TELEMETRY``, then True.  Telemetry never changes
             results -- outputs are bit-identical either way.
-        fused_step2: Run step 2 through the precomputed symbolic
-            structure (merge permutation, injection positions, scatter
-            map cached on the plan) instead of re-deriving it per call;
-            None defers to ``REPRO_FUSED_STEP2``, then True.  The fused
-            path is bit-identical -- the stable-sort permutation depends
-            only on the keys, so reusing it preserves accumulation
-            order exactly.
         min_parallel_nnz: Record count below which the ``parallel``
             backend's fan-out sites degrade to the inline vectorized
             path (scheduling overhead would dominate); None defers to
@@ -111,7 +104,6 @@ class TwoStepConfig:
     task_timeout: float = None
     strict_validate: bool = None
     telemetry: bool = None
-    fused_step2: bool = None
     min_parallel_nnz: int = None
     tuning: str = None
 

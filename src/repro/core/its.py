@@ -15,11 +15,11 @@ Effects modelled (and tested):
   state because both fabrics stay busy;
 * the scratchpad must hold two segments, halving the maximum dimension.
 
-The wrapped :class:`~repro.core.twostep.TwoStepEngine` runs the fused
-symbolic/numeric step-2 split by default (``TwoStepConfig.fused_step2``),
-so interior iterations reuse the cached merge permutation, injection
-positions and scatter map and perform no per-iteration argsort -- the
-software counterpart of the structural reuse ITS assumes in hardware.
+The wrapped :class:`~repro.core.twostep.TwoStepEngine` runs step 2 as a
+symbolic/numeric split, so interior iterations reuse the cached merge
+permutation, injection positions and scatter map and perform no
+per-iteration argsort -- the software counterpart of the structural
+reuse ITS assumes in hardware.
 """
 
 from __future__ import annotations

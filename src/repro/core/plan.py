@@ -24,7 +24,6 @@ execution -- and any bit-compatible backend.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -46,30 +45,6 @@ from repro.formats.coo import COOMatrix
 from repro.formats.hypersparse import StripeFormat, choose_stripe_format
 from repro.memory.traffic import TrafficLedger
 from repro.telemetry.session import metric_inc, span
-
-#: Environment variable toggling the fused (symbolic/numeric split)
-#: step-2 path; parallels ``REPRO_TELEMETRY``.
-FUSED_STEP2_ENV_VAR = "REPRO_FUSED_STEP2"
-
-_FALSY = {"0", "false", "no", "off", ""}
-
-
-def resolve_fused_step2(flag: bool | None = None) -> bool:
-    """Resolve the fused-step-2 toggle: explicit flag, then env, then on.
-
-    Args:
-        flag: ``TwoStepConfig.fused_step2`` (None = unset).
-
-    Returns:
-        True when step 2 should run through the precomputed symbolic
-        structure.
-    """
-    if flag is not None:
-        return bool(flag)
-    env = os.environ.get(FUSED_STEP2_ENV_VAR)
-    if env is None:
-        return True
-    return env.strip().lower() not in _FALSY
 
 
 @dataclass(frozen=True)
@@ -149,8 +124,9 @@ class Step2Symbolic:
     function of the concatenated key stream, which is fixed by the
     stripe structure.  Reusing ``order`` therefore replays the exact
     accumulation order of a from-scratch merge, and ``bincount`` adds
-    weights sequentially in stream order -- so fused outputs equal the
-    unfused (and reference-oracle) outputs bit for bit.
+    weights sequentially in stream order -- so planned outputs equal a
+    from-scratch :func:`~repro.merge.prap.prap_merge_dense` (and the
+    reference oracle) bit for bit.
 
     Attributes:
         p: PRaP merge cores (``2**q``); core ``r`` owns keys with

@@ -16,7 +16,6 @@ from repro.backends import ExecutionBackend, resolve_backend
 from repro.core.config import TwoStepConfig
 from repro.merge.prap import (
     prap_merge_dense,
-    prap_merge_dense_batch,
     prap_merge_dense_plan,
     prap_merge_dense_plan_batch,
 )
@@ -64,36 +63,6 @@ class Step2Engine:
             Dense ``float64`` result of length ``n_out``.
         """
         lists = [(iv.indices, iv.values) for iv in intermediates]
-        merged = self.run_lists(lists, n_out, y=y)
-        if stats is not None:
-            total_in = sum(iv.nnz for iv in intermediates)
-            stats.input_records += total_in
-            stats.output_records += n_out
-            distinct = int(np.count_nonzero(self._distinct_mask(lists, n_out)))
-            stats.injected_records += n_out - distinct
-            stats.n_lists = max(stats.n_lists, len(lists))
-            stats.cycles += self._merge_cycles(total_in, n_out)
-        return merged
-
-    def run_lists(
-        self,
-        lists: list,
-        n_out: int,
-        y: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Merge raw ``(indices, values)`` pairs into the dense result.
-
-        Same datapath as :meth:`run` without the instrumentation -- the
-        planned engine copies precomputed statistics instead.
-
-        Args:
-            lists: Sorted sparse vectors (step-1 output).
-            n_out: Result dimension N.
-            y: Optional dense accumuland.
-
-        Returns:
-            Dense ``float64`` result of length ``n_out``.
-        """
         merged = prap_merge_dense(
             lists,
             n_out,
@@ -106,6 +75,14 @@ class Step2Engine:
             if y.shape != (n_out,):
                 raise ValueError(f"y must have shape ({n_out},)")
             merged = merged + y
+        if stats is not None:
+            total_in = sum(iv.nnz for iv in intermediates)
+            stats.input_records += total_in
+            stats.output_records += n_out
+            distinct = int(np.count_nonzero(self._distinct_mask(lists, n_out)))
+            stats.injected_records += n_out - distinct
+            stats.n_lists = max(stats.n_lists, len(lists))
+            stats.cycles += self._merge_cycles(total_in, n_out)
         return merged
 
     def run_lists_plan(
@@ -115,7 +92,10 @@ class Step2Engine:
         y: np.ndarray | None = None,
         workspace=None,
     ) -> np.ndarray:
-        """Fused :meth:`run_lists` against precomputed step-2 structure.
+        """Merge raw ``(indices, values)`` pairs via precomputed structure.
+
+        This is the engine's step-2 path: the plan's symbolic structure
+        replaces the per-call merge derivation of :meth:`run`.
 
         Args:
             symbolic: The plan's :class:`~repro.core.plan.Step2Symbolic`
@@ -125,7 +105,8 @@ class Step2Engine:
             workspace: Optional scratch-buffer workspace.
 
         Returns:
-            Dense ``float64`` result, bit-identical to :meth:`run_lists`.
+            Dense ``float64`` result, bit-identical to
+            :func:`~repro.merge.prap.prap_merge_dense` on the same lists.
         """
         merged = prap_merge_dense_plan(
             symbolic,
@@ -149,7 +130,20 @@ class Step2Engine:
         Y: np.ndarray | None = None,
         workspace=None,
     ) -> np.ndarray:
-        """Fused :meth:`run_batch` against precomputed step-2 structure."""
+        """Multi-RHS :meth:`run_lists_plan`: one permutation, k columns.
+
+        Args:
+            symbolic: The plan's :class:`~repro.core.plan.Step2Symbolic`.
+            lists: ``(indices, values)`` pairs with ``(n, k)`` values.
+            k: Batch width.
+            Y: Optional dense accumuland block, shape ``(n_out, k)``.
+            workspace: Optional scratch-buffer workspace.
+
+        Returns:
+            Dense ``float64`` result of shape ``(n_out, k)``; column
+            ``j`` is bit-identical to the single-RHS path on the same
+            inputs.
+        """
         merged = prap_merge_dense_plan_batch(
             symbolic,
             lists,
@@ -162,41 +156,6 @@ class Step2Engine:
             Y = np.asarray(Y, dtype=np.float64)
             if Y.shape != (symbolic.n_out, k):
                 raise ValueError(f"Y must have shape ({symbolic.n_out}, {k})")
-            merged = merged + Y
-        return merged
-
-    def run_batch(
-        self,
-        lists: list,
-        n_out: int,
-        k: int,
-        Y: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Multi-RHS merge: one permutation serves every column.
-
-        Args:
-            lists: ``(indices, values)`` pairs with ``(n, k)`` values.
-            n_out: Result dimension N.
-            k: Batch width.
-            Y: Optional dense accumuland block, shape ``(n_out, k)``.
-
-        Returns:
-            Dense ``float64`` result of shape ``(n_out, k)``; column
-            ``j`` is bit-identical to the single-RHS path on the same
-            inputs.
-        """
-        merged = prap_merge_dense_batch(
-            lists,
-            n_out,
-            self.config.q,
-            k,
-            check_interleave=self.config.check_interleave,
-            backend=self.backend,
-        )
-        if Y is not None:
-            Y = np.asarray(Y, dtype=np.float64)
-            if Y.shape != (n_out, k):
-                raise ValueError(f"Y must have shape ({n_out}, {k})")
             merged = merged + Y
         return merged
 

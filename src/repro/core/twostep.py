@@ -44,7 +44,6 @@ from repro.core.plan import (
     Workspace,
     build_plan,
     config_fingerprint,
-    resolve_fused_step2,
 )
 from repro.core.step1 import IntermediateVector, Step1Engine, Step1Stats
 from repro.core.step2 import Step2Engine, Step2Stats
@@ -85,7 +84,6 @@ class TwoStepReport:
     plan_cache_misses: int = 0
     plan_build_s: float = 0.0
     batch_size: int = 1
-    fused_step2: bool = False
 
     @property
     def total_cycles(self) -> float:
@@ -112,7 +110,6 @@ class TwoStepReport:
             "plan_cache_misses": self.plan_cache_misses,
             "plan_build_s": self.plan_build_s,
             "batch_size": self.batch_size,
-            "fused_step2": self.fused_step2,
             "step1": asdict(self.step1),
             "step2": asdict(self.step2),
             "traffic": traffic,
@@ -201,7 +198,7 @@ class TwoStepEngine:
         self._plan_misses = 0
         self._plan_build_s = 0.0
         self._lifetime_metrics = MetricsRegistry()
-        # Per-thread scratch buffers for the fused path: solver threads
+        # Per-thread scratch buffers for the planned kernels: solver threads
         # share engines, but a workspace is single-threaded state.
         self._workspaces = threading.local()
 
@@ -427,26 +424,20 @@ class TwoStepEngine:
         strict = resolve_strict_validate(self.config.strict_validate)
         x, y = validate_inputs(matrix, x, y=y, strict=strict)
         faults = FaultReport(validated=True, strict_validate=strict)
-        fused = resolve_fused_step2(self.config.fused_step2)
         session = self._open_session()
         with telemetry_scope(session):
             with span("spmv.run", backend=self.backend.name, batch=1):
                 with collect_faults(faults):
                     plan = self.plan(matrix)
-                    symbolic = (
-                        plan.step2_symbolic(self.config.n_cores) if fused else None
-                    )
-                    workspace = self._workspace() if fused else None
+                    symbolic = plan.step2_symbolic(self.config.n_cores)
+                    workspace = self._workspace()
                     with span("step1", n_stripes=len(plan.stripes)):
                         lists = self._step1.run_planned(plan, x, workspace=workspace)
                     with span("step2", n_lists=len(lists)):
-                        if fused:
-                            result = self._step2.run_lists_plan(
-                                symbolic, lists, y=y, workspace=workspace
-                            )
-                        else:
-                            result = self._step2.run_lists(lists, matrix.n_rows, y=y)
-        report = self._report(plan, batch=1, fused=fused)
+                        result = self._step2.run_lists_plan(
+                            symbolic, lists, y=y, workspace=workspace
+                        )
+        report = self._report(plan, batch=1)
         verified = None
         if verify:
             base = reference_spmv_cached(matrix, x)
@@ -504,26 +495,20 @@ class TwoStepEngine:
         X, Y = validate_inputs(matrix, X, y=Y, strict=strict, batch=True)
         k = X.shape[1]
         faults = FaultReport(validated=True, strict_validate=strict)
-        fused = resolve_fused_step2(self.config.fused_step2)
         session = self._open_session()
         with telemetry_scope(session):
             with span("spmv.run", backend=self.backend.name, batch=k):
                 with collect_faults(faults):
                     plan = self.plan(matrix)
-                    symbolic = (
-                        plan.step2_symbolic(self.config.n_cores) if fused else None
-                    )
-                    workspace = self._workspace() if fused else None
+                    symbolic = plan.step2_symbolic(self.config.n_cores)
+                    workspace = self._workspace()
                     with span("step1", n_stripes=len(plan.stripes)):
                         lists = self._step1.run_planned_batch(plan, X)
                     with span("step2", n_lists=len(lists)):
-                        if fused:
-                            result = self._step2.run_batch_plan(
-                                symbolic, lists, k, Y=Y, workspace=workspace
-                            )
-                        else:
-                            result = self._step2.run_batch(lists, matrix.n_rows, k, Y=Y)
-        report = self._report(plan, batch=max(k, 1), fused=fused)
+                        result = self._step2.run_batch_plan(
+                            symbolic, lists, k, Y=Y, workspace=workspace
+                        )
+        report = self._report(plan, batch=max(k, 1))
         verified = None
         if verify:
             verified = True
@@ -691,13 +676,10 @@ class TwoStepEngine:
         self._lifetime_metrics.merge(metrics)
         return telemetry
 
-    def _report(
-        self, plan: ExecutionPlan, batch: int, fused: bool = False
-    ) -> TwoStepReport:
+    def _report(self, plan: ExecutionPlan, batch: int) -> TwoStepReport:
         """Assemble a report from the plan's precomputed templates."""
         cache = self.plan_cache_stats
         return TwoStepReport(
-            fused_step2=fused,
             traffic=plan.traffic_ledger(self.config, batch=batch),
             step1=plan.step1_stats(),
             step2=plan.step2_stats(),

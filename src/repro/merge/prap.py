@@ -13,9 +13,12 @@ streams into consecutive elements of the dense output vector.
 
 Two granularities are provided:
 
-* :func:`prap_merge_dense` -- functional model used by the Two-Step
-  engine; its merge/injection/scatter kernels are supplied by an
-  execution backend (:mod:`repro.backends`), bit-exact output either way.
+* :func:`prap_merge_dense` -- functional model of the merge, re-deriving
+  the merge permutation on every call; its merge/injection/scatter
+  kernels are supplied by an execution backend (:mod:`repro.backends`),
+  bit-exact output either way.  The engine replays the same merge from a
+  plan's cached structure (:func:`prap_merge_dense_plan`), and tests use
+  this function as the plan-free oracle for that replay.
 * :class:`PRaPMergeNetwork` -- record-level simulation threading every
   record through the bitonic pre-sorter, per-radix buffer slots, per-core
   tournament merge, missing-key injection and the store queue; used by the
@@ -144,68 +147,6 @@ def prap_merge_dense(
     return queue.drain()[:n_out]
 
 
-def prap_merge_dense_batch(
-    lists: list,
-    n_out: int,
-    q: int,
-    k: int,
-    check_interleave: bool = False,
-    backend=None,
-) -> np.ndarray:
-    """Multi-RHS :func:`prap_merge_dense`: values are ``(n, k)`` blocks.
-
-    The intermediate vectors' key structure does not depend on the
-    right-hand side, so one merge permutation (and one injection pattern)
-    serves all ``k`` columns.  Column ``j`` of the output is bit-identical
-    to :func:`prap_merge_dense` on the matching scalar lists.
-
-    Args:
-        lists: ``(indices, values)`` pairs, indices sorted, values of
-            shape ``(len(indices), k)``.
-        n_out: Dense output length.
-        q: Radix bits (``p = 2**q`` cores).
-        check_interleave: Route each column through the
-            :class:`StoreQueue` invariant checker (slow; per column).
-        backend: Optional execution backend; None resolves the default.
-
-    Returns:
-        Dense ``float64`` array of shape ``(n_out, k)``.
-    """
-    from repro.backends import resolve_backend  # deferred: avoids import cycle
-
-    backend = resolve_backend(backend)
-    p = 1 << q
-    with span("step2.merge", n_lists=len(lists), batch=k):
-        merged_idx, merged_val = backend.merge_accumulate_batch(lists, k)
-    metric_inc(
-        "spmv_records_merged_total",
-        int(merged_idx.size),
-        help="Records emitted by the K-way merge",
-    )
-    if merged_idx.size and (merged_idx.min() < 0 or merged_idx.max() >= n_out):
-        raise ValueError("record key outside output vector range")
-    if not check_interleave:
-        out = np.zeros((n_out, k), dtype=np.float64)
-        out[merged_idx, :] = merged_val
-        return out
-    padded = -(-n_out // p) * p
-    out = np.empty((n_out, k), dtype=np.float64)
-    with span("inject", p=p, batch=k):
-        for j in range(k):
-            queue = StoreQueue(p)
-            for radix, (keys, vals) in enumerate(
-                backend.inject_classes(merged_idx, merged_val[:, j], padded, p)
-            ):
-                queue.push_stream(radix, keys, vals)
-            out[:, j] = queue.drain()[:n_out]
-    metric_inc(
-        "spmv_keys_injected_total",
-        int(k * (padded - merged_idx.size)),
-        help="Zero-value records injected for missing keys",
-    )
-    return out
-
-
 def prap_merge_dense_plan(
     symbolic,
     lists: list,
@@ -248,7 +189,7 @@ def prap_merge_dense_plan(
     )
     if not check_interleave:
         return backend.scatter_dense_plan(symbolic, merged_val)
-    # Same padding rule as the unfused path; the strided assembly below
+    # Same padding rule as prap_merge_dense; the strided assembly below
     # is exactly what StoreQueue.drain() produces (stream r fills
     # positions r, r+p, ...), truncated to n_out.
     with span("inject", p=p):
@@ -275,8 +216,8 @@ def prap_merge_dense_plan_batch(
     """Multi-RHS :func:`prap_merge_dense_plan`: values are ``(n, k)``.
 
     Column ``j`` of the output is bit-identical to
-    :func:`prap_merge_dense_plan` on the matching scalar lists (and to
-    the unfused batch path).
+    :func:`prap_merge_dense_plan` (and :func:`prap_merge_dense`) on the
+    matching scalar lists.
 
     Args:
         symbolic: Precomputed step-2 structure for this matrix and ``p``.

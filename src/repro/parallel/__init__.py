@@ -13,9 +13,6 @@ of that argument:
   loops) and ``process`` (opt-in, for inputs large enough to amortize
   worker startup; big arrays travel through
   ``multiprocessing.shared_memory`` instead of pickle).
-* :mod:`repro.parallel.sharding` -- deterministic residue-class
-  sharding of sorted record streams and the strided recombination that
-  keeps the sharded merge bit-identical to the sequential one.
 * :mod:`repro.parallel.workers` -- the top-level (picklable) functions
   a process pool executes.
 * :mod:`repro.parallel.shm` -- zero-copy NumPy array transport over
@@ -30,14 +27,5 @@ byte-identical regardless of ``n_jobs``.
 from __future__ import annotations
 
 from repro.parallel.pool import WorkerPool, default_jobs
-from repro.parallel.sharding import (
-    recombine_sorted_shards,
-    shard_lists_by_residue,
-)
 
-__all__ = [
-    "WorkerPool",
-    "default_jobs",
-    "recombine_sorted_shards",
-    "shard_lists_by_residue",
-]
+__all__ = ["WorkerPool", "default_jobs"]

@@ -56,30 +56,8 @@ def stripe_values_task(payload: dict) -> np.ndarray:
         _release(handles)
 
 
-def merge_shard_task(payload: dict) -> tuple:
-    """Step-2 kernel: merge-accumulate one residue class.
-
-    Payload keys: ``lists`` -- a list of ``(idx_spec, val_spec)`` pairs.
-    """
-    from repro.merge.tournament import merge_accumulate
-
-    handles = []
-    lists = []
-    for idx_spec, val_spec in payload["lists"]:
-        idx, idx_handle = import_array(idx_spec)
-        val, val_handle = import_array(val_spec)
-        handles.extend(h for h in (idx_handle, val_handle) if h is not None)
-        lists.append((idx, val))
-    try:
-        merged_idx, merged_val = merge_accumulate(lists)
-        # merge_accumulate outputs fresh arrays, safe to ship back as is.
-        return merged_idx, merged_val
-    finally:
-        _release(handles)
-
-
 def merge_plan_chunk_task(payload: dict) -> np.ndarray:
-    """Fused step-2 merge: accumulate one contiguous run-range chunk.
+    """Planned step-2 merge: accumulate one contiguous run-range chunk.
 
     The parent gathered the values into merge order via the precomputed
     permutation; this task bincounts its record slice against its
@@ -123,7 +101,7 @@ def spgemm_products_task(payload: dict) -> np.ndarray:
 
 
 def inject_class_plan_task(payload: dict) -> np.ndarray:
-    """Fused missing-key injection for one residue class.
+    """Planned missing-key injection for one residue class.
 
     The dense in-class scatter positions are precomputed, so the task is
     a pure zeros + fancy-assign over the class's values.
@@ -136,26 +114,5 @@ def inject_class_plan_task(payload: dict) -> np.ndarray:
         dense = np.zeros(payload["length"], dtype=np.float64)
         dense[positions] = vals
         return dense
-    finally:
-        _release(handles)
-
-
-def inject_class_task(payload: dict) -> tuple:
-    """Missing-key injection for one residue class.
-
-    Payload keys: ``keys``, ``vals`` (:class:`ArraySpec`), ``lo``,
-    ``hi``, ``stride``, ``offset`` (ints).
-    """
-    from repro.merge.merge_core import inject_missing_keys
-
-    (keys, vals), handles = _attach(payload, ("keys", "vals"))
-    try:
-        return inject_missing_keys(
-            keys,
-            vals,
-            (payload["lo"], payload["hi"]),
-            stride=payload["stride"],
-            offset=payload["offset"],
-        )
     finally:
         _release(handles)

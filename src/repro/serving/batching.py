@@ -262,7 +262,7 @@ class MicroBatcher:
         self._in_flight += 1
         if len(lane.pending) >= self._lane_limit(key):
             batch = self._pop(key, lane)
-            asyncio.ensure_future(self._run_batch(key, batch))
+            asyncio.ensure_future(self._execute_batch(key, batch))
         elif lane.timer is None:
             lane.timer = asyncio.ensure_future(self._delayed_flush(key, lane))
         return await pending.future
@@ -277,7 +277,7 @@ class MicroBatcher:
                 continue
             batch = self._pop(k, lane)
             if batch:
-                tasks.append(asyncio.ensure_future(self._run_batch(k, batch)))
+                tasks.append(asyncio.ensure_future(self._execute_batch(k, batch)))
         if tasks:
             await asyncio.gather(*tasks)
 
@@ -333,7 +333,7 @@ class MicroBatcher:
             # submission happens to arrive.
             lane.timer = asyncio.ensure_future(self._delayed_flush(key, lane))
         if batch:
-            await self._run_batch(key, batch)
+            await self._execute_batch(key, batch)
 
     def _triage(self, batch: list) -> tuple:
         """Split a formed batch into live members and dropped ones.
@@ -392,7 +392,7 @@ class MicroBatcher:
             Y = self._execute(key, X)
         return np.ascontiguousarray(Y.T)
 
-    async def _run_batch(self, key, batch: list) -> None:
+    async def _execute_batch(self, key, batch: list) -> None:
         """Execute one coalesced batch and fan results back to futures."""
         now = time.perf_counter()
         live, dropped = self._triage(batch)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Accelerator, SpMVEngine, SpMVResult, TS_ASIC
+from repro import Accelerator, EngineOptions, SpMVEngine, SpMVResult, TS_ASIC
 from repro.core.config import TwoStepConfig
 from repro.core.twostep import TwoStepEngine, TwoStepReport, reference_spmv
 
@@ -46,7 +46,11 @@ def test_engines_satisfy_protocol(engine):
 
 
 def test_accelerator_returns_spmv_result(small_er_graph, rng):
-    acc = Accelerator(TS_ASIC, simulation_segment_width=512, backend="vectorized")
+    acc = Accelerator(
+        TS_ASIC,
+        simulation_segment_width=512,
+        options=EngineOptions(backend="vectorized"),
+    )
     x = rng.uniform(size=small_er_graph.n_cols)
     result = acc.run(small_er_graph, x, verify=True)
     assert isinstance(result, SpMVResult)

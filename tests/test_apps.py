@@ -1,5 +1,7 @@
 """Tests for the graph-analytics applications."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -171,5 +173,7 @@ def test_kcore_through_engine_matches_edge_sweep(small_er_graph):
 def test_pagerank_accepts_parallel_jobs(small_er_graph):
     cfg = TwoStepConfig(segment_width=512, q=2)
     ref = pagerank(small_er_graph, cfg, max_iterations=8)
-    par = pagerank(small_er_graph, cfg, max_iterations=8, backend="parallel", n_jobs=2)
+    par = pagerank(
+        small_er_graph, replace(cfg, backend="parallel", n_jobs=2), max_iterations=8
+    )
     assert np.array_equal(ref.ranks, par.ranks)

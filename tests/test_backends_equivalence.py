@@ -10,6 +10,7 @@ and pool flavours.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.core.config import TwoStepConfig
+from repro.core.plan import build_step2_symbolic
 from repro.core.twostep import TwoStepEngine, reference_spmv
 from repro.filters.hdn import HDNConfig
 from repro.generators.erdos_renyi import erdos_renyi_graph
@@ -98,13 +100,16 @@ def test_merge_accumulate_kernels_bitwise_equal(data):
 @given(sorted_lists(), st.sampled_from([1, 2, 4]))
 @settings(max_examples=30, deadline=None)
 def test_parallel_merge_sharding_bitwise_equal(data, n_jobs):
-    """Residue-class sharding + recombination is a pure reordering."""
-    _, lists = data
+    """Run-range sharding of the planned merge is a pure partition: it
+    matches the plan-free oracle merge bit for bit."""
+    key_space, lists = data
+    stripes = [SimpleNamespace(out_indices=idx) for idx, _ in lists]
+    symbolic = build_step2_symbolic(stripes, key_space, 1)
     backend = _eager_parallel(n_jobs)
     try:
-        ref_idx, ref_val = VECTORIZED.merge_accumulate(lists)
-        par_idx, par_val = backend.merge_accumulate(lists)
-        assert np.array_equal(ref_idx, par_idx)
+        ref_idx, ref_val = REFERENCE.merge_accumulate(lists)
+        par_val = backend.merge_accumulate_plan(symbolic, lists)
+        assert np.array_equal(ref_idx, symbolic.merged_keys)
         assert np.array_equal(ref_val, par_val)
     finally:
         backend.close()

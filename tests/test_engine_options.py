@@ -2,8 +2,9 @@
 
 Covers the precedence rule (explicit argument > environment variable >
 package default), provenance reporting, the TwoStepConfig bridge, the
-deprecation shims on legacy constructor keywords, and the guarantee that
-the static defaults table cannot drift from the live package defaults.
+rejection of the removed legacy constructor keywords, and the guarantee
+that the static defaults table cannot drift from the live package
+defaults.
 """
 
 import warnings
@@ -47,7 +48,6 @@ class TestPrecedence:
         assert options.backend == DEFAULT_BACKEND
         assert options.segment_width == DEFAULT_SEGMENT_WIDTH
         assert options.telemetry is True
-        assert options.fused_step2 is True
         assert options.strict_validate is False
 
     def test_env_beats_default(self, clean_env):
@@ -71,14 +71,12 @@ class TestPrecedence:
         assert options.resolve().backend == "reference"
 
     def test_boolean_env_parsing_matches_historical_resolvers(self, clean_env):
-        # Default-on flags: anything outside the falsy set means on.
+        # Default-on flag: anything outside the falsy set means on.
         clean_env.setenv("REPRO_TELEMETRY", "0")
-        clean_env.setenv("REPRO_FUSED_STEP2", "off")
         # Default-off flag: requires an explicit truthy value.
         clean_env.setenv("REPRO_STRICT_VALIDATE", "yes")
         options = EngineOptions().resolve()
         assert options.telemetry is False
-        assert options.fused_step2 is False
         assert options.strict_validate is True
 
     def test_garbage_env_value_raises_configuration_error(self, clean_env):
@@ -199,17 +197,28 @@ class TestCreateEngine:
 
 
 class TestDeprecationShims:
-    def test_accelerator_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="create_engine"):
-            accel = Accelerator(TS_ASIC, simulation_segment_width=1024,
-                                backend="reference")
-        assert accel.config.backend == "reference"
+    """The deprecated keywords are gone: passing them fails loudly."""
 
-    def test_accelerator_positional_backend_string_warns(self):
-        # Historical third positional argument was the backend name.
-        with pytest.warns(DeprecationWarning, match="create_engine"):
-            accel = Accelerator(TS_ASIC, 1024, "reference")
-        assert accel.config.backend == "reference"
+    def test_accelerator_legacy_kwargs_are_typeerror(self):
+        for name, value in (("backend", "reference"), ("n_jobs", 2),
+                            ("telemetry", False), ("max_retries", 1)):
+            with pytest.raises(TypeError, match=name):
+                Accelerator(TS_ASIC, simulation_segment_width=1024,
+                            **{name: value})
+
+    @pytest.mark.parametrize(
+        "options",
+        ["reference", TwoStepConfig(segment_width=64), {"backend": "reference"}],
+        ids=["str", "TwoStepConfig", "dict"],
+    )
+    def test_accelerator_options_must_be_engine_options(self, options):
+        # The third positional argument is ``options``, never a backend.
+        with pytest.raises(ConfigurationError) as info:
+            Accelerator(TS_ASIC, 1024, options)
+        message = str(info.value)
+        assert "must be an EngineOptions" in message
+        assert type(options).__name__ in message
+        assert "unknown backend" not in message
 
     def test_accelerator_unknown_kwarg_is_typeerror(self):
         with pytest.raises(TypeError):
@@ -221,12 +230,17 @@ class TestDeprecationShims:
             Accelerator(TS_ASIC, simulation_segment_width=1024,
                         options=EngineOptions(backend="reference"))
 
-    def test_pagerank_legacy_backend_kwarg_warns(self, small_graph):
-        from repro.apps import pagerank
+    def test_pagerank_legacy_backend_kwarg_is_typeerror(self, small_graph):
+        from repro.apps import conjugate_gradient, pagerank
 
         config = TwoStepConfig(segment_width=256)
-        with pytest.warns(DeprecationWarning, match="EngineOptions"):
+        with pytest.raises(TypeError, match="backend"):
             pagerank(small_graph, config, max_iterations=2, backend="reference")
+        with pytest.raises(TypeError, match="n_jobs"):
+            pagerank(small_graph, config, max_iterations=2, n_jobs=2)
+        b = np.ones(small_graph.n_rows)
+        with pytest.raises(TypeError, match="backend"):
+            conjugate_gradient(small_graph, b, config=config, backend="reference")
 
     def test_pagerank_accepts_engine_options(self, small_graph):
         from repro.apps import pagerank

@@ -34,6 +34,7 @@ from repro.core.config import TwoStepConfig
 from repro.core.twostep import TwoStepEngine
 from repro.faults.errors import ConfigurationError
 from repro.generators.erdos_renyi import erdos_renyi_graph
+from repro.merge.prap import prap_merge_dense
 
 
 @pytest.fixture(autouse=True)
@@ -134,12 +135,18 @@ def test_native_batch_bitwise_equals_reference(case, k):
 
 
 def test_unfused_path_also_bitwise_equal():
-    """run_starts=None / fused_step2=False paths stay on the safe kernels."""
+    """Native's planned step 2 equals the unfused, plan-free
+    ``prap_merge_dense`` on the reference backend, fed the same lists."""
     graph = erdos_renyi_graph(300, 3.0, seed=11)
     x = np.random.default_rng(11).uniform(size=graph.n_cols)
-    native = _engine(_quiet_native(), fused_step2=False)
-    reference = _engine("reference", fused_step2=False)
-    assert native.run(graph, x).y.tobytes() == reference.run(graph, x).y.tobytes()
+    for check_interleave in (False, True):
+        native = _engine(_quiet_native(), check_interleave=check_interleave)
+        lists = native._step1.run_planned(native.plan(graph), x)
+        oracle = prap_merge_dense(
+            lists, graph.n_rows, 2, check_interleave=check_interleave,
+            backend="reference",
+        )
+        assert native.run(graph, x).y.tobytes() == oracle.tobytes()
 
 
 # ---------------------------------------------------------------------------

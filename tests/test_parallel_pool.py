@@ -1,11 +1,12 @@
 """Units for the parallel subsystem: pool, shared memory, sharding."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.backends.vectorized import VectorizedBackend
 from repro.parallel.pool import JOBS_ENV_VAR, WorkerPool, default_jobs
-from repro.parallel.sharding import recombine_sorted_shards, shard_lists_by_residue
 from repro.parallel.shm import ArrayExporter, import_array
 
 
@@ -108,36 +109,21 @@ def _random_sorted_lists(rng, n_lists=5, key_space=97):
 
 @pytest.mark.parametrize("n_shards", [1, 2, 3, 4, 7])
 def test_sharded_merge_bitwise_equals_sequential(n_shards):
-    """Shard -> merge per class -> recombine is a pure reordering."""
+    """The planned merge sharded over run ranges equals the serial one."""
+    from repro.backends.parallel import ParallelBackend
+    from repro.core.plan import build_step2_symbolic
+
     rng = np.random.default_rng(42)
-    backend = VectorizedBackend()
     lists = _random_sorted_lists(rng)
-    ref_idx, ref_val = backend.merge_accumulate(lists)
-    shards = shard_lists_by_residue(lists, n_shards)
-    outputs = [backend.merge_accumulate(shard) for shard in shards]
-    idx, val = recombine_sorted_shards(outputs)
-    assert np.array_equal(ref_idx, idx)
-    assert np.array_equal(ref_val, val)
-
-
-def test_shard_lists_partitions_by_residue():
-    idx = np.arange(10, dtype=np.int64)
-    val = np.ones(10)
-    shards = shard_lists_by_residue([(idx, val)], 3)
-    assert len(shards) == 3
-    for r, shard in enumerate(shards):
-        (sub_idx, _), = shard
-        assert np.all(sub_idx % 3 == r)
-
-
-def test_shard_rejects_nonpositive_count():
-    with pytest.raises(ValueError, match="n_shards must be positive"):
-        shard_lists_by_residue([], 0)
-
-
-def test_recombine_empty_is_empty():
-    idx, val = recombine_sorted_shards([])
-    assert idx.size == 0 and val.size == 0
+    stripes = [SimpleNamespace(out_indices=idx) for idx, _ in lists]
+    symbolic = build_step2_symbolic(stripes, 97, 1)
+    want = VectorizedBackend().merge_accumulate_plan(symbolic, lists)
+    backend = ParallelBackend(n_jobs=n_shards, min_parallel_nnz=0)
+    try:
+        got = backend.merge_accumulate_plan(symbolic, lists)
+    finally:
+        backend.close()
+    assert np.array_equal(want, got)
 
 
 # ---------------------------------------------------------------------------

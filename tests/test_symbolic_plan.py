@@ -1,15 +1,17 @@
 """Symbolic/numeric split: property, differential and steady-state tests.
 
-The fused step-2 path precomputes the merge permutation, run-id array,
+The engine's step 2 precomputes the merge permutation, run-id array,
 merged key set, per-class injection structure and scatter map once per
 ``(matrix, p)`` and replays them every iteration.  These tests pin the
 three claims that make the split safe:
 
 * the precomputed structures equal an independent from-scratch
   derivation on randomized matrices (Hypothesis property);
-* fused and unfused runs are bit-identical -- result vectors compare
-  with ``np.array_equal`` / ``tobytes`` and traffic ledgers byte for
-  byte -- across every backend, worker count and interleave mode;
+* the engine's planned (fused) step 2 is bit-identical to the unfused,
+  plan-free :func:`~repro.merge.prap.prap_merge_dense` on the reference
+  backend, fed the same step-1 lists -- across every backend, worker
+  count and interleave mode -- so a ``Step2Symbolic`` bug cannot hide on
+  both sides of the comparison;
 * steady-state iterations are symbolic-free: after the first run, no
   step-2 argsort executes (telemetry-counter asserted) and the cached
   structure is hit, for the engine and for PageRank/CG/Jacobi clients.
@@ -30,15 +32,11 @@ from repro.apps.pagerank import pagerank
 from repro.backends import ParallelBackend, get_backend
 from repro.core.config import TwoStepConfig
 from repro.faults.errors import ConfigurationError
-from repro.core.plan import (
-    FUSED_STEP2_ENV_VAR,
-    Workspace,
-    build_plan,
-    build_step2_symbolic,
-    resolve_fused_step2,
-)
+from repro.core.plan import Workspace, build_plan, build_step2_symbolic
 from repro.core.twostep import TwoStepEngine, reference_spmv
 from repro.generators.erdos_renyi import erdos_renyi_graph
+from repro.merge.prap import prap_merge_dense
+from repro.telemetry import telemetry_scope, telemetry_session
 
 #: Backends crossed with the worker counts the issue calls out.
 BACKEND_MATRIX = [
@@ -54,9 +52,24 @@ def graph():
     return erdos_renyi_graph(300, 4.0, seed=11)
 
 
-def _config(fused, **kwargs) -> TwoStepConfig:
-    return TwoStepConfig(
-        segment_width=64, q=2, telemetry=True, fused_step2=fused, **kwargs
+def _config(**kwargs) -> TwoStepConfig:
+    return TwoStepConfig(segment_width=64, q=2, telemetry=True, **kwargs)
+
+
+def _engine(backend, n_jobs=None, **kwargs) -> TwoStepEngine:
+    if n_jobs is not None:
+        kwargs["n_jobs"] = n_jobs
+    return TwoStepEngine(_config(backend=backend, **kwargs))
+
+
+def _unfused_merge(engine, graph, lists, backend="reference") -> np.ndarray:
+    """Plan-free step-2 oracle: re-derives the merge from the lists."""
+    return prap_merge_dense(
+        lists,
+        graph.n_rows,
+        engine.config.q,
+        check_interleave=engine.config.check_interleave,
+        backend=backend,
     )
 
 
@@ -156,7 +169,7 @@ def test_symbolic_rejects_out_of_range_keys(graph):
 
 
 # ---------------------------------------------------------------------------
-# Differential: fused == unfused, bit for bit
+# Differential: planned step 2 == plan-free prap_merge_dense, bit for bit
 # ---------------------------------------------------------------------------
 
 
@@ -164,46 +177,38 @@ def test_symbolic_rejects_out_of_range_keys(graph):
 @pytest.mark.parametrize("check_interleave", [False, True])
 def test_fused_matches_unfused_bitwise(graph, backend, n_jobs, check_interleave):
     x = np.random.default_rng(3).uniform(-1.0, 1.0, size=graph.n_cols)
-    kwargs = {"backend": backend, "check_interleave": check_interleave}
-    if n_jobs is not None:
-        kwargs["n_jobs"] = n_jobs
-    fused_engine = TwoStepEngine(_config(True, **kwargs))
-    unfused_engine = TwoStepEngine(_config(False, **kwargs))
+    engine = _engine(backend, n_jobs, check_interleave=check_interleave)
     for _ in range(2):  # cold (symbolic build) and warm (cache hit) runs
-        fused = fused_engine.run(graph, x)
-        unfused = unfused_engine.run(graph, x)
-        assert fused.y.tobytes() == unfused.y.tobytes()
+        fused = engine.run(graph, x)
+        lists = engine._step1.run_planned(engine.plan(graph), x)
+        assert fused.y.tobytes() == _unfused_merge(engine, graph, lists).tobytes()
         assert np.allclose(fused.y, reference_spmv(graph, x))
-        assert (
-            fused.report.traffic.breakdown() == unfused.report.traffic.breakdown()
-        )
-    assert fused.report.fused_step2 is True
-    assert unfused.report.fused_step2 is False
 
 
 @pytest.mark.parametrize("backend,n_jobs", BACKEND_MATRIX)
 def test_fused_matches_unfused_batch(graph, backend, n_jobs):
     rng = np.random.default_rng(5)
     X = rng.uniform(-1.0, 1.0, size=(graph.n_cols, 3))
-    kwargs = {"backend": backend}
-    if n_jobs is not None:
-        kwargs["n_jobs"] = n_jobs
-    fused = TwoStepEngine(_config(True, **kwargs)).run_many(graph, X)
-    unfused = TwoStepEngine(_config(False, **kwargs)).run_many(graph, X)
-    assert fused.y.tobytes() == unfused.y.tobytes()
+    engine = _engine(backend, n_jobs)
+    fused = engine.run_many(graph, X)
+    lists = engine._step1.run_planned_batch(engine.plan(graph), X)
     for j in range(X.shape[1]):
+        column = [(idx, vals[:, j]) for idx, vals in lists]
+        oracle = _unfused_merge(engine, graph, column)
+        assert fused.y[:, j].tobytes() == oracle.tobytes()
+        assert fused.y[:, j].tobytes() == engine.run(graph, X[:, j]).y.tobytes()
         assert np.allclose(fused.y[:, j], reference_spmv(graph, X[:, j]))
 
 
 def test_fused_matches_under_forced_fanout(graph, monkeypatch):
     monkeypatch.setattr(ParallelBackend, "MIN_FANOUT_RECORDS", 0)
     x = np.random.default_rng(7).uniform(-1.0, 1.0, size=graph.n_cols)
-    fused = TwoStepEngine(_config(True, backend="parallel", n_jobs=3)).run(graph, x)
-    unfused = TwoStepEngine(_config(False, backend="parallel", n_jobs=3)).run(graph, x)
-    assert fused.y.tobytes() == unfused.y.tobytes()
+    engine = _engine("parallel", 3)
+    fused = engine.run(graph, x)
+    lists = engine._step1.run_planned(engine.plan(graph), x)
+    assert fused.y.tobytes() == _unfused_merge(engine, graph, lists).tobytes()
     metrics = fused.telemetry.metrics
-    # Shard accounting survives the fused path: per-shard counts still
-    # sum to the merge total.
+    # Shard accounting: per-shard counts sum to the merge total.
     shard_total = metrics.total("spmv_merge_shard_records_total")
     assert shard_total == metrics.total("spmv_records_merged_total") > 0
 
@@ -215,10 +220,7 @@ def test_fused_matches_under_forced_fanout(graph, monkeypatch):
 
 @pytest.mark.parametrize("backend,n_jobs", BACKEND_MATRIX)
 def test_warm_runs_are_argsort_free(graph, backend, n_jobs):
-    kwargs = {"backend": backend}
-    if n_jobs is not None:
-        kwargs["n_jobs"] = n_jobs
-    engine = TwoStepEngine(_config(True, **kwargs))
+    engine = _engine(backend, n_jobs)
     x = np.ones(graph.n_cols)
     first = engine.run(graph, x).telemetry.metrics
     warm = engine.run(graph, x).telemetry.metrics
@@ -230,9 +232,13 @@ def test_warm_runs_are_argsort_free(graph, backend, n_jobs):
 
 
 def test_unfused_runs_do_count_argsorts(graph):
-    engine = TwoStepEngine(_config(False, backend="vectorized"))
-    report = engine.run(graph, np.ones(graph.n_cols)).telemetry
-    assert report.metrics.total("spmv_step2_argsort_total") >= 1
+    """The argsort counter discriminates: the plan-free merge bumps it."""
+    engine = _engine("vectorized")
+    lists = engine._step1.run_planned(engine.plan(graph), np.ones(graph.n_cols))
+    session = telemetry_session()
+    with telemetry_scope(session):
+        _unfused_merge(engine, graph, lists, backend="vectorized")
+    assert session.metrics.total("spmv_step2_argsort_total") >= 1
 
 
 @pytest.mark.parametrize(
@@ -240,8 +246,7 @@ def test_unfused_runs_do_count_argsorts(graph):
     ["pagerank", "cg", "jacobi"],
 )
 def test_iterative_clients_reuse_symbolic_structure(solver):
-    # fused pinned explicitly so the assertion survives REPRO_FUSED_STEP2=0.
-    config = TwoStepConfig(segment_width=64, q=2, telemetry=True, fused_step2=True)
+    config = _config()
     if solver == "pagerank":
         adjacency = erdos_renyi_graph(200, 4.0, seed=3)
         reports = pagerank(adjacency, config, max_iterations=8).telemetry_reports
@@ -290,7 +295,7 @@ def test_workspace_buffers_grow_only_and_reuse_memory():
 
 
 def test_engine_workspace_is_stable_across_warm_runs(graph):
-    engine = TwoStepEngine(_config(True, backend="vectorized"))
+    engine = _engine("vectorized")
     x = np.ones(graph.n_cols)
     engine.run(graph, x)
     workspace = engine._workspace()
@@ -301,22 +306,11 @@ def test_engine_workspace_is_stable_across_warm_runs(graph):
     assert workspace.nbytes == nbytes  # warm runs allocate no new scratch
 
 
-def test_fused_step2_env_resolution(monkeypatch):
-    monkeypatch.delenv(FUSED_STEP2_ENV_VAR, raising=False)
-    assert resolve_fused_step2(None) is True
-    monkeypatch.setenv(FUSED_STEP2_ENV_VAR, "0")
-    assert resolve_fused_step2(None) is False
-    assert resolve_fused_step2(True) is True  # explicit flag wins
-    monkeypatch.setenv(FUSED_STEP2_ENV_VAR, "1")
-    assert resolve_fused_step2(None) is True
-    assert resolve_fused_step2(False) is False
-
-
 def test_config_change_invalidates_plan_reuse(graph):
     x = np.ones(graph.n_cols)
-    engine = TwoStepEngine(_config(True, backend="vectorized"))
+    engine = _engine("vectorized")
     engine.run(graph, x)
-    flipped = dataclasses.replace(engine.config, fused_step2=False)
+    flipped = dataclasses.replace(engine.config, check_interleave=True)
     report = TwoStepEngine(flipped).run(graph, x).telemetry
     # A distinct config fingerprint means a fresh plan (cache miss).
     assert report.metrics.value(

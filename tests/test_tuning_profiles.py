@@ -47,7 +47,6 @@ _KNOB_VALUES = {
     "segment_width": st.integers(1, 1 << 20),
     "vldi_vector_block_bits": st.integers(1, 8),
     "hdn_threshold": st.one_of(st.none(), st.integers(1, 10_000)),
-    "fused_step2": st.booleans(),
     "min_parallel_nnz": st.integers(0, 1 << 24),
     "max_batch": st.integers(1, 512),
 }
@@ -146,15 +145,18 @@ class TestQuarantine:
         assert store.quarantined == 1
 
     def test_unknown_knob_in_file_is_quarantined(self, tmp_path):
-        store, profile, path = self._saved(tmp_path)
-        payload = json.loads(path.read_text())
-        payload["profile"]["knobs"]["warp_speed"] = 9
-        body = json.dumps(
-            payload["profile"], sort_keys=True, separators=(",", ":")
-        ).encode()
-        payload["crc32"] = zlib.crc32(body) & 0xFFFFFFFF  # valid CRC, bad schema
-        path.write_text(json.dumps(payload))
-        self._assert_quarantined(store, profile.fingerprint, path)
+        # A made-up knob, and a knob that older releases wrote but that
+        # no longer exists: both fail the schema, neither gets a shim.
+        for name, value in (("warp_speed", 9), ("fused_step2", False)):
+            store, profile, path = self._saved(tmp_path / name)
+            payload = json.loads(path.read_text())
+            payload["profile"]["knobs"][name] = value
+            body = json.dumps(
+                payload["profile"], sort_keys=True, separators=(",", ":")
+            ).encode()
+            payload["crc32"] = zlib.crc32(body) & 0xFFFFFFFF  # valid CRC, bad schema
+            path.write_text(json.dumps(payload))
+            self._assert_quarantined(store, profile.fingerprint, path)
 
     def test_missing_file_is_a_plain_miss(self, tmp_path):
         store = TunedProfileStore(tmp_path)
