@@ -11,9 +11,9 @@ materialized intermediate of the permutation gather.  This bench:
 * times warm PageRank/CG iterations native vs vectorized, gating a
   >= 2x speedup -- but only when Numba is actually importable (the
   numpy-fallback tier is, by construction, the vectorized path);
-* sweeps ``n_jobs`` for the ``prange`` story the parallel backend never
-  delivered (``BENCH_parallel.json`` speedups < 1 at every n_jobs):
-  native must beat vectorized at ``n_jobs >= 2`` on a multi-core box,
+* sweeps ``n_jobs`` for in-node ``prange`` scaling, the only
+  multi-threaded execution the engine has: native must beat vectorized
+  at ``n_jobs >= 2`` on a multi-core box,
   and on single-core/Numba-less hosts the result records *why* the gate
   did not apply instead of failing.
 

@@ -47,9 +47,6 @@ from repro.faults import (
     InjectedFault,
     InvalidMatrixError,
     InvalidVectorError,
-    RetryExhaustedError,
-    ShardFailedError,
-    TaskTimeoutError,
     WorkerCrashError,
     inject_faults,
     validate_inputs,
@@ -130,9 +127,6 @@ __all__ = [
     "InjectedFault",
     "InvalidMatrixError",
     "InvalidVectorError",
-    "RetryExhaustedError",
-    "ShardFailedError",
-    "TaskTimeoutError",
     "WorkerCrashError",
     "inject_faults",
     "validate_inputs",

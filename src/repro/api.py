@@ -29,7 +29,7 @@ Quickstart::
     from repro.api import EngineOptions, create_engine
 
     engine = create_engine(segment_width=8_192, q=4)
-    engine = create_engine(EngineOptions.from_env(), backend="parallel")
+    engine = create_engine(EngineOptions.from_env(), backend="native")
     engine = create_engine(design_point="TS_ASIC", segment_width=8_192)
 """
 
@@ -61,11 +61,11 @@ class SpMVResult:
         verified: True/False when the engine checked ``y`` against the
             dense reference, None when verification was skipped.
         wall_time_s: Wall-clock seconds spent inside the engine.
-        faults: Supervision accounting
-            (:class:`~repro.faults.report.FaultReport`): retries,
-            timeouts, worker respawns and sequential fallbacks observed
-            while producing ``y``.  ``faults.clean`` is True for an
-            undisturbed run; None for engines without supervision.
+        faults: Input-hardening accounting
+            (:class:`~repro.faults.report.FaultReport`): which
+            validation tier ran, any recorded fault events and the
+            execution's wall time.  ``faults.clean`` is True for an
+            undisturbed run; None for engines without the report.
         telemetry: Structured observability for this execution
             (:class:`~repro.telemetry.TelemetryReport`): the run's trace
             spans and metrics snapshot.  None when telemetry was
@@ -107,7 +107,7 @@ class SpGEMMResult:
         verified: True/False when the engine checked ``c`` against the
             dense product, None when verification was skipped.
         wall_time_s: Wall-clock seconds spent inside the engine.
-        faults: Supervision accounting
+        faults: Input-hardening accounting
             (:class:`~repro.faults.report.FaultReport`), as on
             :class:`SpMVResult`.
         telemetry: The run's trace spans and metrics snapshot
@@ -215,13 +215,9 @@ _CONFIG_FIELDS = (
     "index_field_bytes",
     "backend",
     "n_jobs",
-    "parallel_pool",
     "plan_cache",
-    "max_retries",
-    "task_timeout",
     "strict_validate",
     "telemetry",
-    "min_parallel_nnz",
     "tuning",
 )
 
@@ -233,12 +229,8 @@ _CONFIG_FIELDS = (
 ENV_VARS = {
     "backend": "REPRO_BACKEND",
     "n_jobs": "REPRO_JOBS",
-    "parallel_pool": "REPRO_POOL",
-    "max_retries": "REPRO_MAX_RETRIES",
-    "task_timeout": "REPRO_TASK_TIMEOUT",
     "strict_validate": "REPRO_STRICT_VALIDATE",
     "telemetry": "REPRO_TELEMETRY",
-    "min_parallel_nnz": "REPRO_MIN_PARALLEL_NNZ",
     "tuning": "REPRO_TUNING",
 }
 
@@ -247,10 +239,10 @@ _FALSY = frozenset({"0", "false", "no", "off", ""})
 
 #: Static package defaults applied when neither an explicit value nor an
 #: environment variable selects one.  Fields absent here have *dynamic*
-#: defaults (CPU count for ``n_jobs``, the pool's retry budget for
-#: ``max_retries``, value-precision SINGLE for ``precision``, feature-off
-#: ``None`` for VLDI/HDN/timeout) and deliberately stay ``None`` after
-#: resolution -- the component owning the live value resolves them.
+#: defaults (CPU count for ``n_jobs``, value-precision SINGLE for
+#: ``precision``, feature-off ``None`` for VLDI/HDN) and deliberately
+#: stay ``None`` after resolution -- the component owning the live value
+#: resolves them.
 #: ``backend`` mirrors ``repro.backends.DEFAULT_BACKEND`` (asserted by
 #: the test-suite so the two can never drift).
 _STATIC_DEFAULTS = {
@@ -261,7 +253,6 @@ _STATIC_DEFAULTS = {
     "check_interleave": False,
     "index_field_bytes": 4,
     "backend": "vectorized",
-    "parallel_pool": "thread",
     "plan_cache": 8,
     "strict_validate": False,
     "telemetry": True,
@@ -284,25 +275,18 @@ def _parse_env(field_name: str, raw: str):
     an explicit truthy value.
     """
     raw = raw.strip()
-    if field_name in ("n_jobs", "max_retries", "min_parallel_nnz"):
+    if field_name == "n_jobs":
         try:
             return int(raw)
         except ValueError:
             raise _config_error(
                 f"{ENV_VARS[field_name]} must be an integer, got {raw!r}"
             ) from None
-    if field_name == "task_timeout":
-        try:
-            return float(raw)
-        except ValueError:
-            raise _config_error(
-                f"{ENV_VARS[field_name]} must be a number, got {raw!r}"
-            ) from None
     if field_name == "strict_validate":
         return raw.lower() in _TRUTHY
     if field_name == "telemetry":
         return raw.lower() not in _FALSY
-    return raw  # backend / parallel_pool: plain strings
+    return raw  # backend / tuning: plain strings
 
 
 @dataclass(frozen=True)
@@ -343,28 +327,17 @@ class EngineOptions:
             invariant checker; default off.
         index_field_bytes: Uncompressed index field width; default 4.
         backend: Execution backend name -- ``"reference"``,
-            ``"vectorized"``, ``"parallel"`` or ``"native"``
+            ``"vectorized"`` or ``"native"``
             (``REPRO_BACKEND``, then ``"vectorized"``).  ``native``
             JIT-compiles the plan-replay kernels when Numba is
             installed and falls back to the bit-identical vectorized
             kernels when it is not.
-        n_jobs: Parallel-backend worker count and native-backend
-            ``prange`` thread count (``REPRO_JOBS``, then the CPU
-            count).
-        parallel_pool: ``"thread"`` or ``"process"`` (``REPRO_POOL``,
-            then thread).
+        n_jobs: Native-backend ``prange`` thread count
+            (``REPRO_JOBS``, then the CPU count).
         plan_cache: Execution plans retained per engine (LRU); default 8.
-        max_retries: Supervised-task retry budget (``REPRO_MAX_RETRIES``,
-            then the pool default).
-        task_timeout: Per-task timeout seconds (``REPRO_TASK_TIMEOUT``,
-            then no limit).
         strict_validate: Full-scan input hardening
             (``REPRO_STRICT_VALIDATE``, then off).
         telemetry: Span/metric collection (``REPRO_TELEMETRY``, then on).
-        min_parallel_nnz: Record count below which the parallel
-            backend's fan-out sites degrade to the inline vectorized
-            path (``REPRO_MIN_PARALLEL_NNZ``, then the backend
-            default).
         tuning: Per-matrix tuned-profile auto-selection -- ``"off"``,
             ``"auto"`` (consult the default
             :class:`~repro.autotune.profile.TunedProfileStore`) or a
@@ -388,13 +361,9 @@ class EngineOptions:
     index_field_bytes: int | None = None
     backend: str | None = None
     n_jobs: int | None = None
-    parallel_pool: str | None = None
     plan_cache: int | None = None
-    max_retries: int | None = None
-    task_timeout: float | None = None
     strict_validate: bool | None = None
     telemetry: bool | None = None
-    min_parallel_nnz: int | None = None
     tuning: str | None = None
     design_point: object | None = None
 
@@ -454,10 +423,10 @@ class EngineOptions:
 
         Every env-backed field that is still ``None`` consults its
         environment variable, then :data:`_STATIC_DEFAULTS`.  Fields
-        with *dynamic* defaults (CPU count, pool retry budget, value
-        precision) stay ``None`` deliberately -- they are resolved where
-        the live value exists.  After this call the options are pinned:
-        later environment mutations cannot change the engine.
+        with *dynamic* defaults (CPU count, value precision) stay ``None``
+        deliberately -- they are resolved where the live value exists.
+        After this call the options are pinned: later environment
+        mutations cannot change the engine.
         """
         resolved = dict(self.provenance())
         updates = {
@@ -538,7 +507,7 @@ def create_engine(
 
     Examples::
 
-        engine = create_engine(segment_width=4_096, backend="parallel")
+        engine = create_engine(segment_width=4_096, backend="native")
         engine = create_engine(EngineOptions.from_env())
         accel = create_engine(design_point="ITS_ASIC", segment_width=8_192)
     """

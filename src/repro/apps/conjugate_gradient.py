@@ -29,9 +29,8 @@ class CGResult:
     """Solution and convergence statistics.
 
     ``fault_reports`` holds one
-    :class:`~repro.faults.report.FaultReport` per engine-backed SpMV, so
-    a long solve can report exactly which iterations needed retries or
-    sequential fallbacks (empty when CG runs without an engine config).
+    :class:`~repro.faults.report.FaultReport` per engine-backed SpMV
+    (empty when CG runs without an engine config).
     ``telemetry_reports`` holds the matching per-SpMV
     :class:`~repro.telemetry.TelemetryReport` objects.
     """
@@ -43,11 +42,6 @@ class CGResult:
     traffic: TrafficLedger = field(default_factory=TrafficLedger)
     fault_reports: list = field(default_factory=list)
     telemetry_reports: list = field(default_factory=list)
-
-    @property
-    def degraded_iterations(self) -> int:
-        """SpMV calls that needed at least one sequential shard fallback."""
-        return sum(1 for fr in self.fault_reports if fr is not None and fr.degraded)
 
     def telemetry(self):
         """All SpMV calls' telemetry merged into one roll-up report."""

@@ -51,8 +51,7 @@ class PageRankResult:
 
     ``fault_reports`` holds one
     :class:`~repro.faults.report.FaultReport` per iteration (from the
-    underlying engine), so callers can see which iterations survived
-    worker failures via retry or sequential fallback.
+    underlying engine).
     ``telemetry_reports`` holds the matching per-iteration
     :class:`~repro.telemetry.TelemetryReport` objects.
     """
@@ -64,11 +63,6 @@ class PageRankResult:
     its_report: object = None
     fault_reports: list = field(default_factory=list)
     telemetry_reports: list = field(default_factory=list)
-
-    @property
-    def degraded_iterations(self) -> int:
-        """Iterations that needed at least one sequential shard fallback."""
-        return sum(1 for fr in self.fault_reports if fr is not None and fr.degraded)
 
     def telemetry(self):
         """All iterations' telemetry merged (see ``ITSRunReport.telemetry``)."""

@@ -13,8 +13,9 @@ store's crash-safety discipline:
 * **CRC-32 payloads** -- the profile body is checksummed inside the file
   and verified at load;
 * **quarantine on corruption** -- a profile that fails to parse, fails
-  its CRC, or names a different fingerprint than its filename is moved
-  to ``quarantine/`` with a warning and the lookup reports a miss;
+  its CRC, carries a knob or backend this release does not know, or
+  names a different fingerprint than its filename is moved to
+  ``quarantine/`` with a warning and the lookup reports a miss;
   corruption is detected, never propagated into an engine configuration.
 
 The knob schema is deliberately flat and JSON-native (:data:`KNOB_FIELDS`):
@@ -41,10 +42,11 @@ import numpy as np
 
 PROFILE_VERSION = 1
 
-#: The tunable knobs a profile may carry.  ``backend`` .. ``min_parallel_nnz``
-#: map 1:1 onto :class:`~repro.core.config.TwoStepConfig` fields
-#: (``hdn_threshold`` expands to an :class:`~repro.filters.hdn.HDNConfig`);
-#: ``max_batch`` is the serving layer's micro-batch hint.
+#: The tunable knobs a profile may carry.  ``backend`` ..
+#: ``vldi_vector_block_bits`` map 1:1 onto
+#: :class:`~repro.core.config.TwoStepConfig` fields (``hdn_threshold``
+#: expands to an :class:`~repro.filters.hdn.HDNConfig`); ``max_batch``
+#: is the serving layer's micro-batch hint.
 KNOB_FIELDS = (
     "backend",
     "n_jobs",
@@ -52,7 +54,6 @@ KNOB_FIELDS = (
     "segment_width",
     "vldi_vector_block_bits",
     "hdn_threshold",
-    "min_parallel_nnz",
     "max_batch",
 )
 
@@ -63,7 +64,6 @@ _CONFIG_KNOBS = (
     "q",
     "segment_width",
     "vldi_vector_block_bits",
-    "min_parallel_nnz",
 )
 
 #: Environment variable selecting the ``tuning="auto"`` store directory.
@@ -96,7 +96,8 @@ def matrix_fingerprint(matrix) -> str:
 
 
 def _check_knobs(knobs: dict) -> dict:
-    """Validate a knob mapping: known keys, JSON-native finite values."""
+    """Validate a knob mapping: known keys, JSON-native finite values,
+    and a ``backend`` the registry knows."""
     if not isinstance(knobs, dict):
         raise _profile_error(f"profile knobs must be a mapping, got {type(knobs).__name__}")
     unknown = sorted(set(knobs) - set(KNOB_FIELDS))
@@ -124,6 +125,14 @@ def _check_knobs(knobs: dict) -> dict:
                 f"knob {name!r} must be JSON-native (bool/int/str/None), "
                 f"got {type(value).__name__}"
             )
+        if name == "backend" and value is not None:
+            from repro.backends import available_backends
+
+            if value not in available_backends():
+                raise _profile_error(
+                    f"unknown backend {value!r} in tuning knobs; "
+                    f"available: {', '.join(available_backends())}"
+                )
         clean[name] = value
     return clean
 

@@ -112,7 +112,6 @@ def _segment_width_candidates(n_cols: int) -> tuple:
 def default_search_space(
     matrix=None,
     include_serving: bool = True,
-    include_parallel: bool | None = None,
 ) -> SearchSpace:
     """The standard knob space, shaped to ``matrix`` when one is given.
 
@@ -124,17 +123,11 @@ def default_search_space(
             heuristics in :mod:`repro.core.autotune`).
         include_serving: Include the serving-side ``max_batch``
             component (measured on batched ``run_many`` throughput).
-        include_parallel: Offer the ``parallel`` backend tier and its
-            ``n_jobs`` / ``min_parallel_nnz`` knobs; default: only on
-            multi-core hosts (the sharded tier cannot win on one core).
-    """
-    if include_parallel is None:
-        include_parallel = (os.cpu_count() or 1) > 1
 
+    The ``n_jobs`` component (``native`` ``prange`` threads) is offered
+    only on multi-core hosts.
+    """
     n_cols = matrix.n_cols if matrix is not None else 1 << 20
-    backends = ["vectorized", "native"]
-    if include_parallel:
-        backends.append("parallel")
 
     vldi_candidates = [None]
     hdn_candidates = [None]
@@ -155,13 +148,12 @@ def default_search_space(
     components = [
         Component("segment_width", _segment_width_candidates(n_cols)),
         Component("q", (4, 2, 1, 0)),
-        Component("backend", tuple(backends)),
+        Component("backend", ("vectorized", "native")),
         Component("vldi_vector_block_bits", tuple(vldi_candidates), name="vldi"),
         Component("hdn_threshold", tuple(hdn_candidates), name="hdn"),
     ]
-    if include_parallel:
+    if (os.cpu_count() or 1) > 1:
         components.append(Component("n_jobs", (None, 2, os.cpu_count() or 2)))
-        components.append(Component("min_parallel_nnz", (None, 0, 1 << 20)))
     if include_serving:
         components.append(
             Component("max_batch", (8, 32, 128), serving=True)

@@ -67,7 +67,7 @@ def knobs_to_config(knobs: dict, *, backend_override: str | None = None):
         "tuning": "off",
     }
     for name in ("segment_width", "q", "backend", "n_jobs",
-                 "vldi_vector_block_bits", "min_parallel_nnz"):
+                 "vldi_vector_block_bits"):
         if name in knobs and knobs[name] is not None:
             kwargs[name] = knobs[name]
     threshold = knobs.get("hdn_threshold")
@@ -78,7 +78,6 @@ def knobs_to_config(knobs: dict, *, backend_override: str | None = None):
     if backend_override is not None:
         kwargs["backend"] = backend_override
         kwargs.pop("n_jobs", None)
-        kwargs.pop("min_parallel_nnz", None)
     return TwoStepConfig(**kwargs)
 
 

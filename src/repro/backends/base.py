@@ -198,7 +198,7 @@ class ExecutionBackend(ABC):
         return stripe.out_indices, np.stack(columns, axis=1)
 
     def map_stripe_plans(self, stripes: list, segments: list, workspace=None) -> list:
-        """Run step 1 over all stripes; the parallel backend fans out here.
+        """Run step 1 over all stripes.
 
         Args:
             stripes: ``StripePlan`` objects, one per column block.

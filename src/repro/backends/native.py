@@ -34,7 +34,7 @@ here exactly as ``reduceat`` was in the batched segment-sum kernel).
 Numba compiles with ``fastmath`` off, so the generated code performs
 IEEE-754 double adds in program order.  The differential suite
 (``tests/test_native_backend.py``) enforces bit-identity against the
-reference oracle across dtypes, ``p``, interleave modes, worker counts
+reference oracle across dtypes, ``p``, interleave modes, thread counts
 and batch widths.
 """
 
@@ -49,7 +49,11 @@ import numpy as np
 
 from repro.backends.base import SparseVector
 from repro.backends.vectorized import VectorizedBackend
+from repro.faults.errors import ConfigurationError
 from repro.telemetry.session import metric_inc, span
+
+#: Thread count for the ``prange`` kernels when none is configured.
+JOBS_ENV_VAR = "REPRO_JOBS"
 
 #: Strict-mode switch: a truthy value turns the missing-Numba fallback
 #: into a :class:`~repro.faults.errors.ConfigurationError`.
@@ -84,6 +88,22 @@ def _import_numba():
 
 def _env_truthy(var: str) -> bool:
     return os.environ.get(var, "").strip().lower() in _TRUTHY
+
+
+def default_jobs() -> int:
+    """Thread count when none is configured: ``REPRO_JOBS`` or CPU count."""
+    env = os.environ.get(JOBS_ENV_VAR)
+    if env:
+        try:
+            jobs = int(env)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"{JOBS_ENV_VAR} must be an integer, got {env!r}"
+            ) from exc
+        if jobs <= 0:
+            raise ConfigurationError(f"{JOBS_ENV_VAR} must be positive, got {jobs}")
+        return jobs
+    return max(1, os.cpu_count() or 1)
 
 
 def numba_module():
@@ -242,20 +262,14 @@ class NativeBackend(VectorizedBackend):
                 is unavailable; None defers to ``REPRO_NATIVE_REQUIRE``,
                 then False.
         """
-        from repro.parallel.pool import default_jobs
-
         self.n_jobs = int(n_jobs) if n_jobs is not None else default_jobs()
         if self.n_jobs <= 0:
-            from repro.faults.errors import ConfigurationError
-
             raise ConfigurationError("n_jobs must be positive")
         if require is None:
             require = _env_truthy(NATIVE_REQUIRE_ENV_VAR)
         self.jit_enabled = numba_available()
         if not self.jit_enabled:
             if require:
-                from repro.faults.errors import ConfigurationError
-
                 raise ConfigurationError(
                     "backend='native' requires Numba, which is not installed "
                     "(or is disabled via REPRO_NATIVE_DISABLE); install numba "
@@ -487,9 +501,11 @@ class NativeBackend(VectorizedBackend):
 
 
 __all__ = [
+    "JOBS_ENV_VAR",
     "NATIVE_DISABLE_ENV_VAR",
     "NATIVE_REQUIRE_ENV_VAR",
     "NativeBackend",
+    "default_jobs",
     "numba_available",
     "reset_native_state",
 ]

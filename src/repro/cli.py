@@ -63,25 +63,8 @@ def add_backend_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="worker count for --backend parallel / prange threads for "
-        "--backend native (default: $REPRO_JOBS, then the CPU count)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="R",
-        help="retries per supervised worker task before falling back to "
-        "sequential execution (default: $REPRO_MAX_RETRIES, then 2)",
-    )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task timeout for --backend parallel; a hung worker is "
-        "retried instead of stalling the run "
-        "(default: $REPRO_TASK_TIMEOUT, then no limit)",
+        help="prange threads for --backend native "
+        "(default: $REPRO_JOBS, then the CPU count)",
     )
     parser.add_argument(
         "--strict-validate",
@@ -146,8 +129,6 @@ def _exec_fields(args: argparse.Namespace) -> dict:
     fields = {
         "backend": args.backend,
         "n_jobs": args.jobs,
-        "max_retries": args.max_retries,
-        "task_timeout": args.task_timeout,
         "strict_validate": args.strict_validate,
         "telemetry": args.telemetry,
         "tuning": args.tuning,
@@ -308,8 +289,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
             f"(residual {result.residuals[-1]:.2e})"
         )
         print("top nodes: " + ", ".join(f"{n} ({result.ranks[n]:.4f})" for n in top))
-        if result.degraded_iterations:
-            print(f"degraded iterations (sequential fallback): {result.degraded_iterations}")
         _emit_telemetry(args, result.telemetry())
     elif args.app == "bfs":
         from repro.apps.bfs import bfs_levels_multi

@@ -51,8 +51,8 @@ class Accelerator:
                 test matrices; pass a small value to exercise multi-stripe
                 behaviour on small inputs.
             options: Execution options (:class:`repro.api.EngineOptions`)
-                for the functional engine: backend, worker count,
-                supervision budgets, validation/telemetry toggles; None
+                for the functional engine: backend, thread count,
+                validation/telemetry toggles; None
                 means all defaults.  Prefer building accelerators through
                 :func:`repro.api.create_engine` with
                 ``design_point=point``.

@@ -34,28 +34,17 @@ class TwoStepConfig:
             for row/column/intermediate indices regardless of the actual
             dimension; VLDI is what removes that slack.
         backend: Execution-backend name (``"reference"``,
-            ``"vectorized"``, ``"parallel"`` or ``"native"``); None
+            ``"vectorized"`` or ``"native"``); None
             defers to the ``REPRO_BACKEND`` environment variable, then
             the package default.  All backends are bit-compatible --
             only wall-clock speed differs (``native`` falls back to the
             vectorized kernels when Numba is not installed).
-        n_jobs: Worker count for the ``parallel`` backend and thread
-            count for the ``native`` backend's ``prange`` kernels; None
-            defers to ``REPRO_JOBS``, then the CPU count.  Ignored by
-            the sequential backends.
-        parallel_pool: Worker flavour for the ``parallel`` backend:
-            ``"thread"`` (default; the NumPy kernels release the GIL) or
-            ``"process"`` (opt-in for large inputs; arrays travel via
-            shared memory).
+        n_jobs: Thread count for the ``native`` backend's ``prange``
+            kernels; None defers to ``REPRO_JOBS``, then the CPU count.
+            Ignored by the sequential backends.
         plan_cache: Maximum :class:`~repro.core.plan.ExecutionPlan`
             objects an engine retains (LRU).  0 disables caching, so
             every ``run()`` rebuilds matrix-side state.
-        max_retries: Per-task retry budget of the ``parallel`` backend's
-            supervisor; None defers to ``REPRO_MAX_RETRIES``, then the
-            pool default.  Ignored by the sequential backends.
-        task_timeout: Per-task wall-clock limit (seconds) before a
-            ``parallel`` worker task is declared hung and retried; None
-            defers to ``REPRO_TASK_TIMEOUT``, then no limit.
         strict_validate: Run the full-scan input hardening tier
             (NaN/Inf, index range, duplicate coordinates, RM-COO
             sortedness) on every ``run``/``run_many``; None defers to
@@ -66,12 +55,6 @@ class TwoStepConfig:
             and ``engine.metrics()``); None defers to
             ``REPRO_TELEMETRY``, then True.  Telemetry never changes
             results -- outputs are bit-identical either way.
-        min_parallel_nnz: Record count below which the ``parallel``
-            backend's fan-out sites degrade to the inline vectorized
-            path (scheduling overhead would dominate); None defers to
-            ``REPRO_MIN_PARALLEL_NNZ``, then the backend's
-            ``MIN_FANOUT_RECORDS`` default.  Ignored by the other
-            backends.
         tuning: Per-matrix tuned-profile auto-selection: ``"off"``
             (and None) runs every matrix under this config unchanged;
             ``"auto"`` consults the default
@@ -98,13 +81,9 @@ class TwoStepConfig:
     index_field_bytes: int = 4
     backend: str = None
     n_jobs: int = None
-    parallel_pool: str = None
     plan_cache: int = 8
-    max_retries: int = None
-    task_timeout: float = None
     strict_validate: bool = None
     telemetry: bool = None
-    min_parallel_nnz: int = None
     tuning: str = None
 
     def __post_init__(self) -> None:
@@ -121,12 +100,6 @@ class TwoStepConfig:
                 raise ConfigurationError("VLDI block width must be in [1, 62]")
         if self.index_field_bytes <= 0:
             raise ConfigurationError("index_field_bytes must be positive")
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ConfigurationError("max_retries must be non-negative")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ConfigurationError("task_timeout must be positive")
-        if self.min_parallel_nnz is not None and self.min_parallel_nnz < 0:
-            raise ConfigurationError("min_parallel_nnz must be non-negative")
         if self.tuning is not None and (
             not isinstance(self.tuning, str) or not self.tuning
         ):

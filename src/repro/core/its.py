@@ -40,8 +40,7 @@ class ITSRunReport:
 
     ``fault_reports`` carries one
     :class:`~repro.faults.report.FaultReport` per executed iteration, in
-    iteration order, so solvers can surface which iterations needed
-    retries or sequential fallbacks.  ``telemetry_reports`` carries the
+    iteration order.  ``telemetry_reports`` carries the
     matching per-iteration
     :class:`~repro.telemetry.TelemetryReport` objects (None entries when
     telemetry is disabled); :meth:`telemetry` rolls them up.
@@ -54,11 +53,6 @@ class ITSRunReport:
     sequential_cycles: float = 0.0
     fault_reports: list = field(default_factory=list)
     telemetry_reports: list = field(default_factory=list)
-
-    @property
-    def faulty_iterations(self) -> int:
-        """Iterations whose fault report recorded at least one event."""
-        return sum(1 for fr in self.fault_reports if fr is not None and not fr.clean)
 
     @property
     def cycle_speedup(self) -> float:

@@ -276,10 +276,6 @@ class SpGEMMPlan:
         n_rows: Rows of ``C`` (= rows of ``A``).
         n_cols: Columns of ``C`` (= columns of ``B``).
         n_blocks: Column blocks of ``A`` (stripes of the owning plan).
-        block_starts: Record offsets per column block (length
-            ``n_blocks + 1``): block ``k``'s partial products occupy
-            stream positions ``block_starts[k]:block_starts[k+1]`` --
-            the parallel backend's product fan-out geometry.
         gather_b: Per partial-product record, the index into ``b.vals``
             of the ``B`` entry it multiplies (stream order).
         a_scale: Per record, the ``A`` value scaling it (stream order).
@@ -300,7 +296,6 @@ class SpGEMMPlan:
     n_rows: int
     n_cols: int
     n_blocks: int
-    block_starts: np.ndarray
     gather_b: np.ndarray
     a_scale: np.ndarray
     order: np.ndarray
@@ -344,9 +339,8 @@ def build_spgemm_plan(stripes: list, b: COOMatrix, n_rows: int) -> SpGEMMPlan:
     b_csr = coo_to_csr(b)
     row_lens = np.diff(b_csr.row_ptr)
     gather_parts, scale_parts, key_parts = [], [], []
-    block_starts = np.zeros(len(stripes) + 1, dtype=np.int64)
     total = 0
-    for pos, sp in enumerate(stripes):
+    for sp in stripes:
         if sp.vals.size:
             k_global = sp.col_lo + sp.cols
             lens = row_lens[k_global]
@@ -365,7 +359,6 @@ def build_spgemm_plan(stripes: list, b: COOMatrix, n_rows: int) -> SpGEMMPlan:
                     np.repeat(sp.rows, lens) * b.n_cols + b_csr.cols[gather]
                 )
                 total += count
-        block_starts[pos + 1] = total
     if total:
         gather_b = np.concatenate(gather_parts)
         a_scale = np.concatenate(scale_parts)
@@ -397,7 +390,6 @@ def build_spgemm_plan(stripes: list, b: COOMatrix, n_rows: int) -> SpGEMMPlan:
         n_rows=int(n_rows),
         n_cols=int(b.n_cols),
         n_blocks=len(stripes),
-        block_starts=block_starts,
         gather_b=gather_b,
         a_scale=a_scale,
         order=order,
@@ -417,8 +409,7 @@ class Workspace:
     the concatenated and permuted value streams), so iteration 2..N
     allocates O(1) new arrays.  Buffers are keyed by name and only ever
     grow; a request returns a length-``size`` view.  A workspace is
-    single-threaded state: engines keep one per thread and never share
-    it into pool fan-out.
+    single-threaded state: engines keep one per thread.
     """
 
     def __init__(self) -> None:

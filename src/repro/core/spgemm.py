@@ -22,7 +22,7 @@ The *engine* path -- ``create_engine().spgemm(a, b)`` -- supersedes
 these for production use: it caches the symbolic structure
 (:class:`~repro.core.plan.SpGEMMPlan`) on ``A``'s execution plan so warm
 replays are argsort-free, dispatches through the execution backends
-(vectorized / parallel / native), and is bit-identical to :func:`spgemm`
+(vectorized / native), and is bit-identical to :func:`spgemm`
 by construction.  :func:`spgemm` remains the row-wise Gustavson
 reference the differential suite checks the engine against.
 """

@@ -120,9 +120,8 @@ class Step1Engine:
         """Step 1 over every stripe of a prebuilt execution plan.
 
         The run structure (boundaries, output rows) lives in the plan, so
-        only the value datapath executes; the backend's
-        ``map_stripe_plans`` hook decides whether stripes run serially or
-        fan out over workers.
+        only the value datapath executes through the backend's
+        ``map_stripe_plans`` hook.
 
         Args:
             plan: The matrix's :class:`~repro.core.plan.ExecutionPlan`.

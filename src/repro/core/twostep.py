@@ -22,8 +22,8 @@ batch.
 The inner kernels (stripe accumulation, merge, injection, VLDI size
 accounting) are dispatched through an execution backend
 (:mod:`repro.backends`): ``reference`` replays records one at a time,
-``vectorized`` runs whole-array NumPy kernels, ``parallel`` shards the
-vectorized kernels over a worker pool.  All produce bit-identical
+``vectorized`` runs whole-array NumPy kernels, ``native`` fuses them
+into JIT-compiled loops.  All produce bit-identical
 results and byte-identical ledgers; only wall-clock speed differs.
 """
 
@@ -169,10 +169,6 @@ class TwoStepEngine:
         self.backend = resolve_backend(
             backend or config.backend,
             n_jobs=config.n_jobs,
-            pool_kind=config.parallel_pool,
-            max_retries=config.max_retries,
-            task_timeout=config.task_timeout,
-            min_parallel_nnz=config.min_parallel_nnz,
         )
         self._step1 = Step1Engine(config, backend=self.backend)
         self._step2 = Step2Engine(config, backend=self.backend)
@@ -408,14 +404,10 @@ class TwoStepEngine:
 
         Returns:
             :class:`~repro.api.SpMVResult`; unpacks as ``(result, report)``.
-            ``result.faults`` records any retries, worker respawns or
-            sequential fallbacks the supervised backends performed.
 
         Raises:
             InvalidMatrixError: The matrix violates the input contract.
             InvalidVectorError: ``x`` or ``y`` violates the contract.
-            ShardFailedError: A parallel shard failed even after the
-                sequential fallback (the run cannot be completed).
         """
         delegate = self._tuned_delegate(matrix)
         if delegate is not None:
@@ -558,8 +550,6 @@ class TwoStepEngine:
         Raises:
             ConfigurationError: Inner dimensions differ.
             InvalidMatrixError: An operand violates the input contract.
-            ShardFailedError: A parallel shard failed even after the
-                sequential fallback.
         """
         start = time.perf_counter()
         strict = resolve_strict_validate(self.config.strict_validate)

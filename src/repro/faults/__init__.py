@@ -1,24 +1,20 @@
 """Fault tolerance: typed errors, fault reports, injection, validation.
 
-The supervision layer spans three modules:
-
 * :mod:`repro.faults.errors` -- the typed exception hierarchy
-  (:class:`InvalidMatrixError`, :class:`RetryExhaustedError`,
-  :class:`ShardFailedError`, ...).
+  (:class:`InvalidMatrixError`, :class:`OverloadedError`, ...).
 * :mod:`repro.faults.report` -- :class:`FaultReport` accounting attached
   to every :class:`~repro.api.SpMVResult`, populated through the
   :func:`collect_faults` scope the engine opens around each execution.
 * :mod:`repro.faults.injection` -- the deterministic
-  :class:`FaultPlan` / :func:`inject_faults` harness that makes worker
-  kills, hangs, crashes and payload corruption reproducible in tests.
+  :class:`FaultPlan` / :func:`inject_faults` harness that makes executor
+  crashes, hangs and payload corruption at the serving sites
+  reproducible in tests.
 * :mod:`repro.faults.validation` -- input hardening
   (:func:`validate_inputs`) at the engine boundary.
 
-The runtime counterparts live next to the code they supervise: task
-retry/timeout/respawn in :class:`repro.parallel.pool.WorkerPool`, the
-shared-memory segment registry in :mod:`repro.parallel.shm`, and the
-sequential-fallback ladder in
-:class:`repro.backends.parallel.ParallelBackend`.
+The recovery machinery these sites exercise -- retries, circuit
+breakers and the backend degradation ladder -- lives in
+:mod:`repro.serving.resilience`.
 """
 
 from repro.faults.errors import (
@@ -34,12 +30,9 @@ from repro.faults.errors import (
     OverloadedError,
     QuotaExceededError,
     RequestCancelledError,
-    RetryExhaustedError,
     ServerClosedError,
     ServingError,
-    ShardFailedError,
     SnapshotCorruptError,
-    TaskTimeoutError,
     UnknownMatrixError,
     WorkerCrashError,
 )
@@ -90,13 +83,10 @@ __all__ = [
     "OverloadedError",
     "QuotaExceededError",
     "RequestCancelledError",
-    "RetryExhaustedError",
     "ServerClosedError",
     "STRICT_VALIDATE_ENV_VAR",
     "ServingError",
-    "ShardFailedError",
     "SnapshotCorruptError",
-    "TaskTimeoutError",
     "UnknownMatrixError",
     "WorkerCrashError",
     "active_plan",

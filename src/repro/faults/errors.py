@@ -2,12 +2,11 @@
 
 Every failure the engine can diagnose maps to one class here, so
 callers can distinguish "your input is poisoned" (:class:`InvalidMatrixError`,
-:class:`InvalidVectorError`) from "a worker died and recovery failed"
-(:class:`RetryExhaustedError`, :class:`ShardFailedError`) without string
-matching.  Input- and configuration-shaped errors subclass
-:class:`ValueError` and timeout errors subclass :class:`TimeoutError`,
-so pre-existing ``except ValueError`` / ``except TimeoutError`` call
-sites keep working unchanged.
+:class:`InvalidVectorError`) from "the server is shedding load"
+(:class:`OverloadedError`, :class:`DeadlineExceededError`) without
+string matching.  Input- and configuration-shaped errors subclass
+:class:`ValueError`, so pre-existing ``except ValueError`` call sites
+keep working unchanged.
 """
 
 from __future__ import annotations
@@ -39,49 +38,15 @@ class InvalidVectorError(InvalidInputError):
 
 
 class WorkerCrashError(FaultError):
-    """A pool worker died (or was simulated dead) while running a task."""
-
-
-class TaskTimeoutError(FaultError, TimeoutError):
-    """A supervised task exceeded the pool's per-task timeout."""
+    """An executor died (or was simulated dead) while running a batch."""
 
 
 class CorruptPayloadError(FaultError):
-    """A shared-memory payload failed its checksum on import."""
+    """A payload failed its integrity check (or was simulated corrupt)."""
 
 
 class InjectedFault(FaultError):
     """Deterministic failure raised by the fault-injection harness."""
-
-
-class RetryExhaustedError(FaultError):
-    """A supervised task kept failing after every allowed retry.
-
-    Attributes:
-        site: Fan-out site label (``"stripe"``, ``"merge"``, ...).
-        index: Task index within the fan-out.
-        attempts: Total attempts made (first try plus retries).
-    """
-
-    def __init__(self, message: str, site: str = "", index: int = -1, attempts: int = 0):
-        super().__init__(message)
-        self.site = site
-        self.index = index
-        self.attempts = attempts
-
-
-class ShardFailedError(FaultError):
-    """A shard failed in the pool *and* in the sequential fallback.
-
-    This is terminal: the fallback ladder (retry with backoff, worker
-    respawn, sequential re-execution) has been exhausted and the result
-    cannot be produced.
-    """
-
-    def __init__(self, message: str, site: str = "", index: int = -1):
-        super().__init__(message)
-        self.site = site
-        self.index = index
 
 
 class ServingError(FaultError):
@@ -214,12 +179,9 @@ __all__ = [
     "OverloadedError",
     "QuotaExceededError",
     "RequestCancelledError",
-    "RetryExhaustedError",
     "ServerClosedError",
     "ServingError",
-    "ShardFailedError",
     "SnapshotCorruptError",
-    "TaskTimeoutError",
     "UnknownMatrixError",
     "WorkerCrashError",
 ]

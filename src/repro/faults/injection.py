@@ -1,27 +1,17 @@
 """Deterministic fault-injection harness.
 
-Testing a supervision layer requires failures on demand: a worker that
-dies exactly at shard ``k``, a task that hangs long enough to trip the
-timeout, a shared-memory payload whose bytes arrive scrambled.  A
+Testing a recovery path requires failures on demand: an executor that
+dies on exactly the ``k``-th batch, a call that hangs long enough to
+blow a deadline, a snapshot payload whose bytes arrive scrambled.  A
 :class:`FaultPlan` scripts those failures against named *sites* -- the
-fan-out points instrumented by :class:`~repro.parallel.pool.WorkerPool`
-(``"stripe"``, ``"merge"``, ``"inject"``, generic ``"task"``) and the
-shared-memory exporter (``"shm"``) -- and :func:`inject_faults` arms the
-plan for the duration of a ``with`` block.  Matching is by (site, task
-index) with an explicit shot count, so every scenario replays exactly,
-independent of scheduling order.
-
-Sites consult the plan at *submission* time in the supervising thread;
-for process pools the armed behaviour is shipped to the worker as a
-picklable shim, so a ``"kill"`` fault genuinely terminates the worker
-process (``os._exit``) and exercises the real
-``BrokenProcessPool`` -> respawn path rather than an emulation.
+serving layer's instrumentation points (:data:`SERVING_SITES`) -- and
+:func:`inject_faults` arms the plan for the duration of a ``with``
+block.  Matching is by (site, index) with an explicit shot count, so
+every scenario replays exactly, independent of scheduling order.
 """
 
 from __future__ import annotations
 
-import functools
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -32,7 +22,7 @@ from repro.faults.errors import CorruptPayloadError, InjectedFault, WorkerCrashE
 #: Recognized fault kinds.
 FAULT_KINDS = ("raise", "kill", "delay", "corrupt")
 
-#: Matches any task index at a site.
+#: Matches any index at a site.
 ANY_INDEX = -1
 
 #: Serving-layer injection sites consulted through :func:`apply_fault`:
@@ -49,16 +39,15 @@ class FaultSpec:
 
     Attributes:
         site: Instrumented site the fault targets.
-        kind: ``"raise"`` (task raises :class:`InjectedFault`), ``"kill"``
-            (worker process exits hard; thread/inline pools degrade to a
-            :class:`WorkerCrashError`), ``"delay"`` (task sleeps
-            ``delay_s`` before running -- pair with a per-task timeout),
-            ``"corrupt"`` (shared-memory payload is scrambled after its
-            checksum is taken; only meaningful at site ``"shm"``).
-        index: Task index that triggers the fault; :data:`ANY_INDEX`
+        kind: ``"raise"`` (site raises :class:`InjectedFault`),
+            ``"kill"`` (site raises :class:`WorkerCrashError`),
+            ``"delay"`` (site sleeps ``delay_s`` -- pair with a
+            deadline), ``"corrupt"`` (site raises
+            :class:`CorruptPayloadError`).
+        index: Site index that triggers the fault; :data:`ANY_INDEX`
             matches every index.
         times: How many matches fire before the spec is spent; -1 fires
-            forever (use to force retries to exhaust and the fallback
+            forever (use to force retries to exhaust and the degradation
             ladder to engage).
         delay_s: Sleep duration for ``"delay"`` faults.
         message: Text carried by the raised exception.
@@ -148,14 +137,12 @@ def match_fault(site: str, index: int) -> FaultSpec | None:
 
 
 def apply_fault(site: str, index: int = 0) -> None:
-    """Consult the armed plan at an *inline* site and act on a match.
+    """Consult the armed plan at a site and act on a match.
 
-    The serving layer's instrumentation points (:data:`SERVING_SITES`)
-    execute in the calling thread rather than in a pool worker, so there
-    is no task callable to wrap: a matching ``"delay"`` spec sleeps
-    here, ``"kill"`` raises :class:`WorkerCrashError` (threads cannot be
-    killed from outside; the observable effect is the same), ``"corrupt"``
-    raises :class:`CorruptPayloadError` and ``"raise"`` raises
+    A matching ``"delay"`` spec sleeps here, ``"kill"`` raises
+    :class:`WorkerCrashError` (threads cannot be killed from outside;
+    the observable effect is the same), ``"corrupt"`` raises
+    :class:`CorruptPayloadError` and ``"raise"`` raises
     :class:`InjectedFault`.  A no-op when no plan is armed or nothing
     matches.
     """
@@ -172,63 +159,6 @@ def apply_fault(site: str, index: int = 0) -> None:
     raise InjectedFault(spec.message)
 
 
-def wrap_task(fn, site: str, index: int, uses_processes: bool):
-    """Return ``fn`` or, if the armed plan matches, a fault-carrying shim.
-
-    Called by the pool supervisor at every submission (including
-    retries), so ``times`` counts submissions, not map() calls.
-    """
-    spec = match_fault(site, index)
-    if spec is None:
-        return fn
-    if uses_processes:
-        return functools.partial(
-            _process_fault_task, spec.kind, spec.delay_s, spec.message, fn
-        )
-    return functools.partial(
-        _inline_fault_task, spec.kind, spec.delay_s, spec.message, fn
-    )
-
-
-def _inline_fault_task(kind: str, delay_s: float, message: str, fn, task):
-    """Fault shim for thread-pool and inline execution."""
-    if kind == "delay":
-        time.sleep(delay_s)
-        return fn(task)
-    if kind == "kill":
-        # Threads cannot be killed from outside; model the observable
-        # effect (the task never produces a value) as a crash error.
-        raise WorkerCrashError(message)
-    if kind == "corrupt":
-        raise CorruptPayloadError(message)
-    raise InjectedFault(message)
-
-
-def _process_fault_task(kind: str, delay_s: float, message: str, fn, task):
-    """Fault shim executed *inside* a pool worker process (picklable)."""
-    if kind == "delay":
-        time.sleep(delay_s)
-        return fn(task)
-    if kind == "kill":
-        os._exit(17)
-    if kind == "corrupt":
-        raise CorruptPayloadError(message)
-    raise InjectedFault(message)
-
-
-def corrupt_buffer(view) -> None:
-    """Scramble the leading bytes of a writable buffer in place.
-
-    Used by the shared-memory exporter to model bit rot after the
-    checksum is taken: the importing worker's verification must catch it.
-    """
-    import numpy as np
-
-    raw = np.frombuffer(view, dtype=np.uint8, count=min(8, len(view)))
-    scrambled = raw ^ np.uint8(0xFF)
-    view[: scrambled.size] = scrambled.tobytes()
-
-
 __all__ = [
     "ANY_INDEX",
     "FAULT_KINDS",
@@ -237,8 +167,6 @@ __all__ = [
     "FaultSpec",
     "active_plan",
     "apply_fault",
-    "corrupt_buffer",
     "inject_faults",
     "match_fault",
-    "wrap_task",
 ]

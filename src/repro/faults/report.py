@@ -1,19 +1,19 @@
 """Structured fault accounting for one engine execution.
 
 The engine opens a :func:`collect_faults` scope around every ``run`` /
-``run_many``; the worker-pool supervisor and the parallel backend's
-fallback ladder record what happened through :func:`record_event`, and
-the finished :class:`FaultReport` rides out on
-:class:`~repro.api.SpMVResult.faults`.  Recording is a no-op when no
-scope is active, so the hot path pays nothing in the common case.
+``run_many`` / ``spgemm``; instrumented code records what happened
+through :func:`record_event`, and the finished :class:`FaultReport`
+rides out on :class:`~repro.api.SpMVResult.faults`.  Recording is a
+no-op when no scope is active, so the hot path pays nothing in the
+common case.
 
-The active report is held in a :class:`contextvars.ContextVar`; all
-supervision bookkeeping happens in the engine's calling thread (workers
-only compute), so the scope is visible everywhere events originate.
+The active report is held in a :class:`contextvars.ContextVar`, so the
+scope is visible to everything running in the engine's calling thread.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -23,17 +23,14 @@ from repro.telemetry.session import annotate_span, metric_inc
 
 @dataclass
 class FaultEvent:
-    """One supervision event.
+    """One recorded fault.
 
     Attributes:
-        site: Fan-out site label (``"stripe"``, ``"merge"``, ``"inject"``,
-            ``"shm"``, ``"task"``).
-        index: Task index within the fan-out; -1 for pool-wide events.
-        action: ``"error"``, ``"timeout"``, ``"crash"``, ``"retry"``,
-            ``"respawn"``, ``"fallback"``, ``"injected"`` or
-            ``"validation"``.
+        site: Instrumented site label (e.g. ``"registry.io"``).
+        index: Index within the site; -1 for site-wide events.
+        action: What happened (e.g. ``"error"``).
         detail: Human-readable diagnosis (exception summary, fault kind).
-        attempts: Attempts made on the task when the event fired.
+        attempts: Attempts made when the event fired.
     """
 
     site: str
@@ -45,50 +42,24 @@ class FaultEvent:
 
 @dataclass
 class FaultReport:
-    """Everything the supervision layer observed during one execution.
+    """What the engine observed about one execution's robustness.
 
     Attributes:
-        retries: Tasks re-submitted after a failure.
-        timeouts: Tasks that exceeded the per-task timeout.
-        crashes: Worker deaths observed (real or injected).
-        respawns: Executor teardown/rebuild cycles.
-        fallbacks: Shards re-executed on the sequential backend.
-        injected: Faults fired by the injection harness.
         validated: True when input hardening ran for this execution.
         strict_validate: True when the deep (full-scan) checks ran.
         events: Ordered :class:`FaultEvent` log.
-        elapsed_s: Wall-clock seconds of the supervised execution.
+        elapsed_s: Wall-clock seconds of the execution.
     """
 
-    retries: int = 0
-    timeouts: int = 0
-    crashes: int = 0
-    respawns: int = 0
-    fallbacks: int = 0
-    injected: int = 0
     validated: bool = False
     strict_validate: bool = False
     events: list[FaultEvent] = field(default_factory=list)
     elapsed_s: float = 0.0
 
-    _COUNTERS = {
-        "retry": "retries",
-        "timeout": "timeouts",
-        "crash": "crashes",
-        "respawn": "respawns",
-        "fallback": "fallbacks",
-        "injected": "injected",
-    }
-
     @property
     def clean(self) -> bool:
         """True when the execution saw no fault of any kind."""
         return not self.events
-
-    @property
-    def degraded(self) -> bool:
-        """True when any shard had to fall back to the sequential backend."""
-        return self.fallbacks > 0
 
     def record(
         self,
@@ -98,23 +69,14 @@ class FaultReport:
         detail: str = "",
         attempts: int = 0,
     ) -> FaultEvent:
-        """Append one event and bump its aggregate counter."""
+        """Append one event."""
         event = FaultEvent(site=site, index=index, action=action, detail=detail, attempts=attempts)
         self.events.append(event)
-        counter = self._COUNTERS.get(action)
-        if counter is not None:
-            setattr(self, counter, getattr(self, counter) + 1)
         return event
 
     def to_dict(self) -> dict:
         """JSON-ready form for logging and benchmark output."""
         return {
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "crashes": self.crashes,
-            "respawns": self.respawns,
-            "fallbacks": self.fallbacks,
-            "injected": self.injected,
             "validated": self.validated,
             "strict_validate": self.strict_validate,
             "elapsed_s": self.elapsed_s,
@@ -135,8 +97,7 @@ class FaultReport:
 
         Group keys appear in first-occurrence order and each group's
         events keep their recording order, so two faults sharing a
-        ``(site, index)`` key -- a retry followed by a fallback on the
-        same shard -- are never collapsed or reordered.
+        ``(site, index)`` key are never collapsed or reordered.
 
         Returns:
             ``{(site, index): [FaultEvent, ...]}``.
@@ -147,14 +108,11 @@ class FaultReport:
         return grouped
 
     def summary(self) -> str:
-        """One-line human summary (used by the CLI and solver logs)."""
+        """One-line human summary: event counts by action (CLI output)."""
         if self.clean:
             return "clean"
-        return (
-            f"{self.retries} retries, {self.timeouts} timeouts, "
-            f"{self.crashes} crashes, {self.respawns} respawns, "
-            f"{self.fallbacks} fallbacks"
-        )
+        counts = Counter(event.action for event in self.events)
+        return ", ".join(f"{n} {action}" for action, n in counts.items())
 
 
 _ACTIVE: ContextVar[FaultReport | None] = ContextVar("repro_fault_report", default=None)
@@ -173,7 +131,7 @@ def record_event(
     When a telemetry session is also active, the event is mirrored there:
     the innermost open span gains a ``fault.<action>`` annotation and the
     ``spmv_fault_events_total`` counter ticks, so traces and metrics show
-    supervision activity without consulting the fault report.
+    fault activity without consulting the fault report.
     """
     report = _ACTIVE.get()
     if report is not None:
@@ -182,13 +140,13 @@ def record_event(
     metric_inc(
         "spmv_fault_events_total",
         labels={"site": site, "action": action},
-        help="Supervision events, by site and action",
+        help="Fault events, by site and action",
     )
 
 
 @contextmanager
 def collect_faults(report: FaultReport | None = None):
-    """Scope within which supervision events accumulate on ``report``."""
+    """Scope within which fault events accumulate on ``report``."""
     report = report if report is not None else FaultReport()
     token = _ACTIVE.set(report)
     try:

@@ -129,9 +129,7 @@ def prap_merge_dense(
         return backend.scatter_dense(merged_idx, merged_val, n_out)
     # The residue classes have unequal lengths when p does not divide n_out;
     # pad the short streams with records beyond n_out so the store queue can
-    # drain in full cycles, then truncate.  inject_classes is the backend's
-    # per-core fan-out point (the parallel backend injects classes on
-    # separate workers).
+    # drain in full cycles, then truncate.
     padded = -(-n_out // p) * p
     queue = StoreQueue(p)
     with span("inject", p=p):

@@ -6,13 +6,12 @@ ratios -- so the runtime carries a first-class telemetry layer:
 
 * **Spans** (:mod:`repro.telemetry.spans`) -- nested, timed trace spans
   (``spmv.run`` > ``plan.build`` / ``step1.stripe[k]`` /
-  ``step2.merge`` / ``step2.merge.class[r]`` / ``inject`` /
-  ``pool.task``), scoped through a ContextVar session exactly like
-  :func:`repro.faults.report.collect_faults`; worker-side timings ship
-  back with task results and are grafted into the supervisor's tree.
+  ``step2.merge`` / ``inject`` / ``inject.class[r]``), scoped
+  through a ContextVar session exactly like
+  :func:`repro.faults.report.collect_faults`.
 * **Metrics** (:mod:`repro.telemetry.metrics`) -- typed counters /
   gauges / histograms (records merged, keys injected, bytes per stream,
-  retries, plan-cache hits, shard imbalance, VLDI bits per index) with
+  plan-cache hits, shard imbalance, VLDI bits per index) with
   Prometheus-text and JSON export.
 * **Hooks** (:mod:`repro.telemetry.hooks`) -- a callback protocol so
   benchmarks and external collectors observe spans/metrics live without
@@ -20,8 +19,8 @@ ratios -- so the runtime carries a first-class telemetry layer:
 
 The contract, enforced by ``tests/test_telemetry.py``: telemetry never
 changes results.  Result vectors are bit-identical and traffic ledgers
-byte-identical with telemetry on vs. off, on every backend at every
-worker count; disabled, every record helper is a single ContextVar read.
+byte-identical with telemetry on vs. off, on every backend; disabled,
+every record helper is a single ContextVar read.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ def chrome_trace(spans, process_name: str = "repro") -> dict:
 
     Every span becomes one complete event (``"ph": "X"``) on the
     wall-clock timeline (microseconds since the epoch), so spans recorded
-    in different worker processes land correctly relative to each other.
+    in different threads land correctly relative to each other.
 
     Args:
         spans: :class:`Span` objects or ``Span.to_record()`` dicts.
@@ -55,7 +55,7 @@ def chrome_trace(spans, process_name: str = "repro") -> dict:
         events.append(
             {
                 "name": record["name"],
-                "cat": "remote" if record.get("remote") else "local",
+                "cat": "span",
                 "ph": "X",
                 "ts": record["wall_start"] * 1e6,
                 "dur": record["dur_s"] * 1e6,

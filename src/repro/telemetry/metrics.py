@@ -4,8 +4,9 @@ One :class:`MetricsRegistry` holds every metric of one scope -- a single
 engine execution (snapshot surfaced on ``SpMVResult.telemetry``) or an
 engine lifetime (``engine.metrics()``).  Metrics are keyed by a
 Prometheus-style name plus a frozen label set; recording is
-thread-safe (one registry lock) so supervised fan-outs can account
-per-shard work concurrently.
+thread-safe (one registry lock) so concurrent engine runs -- serving
+executor threads sharing one lifetime registry -- can account work
+concurrently.
 
 Exports: :meth:`MetricsRegistry.to_prometheus` renders the standard
 text exposition format (``# HELP`` / ``# TYPE`` then samples);

@@ -2,20 +2,11 @@
 
 A :class:`Tracer` records a tree of :class:`Span` objects for one engine
 execution: ``spmv.run`` at the root, ``plan.build`` / ``step1.stripe[k]`` /
-``step2.merge`` / ``step2.merge.class[r]`` / ``inject`` below it, and
-``pool.task`` leaves for work executed on :class:`~repro.parallel.pool.
-WorkerPool` workers.  Spans opened on worker threads or processes cannot
-see the engine's tracer (context variables are per-thread), so the pool
-times each task locally and ships a compact, picklable record back with
-the task result; the supervising thread attaches those records under its
-currently open span via :meth:`Tracer.attach_remote`.
+``step2.merge`` / ``inject`` / ``inject.class[r]`` below it.
 
 Durations come from ``time.perf_counter`` (monotonic, high resolution);
 every span additionally stamps a wall-clock ``wall_start`` so exporters
-can place spans from different processes on one timeline.  Remote spans
-are flagged ``remote=True``: their perf-counter interval lives in another
-process's timebase, so containment invariants are only enforced for
-locally recorded spans.
+can place spans on an absolute timeline.
 """
 
 from __future__ import annotations
@@ -32,19 +23,17 @@ class Span:
     """One timed region of the execution.
 
     Attributes:
-        name: Region label (``"step1.stripe[3]"``, ``"pool.task"``, ...).
+        name: Region label (``"step1.stripe[3]"``, ``"step2.merge"``, ...).
         span_id: Tracer-unique id.
         parent_id: Id of the enclosing span; None for a root.
-        t_start: ``perf_counter`` at entry (local process timebase).
+        t_start: ``perf_counter`` at entry.
         t_end: ``perf_counter`` at exit; 0.0 while the span is open.
-        wall_start: ``time.time()`` at entry (cross-process timeline).
+        wall_start: ``time.time()`` at entry (absolute timeline).
         attrs: Static key/value annotations set at open time.
         events: Appended annotations (e.g. fault events) as
             ``(label, detail)`` pairs, in occurrence order.
         pid: Recording process id.
         thread: Recording thread name.
-        remote: True when the span was recorded in a worker and shipped
-            back; its ``t_start``/``t_end`` use the worker's timebase.
     """
 
     name: str
@@ -57,7 +46,6 @@ class Span:
     events: list = field(default_factory=list)
     pid: int = 0
     thread: str = ""
-    remote: bool = False
 
     @property
     def duration_s(self) -> float:
@@ -69,7 +57,7 @@ class Span:
         self.events.append((label, detail))
 
     def to_record(self) -> dict:
-        """JSON-ready (and picklable) flat form of this span."""
+        """JSON-ready flat form of this span."""
         return {
             "name": self.name,
             "span_id": self.span_id,
@@ -80,7 +68,6 @@ class Span:
             "events": [list(e) for e in self.events],
             "pid": self.pid,
             "thread": self.thread,
-            "remote": self.remote,
         }
 
 
@@ -103,11 +90,10 @@ class _OpenSpan:
 class Tracer:
     """Collects one execution's span tree.
 
-    Spans are opened/closed by the engine's supervising thread; worker
-    timings arrive through :meth:`attach_remote`, which is the only entry
-    point that may race with the supervisor and therefore takes the
-    tracer lock.  Hook callbacks (``on_span_start`` / ``on_span_end``)
-    fire synchronously in the recording thread.
+    Spans are opened/closed by the engine's calling thread; the finished
+    list is guarded by the tracer lock so readers on other threads see a
+    consistent snapshot.  Hook callbacks (``on_span_start`` /
+    ``on_span_end``) fire synchronously in the recording thread.
     """
 
     def __init__(self, hooks: tuple = ()):  # hooks: TelemetryHook objects
@@ -143,7 +129,7 @@ class Tracer:
 
     def _close(self, span: Span) -> None:
         span.t_end = time.perf_counter()
-        # Closes are LIFO on the supervising thread; tolerate a missed
+        # Closes are LIFO on the calling thread; tolerate a missed
         # close (exception unwound past it) by popping through.
         while self._stack and self._stack[-1] is not span:
             self._stack.pop()
@@ -162,40 +148,6 @@ class Tracer:
         """Annotate the innermost open span (no-op when none is open)."""
         if self._stack:
             self._stack[-1].annotate(label, detail)
-
-    def attach_remote(self, records: list, parent: Span | None = None) -> None:
-        """Graft worker-recorded span records under ``parent``.
-
-        Args:
-            records: ``Span.to_record()`` dicts shipped back with a task
-                result (their ids are local to the worker and remapped).
-            parent: Span to attach the remote roots under; None uses the
-                supervisor's innermost open span.
-        """
-        if not records:
-            return
-        anchor = parent if parent is not None else self.current()
-        anchor_id = anchor.span_id if anchor is not None else None
-        id_map: dict = {}
-        with self._lock:
-            for record in records:
-                span_id = next(self._ids)
-                id_map[record["span_id"]] = span_id
-                self._finished.append(
-                    Span(
-                        name=record["name"],
-                        span_id=span_id,
-                        parent_id=id_map.get(record["parent_id"], anchor_id),
-                        t_start=0.0,
-                        t_end=record["dur_s"],
-                        wall_start=record["wall_start"],
-                        attrs=dict(record.get("attrs", ())),
-                        events=[tuple(e) for e in record.get("events", ())],
-                        pid=record.get("pid", 0),
-                        thread=record.get("thread", ""),
-                        remote=True,
-                    )
-                )
 
     def finished(self) -> list[Span]:
         """Completed spans in completion order (children before parents)."""
@@ -218,33 +170,4 @@ class Tracer:
         return f"<Tracer finished={len(self._finished)} open={len(self._stack)}>"
 
 
-def record_local_span(name: str, fn, task, **attrs):
-    """Time ``fn(task)`` in this thread without any tracer.
-
-    The worker-side half of pool task tracing: runs the task under a
-    stand-alone clock and returns ``(value, record)`` where ``record`` is
-    a picklable ``Span.to_record()`` dict ready for
-    :meth:`Tracer.attach_remote`.  Raises whatever ``fn`` raises (no span
-    is produced for a failed attempt; the supervisor's fault accounting
-    covers it).
-    """
-    wall = time.time()
-    start = time.perf_counter()
-    value = fn(task)
-    duration = time.perf_counter() - start
-    record = {
-        "name": name,
-        "span_id": 1,
-        "parent_id": None,
-        "wall_start": wall,
-        "dur_s": duration,
-        "attrs": attrs,
-        "events": [],
-        "pid": os.getpid(),
-        "thread": threading.current_thread().name,
-        "remote": True,
-    }
-    return value, record
-
-
-__all__ = ["Span", "Tracer", "record_local_span"]
+__all__ = ["Span", "Tracer"]

@@ -174,6 +174,6 @@ def test_pagerank_accepts_parallel_jobs(small_er_graph):
     cfg = TwoStepConfig(segment_width=512, q=2)
     ref = pagerank(small_er_graph, cfg, max_iterations=8)
     par = pagerank(
-        small_er_graph, replace(cfg, backend="parallel", n_jobs=2), max_iterations=8
+        small_er_graph, replace(cfg, backend="native", n_jobs=2), max_iterations=8
     )
     assert np.array_equal(ref.ranks, par.ranks)

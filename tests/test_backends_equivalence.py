@@ -1,12 +1,12 @@
 """Differential tests: every execution backend is bit-compatible.
 
-The ``vectorized`` and ``parallel`` backends must be indistinguishable
+The ``vectorized`` and ``native`` backends must be indistinguishable
 from the ``reference`` oracle on randomized inputs -- identical result
 bits, identical intermediate record counts, identical traffic-ledger
 byte totals, identical cycle statistics.  Kernel-level properties pin
 each backend method; engine-level properties pin the whole Two-Step
-path across ER/RMAT structure, HDN on/off, VLDI on/off, worker counts
-and pool flavours.
+path across ER/RMAT structure, HDN on/off, VLDI on/off and ``prange``
+thread counts.
 """
 
 import dataclasses
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.backends import (
     BACKEND_ENV_VAR,
     DEFAULT_BACKEND,
-    ParallelBackend,
     available_backends,
     get_backend,
     resolve_backend,
@@ -34,14 +33,6 @@ from repro.generators.rmat import rmat_graph
 
 REFERENCE = get_backend("reference")
 VECTORIZED = get_backend("vectorized")
-
-
-def _eager_parallel(n_jobs: int, pool_kind: str = "thread") -> ParallelBackend:
-    """A parallel backend with the inline threshold removed, so even the
-    tiny test inputs actually cross the worker pool."""
-    backend = ParallelBackend(n_jobs=n_jobs, pool_kind=pool_kind)
-    backend.MIN_FANOUT_RECORDS = 0
-    return backend
 
 
 # ---------------------------------------------------------------------------
@@ -99,20 +90,16 @@ def test_merge_accumulate_kernels_bitwise_equal(data):
 
 @given(sorted_lists(), st.sampled_from([1, 2, 4]))
 @settings(max_examples=30, deadline=None)
-def test_parallel_merge_sharding_bitwise_equal(data, n_jobs):
-    """Run-range sharding of the planned merge is a pure partition: it
-    matches the plan-free oracle merge bit for bit."""
+def test_planned_merge_bitwise_equal(data, n_jobs):
+    """The planned merge matches the plan-free oracle merge bit for bit,
+    on every fast backend and at every ``prange`` thread count."""
     key_space, lists = data
     stripes = [SimpleNamespace(out_indices=idx) for idx, _ in lists]
     symbolic = build_step2_symbolic(stripes, key_space, 1)
-    backend = _eager_parallel(n_jobs)
-    try:
-        ref_idx, ref_val = REFERENCE.merge_accumulate(lists)
-        par_val = backend.merge_accumulate_plan(symbolic, lists)
-        assert np.array_equal(ref_idx, symbolic.merged_keys)
-        assert np.array_equal(ref_val, par_val)
-    finally:
-        backend.close()
+    ref_idx, ref_val = REFERENCE.merge_accumulate(lists)
+    assert np.array_equal(ref_idx, symbolic.merged_keys)
+    for backend in (VECTORIZED, resolve_backend("native", n_jobs=n_jobs)):
+        assert np.array_equal(ref_val, backend.merge_accumulate_plan(symbolic, lists))
 
 
 @given(sorted_lists(), st.integers(0, 3))
@@ -198,15 +185,15 @@ def test_backends_agree_end_to_end(family, cfg, seed):
     x = np.random.default_rng(seed).uniform(size=graph.n_cols)
     ref = _run(graph, x, "reference", **cfg)
     vec = _run(graph, x, "vectorized", **cfg)
-    par = _run(graph, x, "parallel", **cfg)
+    nat = _run(graph, x, "native", **cfg)
 
     # Result vectors are bit-comparable -- not merely allclose.
     assert np.array_equal(ref.y, vec.y)
-    assert np.array_equal(ref.y, par.y)
+    assert np.array_equal(ref.y, nat.y)
     assert np.allclose(ref.y, reference_spmv(graph, x))
 
     # Identical instrumentation: records, formats, cycle stats, ledgers.
-    for other in (vec, par):
+    for other in (vec, nat):
         assert ref.report.intermediate_records == other.report.intermediate_records
         assert ref.report.stripe_formats == other.report.stripe_formats
         assert dataclasses.asdict(ref.report.step1) == dataclasses.asdict(other.report.step1)
@@ -217,46 +204,25 @@ def test_backends_agree_end_to_end(family, cfg, seed):
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2, 4])
-def test_parallel_engine_bitwise_equal_across_job_counts(n_jobs):
-    """Sharded execution is invariant in the worker count -- bit for bit."""
+def test_native_engine_bitwise_equal_across_job_counts(n_jobs):
+    """``prange`` execution is invariant in the thread count -- bit for bit."""
     graph = _graph("rmat", 3)
     x = np.random.default_rng(7).uniform(size=graph.n_cols)
     cfg = dict(hdn=HDNConfig(degree_threshold=16), vldi_vector_block_bits=8)
     vec = _run(graph, x, "vectorized", **cfg)
-    backend = _eager_parallel(n_jobs)
-    try:
-        par = TwoStepEngine(
-            TwoStepConfig(segment_width=193, q=3, **cfg), backend=backend
-        ).run(graph, x)
-        assert np.array_equal(vec.y, par.y)
-        for field in LEDGER_FIELDS:
-            assert getattr(vec.report.traffic, field) == getattr(par.report.traffic, field)
-    finally:
-        backend.close()
+    nat = _run(graph, x, "native", n_jobs=n_jobs, **cfg)
+    assert np.array_equal(vec.y, nat.y)
+    for field in LEDGER_FIELDS:
+        assert getattr(vec.report.traffic, field) == getattr(nat.report.traffic, field)
 
 
-def test_parallel_engine_process_pool_bitwise_equal():
-    """The opt-in process pool (shared-memory transport) stays bit-exact."""
-    graph = _graph("er", 1)
-    x = np.random.default_rng(11).uniform(size=graph.n_cols)
-    vec = _run(graph, x, "vectorized")
-    backend = _eager_parallel(2, pool_kind="process")
-    try:
-        par = TwoStepEngine(
-            TwoStepConfig(segment_width=193, q=3), backend=backend
-        ).run(graph, x)
-        assert np.array_equal(vec.y, par.y)
-        assert vec.report.traffic.total_bytes == par.report.traffic.total_bytes
-    finally:
-        backend.close()
-
-
-def test_parallel_run_many_matches_column_runs():
+@pytest.mark.parametrize("backend", ["reference", "vectorized", "native"])
+def test_run_many_matches_column_runs(backend):
     """Batched execution is column-for-column bit-identical to run()."""
     graph = _graph("er", 2)
     rng = np.random.default_rng(13)
     X = rng.uniform(size=(graph.n_cols, 3))
-    config = TwoStepConfig(segment_width=193, q=3, backend="parallel")
+    config = TwoStepConfig(segment_width=193, q=3, backend=backend)
     engine = TwoStepEngine(config)
     batch = engine.run_many(graph, X, verify=True)
     assert batch.verified
@@ -286,18 +252,10 @@ def test_accumuland_agrees_across_backends(small_er_graph, rng):
 
 
 def test_available_backends_registry():
-    assert available_backends() == ("native", "parallel", "reference", "vectorized")
+    assert available_backends() == ("native", "reference", "vectorized")
     assert DEFAULT_BACKEND in available_backends()
     with pytest.raises(ValueError, match="unknown backend"):
         get_backend("cuda")
-
-
-def test_resolve_parameterized_parallel_backend():
-    a = resolve_backend("parallel", n_jobs=2)
-    b = resolve_backend("parallel", n_jobs=2)
-    assert a is b  # one pool per (n_jobs, pool_kind)
-    assert a.n_jobs == 2
-    assert resolve_backend("parallel", n_jobs=3) is not a
 
 
 def test_resolve_precedence(monkeypatch):

@@ -59,13 +59,13 @@ class TestPrecedence:
 
     def test_explicit_beats_env(self, clean_env):
         clean_env.setenv("REPRO_BACKEND", "reference")
-        options = EngineOptions(backend="parallel").resolve()
-        assert options.backend == "parallel"
+        options = EngineOptions(backend="native").resolve()
+        assert options.backend == "native"
 
     def test_resolution_pins_values(self, clean_env):
         clean_env.setenv("REPRO_BACKEND", "reference")
         options = EngineOptions().resolve()
-        clean_env.setenv("REPRO_BACKEND", "parallel")
+        clean_env.setenv("REPRO_BACKEND", "native")
         # Already-resolved options must not chase the environment.
         assert options.backend == "reference"
         assert options.resolve().backend == "reference"
@@ -86,10 +86,8 @@ class TestPrecedence:
 
     def test_dynamic_defaults_stay_unset(self, clean_env):
         options = EngineOptions().resolve()
-        # CPU count / pool retry budget / precision resolve downstream.
+        # CPU count / precision resolve downstream.
         assert options.n_jobs is None
-        assert options.max_retries is None
-        assert options.task_timeout is None
         assert options.precision is None
 
 
@@ -118,8 +116,8 @@ class TestConstruction:
 
     def test_from_env_overrides_win(self, clean_env):
         clean_env.setenv("REPRO_BACKEND", "reference")
-        options = EngineOptions.from_env(backend="parallel")
-        assert options.backend == "parallel"
+        options = EngineOptions.from_env(backend="native")
+        assert options.backend == "native"
 
     def test_from_config_round_trip(self, clean_env):
         config = TwoStepConfig(segment_width=1024, q=3, backend="reference")
@@ -189,6 +187,50 @@ class TestCreateEngine:
         converted = ensure_config(EngineOptions(segment_width=512))
         assert isinstance(converted, TwoStepConfig)
         assert converted.segment_width == 512
+
+
+# ----------------------------------------------------------------------
+# Removed parallel backend and its options
+# ----------------------------------------------------------------------
+
+
+class TestRemovedParallelBackend:
+    """The ``parallel`` backend and its knobs are gone: naming them fails."""
+
+    def test_backend_argument_is_rejected(self, clean_env):
+        with pytest.raises(
+            ConfigurationError, match="available: native, reference, vectorized"
+        ):
+            create_engine(backend="parallel")
+
+    def test_backend_env_var_is_rejected(self, clean_env):
+        clean_env.setenv("REPRO_BACKEND", "parallel")
+        with pytest.raises(
+            ConfigurationError, match="available: native, reference, vectorized"
+        ):
+            create_engine()
+
+    def test_cli_backend_flag_is_an_argparse_error(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["run", "m.bin", "--backend", "parallel"])
+        assert info.value.code == 2
+        assert "invalid choice: 'parallel'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name", ["parallel_pool", "max_retries", "task_timeout", "min_parallel_nnz"]
+    )
+    def test_removed_fields_are_unknown(self, name):
+        with pytest.raises(TypeError, match=name):
+            EngineOptions(**{name: 1})
+        with pytest.raises(ConfigurationError, match="unknown engine option"):
+            EngineOptions().replace(**{name: 1})
+
+    def test_env_vars_are_the_five_remaining(self):
+        assert set(ENV_VARS) == {
+            "backend", "n_jobs", "strict_validate", "telemetry", "tuning",
+        }
 
 
 # ----------------------------------------------------------------------

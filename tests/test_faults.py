@@ -1,10 +1,7 @@
-"""Fault-tolerance tests: supervision, retry/fallback, input hardening.
-
-Every scenario injects a deterministic fault through
-:mod:`repro.faults.injection` and asserts the contract from DESIGN.md
-section 8: the run either returns a bit-identical result with a
-populated :class:`~repro.faults.report.FaultReport`, or raises a typed
-exception -- it never hangs and never leaks a shared-memory segment.
+"""Fault-tolerance tests: typed errors, input hardening, the injection
+harness, the :class:`~repro.faults.report.FaultReport` and the solvers'
+per-iteration reports (DESIGN.md section 8).  The serving sites that consume injected faults are covered
+by ``tests/test_resilience.py`` and ``tests/test_serving_chaos.py``.
 """
 
 from __future__ import annotations
@@ -21,14 +18,13 @@ from repro.faults import (
     FaultPlan,
     FaultReport,
     FaultSpec,
+    CorruptPayloadError,
     InjectedFault,
     InvalidMatrixError,
     InvalidVectorError,
-    RetryExhaustedError,
-    TaskTimeoutError,
     WorkerCrashError,
     active_plan,
-    collect_faults,
+    apply_fault,
     inject_faults,
     match_fault,
     validate_inputs,
@@ -36,27 +32,6 @@ from repro.faults import (
     validate_vector,
 )
 from repro.formats.coo import COOMatrix
-from repro.parallel.pool import WorkerPool
-from repro.parallel.shm import (
-    ArrayExporter,
-    active_segments,
-    import_array,
-    register_segment,
-    sweep_segments,
-)
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    """Every test must leave the shared-memory registry empty."""
-    yield
-    leaked = active_segments()
-    sweep_segments()
-    assert leaked == (), f"leaked shared-memory segments: {leaked}"
-
-
-def _double(task):
-    return task * 2
 
 
 # ---------------------------------------------------------------------------
@@ -70,35 +45,21 @@ class TestErrorHierarchy:
         assert issubclass(InvalidVectorError, ValueError)
         assert issubclass(ConfigurationError, ValueError)
 
-    def test_timeout_is_builtin_timeout(self):
-        assert issubclass(TaskTimeoutError, TimeoutError)
-
     def test_all_share_fault_base(self):
         for cls in (
             InvalidMatrixError,
             ConfigurationError,
-            RetryExhaustedError,
-            TaskTimeoutError,
+            CorruptPayloadError,
             WorkerCrashError,
             InjectedFault,
         ):
             assert issubclass(cls, FaultError)
 
-    def test_retry_exhausted_carries_context(self):
-        err = RetryExhaustedError("boom", site="stripe", index=3, attempts=4)
-        assert (err.site, err.index, err.attempts) == ("stripe", 3, 4)
-
     def test_legacy_config_raises_stay_catchable(self):
-        with pytest.raises(ValueError, match="n_jobs must be positive"):
-            WorkerPool(n_jobs=0)
-        with pytest.raises(ValueError, match="unknown pool kind"):
-            WorkerPool(n_jobs=2, kind="fiber")
+        from repro.backends.native import NativeBackend
 
-    def test_config_validates_supervision_fields(self):
-        with pytest.raises(ConfigurationError):
-            TwoStepConfig(segment_width=256, max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            TwoStepConfig(segment_width=256, task_timeout=0)
+        with pytest.raises(ValueError, match="n_jobs must be positive"):
+            NativeBackend(n_jobs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +145,15 @@ class TestValidation:
 
     def test_report_records_validation_tier(self, small_er_graph):
         x = np.ones(small_er_graph.n_cols)
-        result = TwoStepEngine(
-            TwoStepConfig(segment_width=256, strict_validate=True)
-        ).run(small_er_graph, x)
-        assert result.faults.validated
-        assert result.faults.strict_validate
-        assert result.faults.clean
+        engine = TwoStepEngine(TwoStepConfig(segment_width=256, strict_validate=True))
+        for faults in (
+            engine.run(small_er_graph, x).faults,
+            engine.spgemm(small_er_graph, small_er_graph).faults,
+        ):
+            assert faults.validated
+            assert faults.strict_validate
+            assert faults.clean
+            assert faults.elapsed_s > 0
 
 
 # ---------------------------------------------------------------------------
@@ -200,58 +164,77 @@ class TestValidation:
 class TestFaultPlan:
     def test_spec_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultSpec(site="stripe", kind="gremlin")
+            FaultSpec(site="batch", kind="gremlin")
 
     def test_spec_rejects_zero_times(self):
         with pytest.raises(ValueError, match="times must be positive"):
-            FaultSpec(site="stripe", times=0)
+            FaultSpec(site="batch", times=0)
 
     def test_match_consumes_shots(self):
-        plan = FaultPlan(FaultSpec(site="stripe", index=2, times=1))
-        assert plan.match("stripe", 1) is None
-        assert plan.match("stripe", 2) is not None
-        assert plan.match("stripe", 2) is None  # spent
+        plan = FaultPlan(FaultSpec(site="batch", index=2, times=1))
+        assert plan.match("batch", 1) is None
+        assert plan.match("batch", 2) is not None
+        assert plan.match("batch", 2) is None  # spent
         assert plan.exhausted
-        assert plan.fired == [("stripe", 2, "raise")]
+        assert plan.fired == [("batch", 2, "raise")]
 
     def test_any_index_and_unlimited(self):
-        plan = FaultPlan(FaultSpec(site="merge", index=ANY_INDEX, times=-1))
+        plan = FaultPlan(FaultSpec(site="executor", index=ANY_INDEX, times=-1))
         for i in range(5):
-            assert plan.match("merge", i) is not None
+            assert plan.match("executor", i) is not None
         assert not plan.exhausted
 
     def test_site_isolation(self):
-        plan = FaultPlan(FaultSpec(site="stripe"))
-        assert plan.match("merge", 0) is None
+        plan = FaultPlan(FaultSpec(site="batch"))
+        assert plan.match("executor", 0) is None
 
     def test_arming_is_exclusive(self):
-        with inject_faults(FaultPlan(FaultSpec(site="stripe"))):
+        with inject_faults(FaultPlan(FaultSpec(site="batch"))):
             assert active_plan() is not None
             with pytest.raises(RuntimeError, match="already armed"):
-                with inject_faults(FaultPlan(FaultSpec(site="merge"))):
+                with inject_faults(FaultPlan(FaultSpec(site="executor"))):
                     pass
         assert active_plan() is None
 
     def test_match_fault_noop_when_unarmed(self):
-        assert match_fault("stripe", 0) is None
+        assert match_fault("batch", 0) is None
+
+    def test_apply_fault_maps_kinds(self):
+        plan = FaultPlan(
+            FaultSpec(site="executor", kind="raise", index=0),
+            FaultSpec(site="executor", kind="kill", index=1),
+            FaultSpec(site="executor", kind="corrupt", index=2),
+            FaultSpec(site="executor", kind="delay", index=3, delay_s=0.0),
+        )
+        with inject_faults(plan):
+            for index, error in (
+                (0, InjectedFault), (1, WorkerCrashError), (2, CorruptPayloadError)
+            ):
+                with pytest.raises(error):
+                    apply_fault("executor", index)
+            apply_fault("executor", 3)  # delay: sleeps, then returns
+            apply_fault("executor", 4)  # no matching spec: no-op
+        assert [fired[2] for fired in plan.fired] == ["raise", "kill", "corrupt", "delay"]
 
 
 class TestFaultReport:
     def test_counters_follow_actions(self):
         report = FaultReport()
-        report.record("stripe", 0, "retry", attempts=2)
-        report.record("stripe", 0, "timeout")
-        report.record("merge", 1, "fallback")
-        assert (report.retries, report.timeouts, report.fallbacks) == (1, 1, 1)
+        report.record("registry.io", 0, "error", attempts=2)
+        report.record("registry.io", 1, "error")
+        report.record("executor", 1, "injected")
         assert not report.clean
-        assert report.degraded
+        assert report.summary() == "2 error, 1 injected"
 
     def test_to_dict_round_trips_events(self):
         report = FaultReport()
-        report.record("shm", 3, "crash", detail="boom")
+        report.record("registry.io", 3, "error", detail="boom")
         data = report.to_dict()
-        assert data["crashes"] == 1
-        assert data["events"][0]["site"] == "shm"
+        assert set(data) == {"validated", "strict_validate", "elapsed_s", "events"}
+        assert data["events"][0] == {
+            "site": "registry.io", "index": 3, "action": "error",
+            "detail": "boom", "attempts": 0,
+        }
 
     def test_summary_clean(self):
         assert FaultReport().summary() == "clean"
@@ -259,7 +242,7 @@ class TestFaultReport:
     def test_record_event_noop_outside_scope(self):
         from repro.faults.report import current_report, record_event
 
-        record_event("stripe", 0, "retry")  # must not raise
+        record_event("batch", 0, "retry")  # must not raise
         assert current_report() is None
 
     def test_by_site_preserves_insertion_order(self):
@@ -267,436 +250,31 @@ class TestFaultReport:
 
         Regression test: grouping must keep group keys in first-occurrence
         order and events inside each group in recording order, even when
-        several faults land on the same shard.
+        several faults land on the same site index.
         """
         report = FaultReport()
-        report.record("merge", 2, "retry", attempts=1)
-        report.record("stripe", 0, "timeout")
-        report.record("merge", 2, "retry", attempts=2)
-        report.record("stripe", 7, "crash")
-        report.record("merge", 2, "fallback")
-        report.record("stripe", 0, "retry")
+        report.record("executor", 2, "retry", attempts=1)
+        report.record("batch", 0, "timeout")
+        report.record("executor", 2, "retry", attempts=2)
+        report.record("batch", 7, "crash")
+        report.record("executor", 2, "fallback")
+        report.record("batch", 0, "retry")
 
         grouped = report.by_site()
-        assert list(grouped) == [("merge", 2), ("stripe", 0), ("stripe", 7)]
-        assert [e.action for e in grouped[("merge", 2)]] == [
+        assert list(grouped) == [("executor", 2), ("batch", 0), ("batch", 7)]
+        assert [e.action for e in grouped[("executor", 2)]] == [
             "retry",
             "retry",
             "fallback",
         ]
-        assert [e.attempts for e in grouped[("merge", 2)][:2]] == [1, 2]
-        assert [e.action for e in grouped[("stripe", 0)]] == ["timeout", "retry"]
+        assert [e.attempts for e in grouped[("executor", 2)][:2]] == [1, 2]
+        assert [e.action for e in grouped[("batch", 0)]] == ["timeout", "retry"]
         # Every recorded event appears in exactly one group.
         assert sum(len(v) for v in grouped.values()) == len(report.events)
 
 
 # ---------------------------------------------------------------------------
-# WorkerPool supervision
-# ---------------------------------------------------------------------------
-
-
-class TestPoolSupervision:
-    def test_retry_recovers_from_single_shot_fault(self):
-        pool = WorkerPool(n_jobs=2, kind="thread")
-        report = FaultReport()
-        try:
-            with collect_faults(report):
-                with inject_faults(FaultPlan(FaultSpec(site="task", index=1, times=1))):
-                    results = pool.map(_double, [1, 2, 3], site="task")
-        finally:
-            pool.close()
-        assert results == [2, 4, 6]
-        assert report.retries == 1
-
-    def test_unlimited_fault_exhausts_retries(self):
-        pool = WorkerPool(n_jobs=2, kind="thread", max_retries=1)
-        try:
-            with inject_faults(FaultPlan(FaultSpec(site="task", index=0, times=-1))):
-                with pytest.raises(RetryExhaustedError) as excinfo:
-                    pool.map(_double, [1, 2], site="task")
-        finally:
-            pool.close()
-        assert excinfo.value.site == "task"
-        assert excinfo.value.index == 0
-        assert excinfo.value.attempts == 2  # first try + one retry
-
-    def test_timeout_trips_and_recovers(self):
-        pool = WorkerPool(n_jobs=2, kind="thread", task_timeout=0.2)
-        report = FaultReport()
-        try:
-            with collect_faults(report):
-                with inject_faults(
-                    FaultPlan(FaultSpec(site="task", index=0, kind="delay", delay_s=1.0))
-                ):
-                    outcomes = pool.map_outcomes(_double, [1, 2], site="task")
-        finally:
-            pool.close()
-        assert [o.value for o in outcomes] == [2, 4]
-        assert outcomes[0].timed_out
-        assert report.timeouts == 1
-
-    def test_single_task_still_supervised_under_timeout(self):
-        # A one-task map must not take the inline shortcut when a timeout
-        # needs enforcing.
-        pool = WorkerPool(n_jobs=2, kind="thread", task_timeout=0.2)
-        report = FaultReport()
-        try:
-            with collect_faults(report):
-                with inject_faults(
-                    FaultPlan(FaultSpec(site="task", index=0, kind="delay", delay_s=1.0))
-                ):
-                    results = pool.map(_double, [21], site="task")
-        finally:
-            pool.close()
-        assert results == [42]
-        assert report.timeouts == 1
-
-    def test_thread_kill_degrades_to_crash_error(self):
-        pool = WorkerPool(n_jobs=2, kind="thread")
-        report = FaultReport()
-        try:
-            with collect_faults(report):
-                with inject_faults(
-                    FaultPlan(FaultSpec(site="task", index=0, kind="kill", times=1))
-                ):
-                    results = pool.map(_double, [5, 6], site="task")
-        finally:
-            pool.close()
-        assert results == [10, 12]
-        assert report.crashes == 1
-
-    def test_process_kill_triggers_respawn(self):
-        pool = WorkerPool(n_jobs=2, kind="process", max_retries=2)
-        report = FaultReport()
-        try:
-            with collect_faults(report):
-                with inject_faults(
-                    FaultPlan(FaultSpec(site="task", index=0, kind="kill", times=1))
-                ):
-                    results = pool.map(_double, [1, 2, 3], site="task")
-        finally:
-            pool.close()
-        assert results == [2, 4, 6]
-        assert report.crashes >= 1
-        assert report.respawns >= 1
-
-    def test_inline_pool_recovers_too(self):
-        pool = WorkerPool(n_jobs=1)
-        report = FaultReport()
-        with collect_faults(report):
-            with inject_faults(FaultPlan(FaultSpec(site="task", index=0, times=1))):
-                assert pool.map(_double, [7], site="task") == [14]
-        assert report.retries == 1
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory transport hardening
-# ---------------------------------------------------------------------------
-
-
-class TestSharedMemory:
-    def test_checksum_catches_corruption(self):
-        array = np.arange(64, dtype=np.float64)
-        with ArrayExporter(min_bytes=0) as exporter:
-            with inject_faults(FaultPlan(FaultSpec(site="shm", index=0, kind="corrupt"))):
-                spec = exporter.export(array)
-            from repro.faults.errors import CorruptPayloadError
-
-            with pytest.raises(CorruptPayloadError, match="failed checksum"):
-                import_array(spec)
-
-    def test_clean_round_trip(self):
-        array = np.arange(64, dtype=np.float64)
-        with ArrayExporter(min_bytes=0) as exporter:
-            spec = exporter.export(array)
-            out, handle = import_array(spec)
-            np.testing.assert_array_equal(out, array)
-            handle.close()
-        assert active_segments() == ()
-
-    def test_exporter_releases_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with ArrayExporter(min_bytes=0) as exporter:
-                exporter.export(np.arange(32, dtype=np.float64))
-                assert len(active_segments()) == 1
-                raise RuntimeError("task fan-out blew up")
-        assert active_segments() == ()
-
-    def test_sweep_unlinks_registered_blocks(self):
-        from multiprocessing import shared_memory
-
-        block = shared_memory.SharedMemory(create=True, size=128)
-        register_segment(block.name)
-        block.close()
-        assert block.name in sweep_segments()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=block.name)
-
-    def test_sweep_tolerates_already_unlinked(self):
-        register_segment("psm_repro_never_existed")
-        assert sweep_segments() == []
-
-    def test_min_bytes_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "nope")
-        with pytest.raises(ConfigurationError, match="must be an integer"):
-            ArrayExporter()
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "4")
-        exporter = ArrayExporter()
-        assert exporter.min_bytes == 4
-
-
-# ---------------------------------------------------------------------------
-# End-to-end: engine under injected faults stays bit-identical
-# ---------------------------------------------------------------------------
-
-
-def _reference_y(graph):
-    x = np.random.default_rng(0).uniform(size=graph.n_cols)
-    engine = TwoStepEngine(TwoStepConfig(segment_width=256, backend="vectorized"))
-    return x, engine.run(graph, x).y
-
-
-class TestEngineDegradation:
-    @pytest.fixture(autouse=True)
-    def engage_all_fanouts(self, monkeypatch):
-        """Drop the inline-degradation floor so every site fans out."""
-        from repro.backends.parallel import ParallelBackend
-
-        monkeypatch.setattr(ParallelBackend, "MIN_FANOUT_RECORDS", 1)
-
-    @staticmethod
-    def _config(site, **kw):
-        # The inject fan-out only runs under the store-queue assembly.
-        return TwoStepConfig(
-            segment_width=256, backend="parallel",
-            check_interleave=(site == "inject"), **kw,
-        )
-
-    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
-    @pytest.mark.parametrize("site", ["stripe", "merge", "inject"])
-    def test_single_fault_recovers_by_retry(self, small_er_graph, n_jobs, site):
-        x, expected = _reference_y(small_er_graph)
-        engine = TwoStepEngine(self._config(site, n_jobs=n_jobs))
-        with inject_faults(FaultPlan(FaultSpec(site=site, index=0, times=1))) as plan:
-            result = engine.run(small_er_graph, x)
-        assert np.array_equal(result.y, expected)
-        assert result.faults is not None
-        if n_jobs > 1:  # n_jobs=1 degrades inline, so nothing fans out
-            assert plan.fired
-
-    @pytest.mark.parametrize("site", ["stripe", "merge", "inject"])
-    def test_persistent_fault_falls_back_sequential(self, small_er_graph, site):
-        x, expected = _reference_y(small_er_graph)
-        engine = TwoStepEngine(self._config(site, n_jobs=4))
-        with inject_faults(
-            FaultPlan(FaultSpec(site=site, index=0, times=-1))
-        ) as plan:
-            result = engine.run(small_er_graph, x)
-        assert np.array_equal(result.y, expected)
-        assert plan.fired  # the fault actually engaged
-        assert result.faults.degraded
-        assert result.faults.fallbacks >= 1
-        assert result.faults.retries >= 1
-
-    def test_every_shard_failing_still_recovers(self, small_er_graph):
-        x, expected = _reference_y(small_er_graph)
-        engine = TwoStepEngine(
-            TwoStepConfig(segment_width=256, backend="parallel", n_jobs=2)
-        )
-        with inject_faults(
-            FaultPlan(FaultSpec(site="stripe", index=ANY_INDEX, times=-1))
-        ):
-            result = engine.run(small_er_graph, x)
-        assert np.array_equal(result.y, expected)
-        assert result.faults.degraded
-
-    def test_batch_run_many_recovers(self, small_er_graph):
-        X = np.random.default_rng(3).uniform(size=(small_er_graph.n_cols, 3))
-        ref = TwoStepEngine(
-            TwoStepConfig(segment_width=256, backend="vectorized")
-        ).run_many(small_er_graph, X)
-        engine = TwoStepEngine(
-            TwoStepConfig(segment_width=256, backend="parallel", n_jobs=2)
-        )
-        with inject_faults(FaultPlan(FaultSpec(site="stripe", index=0, times=-1))):
-            result = engine.run_many(small_er_graph, X)
-        assert np.array_equal(result.y, ref.y)
-
-    def test_timeout_config_flows_to_pool(self, small_er_graph):
-        x, expected = _reference_y(small_er_graph)
-        engine = TwoStepEngine(
-            TwoStepConfig(
-                segment_width=256, backend="parallel", n_jobs=2, task_timeout=0.25
-            )
-        )
-        with inject_faults(
-            FaultPlan(FaultSpec(site="stripe", index=0, kind="delay", delay_s=2.0, times=1))
-        ):
-            result = engine.run(small_er_graph, x)
-        assert np.array_equal(result.y, expected)
-        assert result.faults.timeouts == 1
-
-    def test_clean_run_reports_clean(self, small_er_graph):
-        x, expected = _reference_y(small_er_graph)
-        engine = TwoStepEngine(
-            TwoStepConfig(segment_width=256, backend="parallel", n_jobs=2)
-        )
-        result = engine.run(small_er_graph, x)
-        assert np.array_equal(result.y, expected)
-        assert result.faults.clean
-        assert result.faults.elapsed_s > 0
-
-
-class TestProcessPoolDegradation:
-    def test_worker_kill_respawns_and_matches(self, small_er_graph, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1")
-        x, expected = _reference_y(small_er_graph)
-        engine = TwoStepEngine(
-            TwoStepConfig(
-                segment_width=256, backend="parallel", n_jobs=2,
-                parallel_pool="process",
-            )
-        )
-        with inject_faults(
-            FaultPlan(FaultSpec(site="stripe", index=0, kind="kill", times=1))
-        ):
-            result = engine.run(small_er_graph, x)
-        assert np.array_equal(result.y, expected)
-        assert result.faults.crashes >= 1
-        assert result.faults.respawns >= 1
-        assert active_segments() == ()
-
-    def test_corrupt_shm_payload_falls_back(self, small_er_graph, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1")
-        x, expected = _reference_y(small_er_graph)
-        engine = TwoStepEngine(
-            TwoStepConfig(
-                segment_width=256, backend="parallel", n_jobs=2,
-                parallel_pool="process",
-            )
-        )
-        with inject_faults(
-            FaultPlan(FaultSpec(site="shm", index=0, kind="corrupt", times=-1))
-        ):
-            result = engine.run(small_er_graph, x)
-        assert np.array_equal(result.y, expected)
-        assert result.faults.degraded
-        assert active_segments() == ()
-
-
-# ---------------------------------------------------------------------------
-# SpGEMM under injected faults: same ladder, same bit-identity contract
-# ---------------------------------------------------------------------------
-
-
-def _spgemm_operands(n: int = 60):
-    rng = np.random.default_rng(17)
-    a = COOMatrix.from_triples(
-        n, n, rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n),
-        rng.uniform(-1.0, 1.0, 4 * n),
-    )
-    b = COOMatrix.from_triples(
-        n, 20, rng.integers(0, n, 3 * n), rng.integers(0, 20, 3 * n),
-        rng.uniform(-1.0, 1.0, 3 * n),
-    )
-    expected = TwoStepEngine(
-        TwoStepConfig(segment_width=16, backend="vectorized")
-    ).spgemm(a, b).c
-    return a, b, expected
-
-
-class TestSpGEMMDegradation:
-    @pytest.fixture(autouse=True)
-    def engage_all_fanouts(self, monkeypatch):
-        from repro.backends.parallel import ParallelBackend
-
-        monkeypatch.setattr(ParallelBackend, "MIN_FANOUT_RECORDS", 1)
-
-    @staticmethod
-    def _engine(**kw):
-        return TwoStepEngine(
-            TwoStepConfig(segment_width=16, backend="parallel", **kw)
-        )
-
-    @pytest.mark.parametrize("site", ["stripe", "merge"])
-    def test_single_fault_recovers_by_retry(self, site):
-        a, b, expected = _spgemm_operands()
-        with inject_faults(FaultPlan(FaultSpec(site=site, index=0, times=1))) as plan:
-            result = self._engine(n_jobs=2).spgemm(a, b)
-        assert np.array_equal(result.c.vals, expected.vals)
-        assert np.array_equal(result.c.rows, expected.rows)
-        assert plan.fired
-        assert result.faults.retries >= 1
-
-    @pytest.mark.parametrize("site", ["stripe", "merge"])
-    def test_persistent_fault_falls_back_sequential(self, site):
-        a, b, expected = _spgemm_operands()
-        with inject_faults(
-            FaultPlan(FaultSpec(site=site, index=0, times=-1))
-        ) as plan:
-            result = self._engine(n_jobs=4).spgemm(a, b)
-        assert np.array_equal(result.c.vals, expected.vals)
-        assert np.array_equal(result.c.cols, expected.cols)
-        assert plan.fired
-        assert result.faults.degraded
-        assert result.faults.fallbacks >= 1
-
-    def test_every_shard_failing_still_recovers(self):
-        a, b, expected = _spgemm_operands()
-        with inject_faults(
-            FaultPlan(FaultSpec(site="stripe", index=ANY_INDEX, times=-1))
-        ):
-            result = self._engine(n_jobs=2).spgemm(a, b)
-        assert np.array_equal(result.c.vals, expected.vals)
-        assert result.faults.degraded
-
-    def test_timeout_trips_and_recovers(self):
-        a, b, expected = _spgemm_operands()
-        with inject_faults(
-            FaultPlan(
-                FaultSpec(site="stripe", index=0, kind="delay", delay_s=2.0, times=1)
-            )
-        ):
-            result = self._engine(n_jobs=2, task_timeout=0.25).spgemm(a, b)
-        assert np.array_equal(result.c.vals, expected.vals)
-        # A lingering delayed task from an earlier scenario can queue
-        # extra timeouts behind it on the shared pool, so >= not ==.
-        assert result.faults.timeouts >= 1
-
-    def test_process_worker_kill_respawns_and_matches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1")
-        a, b, expected = _spgemm_operands()
-        engine = self._engine(n_jobs=2, parallel_pool="process")
-        with inject_faults(
-            FaultPlan(FaultSpec(site="stripe", index=0, kind="kill", times=1))
-        ):
-            result = engine.spgemm(a, b)
-        assert np.array_equal(result.c.vals, expected.vals)
-        assert result.faults.crashes >= 1
-        assert result.faults.respawns >= 1
-        assert active_segments() == ()
-
-    def test_process_corrupt_shm_payload_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1")
-        a, b, expected = _spgemm_operands()
-        engine = self._engine(n_jobs=2, parallel_pool="process")
-        with inject_faults(
-            FaultPlan(FaultSpec(site="shm", index=0, kind="corrupt", times=-1))
-        ):
-            result = engine.spgemm(a, b)
-        assert np.array_equal(result.c.vals, expected.vals)
-        assert result.faults.degraded
-        assert active_segments() == ()
-
-    def test_clean_run_reports_clean(self):
-        a, b, expected = _spgemm_operands()
-        result = self._engine(n_jobs=2).spgemm(a, b)
-        assert np.array_equal(result.c.vals, expected.vals)
-        assert result.faults.clean
-
-
-# ---------------------------------------------------------------------------
-# Solvers surface fault reports
+# Per-iteration reports in the solvers
 # ---------------------------------------------------------------------------
 
 
@@ -704,26 +282,19 @@ class TestSolverFaultReports:
     def test_pagerank_collects_per_iteration_reports(self, small_er_graph):
         from repro.apps.pagerank import pagerank
 
-        config = TwoStepConfig(segment_width=256, backend="parallel", n_jobs=2)
+        config = TwoStepConfig(segment_width=256)
         result = pagerank(small_er_graph, config, max_iterations=3, tol=0.0)
         assert len(result.fault_reports) == result.iterations
-        assert result.degraded_iterations == 0
+        assert all(report.clean for report in result.fault_reports)
 
-    def test_cg_reports_degraded_iterations(self):
+    def test_cg_collects_per_spmv_reports(self):
         from repro.apps.conjugate_gradient import conjugate_gradient, spd_system
 
         matrix, b = spd_system(2000, avg_degree=4.0, seed=5)
-        config = TwoStepConfig(segment_width=256, backend="parallel", n_jobs=2)
-        with inject_faults(
-            FaultPlan(FaultSpec(site="merge", index=ANY_INDEX, times=-1))
-        ):
-            result = conjugate_gradient(
-                matrix, b, config=config, max_iterations=3, tol=0.0
-            )
+        config = TwoStepConfig(segment_width=256)
+        result = conjugate_gradient(matrix, b, config=config, max_iterations=3, tol=0.0)
         assert len(result.fault_reports) == 3
-        assert result.degraded_iterations >= 1
-        plain = conjugate_gradient(matrix, b, max_iterations=3, tol=0.0)
-        np.testing.assert_allclose(result.solution, plain.solution)
+        assert all(report.validated for report in result.fault_reports)
 
 
 # ---------------------------------------------------------------------------
@@ -736,19 +307,16 @@ class TestCLIFlags:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            [
-                "run", "m.mtx", "--backend", "parallel",
-                "--max-retries", "3", "--task-timeout", "1.5", "--strict-validate",
-            ]
+            ["run", "m.mtx", "--backend", "native", "--jobs", "2", "--strict-validate"]
         )
-        assert args.max_retries == 3
-        assert args.task_timeout == 1.5
+        assert args.backend == "native"
+        assert args.jobs == 2
         assert args.strict_validate is True
 
     def test_solve_parser_defaults_defer_to_environment(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["solve", "pagerank", "m.mtx"])
-        assert args.max_retries is None
-        assert args.task_timeout is None
+        assert args.backend is None
+        assert args.jobs is None
         assert args.strict_validate is None

@@ -25,8 +25,10 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.backends.native import (
+    JOBS_ENV_VAR,
     NATIVE_DISABLE_ENV_VAR,
     NATIVE_REQUIRE_ENV_VAR,
+    default_jobs,
     numba_available,
     reset_native_state,
 )
@@ -83,6 +85,19 @@ def test_config_accepts_native():
 def test_invalid_n_jobs_rejected():
     with pytest.raises(ConfigurationError):
         _quiet_native(n_jobs=0)
+
+
+def test_default_jobs_env_override(monkeypatch):
+    monkeypatch.setenv(JOBS_ENV_VAR, "3")
+    assert default_jobs() == 3
+    monkeypatch.setenv(JOBS_ENV_VAR, "0")
+    with pytest.raises(ValueError, match="must be positive"):
+        default_jobs()
+    monkeypatch.setenv(JOBS_ENV_VAR, "four")
+    with pytest.raises(ValueError, match="must be an integer"):
+        default_jobs()
+    monkeypatch.delenv(JOBS_ENV_VAR)
+    assert default_jobs() >= 1
 
 
 # ---------------------------------------------------------------------------

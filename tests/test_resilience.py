@@ -107,14 +107,8 @@ class TestDeadline:
 
 
 class TestDegradationLadder:
-    def test_native_skips_parallel(self):
-        # "parallel" is a peer of "native", not a simpler fallback.
+    def test_native(self):
         assert degradation_ladder("native") == ("native", "vectorized", "reference")
-
-    def test_parallel(self):
-        assert degradation_ladder("parallel") == (
-            "parallel", "vectorized", "reference",
-        )
 
     def test_vectorized(self):
         assert degradation_ladder("vectorized") == ("vectorized", "reference")
@@ -124,6 +118,7 @@ class TestDegradationLadder:
 
     def test_unknown_backend_fails_closed(self):
         assert degradation_ladder("quantum") == ("quantum",)
+        assert degradation_ladder("parallel") == ("parallel",)  # removed tier
 
 
 class TestCircuitBreaker:

@@ -10,7 +10,7 @@ two independent oracles on arbitrary inputs:
   inner-index order with left-associated addition -- the exact float
   addition order both sparse paths realize.
 
-Every execution backend (reference / vectorized / parallel / native) and
+Every execution backend (reference / vectorized / native) and
 worker count must agree, the symbolic plan must be reused argsort-free on
 warm replays, and the traffic-style report fields must match across
 backends.  Degenerate shapes, duplicate-coordinate assembly, empty
@@ -29,7 +29,6 @@ from repro.apps import (
     count_triangles,
     count_triangles_reference,
 )
-from repro.backends import ParallelBackend
 from repro.core.config import TwoStepConfig
 from repro.core.spgemm import spgemm, spgemm_twostep
 from repro.core.twostep import TwoStepEngine
@@ -98,20 +97,13 @@ def spgemm_cases(draw, max_dim=32, max_nnz=120):
 BACKEND_GRID = [
     ("reference", 1),
     ("vectorized", 1),
-    ("parallel", 1),
-    ("parallel", 2),
     ("native", 1),
+    ("native", 2),
 ]
 
 
 def build_engine(backend: str, n_jobs: int, segment_width: int) -> TwoStepEngine:
-    config = TwoStepConfig(segment_width=segment_width, backend=backend)
-    if backend == "parallel":
-        # Remove the inline-size threshold so tiny test inputs actually
-        # cross the worker pool (pools are cached per (n_jobs, kind)).
-        instance = ParallelBackend(n_jobs=n_jobs, pool_kind="thread")
-        instance.MIN_FANOUT_RECORDS = 0
-        return TwoStepEngine(config, backend=instance)
+    config = TwoStepConfig(segment_width=segment_width, backend=backend, n_jobs=n_jobs)
     return TwoStepEngine(config)
 
 

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.apps.conjugate_gradient import conjugate_gradient, spd_system
 from repro.apps.jacobi import jacobi_solve
 from repro.apps.pagerank import pagerank
-from repro.backends import ParallelBackend, get_backend
+from repro.backends import get_backend
 from repro.core.config import TwoStepConfig
 from repro.faults.errors import ConfigurationError
 from repro.core.plan import Workspace, build_plan, build_step2_symbolic
@@ -38,12 +38,12 @@ from repro.generators.erdos_renyi import erdos_renyi_graph
 from repro.merge.prap import prap_merge_dense
 from repro.telemetry import telemetry_scope, telemetry_session
 
-#: Backends crossed with the worker counts the issue calls out.
+#: Backends crossed with serial and multi-threaded ``prange`` counts.
 BACKEND_MATRIX = [
     ("reference", None),
     ("vectorized", None),
-    ("parallel", 1),
-    ("parallel", 2),
+    ("native", 1),
+    ("native", 2),
 ]
 
 
@@ -119,7 +119,7 @@ def random_plans(draw):
     degree = draw(st.floats(0.5, 6.0))
     seed = draw(st.integers(0, 2**16))
     segment_width = draw(st.sampled_from([8, 32, 64]))
-    backend_name = draw(st.sampled_from(["reference", "vectorized", "parallel"]))
+    backend_name = draw(st.sampled_from(["reference", "vectorized", "native"]))
     matrix = erdos_renyi_graph(n, degree, seed=seed)
     config = TwoStepConfig(segment_width=segment_width, q=2)
     plan = build_plan(matrix, config, get_backend(backend_name))
@@ -198,19 +198,6 @@ def test_fused_matches_unfused_batch(graph, backend, n_jobs):
         assert fused.y[:, j].tobytes() == oracle.tobytes()
         assert fused.y[:, j].tobytes() == engine.run(graph, X[:, j]).y.tobytes()
         assert np.allclose(fused.y[:, j], reference_spmv(graph, X[:, j]))
-
-
-def test_fused_matches_under_forced_fanout(graph, monkeypatch):
-    monkeypatch.setattr(ParallelBackend, "MIN_FANOUT_RECORDS", 0)
-    x = np.random.default_rng(7).uniform(-1.0, 1.0, size=graph.n_cols)
-    engine = _engine("parallel", 3)
-    fused = engine.run(graph, x)
-    lists = engine._step1.run_planned(engine.plan(graph), x)
-    assert fused.y.tobytes() == _unfused_merge(engine, graph, lists).tobytes()
-    metrics = fused.telemetry.metrics
-    # Shard accounting: per-shard counts sum to the merge total.
-    shard_total = metrics.total("spmv_merge_shard_records_total")
-    assert shard_total == metrics.total("spmv_records_merged_total") > 0
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from repro.telemetry import (
     write_jsonl,
     write_prometheus,
 )
-from repro.telemetry.spans import record_local_span
 
 
 @pytest.fixture
@@ -57,13 +56,13 @@ def _engine(telemetry_flag, **kwargs) -> TwoStepEngine:
     )
 
 
-#: Every backend crossed with the worker counts the issue calls out.
+#: Every backend, with serial and multi-threaded ``prange`` counts.
 BACKEND_MATRIX = [
     ("reference", None),
     ("vectorized", None),
-    ("parallel", 1),
-    ("parallel", 2),
-    ("parallel", 4),
+    ("native", 1),
+    ("native", 2),
+    ("native", 4),
 ]
 
 
@@ -94,7 +93,7 @@ class TestZeroSemanticDrift:
         assert on.report.intermediate_records == off.report.intermediate_records
         assert on.report.n_stripes == off.report.n_stripes
 
-    @pytest.mark.parametrize("backend,n_jobs", [("vectorized", None), ("parallel", 2)])
+    @pytest.mark.parametrize("backend,n_jobs", [("vectorized", None), ("native", 2)])
     def test_run_many_bit_identical_on_vs_off(self, graph, backend, n_jobs):
         X = np.random.default_rng(13).uniform(size=(graph.n_cols, 3))
         on = _engine(True, backend=backend, n_jobs=n_jobs).run_many(graph, X)
@@ -136,22 +135,6 @@ class TestEngineSpans:
         second = engine.run(graph, x).telemetry
         assert len(first.find("plan.build")) == 1
         assert len(second.find("plan.build")) == 0
-
-    def test_parallel_fanout_ships_worker_spans(self, graph, monkeypatch):
-        from repro.backends.parallel import ParallelBackend
-
-        monkeypatch.setattr(ParallelBackend, "MIN_FANOUT_RECORDS", 0)
-        report = _engine(True, backend="parallel", n_jobs=2).run(
-            graph, np.ones(graph.n_cols)
-        ).telemetry
-        stripes = [s for s in report.spans if s.name.startswith("step1.stripe[")]
-        assert stripes and all(s.remote for s in stripes)
-        shards = [s for s in report.spans if s.name.startswith("step2.merge.class[")]
-        assert shards and all(s.remote for s in shards)
-        # Remote spans are grafted under the supervisor's tree: every
-        # parent_id resolves within the report.
-        ids = {s.span_id for s in report.spans}
-        assert all(s.parent_id in ids for s in report.spans if s.parent_id is not None)
 
     def test_metrics_cover_the_advertised_names(self, graph):
         result = _engine(True).run(graph, np.ones(graph.n_cols))
@@ -333,7 +316,7 @@ class TestChromeTrace:
         for event in payload["traceEvents"][1:]:
             assert event["ph"] == "X"
             assert event["ts"] >= 0 and event["dur"] >= 0
-            assert event["cat"] in ("local", "remote")
+            assert event["cat"] == "span"
 
     @pytest.mark.parametrize(
         "payload",
@@ -381,7 +364,7 @@ class TestTextExporters:
         assert path.read_text() == text
 
     def test_prometheus_output_matches_strict_grammar(self, graph, tmp_path):
-        report = _engine(True, backend="parallel", n_jobs=2).run(
+        report = _engine(True, backend="native", n_jobs=2).run(
             graph, np.ones(graph.n_cols)
         ).telemetry
         text = prometheus_text(report.metrics)
@@ -465,12 +448,3 @@ class TestMetricsRegistry:
         assert combined.span_names() == ("it0",)
         assert combine_reports([]).spans == []
 
-    def test_record_local_span_times_and_propagates_errors(self):
-        value, record = record_local_span(
-            "pool.task", lambda t: t * 2, 21, site="stripe", index=3
-        )
-        assert value == 42
-        assert record["name"] == "pool.task" and record["remote"] is True
-        assert record["dur_s"] >= 0 and record["attrs"] == {"site": "stripe", "index": 3}
-        with pytest.raises(RuntimeError):
-            record_local_span("pool.task", lambda t: (_ for _ in ()).throw(RuntimeError("x")), 0)

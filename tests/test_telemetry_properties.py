@@ -1,29 +1,24 @@
 """Property-based telemetry invariants (Hypothesis).
 
-Three families of properties:
+Two families of properties:
 
 * **Span trees are well-formed** -- for any nesting program, the tracer
   produces exactly one root, every parent reference resolves, and local
   child spans are contained (in time) by their parents.
-* **Counters are conserved** -- per-shard merge record counters sum to
-  exactly the global merged-record count, for arbitrary graphs and
-  worker counts, and registry merging never loses increments no matter
-  how a stream of updates is partitioned.
-* **Conservation survives faults** -- injected worker failures (retry
-  path) leave the counters exact and the shard spans deduplicated: a
-  retried task is counted and traced once.
+* **Counters are conserved** -- the global merged-record count is a
+  property of the matrix, identical on every backend and thread count,
+  and registry merging never loses increments no matter how a stream of
+  updates is partitioned.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import TwoStepConfig
 from repro.core.twostep import TwoStepEngine
-from repro.faults import ANY_INDEX, FaultPlan, FaultSpec, inject_faults
 from repro.generators.erdos_renyi import erdos_renyi_graph
 from repro.telemetry import MetricsRegistry, Tracer
 
@@ -131,60 +126,18 @@ def test_registry_merge_never_loses_counter_increments(updates, pivot):
 
 
 # ---------------------------------------------------------------------------
-# Counter conservation: engine shard accounting
+# Counter conservation: engine merge accounting
 # ---------------------------------------------------------------------------
 
 
-def _force_fanout(monkeypatch):
-    from repro.backends.parallel import ParallelBackend
-
-    monkeypatch.setattr(ParallelBackend, "MIN_FANOUT_RECORDS", 0)
-
-
-@pytest.fixture
-def fanout(monkeypatch):
-    _force_fanout(monkeypatch)
-
-
-@given(
-    n=st.integers(min_value=40, max_value=200),
-    degree=st.integers(min_value=1, max_value=6),
-    seed=st.integers(min_value=0, max_value=10_000),
-    n_jobs=st.sampled_from([2, 3, 4]),
-)
-@settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-def test_shard_record_counters_sum_to_global_merged_count(
-    fanout, n, degree, seed, n_jobs
-):
-    graph = erdos_renyi_graph(n, float(degree), seed=seed)
-    engine = TwoStepEngine(
-        TwoStepConfig(
-            segment_width=32, q=2, backend="parallel", n_jobs=n_jobs, telemetry=True
-        )
-    )
-    x = np.random.default_rng(seed).uniform(size=graph.n_cols)
-    result = engine.run(graph, x, verify=True)
-    assert result.verified
-    metrics = result.telemetry.metrics
-    merged = metrics.total("spmv_records_merged_total")
-    shards = metrics.series("spmv_merge_shard_records_total")
-    assert merged > 0
-    assert shards, "fan-out must have produced per-shard counters"
-    assert sum(shards.values()) == merged
-
-
-def test_merged_count_invariant_across_worker_counts(fanout):
+def test_merged_count_invariant_across_worker_counts():
     """The global merged-record counter is a property of the matrix, not
     of the execution schedule."""
     graph = erdos_renyi_graph(300, 4.0, seed=17)
     x = np.random.default_rng(17).uniform(size=graph.n_cols)
     totals = []
     for backend, n_jobs in [("reference", None), ("vectorized", None),
-                            ("parallel", 1), ("parallel", 4)]:
+                            ("native", 1), ("native", 4)]:
         engine = TwoStepEngine(
             TwoStepConfig(
                 segment_width=64, q=2, backend=backend, n_jobs=n_jobs, telemetry=True
@@ -193,80 +146,3 @@ def test_merged_count_invariant_across_worker_counts(fanout):
         metrics = engine.run(graph, x).telemetry.metrics
         totals.append(metrics.total("spmv_records_merged_total"))
     assert len(set(totals)) == 1
-
-
-# ---------------------------------------------------------------------------
-# Conservation under faults: retried tasks count (and trace) once
-# ---------------------------------------------------------------------------
-
-
-class TestFaultConservation:
-    def _run(self, plan=None, n_jobs=2):
-        graph = erdos_renyi_graph(250, 4.0, seed=23)
-        engine = TwoStepEngine(
-            TwoStepConfig(
-                segment_width=64, q=2, backend="parallel", n_jobs=n_jobs,
-                telemetry=True, max_retries=3,
-            )
-        )
-        x = np.random.default_rng(23).uniform(size=graph.n_cols)
-        if plan is None:
-            return engine.run(graph, x, verify=True)
-        with inject_faults(plan):
-            return engine.run(graph, x, verify=True)
-
-    def test_retry_keeps_counters_exact(self, fanout):
-        clean = self._run()
-        faulted = self._run(
-            FaultPlan(FaultSpec(site="merge", kind="raise", index=0, times=1))
-        )
-        assert faulted.verified
-        assert faulted.faults is not None and faulted.faults.retries >= 1
-        assert np.array_equal(clean.y, faulted.y)
-
-        clean_m = clean.telemetry.metrics
-        fault_m = faulted.telemetry.metrics
-        # The retried shard is counted once: totals match the clean run.
-        assert fault_m.total("spmv_merge_shard_records_total") == clean_m.total(
-            "spmv_merge_shard_records_total"
-        )
-        assert fault_m.total("spmv_records_merged_total") == clean_m.total(
-            "spmv_records_merged_total"
-        )
-        assert sum(
-            fault_m.series("spmv_merge_shard_records_total").values()
-        ) == fault_m.total("spmv_records_merged_total")
-        assert fault_m.total("spmv_pool_retries_total") >= 1
-        assert fault_m.value(
-            "spmv_fault_events_total", labels={"site": "merge", "action": "retry"}
-        ) >= 1
-
-    def test_retried_task_traced_exactly_once(self, fanout):
-        faulted = self._run(
-            FaultPlan(FaultSpec(site="merge", kind="raise", index=0, times=1))
-        )
-        shard_spans = [
-            s.name
-            for s in faulted.telemetry.spans
-            if s.name.startswith("step2.merge.class[")
-        ]
-        # One span per shard -- the failed attempt contributes nothing.
-        assert len(shard_spans) == len(set(shard_spans))
-        assert "step2.merge.class[0]" in shard_spans
-
-    def test_worker_kill_degradation_keeps_result_and_counters(self, fanout):
-        clean = self._run()
-        faulted = self._run(
-            FaultPlan(FaultSpec(site="merge", kind="raise", index=ANY_INDEX, times=-1))
-        )
-        assert faulted.verified
-        assert np.array_equal(clean.y, faulted.y)
-        assert faulted.faults.fallbacks >= 1
-        fault_m = faulted.telemetry.metrics
-        # Sequential fallback still merges every record exactly once.
-        assert fault_m.total("spmv_records_merged_total") == clean.telemetry.metrics.total(
-            "spmv_records_merged_total"
-        )
-        assert fault_m.value(
-            "spmv_fault_events_total", labels={"site": "merge", "action": "fallback"}
-        ) >= 1

@@ -6,11 +6,11 @@ Three layers:
 * **round-trip** -- hypothesis-generated profiles survive
   ``to_dict``/``from_dict`` and a full save/lookup cycle byte-exactly;
 * **quarantine** -- every corruption mode (truncated JSON, flipped CRC,
-  fingerprint mismatch, unknown knobs) is detected at lookup, moved to
+  fingerprint mismatch, unknown knobs or backends) is detected at lookup, moved to
   ``quarantine/``, warned about, and reported as a miss -- never
   propagated into an engine configuration;
 * **differential** -- applying a stored profile yields bit-identical
-  results to the untuned engine across all four backends (the profile
+  results to the untuned engine across all three backends (the profile
   only moves work between bit-identical tiers).
 """
 
@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import create_engine
 from repro.autotune.profile import (
     KNOB_FIELDS,
     PROFILE_VERSION,
@@ -41,13 +42,12 @@ settings.load_profile("repro")
 
 
 _KNOB_VALUES = {
-    "backend": st.sampled_from(["reference", "vectorized", "parallel", "native"]),
+    "backend": st.sampled_from(["reference", "vectorized", "native"]),
     "n_jobs": st.integers(1, 8),
     "q": st.integers(0, 6),
     "segment_width": st.integers(1, 1 << 20),
     "vldi_vector_block_bits": st.integers(1, 8),
     "hdn_threshold": st.one_of(st.none(), st.integers(1, 10_000)),
-    "min_parallel_nnz": st.integers(0, 1 << 24),
     "max_batch": st.integers(1, 512),
 }
 
@@ -145,10 +145,24 @@ class TestQuarantine:
         assert store.quarantined == 1
 
     def test_unknown_knob_in_file_is_quarantined(self, tmp_path):
-        # A made-up knob, and a knob that older releases wrote but that
-        # no longer exists: both fail the schema, neither gets a shim.
-        for name, value in (("warp_speed", 9), ("fused_step2", False)):
-            store, profile, path = self._saved(tmp_path / name)
+        # Made-up knobs and backends, and ones that older releases wrote
+        # but that no longer exist: all fail the schema, none gets a shim,
+        # and the matrix still runs on the untuned configuration.
+        graph = erdos_renyi_graph(200, 3.0, seed=5)
+        x = np.random.default_rng(5).uniform(size=graph.n_cols)
+        cases = (
+            ("warp_speed", 9),
+            ("fused_step2", False),
+            ("min_parallel_nnz", 0),
+            ("backend", "bogus"),
+            ("backend", "parallel"),
+        )
+        for name, value in cases:
+            directory = tmp_path / f"{name}-{value}"
+            store = resolve_profile_store(str(directory))
+            path = store.save(
+                TuningProfile(fingerprint=matrix_fingerprint(graph), knobs={"q": 2})
+            )
             payload = json.loads(path.read_text())
             payload["profile"]["knobs"][name] = value
             body = json.dumps(
@@ -156,7 +170,13 @@ class TestQuarantine:
             ).encode()
             payload["crc32"] = zlib.crc32(body) & 0xFFFFFFFF  # valid CRC, bad schema
             path.write_text(json.dumps(payload))
-            self._assert_quarantined(store, profile.fingerprint, path)
+            engine = create_engine(segment_width=64, tuning=str(directory))
+            with pytest.warns(RuntimeWarning, match="quarantined"):
+                result = engine.run(graph, x, verify=True)
+            assert result.verified
+            assert not path.exists()
+            assert len(list(store.quarantine_dir.iterdir())) == 1
+            assert (store.quarantined, store.misses) == (1, 1)
 
     def test_missing_file_is_a_plain_miss(self, tmp_path):
         store = TunedProfileStore(tmp_path)
@@ -200,7 +220,7 @@ class TestTunedDifferential:
     """
 
     @pytest.mark.parametrize(
-        "backend", ["reference", "vectorized", "parallel", "native"]
+        "backend", ["reference", "vectorized", "native"]
     )
     def test_tuned_config_matches_oracle_bitwise(self, backend):
         from dataclasses import replace
@@ -223,7 +243,7 @@ class TestTunedDifferential:
         assert np.allclose(y_tuned, y_default)
 
     @pytest.mark.parametrize(
-        "backend", ["reference", "vectorized", "parallel", "native"]
+        "backend", ["reference", "vectorized", "native"]
     )
     def test_store_lookup_to_engine_matches_oracle(self, backend, tmp_path):
         from dataclasses import replace

@@ -88,7 +88,7 @@ class TestKnobsToConfig:
 
     def test_backend_override_drops_parallel_knobs(self):
         config = knobs_to_config(
-            {"backend": "parallel", "n_jobs": 4, "min_parallel_nnz": 10},
+            {"backend": "native", "n_jobs": 4},
             backend_override="reference",
         )
         assert config.backend == "reference"
