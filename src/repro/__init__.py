@@ -42,7 +42,6 @@ from repro.faults import (
     ConfigurationError,
     FaultError,
     FaultPlan,
-    FaultReport,
     FaultSpec,
     InjectedFault,
     InvalidMatrixError,
@@ -122,7 +121,6 @@ __all__ = [
     "ConfigurationError",
     "FaultError",
     "FaultPlan",
-    "FaultReport",
     "FaultSpec",
     "InjectedFault",
     "InvalidMatrixError",

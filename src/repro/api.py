@@ -36,8 +36,10 @@ Quickstart::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
 
 import numpy as np
@@ -45,7 +47,6 @@ import numpy as np
 if TYPE_CHECKING:  # avoid an import cycle; core.twostep imports this module
     from repro.core.config import TwoStepConfig
     from repro.core.twostep import SpGEMMReport, TwoStepReport
-    from repro.faults.report import FaultReport
     from repro.formats.coo import COOMatrix
     from repro.telemetry import TelemetryReport
 
@@ -61,15 +62,10 @@ class SpMVResult:
         verified: True/False when the engine checked ``y`` against the
             dense reference, None when verification was skipped.
         wall_time_s: Wall-clock seconds spent inside the engine.
-        faults: Input-hardening accounting
-            (:class:`~repro.faults.report.FaultReport`): which
-            validation tier ran, any recorded fault events and the
-            execution's wall time.  ``faults.clean`` is True for an
-            undisturbed run; None for engines without the report.
         telemetry: Structured observability for this execution
             (:class:`~repro.telemetry.TelemetryReport`): the run's trace
-            spans and metrics snapshot.  None when telemetry was
-            disabled (``config.telemetry=False`` or ``REPRO_TELEMETRY``
+            spans and metrics snapshot.  None when the engine was built
+            with telemetry off (``telemetry=False`` or ``REPRO_TELEMETRY``
             falsy); never affects ``y`` or ``report``.
 
     Iterating (and indexing) yields ``(y, report)`` so the result keeps
@@ -80,7 +76,6 @@ class SpMVResult:
     report: "TwoStepReport"
     verified: bool | None = None
     wall_time_s: float = 0.0
-    faults: "FaultReport | None" = None
     telemetry: "TelemetryReport | None" = None
 
     def __iter__(self) -> Iterator:
@@ -107,9 +102,6 @@ class SpGEMMResult:
         verified: True/False when the engine checked ``c`` against the
             dense product, None when verification was skipped.
         wall_time_s: Wall-clock seconds spent inside the engine.
-        faults: Input-hardening accounting
-            (:class:`~repro.faults.report.FaultReport`), as on
-            :class:`SpMVResult`.
         telemetry: The run's trace spans and metrics snapshot
             (:class:`~repro.telemetry.TelemetryReport`), or None when
             telemetry was disabled.
@@ -122,7 +114,6 @@ class SpGEMMResult:
     report: "SpGEMMReport"
     verified: bool | None = None
     wall_time_s: float = 0.0
-    faults: "FaultReport | None" = None
     telemetry: "TelemetryReport | None" = None
 
     def __iter__(self) -> Iterator:
@@ -224,8 +215,9 @@ _CONFIG_FIELDS = (
 #: Environment variable consulted per env-backed field when the explicit
 #: value is None.  This is the one table the precedence rule
 #: (explicit > env > default) is implemented from; ``EngineOptions.
-#: from_env`` and ``resolve`` both read it, so the mapping can never
-#: drift between them.
+#: from_env`` and ``resolve`` both read it, and every engine pins its
+#: config through ``resolve`` at construction, so nothing else in the
+#: package reads these variables during a run.
 ENV_VARS = {
     "backend": "REPRO_BACKEND",
     "n_jobs": "REPRO_JOBS",
@@ -234,30 +226,41 @@ ENV_VARS = {
     "tuning": "REPRO_TUNING",
 }
 
+#: Defaults of the env-backed flags.  ``TwoStepConfig`` leaves these
+#: fields None ("consult the environment"), so their defaults live here.
+_FLAG_DEFAULTS = {"strict_validate": False, "telemetry": True, "tuning": "off"}
+
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 _FALSY = frozenset({"0", "false", "no", "off", ""})
 
-#: Static package defaults applied when neither an explicit value nor an
-#: environment variable selects one.  Fields absent here have *dynamic*
-#: defaults (CPU count for ``n_jobs``, value-precision SINGLE for
-#: ``precision``, feature-off ``None`` for VLDI/HDN) and deliberately
-#: stay ``None`` after resolution -- the component owning the live value
-#: resolves them.
-#: ``backend`` mirrors ``repro.backends.DEFAULT_BACKEND`` (asserted by
-#: the test-suite so the two can never drift).
-_STATIC_DEFAULTS = {
-    "segment_width": DEFAULT_SEGMENT_WIDTH,
-    "q": 4,
-    "dpage_bytes": 2048,
-    "step1_pipelines": 8,
-    "check_interleave": False,
-    "index_field_bytes": 4,
-    "backend": "vectorized",
-    "plan_cache": 8,
-    "strict_validate": False,
-    "telemetry": True,
-    "tuning": "off",
-}
+
+@functools.cache
+def static_defaults() -> MappingProxyType:
+    """Field -> package default, applied when neither an explicit value
+    nor an environment variable selects one.
+
+    Derived rather than copied: ``TwoStepConfig``'s scalar dataclass
+    defaults, :data:`DEFAULT_SEGMENT_WIDTH`,
+    :data:`repro.backends.DEFAULT_BACKEND` and the env-backed flag
+    defaults.  Fields absent here have *dynamic* defaults (CPU count for
+    ``n_jobs``, value-precision SINGLE for ``precision``, feature-off
+    ``None`` for VLDI/HDN) and deliberately stay ``None`` after
+    resolution -- the component owning the live value resolves them.
+    """
+    from repro.backends import DEFAULT_BACKEND
+    from repro.core.config import TwoStepConfig
+
+    defaults = {
+        field.name: field.default
+        for field in dataclasses.fields(TwoStepConfig)
+        if isinstance(field.default, (bool, int, str))
+    }
+    defaults.update(
+        segment_width=DEFAULT_SEGMENT_WIDTH,
+        backend=DEFAULT_BACKEND,
+        **_FLAG_DEFAULTS,
+    )
+    return MappingProxyType(defaults)
 
 
 def _config_error(message: str):
@@ -266,22 +269,28 @@ def _config_error(message: str):
     return ConfigurationError(message)
 
 
-def _parse_env(field_name: str, raw: str):
-    """Parse one environment value into its field's native type.
+def parse_env(field_name: str, raw: str):
+    """Parse one ``REPRO_*`` value into its field's native type.
 
-    Boolean parsing mirrors the historical per-module resolvers exactly:
-    the default-on flag (``telemetry``) treats any value outside the
-    falsy set as on; the default-off flag (``strict_validate``) requires
-    an explicit truthy value.
+    The only parser of these variables.  The default-on flag
+    (``telemetry``) treats any value outside the falsy set as on; the
+    default-off flag (``strict_validate``) requires an explicit truthy
+    value; ``n_jobs`` must be a positive integer.
+
+    Raises:
+        ConfigurationError: A malformed ``n_jobs`` value (the message
+            names the variable).
     """
     raw = raw.strip()
     if field_name == "n_jobs":
+        var = ENV_VARS[field_name]
         try:
-            return int(raw)
+            jobs = int(raw)
         except ValueError:
-            raise _config_error(
-                f"{ENV_VARS[field_name]} must be an integer, got {raw!r}"
-            ) from None
+            raise _config_error(f"{var} must be an integer, got {raw!r}") from None
+        if jobs <= 0:
+            raise _config_error(f"{var} must be positive, got {jobs}")
+        return jobs
     if field_name == "strict_validate":
         return raw.lower() in _TRUTHY
     if field_name == "telemetry":
@@ -401,7 +410,7 @@ class EngineOptions:
         for field_name, var in ENV_VARS.items():
             raw = os.environ.get(var)
             if raw is not None:
-                from_env[field_name] = _parse_env(field_name, raw)
+                from_env[field_name] = parse_env(field_name, raw)
         from_env.update(overrides)
         return cls().replace(**from_env)
 
@@ -422,7 +431,7 @@ class EngineOptions:
         """Apply the precedence rule and return fully pinned options.
 
         Every env-backed field that is still ``None`` consults its
-        environment variable, then :data:`_STATIC_DEFAULTS`.  Fields
+        environment variable, then :func:`static_defaults`.  Fields
         with *dynamic* defaults (CPU count, value precision) stay ``None``
         deliberately -- they are resolved where the live value exists.
         After this call the options are pinned: later environment
@@ -445,6 +454,7 @@ class EngineOptions:
         ``/stats``.
         """
         report = {}
+        defaults = static_defaults()
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if value is not None:
@@ -453,22 +463,20 @@ class EngineOptions:
             var = ENV_VARS.get(field.name)
             raw = os.environ.get(var) if var else None
             if raw is not None:
-                report[field.name] = (_parse_env(field.name, raw), f"env:{var}")
+                report[field.name] = (parse_env(field.name, raw), f"env:{var}")
             else:
-                report[field.name] = (
-                    _STATIC_DEFAULTS.get(field.name),
-                    "default",
-                )
+                report[field.name] = (defaults.get(field.name), "default")
         return report
 
     def to_config(self) -> "TwoStepConfig":
         """The equivalent :class:`~repro.core.config.TwoStepConfig`.
 
-        Unset fields are simply omitted so ``TwoStepConfig`` keeps
-        supplying the package defaults; resolution against the
-        environment happens first (:meth:`resolve`), so the returned
-        config carries pinned values for every env-backed field that had
-        a variable set.
+        Resolution against the environment happens first
+        (:meth:`resolve`), so the returned config is pinned: ``backend``,
+        ``strict_validate``, ``telemetry`` and ``tuning`` always carry a
+        value, ``n_jobs`` does whenever ``REPRO_JOBS`` is set.  Fields
+        with dynamic defaults stay unset so ``TwoStepConfig`` supplies
+        them.
         """
         from repro.core.config import TwoStepConfig
 
@@ -478,7 +486,6 @@ class EngineOptions:
             for name in _CONFIG_FIELDS
             if getattr(resolved, name) is not None
         }
-        kwargs.setdefault("segment_width", DEFAULT_SEGMENT_WIDTH)
         return TwoStepConfig(**kwargs)
 
 
@@ -563,4 +570,6 @@ __all__ = [
     "SpMVResult",
     "create_engine",
     "ensure_config",
+    "parse_env",
+    "static_defaults",
 ]

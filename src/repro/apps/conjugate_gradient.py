@@ -28,11 +28,9 @@ from repro.memory.traffic import TrafficLedger
 class CGResult:
     """Solution and convergence statistics.
 
-    ``fault_reports`` holds one
-    :class:`~repro.faults.report.FaultReport` per engine-backed SpMV
+    ``telemetry_reports`` holds one
+    :class:`~repro.telemetry.TelemetryReport` per engine-backed SpMV
     (empty when CG runs without an engine config).
-    ``telemetry_reports`` holds the matching per-SpMV
-    :class:`~repro.telemetry.TelemetryReport` objects.
     """
 
     solution: np.ndarray
@@ -40,7 +38,6 @@ class CGResult:
     converged: bool
     residual_norms: list = field(default_factory=list)
     traffic: TrafficLedger = field(default_factory=TrafficLedger)
-    fault_reports: list = field(default_factory=list)
     telemetry_reports: list = field(default_factory=list)
 
     def telemetry(self):
@@ -110,7 +107,6 @@ def conjugate_gradient(
     config = ensure_config(config)
     engine = TwoStepEngine(config) if config is not None else None
     traffic = TrafficLedger()
-    fault_reports = []
     telemetry_reports = []
 
     def apply(v: np.ndarray) -> np.ndarray:
@@ -119,7 +115,6 @@ def conjugate_gradient(
             return matrix.spmv(v)
         result = engine.run(matrix, v)
         traffic = traffic.add(result.report.traffic)
-        fault_reports.append(result.faults)
         telemetry_reports.append(result.telemetry)
         return result.y
 
@@ -130,7 +125,7 @@ def conjugate_gradient(
     rr = float(r @ r)
     norms = [float(np.sqrt(rr)) / b_norm]
     if norms[0] < tol:
-        return CGResult(z, 0, True, norms, traffic, fault_reports, telemetry_reports)
+        return CGResult(z, 0, True, norms, traffic, telemetry_reports)
     for iteration in range(1, max_iterations + 1):
         ap = apply(p)
         denom = float(p @ ap)
@@ -142,7 +137,7 @@ def conjugate_gradient(
         rr_next = float(r @ r)
         norms.append(float(np.sqrt(rr_next)) / b_norm)
         if norms[-1] < tol:
-            return CGResult(z, iteration, True, norms, traffic, fault_reports, telemetry_reports)
+            return CGResult(z, iteration, True, norms, traffic, telemetry_reports)
         p = r + (rr_next / rr) * p
         rr = rr_next
-    return CGResult(z, max_iterations, False, norms, traffic, fault_reports, telemetry_reports)
+    return CGResult(z, max_iterations, False, norms, traffic, telemetry_reports)

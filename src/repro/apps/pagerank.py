@@ -49,11 +49,9 @@ def stochastic_matrix(adjacency: COOMatrix) -> COOMatrix:
 class PageRankResult:
     """Converged ranks plus run statistics.
 
-    ``fault_reports`` holds one
-    :class:`~repro.faults.report.FaultReport` per iteration (from the
+    ``telemetry_reports`` holds one
+    :class:`~repro.telemetry.TelemetryReport` per iteration (from the
     underlying engine).
-    ``telemetry_reports`` holds the matching per-iteration
-    :class:`~repro.telemetry.TelemetryReport` objects.
     """
 
     ranks: np.ndarray
@@ -61,7 +59,6 @@ class PageRankResult:
     converged: bool
     residuals: list = field(default_factory=list)
     its_report: object = None
-    fault_reports: list = field(default_factory=list)
     telemetry_reports: list = field(default_factory=list)
 
     def telemetry(self):
@@ -147,6 +144,5 @@ def pagerank(
         residuals[-1] < tol,
         residuals,
         report,
-        fault_reports=list(report.fault_reports),
         telemetry_reports=list(report.telemetry_reports),
     )

@@ -20,7 +20,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from repro.api import DEFAULT_SEGMENT_WIDTH
 from repro.autotune.profile import KNOB_FIELDS, _profile_error
+from repro.backends.native import numba_available
 
 
 def _dedupe(values) -> tuple:
@@ -105,7 +107,7 @@ def _segment_width_candidates(n_cols: int) -> tuple:
     stripes are behaviourally identical to one full-width stripe.
     """
     n_cols = max(int(n_cols), 1)
-    raw = [n_cols, -(-n_cols // 2), -(-n_cols // 4), 8192, 2048]
+    raw = [n_cols, -(-n_cols // 2), -(-n_cols // 4), DEFAULT_SEGMENT_WIDTH, 2048]
     return _dedupe(w for w in raw if 1 <= w <= n_cols) or (n_cols,)
 
 
@@ -124,8 +126,11 @@ def default_search_space(
         include_serving: Include the serving-side ``max_batch``
             component (measured on batched ``run_many`` throughput).
 
-    The ``n_jobs`` component (``native`` ``prange`` threads) is offered
-    only on multi-core hosts.
+    The ``backend`` and ``n_jobs`` components are offered only when
+    Numba is installed: without it ``native`` runs the vectorized
+    kernels and ignores ``n_jobs``, so both would be measured no-ops.
+    ``n_jobs`` (``native`` ``prange`` threads) also needs a multi-core
+    host.
     """
     n_cols = matrix.n_cols if matrix is not None else 1 << 20
 
@@ -136,7 +141,7 @@ def default_search_space(
         from repro.compression.vldi import optimal_block_width
         from repro.core.autotune import sample_intermediate_deltas
 
-        width = min(8192, max(n_cols, 1))
+        width = min(DEFAULT_SEGMENT_WIDTH, max(n_cols, 1))
         deltas = sample_intermediate_deltas(matrix, width, max_records=1 << 18)
         if deltas.size:
             best, _sizes = optimal_block_width(deltas, candidates=range(2, 21))
@@ -145,14 +150,18 @@ def default_search_space(
         if stats.degree_skew > 4.0:
             hdn_candidates.append(int(stats.suggested_hdn_threshold()))
 
+    jit = numba_available()
     components = [
         Component("segment_width", _segment_width_candidates(n_cols)),
         Component("q", (4, 2, 1, 0)),
-        Component("backend", ("vectorized", "native")),
+    ]
+    if jit:
+        components.append(Component("backend", ("vectorized", "native")))
+    components += [
         Component("vldi_vector_block_bits", tuple(vldi_candidates), name="vldi"),
         Component("hdn_threshold", tuple(hdn_candidates), name="hdn"),
     ]
-    if (os.cpu_count() or 1) > 1:
+    if jit and (os.cpu_count() or 1) > 1:
         components.append(Component("n_jobs", (None, 2, os.cpu_count() or 2)))
     if include_serving:
         components.append(

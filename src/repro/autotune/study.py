@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.api import static_defaults
 from repro.autotune.profile import TuningProfile, matrix_fingerprint
 from repro.autotune.space import SearchSpace, default_search_space
 
@@ -45,13 +46,11 @@ from repro.autotune.space import SearchSpace, default_search_space
 #: oracle must be recomputed (reference backend, same structure).
 STRUCTURAL_KNOBS = ("segment_width", "q", "vldi_vector_block_bits", "hdn_threshold")
 
-#: Effective values of the static default configuration; a candidate
-#: equal to the current effective value is a no-op and is not measured.
-_BASELINE_DEFAULTS = {
-    "segment_width": 8192,
-    "q": 4,
-    "backend": "vectorized",
-}
+def _baseline_defaults() -> dict:
+    """Effective values of the static default configuration; a candidate
+    equal to the current effective value is a no-op and is not measured."""
+    defaults = static_defaults()
+    return {name: defaults[name] for name in ("segment_width", "q", "backend")}
 
 
 def knobs_to_config(knobs: dict, *, backend_override: str | None = None):
@@ -59,13 +58,7 @@ def knobs_to_config(knobs: dict, *, backend_override: str | None = None):
     flat knob mapping (``max_batch`` is serving-side and ignored)."""
     from repro.core.config import TwoStepConfig
 
-    kwargs = {
-        "segment_width": 8192,
-        "q": 4,
-        "backend": "vectorized",
-        "telemetry": False,
-        "tuning": "off",
-    }
+    kwargs = {**_baseline_defaults(), "telemetry": False, "tuning": "off"}
     for name in ("segment_width", "q", "backend", "n_jobs",
                  "vldi_vector_block_bits"):
         if name in knobs and knobs[name] is not None:
@@ -341,6 +334,7 @@ class TuningStudy:
             probe_batch=self.probe_batch,
         )
         knobs: dict = {}
+        baseline = _baseline_defaults()
         _y, baseline_cold, baseline_warm, _ = self._measure(knobs, None)
         if not np.array_equal(_y, self._oracle(knobs)):
             raise AssertionError(
@@ -354,9 +348,7 @@ class TuningStudy:
                 continue
             warm_before = current_warm
             best_value, best_warm = None, None
-            effective = knobs.get(
-                component.knob, _BASELINE_DEFAULTS.get(component.knob)
-            )
+            effective = knobs.get(component.knob, baseline.get(component.knob))
             for value in component.candidates:
                 if value == effective or (value is None and effective is None):
                     continue

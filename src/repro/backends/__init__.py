@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import os
 
+from repro.api import ENV_VARS
 from repro.backends.base import ExecutionBackend, SparseVector
 from repro.backends.native import NativeBackend
 from repro.backends.reference import ReferenceBackend
 from repro.backends.vectorized import VectorizedBackend
 
 #: Environment variable consulted when no backend is configured.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
+BACKEND_ENV_VAR = ENV_VARS["backend"]
 
 #: Backend used when neither the config nor the environment selects one.
 DEFAULT_BACKEND = "vectorized"

@@ -21,8 +21,7 @@ PAPERS.md).
   :class:`~repro.backends.vectorized.VectorizedBackend` kernels with a
   single :class:`RuntimeWarning` per process (results stay correct and
   bit-identical; only speed is lost).  Requesting strict native
-  execution (``NativeBackend(require=True)`` or
-  ``REPRO_NATIVE_REQUIRE=1``) raises a
+  execution (``NativeBackend(require=True)``) raises a
   :class:`~repro.faults.errors.ConfigurationError` instead.
 
 **Bit-identity.**  Every fused loop replays the exact left-associated
@@ -47,24 +46,14 @@ import warnings
 
 import numpy as np
 
+from repro.api import ENV_VARS, parse_env
 from repro.backends.base import SparseVector
 from repro.backends.vectorized import VectorizedBackend
 from repro.faults.errors import ConfigurationError
 from repro.telemetry.session import metric_inc, span
 
 #: Thread count for the ``prange`` kernels when none is configured.
-JOBS_ENV_VAR = "REPRO_JOBS"
-
-#: Strict-mode switch: a truthy value turns the missing-Numba fallback
-#: into a :class:`~repro.faults.errors.ConfigurationError`.
-NATIVE_REQUIRE_ENV_VAR = "REPRO_NATIVE_REQUIRE"
-
-#: A truthy value makes the backend behave as if Numba were not
-#: installed (fallback path), regardless of the actual environment --
-#: the CI lever that keeps the fallback exercised, not skipped.
-NATIVE_DISABLE_ENV_VAR = "REPRO_NATIVE_DISABLE"
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
+JOBS_ENV_VAR = ENV_VARS["n_jobs"]
 
 #: Cached probe result: ``None`` = not probed, ``False`` = unavailable,
 #: otherwise the imported module.
@@ -86,23 +75,11 @@ def _import_numba():
     return numba
 
 
-def _env_truthy(var: str) -> bool:
-    return os.environ.get(var, "").strip().lower() in _TRUTHY
-
-
 def default_jobs() -> int:
     """Thread count when none is configured: ``REPRO_JOBS`` or CPU count."""
     env = os.environ.get(JOBS_ENV_VAR)
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{JOBS_ENV_VAR} must be an integer, got {env!r}"
-            ) from exc
-        if jobs <= 0:
-            raise ConfigurationError(f"{JOBS_ENV_VAR} must be positive, got {jobs}")
-        return jobs
+    if env is not None:
+        return parse_env("n_jobs", env)
     return max(1, os.cpu_count() or 1)
 
 
@@ -118,9 +95,7 @@ def numba_module():
 
 
 def numba_available() -> bool:
-    """True when JIT kernels can run (Numba importable and not disabled)."""
-    if _env_truthy(NATIVE_DISABLE_ENV_VAR):
-        return False
+    """True when JIT kernels can run (Numba importable)."""
     return numba_module() is not None
 
 
@@ -251,7 +226,7 @@ class NativeBackend(VectorizedBackend):
     #: Process-wide warn-once latch for the missing-Numba fallback.
     _warned = False
 
-    def __init__(self, n_jobs: int | None = None, require: bool | None = None):
+    def __init__(self, n_jobs: int | None = None, require: bool = False):
         """
         Args:
             n_jobs: Threads for ``prange`` kernels; None resolves
@@ -259,21 +234,17 @@ class NativeBackend(VectorizedBackend):
                 kernels (no threading layer involved at all).
             require: Raise :class:`~repro.faults.errors.
                 ConfigurationError` instead of falling back when Numba
-                is unavailable; None defers to ``REPRO_NATIVE_REQUIRE``,
-                then False.
+                is unavailable.
         """
         self.n_jobs = int(n_jobs) if n_jobs is not None else default_jobs()
         if self.n_jobs <= 0:
             raise ConfigurationError("n_jobs must be positive")
-        if require is None:
-            require = _env_truthy(NATIVE_REQUIRE_ENV_VAR)
         self.jit_enabled = numba_available()
         if not self.jit_enabled:
             if require:
                 raise ConfigurationError(
-                    "backend='native' requires Numba, which is not installed "
-                    "(or is disabled via REPRO_NATIVE_DISABLE); install numba "
-                    "or drop REPRO_NATIVE_REQUIRE to fall back to the "
+                    "backend='native' requires Numba, which is not installed; "
+                    "install numba or drop require=True to fall back to the "
                     "bit-identical vectorized kernels"
                 )
             if not NativeBackend._warned:
@@ -502,8 +473,6 @@ class NativeBackend(VectorizedBackend):
 
 __all__ = [
     "JOBS_ENV_VAR",
-    "NATIVE_DISABLE_ENV_VAR",
-    "NATIVE_REQUIRE_ENV_VAR",
     "NativeBackend",
     "default_jobs",
     "numba_available",

@@ -231,8 +231,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"stripes: {report.n_stripes}, intermediate records: {report.intermediate_records:,}")
     print(f"step-1 cycles: {report.step1.cycles:,.0f}, step-2 cycles: {report.step2.cycles:,.0f}")
     print(f"plan build: {report.plan_build_s * 1e3:.1f} ms")
-    if result.faults is not None and not result.faults.clean:
-        print(f"faults: {result.faults.summary()}")
     print(report.traffic)
     _emit_telemetry(args, result.telemetry)
     return 0 if result.verified else 1
@@ -265,8 +263,6 @@ def cmd_spgemm(args: argparse.Namespace) -> int:
     )
     if args.verify:
         print(f"verified against dense product: {'OK' if result.verified else 'MISMATCH'}")
-    if result.faults is not None and not result.faults.clean:
-        print(f"faults: {result.faults.summary()}")
     if args.output:
         _save_matrix(c, args.output)
         print(f"wrote product to {args.output}")

@@ -13,6 +13,11 @@ from repro.filters.hdn import HDNConfig
 class TwoStepConfig:
     """Parameters controlling the functional Two-Step engine.
 
+    Fields that "defer to" a ``REPRO_*`` variable are resolved once,
+    when an engine is built from the config
+    (:meth:`repro.api.EngineOptions.resolve`); ``engine.config`` holds
+    the pinned values.
+
     Attributes:
         segment_width: Source-vector elements per scratchpad-resident
             segment; dictates the stripe width (paper: set by scratchpad

@@ -38,12 +38,10 @@ from repro.memory.traffic import TrafficLedger
 class ITSRunReport:
     """Aggregate of an ITS iterative run.
 
-    ``fault_reports`` carries one
-    :class:`~repro.faults.report.FaultReport` per executed iteration, in
-    iteration order.  ``telemetry_reports`` carries the
-    matching per-iteration
-    :class:`~repro.telemetry.TelemetryReport` objects (None entries when
-    telemetry is disabled); :meth:`telemetry` rolls them up.
+    ``telemetry_reports`` carries one
+    :class:`~repro.telemetry.TelemetryReport` per executed iteration, in
+    iteration order (None entries when telemetry is disabled);
+    :meth:`telemetry` rolls them up.
     """
 
     iterations: int
@@ -51,7 +49,6 @@ class ITSRunReport:
     traffic: TrafficLedger = field(default_factory=TrafficLedger)
     overlapped_cycles: float = 0.0
     sequential_cycles: float = 0.0
-    fault_reports: list = field(default_factory=list)
     telemetry_reports: list = field(default_factory=list)
 
     @property
@@ -134,7 +131,6 @@ class ITSEngine:
             previous = x
             result = self._engine.run(matrix, x)
             x, step_report = result.y, result.report
-            report.fault_reports.append(result.faults)
             report.telemetry_reports.append(result.telemetry)
             if transform is not None:
                 x = transform(x)

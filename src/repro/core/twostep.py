@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.api import SpGEMMResult, SpMVResult
+from repro.api import EngineOptions, SpGEMMResult, SpMVResult
 from repro.backends import ExecutionBackend, resolve_backend
 from repro.core.config import TwoStepConfig
 from repro.core.plan import (
@@ -48,12 +48,7 @@ from repro.core.plan import (
 from repro.core.step1 import IntermediateVector, Step1Engine, Step1Stats
 from repro.core.step2 import Step2Engine, Step2Stats
 from repro.faults.errors import ConfigurationError
-from repro.faults.report import FaultReport, collect_faults
-from repro.faults.validation import (
-    resolve_strict_validate,
-    validate_inputs,
-    validate_matrix,
-)
+from repro.faults.validation import validate_inputs, validate_matrix
 from repro.formats.coo import COOMatrix
 from repro.formats.hypersparse import StripeFormat
 from repro.memory.traffic import TrafficLedger
@@ -61,7 +56,6 @@ from repro.telemetry import (
     MetricsRegistry,
     TelemetryReport,
     metric_inc,
-    resolve_telemetry,
     span,
     telemetry_scope,
     telemetry_session,
@@ -151,6 +145,13 @@ class TwoStepEngine:
     ``config.plan_cache``), so calling ``run`` repeatedly on the same
     matrix -- the shape of every iterative solver -- re-derives nothing
     matrix-sided after the first call.
+
+    The configuration is pinned at construction through the same
+    resolver :func:`repro.api.create_engine` uses (explicit value >
+    ``REPRO_*`` environment variable > package default): ``backend``,
+    ``strict_validate``, ``telemetry`` and ``tuning`` are settled on
+    ``engine.config`` then, and later environment changes cannot alter a
+    built engine.
     """
 
     def __init__(
@@ -160,11 +161,16 @@ class TwoStepEngine:
     ):
         """
         Args:
-            config: Engine configuration.
-            backend: Optional execution-backend override; defaults to
-                ``config.backend`` (then ``REPRO_BACKEND``, then the
-                package default).
+            config: Engine configuration; fields left None are resolved
+                from their ``REPRO_*`` variable, then the package default.
+            backend: Optional execution-backend override (a registry
+                name or an instance); defaults to ``config.backend``.
         """
+        options = EngineOptions.from_config(config)
+        if isinstance(backend, str):
+            options = options.replace(backend=backend)
+        # to_config() resolves first: the returned config is pinned.
+        config = options.to_config()
         self.config = config
         self.backend = resolve_backend(
             backend or config.backend,
@@ -179,7 +185,7 @@ class TwoStepEngine:
         # engine's lifetime metrics), and a bounded memo of per-matrix
         # decisions so the warm path costs one dict probe.
         self._tuner = None
-        if config.tuning not in (None, "off"):
+        if config.tuning != "off":
             from repro.autotune.profile import resolve_profile_store
 
             self._tuner = resolve_profile_store(config.tuning)
@@ -376,7 +382,7 @@ class TwoStepEngine:
             )
             decided = len(self._tuned_decisions)
         return {
-            "mode": self.config.tuning or "off",
+            "mode": self.config.tuning,
             "store": self._tuner.describe() if self._tuner is not None else None,
             "matrices_decided": decided,
             "matrices_tuned": tuned,
@@ -413,36 +419,31 @@ class TwoStepEngine:
         if delegate is not None:
             return delegate.run(matrix, x, y=y, verify=verify)
         start = time.perf_counter()
-        strict = resolve_strict_validate(self.config.strict_validate)
-        x, y = validate_inputs(matrix, x, y=y, strict=strict)
-        faults = FaultReport(validated=True, strict_validate=strict)
+        x, y = validate_inputs(matrix, x, y=y, strict=self.config.strict_validate)
         session = self._open_session()
         with telemetry_scope(session):
             with span("spmv.run", backend=self.backend.name, batch=1):
-                with collect_faults(faults):
-                    plan = self.plan(matrix)
-                    symbolic = plan.step2_symbolic(self.config.n_cores)
-                    workspace = self._workspace()
-                    with span("step1", n_stripes=len(plan.stripes)):
-                        lists = self._step1.run_planned(plan, x, workspace=workspace)
-                    with span("step2", n_lists=len(lists)):
-                        result = self._step2.run_lists_plan(
-                            symbolic, lists, y=y, workspace=workspace
-                        )
+                plan = self.plan(matrix)
+                symbolic = plan.step2_symbolic(self.config.n_cores)
+                workspace = self._workspace()
+                with span("step1", n_stripes=len(plan.stripes)):
+                    lists = self._step1.run_planned(plan, x, workspace=workspace)
+                with span("step2", n_lists=len(lists)):
+                    result = self._step2.run_lists_plan(
+                        symbolic, lists, y=y, workspace=workspace
+                    )
         report = self._report(plan, batch=1)
         verified = None
         if verify:
             base = reference_spmv_cached(matrix, x)
             reference = base if y is None else base + np.asarray(y, dtype=np.float64)
             verified = bool(np.allclose(result, reference))
-        faults.elapsed_s = time.perf_counter() - start
         wall = time.perf_counter() - start
         return SpMVResult(
             y=result,
             report=report,
             verified=verified,
             wall_time_s=wall,
-            faults=faults,
             telemetry=self._publish_telemetry(session, plan, report, wall),
         )
 
@@ -483,23 +484,22 @@ class TwoStepEngine:
         if delegate is not None:
             return delegate.run_many(matrix, X, Y=Y, verify=verify)
         start = time.perf_counter()
-        strict = resolve_strict_validate(self.config.strict_validate)
-        X, Y = validate_inputs(matrix, X, y=Y, strict=strict, batch=True)
+        X, Y = validate_inputs(
+            matrix, X, y=Y, strict=self.config.strict_validate, batch=True
+        )
         k = X.shape[1]
-        faults = FaultReport(validated=True, strict_validate=strict)
         session = self._open_session()
         with telemetry_scope(session):
             with span("spmv.run", backend=self.backend.name, batch=k):
-                with collect_faults(faults):
-                    plan = self.plan(matrix)
-                    symbolic = plan.step2_symbolic(self.config.n_cores)
-                    workspace = self._workspace()
-                    with span("step1", n_stripes=len(plan.stripes)):
-                        lists = self._step1.run_planned_batch(plan, X)
-                    with span("step2", n_lists=len(lists)):
-                        result = self._step2.run_batch_plan(
-                            symbolic, lists, k, Y=Y, workspace=workspace
-                        )
+                plan = self.plan(matrix)
+                symbolic = plan.step2_symbolic(self.config.n_cores)
+                workspace = self._workspace()
+                with span("step1", n_stripes=len(plan.stripes)):
+                    lists = self._step1.run_planned_batch(plan, X)
+                with span("step2", n_lists=len(lists)):
+                    result = self._step2.run_batch_plan(
+                        symbolic, lists, k, Y=Y, workspace=workspace
+                    )
         report = self._report(plan, batch=max(k, 1))
         verified = None
         if verify:
@@ -508,14 +508,12 @@ class TwoStepEngine:
                 base = reference_spmv_cached(matrix, X[:, j])
                 reference = base if Y is None else base + Y[:, j]
                 verified = verified and bool(np.allclose(result[:, j], reference))
-        faults.elapsed_s = time.perf_counter() - start
         wall = time.perf_counter() - start
         return SpMVResult(
             y=result,
             report=report,
             verified=verified,
             wall_time_s=wall,
-            faults=faults,
             telemetry=self._publish_telemetry(session, plan, report, wall),
         )
 
@@ -552,7 +550,7 @@ class TwoStepEngine:
             InvalidMatrixError: An operand violates the input contract.
         """
         start = time.perf_counter()
-        strict = resolve_strict_validate(self.config.strict_validate)
+        strict = self.config.strict_validate
         validate_matrix(a, strict=strict)
         validate_matrix(b, strict=strict)
         if a.n_cols != b.n_rows:
@@ -560,22 +558,20 @@ class TwoStepEngine:
                 f"spgemm inner dimensions differ: A is {a.n_rows}x{a.n_cols}, "
                 f"B is {b.n_rows}x{b.n_cols}"
             )
-        faults = FaultReport(validated=True, strict_validate=strict)
         session = self._open_session()
         with telemetry_scope(session):
             with span("spgemm.run", backend=self.backend.name):
-                with collect_faults(faults):
-                    plan = self.plan(a)
-                    splan = plan.spgemm_plan(b)
-                    workspace = self._workspace()
-                    with span("spgemm.products", records=splan.total_records):
-                        products = self.backend.spgemm_products(
-                            splan, b.vals, workspace=workspace
-                        )
-                    with span("spgemm.merge", n_merged=splan.n_merged):
-                        merged = self.backend.spgemm_merge(
-                            splan, products, workspace=workspace
-                        )
+                plan = self.plan(a)
+                splan = plan.spgemm_plan(b)
+                workspace = self._workspace()
+                with span("spgemm.products", records=splan.total_records):
+                    products = self.backend.spgemm_products(
+                        splan, b.vals, workspace=workspace
+                    )
+                with span("spgemm.merge", n_merged=splan.n_merged):
+                    merged = self.backend.spgemm_merge(
+                        splan, products, workspace=workspace
+                    )
         c = COOMatrix(
             a.n_rows,
             b.n_cols,
@@ -597,14 +593,12 @@ class TwoStepEngine:
         if verify:
             dense = a.to_dense() @ b.to_dense()
             verified = bool(np.allclose(c.to_dense(), dense))
-        faults.elapsed_s = time.perf_counter() - start
         wall = time.perf_counter() - start
         return SpGEMMResult(
             c=c,
             report=report,
             verified=verified,
             wall_time_s=wall,
-            faults=faults,
             telemetry=self._publish_spgemm_telemetry(session, report, wall),
         )
 
@@ -686,7 +680,7 @@ class TwoStepEngine:
 
     def _open_session(self):
         """A fresh telemetry session, or None when telemetry is off."""
-        if not resolve_telemetry(self.config.telemetry):
+        if not self.config.telemetry:
             return None
         return telemetry_session()
 

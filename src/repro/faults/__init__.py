@@ -1,10 +1,7 @@
-"""Fault tolerance: typed errors, fault reports, injection, validation.
+"""Fault tolerance: typed errors, injection, validation.
 
 * :mod:`repro.faults.errors` -- the typed exception hierarchy
   (:class:`InvalidMatrixError`, :class:`OverloadedError`, ...).
-* :mod:`repro.faults.report` -- :class:`FaultReport` accounting attached
-  to every :class:`~repro.api.SpMVResult`, populated through the
-  :func:`collect_faults` scope the engine opens around each execution.
 * :mod:`repro.faults.injection` -- the deterministic
   :class:`FaultPlan` / :func:`inject_faults` harness that makes executor
   crashes, hangs and payload corruption at the serving sites
@@ -47,17 +44,8 @@ from repro.faults.injection import (
     inject_faults,
     match_fault,
 )
-from repro.faults.report import (
-    FaultEvent,
-    FaultReport,
-    collect_faults,
-    current_report,
-    record_event,
-)
 from repro.faults.validation import (
-    STRICT_VALIDATE_ENV_VAR,
     normalize_batch_operand,
-    resolve_strict_validate,
     validate_inputs,
     validate_matrix,
     validate_vector,
@@ -72,9 +60,7 @@ __all__ = [
     "CorruptPayloadError",
     "DeadlineExceededError",
     "FaultError",
-    "FaultEvent",
     "FaultPlan",
-    "FaultReport",
     "FaultSpec",
     "InjectedFault",
     "InvalidInputError",
@@ -84,20 +70,15 @@ __all__ = [
     "QuotaExceededError",
     "RequestCancelledError",
     "ServerClosedError",
-    "STRICT_VALIDATE_ENV_VAR",
     "ServingError",
     "SnapshotCorruptError",
     "UnknownMatrixError",
     "WorkerCrashError",
     "active_plan",
     "apply_fault",
-    "collect_faults",
-    "current_report",
     "inject_faults",
     "match_fault",
     "normalize_batch_operand",
-    "record_event",
-    "resolve_strict_validate",
     "validate_inputs",
     "validate_matrix",
     "validate_vector",

@@ -6,9 +6,9 @@ out-of-range index segfault-equivalents the vectorized gather, and an
 unsorted RM-COO stream breaks the run-structure contract every kernel
 relies on.  Cheap shape/dtype checks always run; the full-scan checks
 (finiteness, index range, duplicates, sortedness) are the *strict* tier,
-enabled per-config (``TwoStepConfig(strict_validate=True)``), per-call,
-via ``--strict-validate`` on the CLI, or globally with the
-``REPRO_STRICT_VALIDATE`` environment variable.
+enabled per engine (``strict_validate=True``, ``--strict-validate`` on
+the CLI, or the ``REPRO_STRICT_VALIDATE`` environment variable, all
+resolved once when the engine is built by :mod:`repro.api`).
 
 All rejections raise the typed hierarchy of :mod:`repro.faults.errors`
 (subclasses of :class:`ValueError`, so legacy ``except ValueError``
@@ -17,8 +17,6 @@ call sites keep working).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.faults.errors import (
@@ -26,24 +24,6 @@ from repro.faults.errors import (
     InvalidMatrixError,
     InvalidVectorError,
 )
-
-#: Environment variable enabling strict validation globally.
-STRICT_VALIDATE_ENV_VAR = "REPRO_STRICT_VALIDATE"
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-
-def resolve_strict_validate(flag: bool | None = None) -> bool:
-    """Resolve the strict-validation setting.
-
-    Args:
-        flag: Explicit setting; None defers to
-            :data:`STRICT_VALIDATE_ENV_VAR`, then False.
-    """
-    if flag is not None:
-        return bool(flag)
-    return os.environ.get(STRICT_VALIDATE_ENV_VAR, "").strip().lower() in _TRUTHY
-
 
 def validate_vector(
     x, n: int, name: str = "x", strict: bool = False, ndim: int = 1
@@ -225,9 +205,7 @@ def validate_inputs(
 
 
 __all__ = [
-    "STRICT_VALIDATE_ENV_VAR",
     "normalize_batch_operand",
-    "resolve_strict_validate",
     "validate_inputs",
     "validate_matrix",
     "validate_vector",

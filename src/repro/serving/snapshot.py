@@ -27,8 +27,9 @@ Each manifest entry is read, CRC-verified against the manifest, decoded,
 and its rebuilt matrix re-fingerprinted; the fingerprint must equal the
 manifest's.  Any failure -- missing file, truncation, CRC mismatch,
 decode error, fingerprint mismatch, injected ``registry.io`` fault --
-moves the payload into ``quarantine/`` with a logged fault report and
-restoration continues with the remaining entries.
+moves the payload into ``quarantine/`` with a ``RuntimeWarning`` and a
+``serving_snapshot_quarantined_total`` tick, and restoration continues
+with the remaining entries.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import numpy as np
 
 from repro.faults.errors import SnapshotCorruptError
 from repro.faults.injection import apply_fault
-from repro.faults.report import record_event
 from repro.telemetry.session import span
 
 SNAPSHOT_VERSION = 1
@@ -210,7 +210,7 @@ class SnapshotStore:
                     matrix = self._verify_entry(entry)
                     registry.restore(matrix, tenant, expected_fingerprint=fingerprint)
                 except Exception as exc:
-                    self._quarantine(entry, index, exc)
+                    self._quarantine(entry, exc)
                     quarantined.append((tenant, fingerprint))
                 else:
                     restored.append((tenant, fingerprint))
@@ -237,7 +237,7 @@ class SnapshotStore:
                 raise SnapshotCorruptError("manifest is not a JSON object")
             return manifest
         except Exception as exc:
-            self._quarantine({"file": _MANIFEST}, -1, exc)
+            self._quarantine({"file": _MANIFEST}, exc)
             return {}
 
     def _verify_entry(self, entry: dict):
@@ -262,8 +262,8 @@ class SnapshotStore:
             )
         return matrix
 
-    def _quarantine(self, entry: dict, index: int, exc: Exception) -> None:
-        """Move a failed entry aside and log a fault report."""
+    def _quarantine(self, entry: dict, exc: Exception) -> None:
+        """Move a failed entry aside, warn, and count it."""
         name = str(entry.get("file", "unknown"))
         detail = f"{type(exc).__name__}: {exc}"
         self.quarantined += 1
@@ -275,7 +275,6 @@ class SnapshotStore:
                 os.replace(source, target)
             except OSError:
                 pass
-        record_event("registry.io", index, "error", detail=detail)
         warnings.warn(
             f"quarantined snapshot entry {name!r}: {detail}",
             RuntimeWarning,

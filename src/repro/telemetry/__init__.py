@@ -7,8 +7,7 @@ ratios -- so the runtime carries a first-class telemetry layer:
 * **Spans** (:mod:`repro.telemetry.spans`) -- nested, timed trace spans
   (``spmv.run`` > ``plan.build`` / ``step1.stripe[k]`` /
   ``step2.merge`` / ``inject`` / ``inject.class[r]``), scoped
-  through a ContextVar session exactly like
-  :func:`repro.faults.report.collect_faults`.
+  through a ContextVar session.
 * **Metrics** (:mod:`repro.telemetry.metrics`) -- typed counters /
   gauges / histograms (records merged, keys injected, bytes per stream,
   plan-cache hits, shard imbalance, VLDI bits per index) with
@@ -39,7 +38,6 @@ from repro.telemetry.export import (
 from repro.telemetry.hooks import CallbackHook, NullHook, TelemetryHook
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.session import (
-    TELEMETRY_ENV_VAR,
     TelemetrySession,
     add_global_hook,
     annotate_span,
@@ -49,7 +47,6 @@ from repro.telemetry.session import (
     metric_observe,
     metric_set,
     remove_global_hook,
-    resolve_telemetry,
     span,
     telemetry_scope,
     telemetry_session,
@@ -122,7 +119,6 @@ __all__ = [
     "MetricsRegistry",
     "NullHook",
     "Span",
-    "TELEMETRY_ENV_VAR",
     "TelemetryHook",
     "TelemetryReport",
     "TelemetrySession",
@@ -138,7 +134,6 @@ __all__ = [
     "metric_set",
     "prometheus_text",
     "remove_global_hook",
-    "resolve_telemetry",
     "span",
     "spans_to_jsonl",
     "telemetry_scope",

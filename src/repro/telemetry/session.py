@@ -2,9 +2,8 @@
 
 One :class:`TelemetrySession` bundles the tracer, the metrics registry
 and the attached hooks for one engine execution.  The engine opens a
-:func:`telemetry_scope` around ``run`` / ``run_many`` (mirroring
-:func:`repro.faults.report.collect_faults`); instrumented code anywhere
-below records through the module helpers :func:`span`,
+:func:`telemetry_scope` around ``run`` / ``run_many``; instrumented
+code anywhere below records through the module helpers :func:`span`,
 :func:`metric_inc`, :func:`metric_set`, :func:`metric_observe` and
 :func:`annotate_span`, all of which collapse to a single ContextVar read
 plus an ``is None`` test when telemetry is disabled -- the hot path pays
@@ -18,7 +17,6 @@ internals.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -26,30 +24,8 @@ from dataclasses import dataclass, field
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import Span, Tracer
 
-#: Environment variable overriding the default telemetry setting.
-TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
-
-_FALSY = {"0", "false", "no", "off", ""}
-
 #: Process-wide hooks included in every session engines create.
 _GLOBAL_HOOKS: list = []
-
-
-def resolve_telemetry(flag: bool | None = None) -> bool:
-    """Resolve the telemetry on/off setting.
-
-    Args:
-        flag: Explicit setting; None defers to
-            :data:`TELEMETRY_ENV_VAR`, then True (telemetry is on by
-            default -- the instrumented path is the measured <3%-overhead
-            path, and disabling it is an explicit opt-out).
-    """
-    if flag is not None:
-        return bool(flag)
-    env = os.environ.get(TELEMETRY_ENV_VAR)
-    if env is None:
-        return True
-    return env.strip().lower() not in _FALSY
 
 
 def add_global_hook(hook) -> None:
@@ -172,7 +148,6 @@ def metric_observe(
 
 
 __all__ = [
-    "TELEMETRY_ENV_VAR",
     "TelemetrySession",
     "add_global_hook",
     "annotate_span",
@@ -182,7 +157,6 @@ __all__ = [
     "metric_observe",
     "metric_set",
     "remove_global_hook",
-    "resolve_telemetry",
     "span",
     "telemetry_scope",
     "telemetry_session",

@@ -2,9 +2,8 @@
 
 Covers the precedence rule (explicit argument > environment variable >
 package default), provenance reporting, the TwoStepConfig bridge, the
-rejection of the removed legacy constructor keywords, and the guarantee
-that the static defaults table cannot drift from the live package
-defaults.
+rejection of the removed legacy constructor keywords, and the pinning
+of directly built engines through the same resolver.
 """
 
 import warnings
@@ -12,10 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.api as api
 from repro import create_engine, reference_spmv
 from repro.api import DEFAULT_SEGMENT_WIDTH, ENV_VARS, EngineOptions, ensure_config
-from repro.backends import DEFAULT_BACKEND
+from repro.backends import DEFAULT_BACKEND, NativeBackend
 from repro.core.accelerator import Accelerator
 from repro.core.config import TwoStepConfig
 from repro.core.design_points import TS_ASIC
@@ -71,35 +69,47 @@ class TestPrecedence:
         assert options.resolve().backend == "reference"
 
     def test_boolean_env_parsing_matches_historical_resolvers(self, clean_env):
-        # Default-on flag: anything outside the falsy set means on.
-        clean_env.setenv("REPRO_TELEMETRY", "0")
+        # Default-on flag: only the falsy set (case- and space-insensitive)
+        # turns it off.
+        for falsy in ("0", "false", "No", " OFF ", ""):
+            clean_env.setenv("REPRO_TELEMETRY", falsy)
+            assert EngineOptions().resolve().telemetry is False, falsy
+        clean_env.setenv("REPRO_TELEMETRY", "maybe")
+        assert EngineOptions().resolve().telemetry is True
         # Default-off flag: requires an explicit truthy value.
         clean_env.setenv("REPRO_STRICT_VALIDATE", "yes")
-        options = EngineOptions().resolve()
-        assert options.telemetry is False
-        assert options.strict_validate is True
+        assert EngineOptions().resolve().strict_validate is True
+        clean_env.setenv("REPRO_STRICT_VALIDATE", "maybe")
+        assert EngineOptions().resolve().strict_validate is False
 
     def test_garbage_env_value_raises_configuration_error(self, clean_env):
         clean_env.setenv("REPRO_JOBS", "many")
         with pytest.raises(ConfigurationError, match="REPRO_JOBS"):
             EngineOptions().resolve()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: create_engine(backend="native"),
+            lambda: TwoStepEngine(TwoStepConfig(segment_width=64, backend="native")),
+            lambda: NativeBackend(),
+        ],
+        ids=["factory", "direct", "backend"],
+    )
+    def test_non_positive_jobs_error_names_the_variable(self, clean_env, build):
+        clean_env.setenv("REPRO_JOBS", "0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(
+                ConfigurationError, match="REPRO_JOBS must be positive, got 0"
+            ):
+                build()
+
     def test_dynamic_defaults_stay_unset(self, clean_env):
         options = EngineOptions().resolve()
         # CPU count / precision resolve downstream.
         assert options.n_jobs is None
         assert options.precision is None
-
-
-class TestStaticDefaultsTable:
-    def test_backend_default_cannot_drift(self):
-        assert api._STATIC_DEFAULTS["backend"] == DEFAULT_BACKEND
-
-    def test_config_side_defaults_match_twostepconfig(self):
-        config = TwoStepConfig(segment_width=DEFAULT_SEGMENT_WIDTH)
-        for name in ("q", "dpage_bytes", "step1_pipelines", "check_interleave",
-                     "index_field_bytes", "plan_cache"):
-            assert api._STATIC_DEFAULTS[name] == getattr(config, name), name
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +197,35 @@ class TestCreateEngine:
         converted = ensure_config(EngineOptions(segment_width=512))
         assert isinstance(converted, TwoStepConfig)
         assert converted.segment_width == 512
+
+
+class TestDirectEnginePinning:
+    """``TwoStepEngine(config)`` resolves through the factory's resolver."""
+
+    def test_direct_engine_matches_factory(self, clean_env):
+        clean_env.setenv("REPRO_BACKEND", "reference")
+        clean_env.setenv("REPRO_STRICT_VALIDATE", "1")
+        clean_env.setenv("REPRO_TELEMETRY", "0")
+        direct = TwoStepEngine(TwoStepConfig(segment_width=512))
+        assert direct.config == create_engine(segment_width=512).config
+        assert direct.backend.name == "reference"
+        assert direct.config.strict_validate is True
+        assert direct.config.telemetry is False
+
+    def test_environment_changes_after_construction_are_ignored(
+        self, clean_env, small_graph
+    ):
+        engine = TwoStepEngine(TwoStepConfig(segment_width=512))
+        pinned = engine.config
+        clean_env.setenv("REPRO_TELEMETRY", "0")
+        clean_env.setenv("REPRO_BACKEND", "reference")
+        clean_env.setenv("REPRO_STRICT_VALIDATE", "1")
+        x = np.ones(small_graph.n_cols)
+        x[0] = np.inf  # only the strict tier rejects non-finite values
+        result = engine.run(small_graph, x)
+        assert engine.config == pinned
+        assert result.telemetry is not None
+        assert result.report.backend == DEFAULT_BACKEND
 
 
 # ----------------------------------------------------------------------

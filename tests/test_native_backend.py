@@ -6,9 +6,8 @@ traffic ledgers -- whether Numba is installed (JIT-fused loops) or not
 (inherited vectorized kernels).  On top of the differential properties,
 these tests pin the detection machinery: the import-failure simulation
 proves the fallback warns exactly once per process and still computes
-correct results, and strict mode (``require=True`` /
-``REPRO_NATIVE_REQUIRE``) turns the same condition into a typed
-configuration error.
+correct results, and strict mode (``require=True``) turns the same
+condition into a typed configuration error.
 """
 
 import warnings
@@ -26,8 +25,6 @@ from repro.backends import (
 )
 from repro.backends.native import (
     JOBS_ENV_VAR,
-    NATIVE_DISABLE_ENV_VAR,
-    NATIVE_REQUIRE_ENV_VAR,
     default_jobs,
     numba_available,
     reset_native_state,
@@ -65,8 +62,7 @@ def _engine(backend, **config) -> TwoStepEngine:
 # ---------------------------------------------------------------------------
 
 
-def test_native_registered_and_resolvable(monkeypatch):
-    monkeypatch.delenv(NATIVE_REQUIRE_ENV_VAR, raising=False)
+def test_native_registered_and_resolvable():
     assert "native" in available_backends()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -178,7 +174,6 @@ def _break_numba(monkeypatch):
 
 
 def test_fallback_warns_once_and_stays_correct(monkeypatch):
-    monkeypatch.delenv(NATIVE_REQUIRE_ENV_VAR, raising=False)
     _break_numba(monkeypatch)
     assert not numba_available()
     with pytest.warns(RuntimeWarning, match="Numba is unavailable"):
@@ -203,16 +198,6 @@ def test_require_raises_when_unavailable(monkeypatch):
     _break_numba(monkeypatch)
     with pytest.raises(ConfigurationError, match="requires Numba"):
         NativeBackend(require=True)
-    monkeypatch.setenv(NATIVE_REQUIRE_ENV_VAR, "1")
-    with pytest.raises(ConfigurationError, match="requires Numba"):
-        NativeBackend()
-
-
-def test_disable_env_forces_fallback(monkeypatch):
-    monkeypatch.setenv(NATIVE_DISABLE_ENV_VAR, "1")
-    assert not numba_available()
-    backend = _quiet_native()
-    assert backend.kernel_tier == "numpy-fallback"
 
 
 @pytest.mark.skipif(not numba_available(), reason="JIT tier needs Numba")

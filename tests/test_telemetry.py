@@ -17,7 +17,7 @@ import re
 import numpy as np
 import pytest
 
-import repro.telemetry as telemetry
+from repro.api import ENV_VARS, EngineOptions
 from repro.core.config import TwoStepConfig
 from repro.core.twostep import TwoStepEngine
 from repro.generators.erdos_renyi import erdos_renyi_graph
@@ -33,7 +33,6 @@ from repro.telemetry import (
     metric_inc,
     prometheus_text,
     remove_global_hook,
-    resolve_telemetry,
     span,
     spans_to_jsonl,
     telemetry_scope,
@@ -222,23 +221,23 @@ class TestSessionScoping:
         assert outer.metrics.value("hidden_total") == 0.0
 
     def test_resolve_telemetry_precedence(self, monkeypatch):
-        monkeypatch.delenv(telemetry.TELEMETRY_ENV_VAR, raising=False)
-        assert resolve_telemetry(None) is True  # default on
-        assert resolve_telemetry(False) is False
-        for falsy in ("0", "false", "No", " OFF ", ""):
-            monkeypatch.setenv(telemetry.TELEMETRY_ENV_VAR, falsy)
-            assert resolve_telemetry(None) is False
-        monkeypatch.setenv(telemetry.TELEMETRY_ENV_VAR, "1")
-        assert resolve_telemetry(None) is True
+        var = ENV_VARS["telemetry"]
+        monkeypatch.delenv(var, raising=False)
+        assert EngineOptions().resolve().telemetry is True  # default on
+        assert EngineOptions(telemetry=False).resolve().telemetry is False
+        monkeypatch.setenv(var, "0")
+        assert EngineOptions().resolve().telemetry is False
+        monkeypatch.setenv(var, "1")
+        assert EngineOptions().resolve().telemetry is True
         # An explicit flag always beats the environment.
-        monkeypatch.setenv(telemetry.TELEMETRY_ENV_VAR, "0")
-        assert resolve_telemetry(True) is True
+        monkeypatch.setenv(var, "0")
+        assert EngineOptions(telemetry=True).resolve().telemetry is True
 
     def test_env_var_disables_engine_telemetry(self, graph, monkeypatch):
-        monkeypatch.setenv(telemetry.TELEMETRY_ENV_VAR, "0")
+        monkeypatch.setenv(ENV_VARS["telemetry"], "0")
         result = _engine(None).run(graph, np.ones(graph.n_cols))
         assert result.telemetry is None
-        monkeypatch.setenv(telemetry.TELEMETRY_ENV_VAR, "1")
+        monkeypatch.setenv(ENV_VARS["telemetry"], "1")
         assert _engine(None).run(graph, np.ones(graph.n_cols)).telemetry is not None
 
 

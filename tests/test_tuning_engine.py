@@ -178,6 +178,22 @@ class TestTelemetryAndProvenance:
         # An explicit value beats the environment.
         assert EngineOptions(tuning="off").resolve().tuning == "off"
 
+    def test_direct_engine_honours_env_var(self, monkeypatch, graph, store):
+        """A ``TwoStepEngine`` built without the factory resolves
+        ``REPRO_TUNING`` exactly as ``create_engine`` does."""
+        from repro.core.config import TwoStepConfig
+        from repro.core.twostep import TwoStepEngine
+
+        _save_profile(store, graph)
+        monkeypatch.setenv("REPRO_TUNING", str(store.directory))
+        direct = TwoStepEngine(TwoStepConfig(segment_width=1024))
+        factory = create_engine(segment_width=1024)
+        assert direct.tuning_stats()["mode"] == str(store.directory)
+        assert direct.tuning_stats()["mode"] == factory.tuning_stats()["mode"]
+        x = np.ones(graph.n_cols)
+        assert np.array_equal(direct.run(graph, x).y, factory.run(graph, x).y)
+        assert direct.tuning_profile(graph) is not None
+
 
 class TestQuarantinedProfileIsAMiss:
     def test_corrupted_profile_never_reaches_the_engine(self, graph, store):

@@ -73,6 +73,20 @@ class TestSearchSpace:
         no_serving = default_search_space(graph, include_serving=False)
         assert not any(c.serving for c in no_serving)
 
+    @pytest.mark.parametrize("jit", [False, True], ids=["no-numba", "numba"])
+    def test_execution_knobs_only_offered_with_numba(
+        self, graph, monkeypatch, jit
+    ):
+        """Without Numba ``native`` is the vectorized kernels and ignores
+        ``n_jobs``: sweeping either would only measure noise."""
+        monkeypatch.setattr("repro.autotune.space.numba_available", lambda: jit)
+        monkeypatch.setattr("repro.autotune.space.os.cpu_count", lambda: 4)
+        knobs = [c.knob for c in default_search_space(graph)]
+        assert ("backend" in knobs) is jit
+        assert ("n_jobs" in knobs) is jit
+        monkeypatch.setattr("repro.autotune.space.os.cpu_count", lambda: 1)
+        assert "n_jobs" not in [c.knob for c in default_search_space(graph)]
+
     def test_describe_is_json_native(self, graph):
         payload = default_search_space(graph).describe()
         assert json.loads(json.dumps(payload)) == payload
