@@ -31,12 +31,6 @@ def bench_provenance() -> dict:
         numba_version = numba.__version__
     except Exception:
         numba_version = None
-    try:
-        from repro.autotune import active_profile_provenance
-
-        tuning = active_profile_provenance()
-    except Exception:
-        tuning = {"profile": "default"}
     return {
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
@@ -44,7 +38,6 @@ def bench_provenance() -> dict:
         "numpy": np.__version__,
         "numba": numba_version,
         "backend_env": os.environ.get("REPRO_BACKEND"),
-        "tuning": tuning,
     }
 
 

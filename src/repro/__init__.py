@@ -7,15 +7,16 @@ Highly Sparse Matrices using Scalable Multi-way Merge Parallelization"
 Quickstart::
 
     import numpy as np
-    from repro import TwoStepConfig, TwoStepEngine
+    from repro import create_engine
     from repro.generators import erdos_renyi_graph
 
     graph = erdos_renyi_graph(n_nodes=100_000, avg_degree=3, seed=7)
     x = np.random.default_rng(7).uniform(size=graph.n_cols)
-    engine = TwoStepEngine(TwoStepConfig(segment_width=8_192, q=4))
+    engine = create_engine()       # one stripe, derived from the matrix
     y, report = engine.run(graph, x)
     assert np.allclose(y, graph.spmv(x))
-    print(report.traffic)
+    modelled = create_engine(segment_width=8_192, q=4)  # 13 stripes + PRaP merge
+    print(modelled.run(graph, x).report.traffic)
 
 Subpackages: :mod:`repro.core` (Two-Step, ITS, design points, performance
 model), :mod:`repro.backends` (pluggable reference/vectorized execution

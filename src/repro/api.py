@@ -28,9 +28,10 @@ Quickstart::
 
     from repro.api import EngineOptions, create_engine
 
-    engine = create_engine(segment_width=8_192, q=4)
-    engine = create_engine(EngineOptions.from_env(), backend="native")
-    engine = create_engine(design_point="TS_ASIC", segment_width=8_192)
+    engine = create_engine()                          # one stripe, from the matrix
+    engine = create_engine(segment_width=8_192, q=4)  # modelled stripes + merge
+    engine = create_engine(EngineOptions.from_env(), backend="reference")
+    engine = create_engine(design_point="TS_ASIC")    # simulates at 8192
 """
 
 from __future__ import annotations
@@ -189,8 +190,10 @@ class SpMVEngine(Protocol):
         ...
 
 
-#: Simulation-scale stripe width used when nothing selects one.
-DEFAULT_SEGMENT_WIDTH = 8_192
+#: Stripe width a design point simulates at when no ``segment_width`` is
+#: given.  Engines without a design point derive their geometry from the
+#: matrix instead (one stripe spanning every column).
+SIMULATION_SEGMENT_WIDTH = 8_192
 
 #: EngineOptions fields that map 1:1 onto TwoStepConfig fields.
 _CONFIG_FIELDS = (
@@ -209,7 +212,6 @@ _CONFIG_FIELDS = (
     "plan_cache",
     "strict_validate",
     "telemetry",
-    "tuning",
 )
 
 #: Environment variable consulted per env-backed field when the explicit
@@ -223,12 +225,11 @@ ENV_VARS = {
     "n_jobs": "REPRO_JOBS",
     "strict_validate": "REPRO_STRICT_VALIDATE",
     "telemetry": "REPRO_TELEMETRY",
-    "tuning": "REPRO_TUNING",
 }
 
 #: Defaults of the env-backed flags.  ``TwoStepConfig`` leaves these
 #: fields None ("consult the environment"), so their defaults live here.
-_FLAG_DEFAULTS = {"strict_validate": False, "telemetry": True, "tuning": "off"}
+_FLAG_DEFAULTS = {"strict_validate": False, "telemetry": True}
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 _FALSY = frozenset({"0", "false", "no", "off", ""})
@@ -240,9 +241,9 @@ def static_defaults() -> MappingProxyType:
     nor an environment variable selects one.
 
     Derived rather than copied: ``TwoStepConfig``'s scalar dataclass
-    defaults, :data:`DEFAULT_SEGMENT_WIDTH`,
-    :data:`repro.backends.DEFAULT_BACKEND` and the env-backed flag
-    defaults.  Fields absent here have *dynamic* defaults (CPU count for
+    defaults, :data:`repro.backends.DEFAULT_BACKEND` and the env-backed
+    flag defaults.  Fields absent here have *dynamic* defaults (one
+    stripe spanning the matrix for ``segment_width``, CPU count for
     ``n_jobs``, value-precision SINGLE for ``precision``, feature-off
     ``None`` for VLDI/HDN) and deliberately stay ``None`` after
     resolution -- the component owning the live value resolves them.
@@ -255,11 +256,7 @@ def static_defaults() -> MappingProxyType:
         for field in dataclasses.fields(TwoStepConfig)
         if isinstance(field.default, (bool, int, str))
     }
-    defaults.update(
-        segment_width=DEFAULT_SEGMENT_WIDTH,
-        backend=DEFAULT_BACKEND,
-        **_FLAG_DEFAULTS,
-    )
+    defaults.update(backend=DEFAULT_BACKEND, **_FLAG_DEFAULTS)
     return MappingProxyType(defaults)
 
 
@@ -295,7 +292,7 @@ def parse_env(field_name: str, raw: str):
         return raw.lower() in _TRUTHY
     if field_name == "telemetry":
         return raw.lower() not in _FALSY
-    return raw  # backend / tuning: plain strings
+    return raw  # backend: a plain string
 
 
 @dataclass(frozen=True)
@@ -312,15 +309,17 @@ class EngineOptions:
 
     Structural fields (``segment_width`` .. ``index_field_bytes``) mirror
     :class:`~repro.core.config.TwoStepConfig`; execution fields
-    (``backend`` .. ``tuning``) subsume the historical ``REPRO_*``
+    (``backend`` .. ``telemetry``) subsume the historical ``REPRO_*``
     environment variables; ``design_point`` selects the
     :class:`~repro.core.accelerator.Accelerator` facade instead of a bare
     :class:`~repro.core.twostep.TwoStepEngine`.
 
     Attributes:
         segment_width: Stripe width (scratchpad-resident source
-            elements); default :data:`DEFAULT_SEGMENT_WIDTH`.  Under a
-            ``design_point`` this is the *simulation* segment width.
+            elements).  Unset, the execution geometry comes from the
+            matrix: one stripe spanning every column, and no step-2
+            merge.  Under a ``design_point`` this is the *simulation*
+            segment width, default :data:`SIMULATION_SEGMENT_WIDTH`.
         q: PRaP radix bits (``p = 2**q`` merge cores); default 4.
         precision: Value :class:`~repro.core.records.Precision` for
             traffic accounting; default SINGLE.
@@ -347,11 +346,6 @@ class EngineOptions:
         strict_validate: Full-scan input hardening
             (``REPRO_STRICT_VALIDATE``, then off).
         telemetry: Span/metric collection (``REPRO_TELEMETRY``, then on).
-        tuning: Per-matrix tuned-profile auto-selection -- ``"off"``,
-            ``"auto"`` (consult the default
-            :class:`~repro.autotune.profile.TunedProfileStore`) or a
-            profile-directory path (``REPRO_TUNING``, then off).  See
-            :mod:`repro.autotune`.
         design_point: Design-point name or
             :class:`~repro.core.design_points.DesignPoint`; when set,
             :func:`create_engine` returns an
@@ -373,7 +367,6 @@ class EngineOptions:
     plan_cache: int | None = None
     strict_validate: bool | None = None
     telemetry: bool | None = None
-    tuning: str | None = None
     design_point: object | None = None
 
     def replace(self, **overrides) -> "EngineOptions":
@@ -473,10 +466,9 @@ class EngineOptions:
 
         Resolution against the environment happens first
         (:meth:`resolve`), so the returned config is pinned: ``backend``,
-        ``strict_validate``, ``telemetry`` and ``tuning`` always carry a
-        value, ``n_jobs`` does whenever ``REPRO_JOBS`` is set.  Fields
-        with dynamic defaults stay unset so ``TwoStepConfig`` supplies
-        them.
+        ``strict_validate`` and ``telemetry`` always carry a value,
+        ``n_jobs`` does whenever ``REPRO_JOBS`` is set.  Fields with
+        dynamic defaults stay unset so ``TwoStepConfig`` supplies them.
         """
         from repro.core.config import TwoStepConfig
 
@@ -514,9 +506,10 @@ def create_engine(
 
     Examples::
 
-        engine = create_engine(segment_width=4_096, backend="native")
+        engine = create_engine()                      # one stripe per matrix
+        engine = create_engine(segment_width=4_096, backend="reference")
         engine = create_engine(EngineOptions.from_env())
-        accel = create_engine(design_point="ITS_ASIC", segment_width=8_192)
+        accel = create_engine(design_point="ITS_ASIC")  # simulates at 8192
     """
     base = options if options is not None else EngineOptions()
     if not isinstance(base, EngineOptions):
@@ -536,7 +529,9 @@ def create_engine(
             point = get_design_point(str(point))
         engine = Accelerator(
             point,
-            simulation_segment_width=resolved.segment_width,
+            simulation_segment_width=(
+                resolved.segment_width or SIMULATION_SEGMENT_WIDTH
+            ),
             options=dataclasses.replace(resolved, design_point=None),
         )
     else:
@@ -562,9 +557,9 @@ def ensure_config(config) -> "TwoStepConfig | None":
 
 
 __all__ = [
-    "DEFAULT_SEGMENT_WIDTH",
     "ENV_VARS",
     "EngineOptions",
+    "SIMULATION_SEGMENT_WIDTH",
     "SpGEMMResult",
     "SpMVEngine",
     "SpMVResult",

@@ -15,9 +15,6 @@ Subcommands:
   through the engine, exercising plan reuse and multi-RHS batching.
 * ``repro serve``    -- long-lived SpMV-as-a-service HTTP server with
   dynamic micro-batching (see :mod:`repro.serving`).
-* ``repro tune``     -- per-matrix configuration search: timed trials
-  with bit-identity oracle checks, a persisted tuned profile, and a
-  comparative ablation report (see :mod:`repro.autotune`).
 * ``repro datasets`` -- list the paper's evaluation graphs.
 
 Every subcommand that executes the functional engine builds it through
@@ -83,15 +80,6 @@ def add_backend_options(parser: argparse.ArgumentParser) -> None:
         "(default: $REPRO_TELEMETRY, then on; never changes results)",
     )
     parser.add_argument(
-        "--tuning",
-        default=None,
-        metavar="MODE",
-        help='tuned-profile auto-selection: "auto" (profile store at '
-        '$REPRO_TUNE_DIR, then ~/.cache/repro/profiles), "off", or a '
-        "profile-directory path (default: $REPRO_TUNING, then off); "
-        "profiles are written by 'repro tune'",
-    )
-    parser.add_argument(
         "--trace-out",
         default=None,
         metavar="PATH",
@@ -131,7 +119,6 @@ def _exec_fields(args: argparse.Namespace) -> dict:
         "n_jobs": args.jobs,
         "strict_validate": args.strict_validate,
         "telemetry": args.telemetry,
-        "tuning": args.tuning,
     }
     return {name: value for name, value in fields.items() if value is not None}
 
@@ -370,39 +357,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
-    import json
-    import pathlib
-
-    from repro.autotune import TuningStudy, resolve_profile_store
-
-    matrix = _load_matrix(args.matrix)
-    study = TuningStudy(
-        matrix,
-        objective=args.objective,
-        probe_batch=args.probe_batch,
-        repeats=args.repeats,
-        max_trials=args.max_trials,
-        seed=args.seed,
-    )
-    report = study.run()
-    print(report.render())
-    store = resolve_profile_store(args.profile_dir)
-    if store is not None and report.profile is not None:
-        path = store.save(report.profile)
-        print(f"\nwrote profile {report.profile.fingerprint} to {path}")
-        print(
-            f"enable with: repro run {args.matrix} --tuning {store.directory} "
-            f"(or REPRO_TUNING={store.directory})"
-        )
-    if args.report_out:
-        pathlib.Path(args.report_out).write_text(
-            json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\n"
-        )
-        print(f"wrote study report to {args.report_out}")
-    return 0
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     spec = get_dataset(args.dataset)
     rows = []
@@ -558,8 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="W",
-        help="stripe width (default: let --autotune choose, else 8192); "
-        "widths beyond the column count are rejected",
+        help="stripe width of the simulated design point (default: 8192; "
+        "with --autotune, the design point's capacity clamped to the "
+        "matrix, and widths beyond the column count are rejected)",
     )
     run.add_argument("--seed", type=int, default=0)
     add_backend_options(run)
@@ -587,7 +542,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="right operand B (default: reuse A, computing A @ A)",
     )
-    spgemm.add_argument("--segment-width", type=int, default=4096)
+    spgemm.add_argument(
+        "--segment-width",
+        type=int,
+        default=None,
+        metavar="W",
+        help="stripe width (default: one stripe spanning every column)",
+    )
     spgemm.add_argument(
         "--output", default=None, metavar="PATH", help="write C to .mtx or packed binary"
     )
@@ -604,7 +565,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("app", choices=["pagerank", "bfs", "kcore"])
     solve.add_argument("matrix", help=".mtx or packed binary path")
-    solve.add_argument("--segment-width", type=int, default=4096)
+    solve.add_argument(
+        "--segment-width",
+        type=int,
+        default=None,
+        metavar="W",
+        help="stripe width (default: one stripe spanning every column)",
+    )
     solve.add_argument("--iterations", type=int, default=50, help="pagerank iteration cap")
     solve.add_argument(
         "--sources", type=int, default=4, help="BFS sources expanded in one batch"
@@ -620,7 +587,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8787)
-    serve.add_argument("--segment-width", type=int, default=4096)
+    serve.add_argument(
+        "--segment-width",
+        type=int,
+        default=None,
+        metavar="W",
+        help="stripe width (default: one stripe spanning every column)",
+    )
     serve.add_argument(
         "--max-batch",
         type=int,
@@ -671,52 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_backend_options(serve)
     serve.set_defaults(func=cmd_serve)
-
-    tune = sub.add_parser(
-        "tune", help="per-matrix config search; persists a tuned profile"
-    )
-    tune.add_argument("matrix", help=".mtx or packed binary path")
-    tune.add_argument(
-        "--profile-dir",
-        default="auto",
-        metavar="DIR",
-        help='where the tuned profile is written: a directory, "auto" '
-        "($REPRO_TUNE_DIR, then ~/.cache/repro/profiles), or "
-        '"off" to only print the report',
-    )
-    tune.add_argument(
-        "--objective",
-        choices=["throughput", "latency"],
-        default="throughput",
-        help="what the sweep optimizes: warm per-column run_many at "
-        "--probe-batch right-hand sides (the serving hot path), or warm "
-        "single-RHS run latency",
-    )
-    tune.add_argument(
-        "--probe-batch",
-        type=int,
-        default=32,
-        metavar="K",
-        help="batch width of the throughput probe (default matches the "
-        "serving layer's default max_batch)",
-    )
-    tune.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
-        help="warm timed runs per trial (best-of)",
-    )
-    tune.add_argument(
-        "--max-trials", type=int, default=64, metavar="N",
-        help="trial budget; further candidates are recorded as skipped",
-    )
-    tune.add_argument("--seed", type=int, default=0)
-    tune.add_argument(
-        "--report-out",
-        default=None,
-        metavar="PATH",
-        help="write the full study report (trials, per-component "
-        "contributions, profile) as JSON",
-    )
-    tune.set_defaults(func=cmd_tune)
 
     est = sub.add_parser("estimate", help="paper-scale performance for a dataset")
     est.add_argument("dataset", help="dataset name from 'repro datasets'")

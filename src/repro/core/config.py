@@ -21,8 +21,14 @@ class TwoStepConfig:
     Attributes:
         segment_width: Source-vector elements per scratchpad-resident
             segment; dictates the stripe width (paper: set by scratchpad
-            capacity / value bytes).
+            capacity / value bytes).  None (the default) derives the
+            execution geometry from the matrix: one stripe spanning every
+            column, whose row-sorted step-1 output already is ``A x``, so
+            the engine skips the step-2 merge.  An explicit width models
+            the accelerator's scratchpad-bound stripes.
         q: Radix bits of the PRaP merge network (``p = 2**q`` cores).
+            Drives the modelled step-2 cycles; the functional merge only
+            runs for multi-stripe plans or under ``check_interleave``.
         precision: Value precision for traffic accounting (the functional
             datapath always computes in float64).
         vldi_vector_block_bits: VLDI block width applied to intermediate
@@ -60,21 +66,9 @@ class TwoStepConfig:
             and ``engine.metrics()``); None defers to
             ``REPRO_TELEMETRY``, then True.  Telemetry never changes
             results -- outputs are bit-identical either way.
-        tuning: Per-matrix tuned-profile auto-selection: ``"off"``
-            (and None) runs every matrix under this config unchanged;
-            ``"auto"`` consults the default
-            :class:`~repro.autotune.profile.TunedProfileStore`
-            (``REPRO_TUNE_DIR``, then the user cache) at first contact
-            with each matrix and transparently delegates its runs to an
-            engine built from the stored profile; any other string is
-            the profile directory to consult.  Tuned profiles are
-            bit-identical *to the reference oracle at their own
-            structural configuration* -- the tuning study enforces that
-            on every trial -- so auto-selection changes speed, never
-            correctness guarantees.
     """
 
-    segment_width: int
+    segment_width: int = None
     q: int = 4
     precision: Precision = Precision.SINGLE
     vldi_vector_block_bits: int = None
@@ -89,10 +83,9 @@ class TwoStepConfig:
     plan_cache: int = 8
     strict_validate: bool = None
     telemetry: bool = None
-    tuning: str = None
 
     def __post_init__(self) -> None:
-        if self.segment_width <= 0:
+        if self.segment_width is not None and self.segment_width <= 0:
             raise ConfigurationError("segment_width must be positive")
         if self.q < 0:
             raise ConfigurationError("q must be non-negative")
@@ -105,12 +98,6 @@ class TwoStepConfig:
                 raise ConfigurationError("VLDI block width must be in [1, 62]")
         if self.index_field_bytes <= 0:
             raise ConfigurationError("index_field_bytes must be positive")
-        if self.tuning is not None and (
-            not isinstance(self.tuning, str) or not self.tuning
-        ):
-            raise ConfigurationError(
-                'tuning must be "off", "auto" or a profile-directory path'
-            )
         if self.backend is not None:
             from repro.backends import available_backends
 
@@ -125,6 +112,13 @@ class TwoStepConfig:
         """PRaP merge cores."""
         return 1 << self.q
 
+    def stripe_width(self, n_cols: int) -> int:
+        """Execution stripe width for a matrix with ``n_cols`` columns:
+        ``segment_width``, or one stripe spanning every column when unset."""
+        if self.segment_width is None:
+            return max(n_cols, 1)
+        return self.segment_width
+
     def n_stripes(self, n_cols: int) -> int:
         """Column blocks for a matrix with ``n_cols`` columns."""
-        return -(-n_cols // self.segment_width)
+        return -(-n_cols // self.stripe_width(n_cols))

@@ -700,7 +700,7 @@ def build_plan(
     step1_stats = Step1Stats()
     stripes: list[StripePlan] = []
     formats: list[StripeFormat] = []
-    for block in column_blocks(matrix, config.segment_width):
+    for block in column_blocks(matrix, config.stripe_width(matrix.n_cols)):
         stripe = block.matrix
         out_indices, run_ids, n_runs, run_starts = _stripe_structure(stripe.rows)
         layout = build_run_layout(run_starts)

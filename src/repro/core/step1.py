@@ -102,7 +102,8 @@ class Step1Engine:
             raise ValueError(
                 f"segment has {x_segment.shape[0]} elements, stripe expects {block.width}"
             )
-        if x_segment.size > self.config.segment_width:
+        width = self.config.segment_width
+        if width is not None and x_segment.size > width:
             raise ValueError("segment exceeds configured scratchpad width")
         indices, values = self.backend.stripe_spmv(
             stripe.rows, stripe.cols, stripe.vals, x_segment

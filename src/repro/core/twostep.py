@@ -5,6 +5,14 @@ DRAM round trip of the intermediate vectors, and step 2 (PRaP multi-way
 merge), producing the dense result plus a byte-accurate
 :class:`~repro.memory.traffic.TrafficLedger` and cycle statistics.
 
+Execution geometry and modelled geometry are separate.  Without an
+explicit ``segment_width`` the plan is one stripe spanning every column:
+its row-sorted step-1 output already is ``A x``, so the functional engine
+scatters it and skips step 2, while the report still charges the
+modelled traffic and cycles of that one-stripe plan.  An explicit width
+(or a design point) cuts the matrix into scratchpad-sized stripes and
+runs the full PRaP merge.
+
 The engine is *functional* -- the returned vector is bit-comparable to the
 dense reference ``A @ x + y`` (up to float associativity) -- while the
 instrumentation mirrors exactly what the accelerator would move off-chip,
@@ -149,7 +157,7 @@ class TwoStepEngine:
     The configuration is pinned at construction through the same
     resolver :func:`repro.api.create_engine` uses (explicit value >
     ``REPRO_*`` environment variable > package default): ``backend``,
-    ``strict_validate``, ``telemetry`` and ``tuning`` are settled on
+    ``strict_validate`` and ``telemetry`` are settled on
     ``engine.config`` then, and later environment changes cannot alter a
     built engine.
     """
@@ -172,6 +180,8 @@ class TwoStepEngine:
         # to_config() resolves first: the returned config is pinned.
         config = options.to_config()
         self.config = config
+        # The config is pinned, so its plan-cache key is too.
+        self._fingerprint = config_fingerprint(config)
         self.backend = resolve_backend(
             backend or config.backend,
             n_jobs=config.n_jobs,
@@ -179,19 +189,6 @@ class TwoStepEngine:
         self._step1 = Step1Engine(config, backend=self.backend)
         self._step2 = Step2Engine(config, backend=self.backend)
         self._plans: OrderedDict[tuple, ExecutionPlan] = OrderedDict()
-        # Tuned-profile auto-selection (config.tuning): the store of
-        # persisted per-matrix profiles, child engines built from applied
-        # profiles (keyed by their config fingerprint, sharing this
-        # engine's lifetime metrics), and a bounded memo of per-matrix
-        # decisions so the warm path costs one dict probe.
-        self._tuner = None
-        if config.tuning != "off":
-            from repro.autotune.profile import resolve_profile_store
-
-            self._tuner = resolve_profile_store(config.tuning)
-        self._tuned_engines: dict[str, "TwoStepEngine"] = {}
-        self._tuned_decisions: OrderedDict[int, tuple] = OrderedDict()
-        self._tuned_lock = threading.Lock()
         # One lock guards the plan cache AND its counters: engines are
         # shared across solver threads, and a torn hits/misses pair (or a
         # cache trimmed past capacity) is exactly the race the lock kills.
@@ -226,7 +223,7 @@ class TwoStepEngine:
         Returns:
             The matrix's :class:`~repro.core.plan.ExecutionPlan`.
         """
-        key = (id(matrix), config_fingerprint(self.config))
+        key = (id(matrix), self._fingerprint)
         with self._plan_lock:
             cached = self._plans.get(key)
             if cached is not None and cached.matrix is matrix:
@@ -285,109 +282,7 @@ class TwoStepEngine:
             ]
             for key in stale:
                 del self._plans[key]
-        dropped = len(stale)
-        with self._tuned_lock:
-            entry = self._tuned_decisions.get(id(matrix))
-            if entry is not None and entry[0] is matrix:
-                del self._tuned_decisions[id(matrix)]
-        for child in self._tuned_engines.values():
-            dropped += child.forget(matrix)
-        return dropped
-
-    #: Per-matrix tuning decisions memoized (LRU); trimming only drops
-    #: the memo -- the next run re-consults the store.
-    _TUNED_DECISION_CAPACITY = 64
-
-    def _tuned_delegate(self, matrix: COOMatrix) -> "TwoStepEngine | None":
-        """The tuned child engine ``matrix``'s runs delegate to, or None.
-
-        Warm path (matrix already decided): one dict probe plus an
-        identity re-check -- no fingerprinting, no store I/O.  Cold path
-        (first contact): fingerprint the matrix under a ``plan.tune``
-        span, consult the store, and -- on a hit -- build (or reuse) a
-        child engine from the profile-applied config.  The child shares
-        this engine's lifetime metrics registry, so
-        ``spmv_tuned_profile_*`` and the child's run counters surface on
-        the parent's ``metrics()``.
-        """
-        if self._tuner is None:
-            return None
-        entry = self._tuned_decisions.get(id(matrix))
-        if entry is not None and entry[0] is matrix:
-            if entry[1] is not None:
-                self._lifetime_metrics.inc(
-                    "spmv_tuned_profile_applied_total",
-                    help="Runs delegated to a tuned-profile engine",
-                )
-            return entry[1]
-        with self._tuned_lock:
-            entry = self._tuned_decisions.get(id(matrix))
-            if entry is None or entry[0] is not matrix:
-                entry = self._tune_decision(matrix)
-                self._tuned_decisions[id(matrix)] = entry
-                self._tuned_decisions.move_to_end(id(matrix))
-                while len(self._tuned_decisions) > self._TUNED_DECISION_CAPACITY:
-                    self._tuned_decisions.popitem(last=False)
-        if entry[1] is not None:
-            self._lifetime_metrics.inc(
-                "spmv_tuned_profile_applied_total",
-                help="Runs delegated to a tuned-profile engine",
-            )
-        return entry[1]
-
-    def _tune_decision(self, matrix: COOMatrix) -> tuple:
-        """``(matrix, delegate_or_None, profile_or_None)`` from the store."""
-        from repro.autotune.profile import matrix_fingerprint, note_profile_applied
-
-        with span("plan.tune", matrix_id=id(matrix)):
-            fingerprint = matrix_fingerprint(matrix)
-            profile = self._tuner.lookup(fingerprint)
-        if profile is None:
-            self._lifetime_metrics.inc(
-                "spmv_tuned_profile_misses_total",
-                help="Tuned-profile store lookups that found nothing",
-            )
-            return (matrix, None, None)
-        self._lifetime_metrics.inc(
-            "spmv_tuned_profile_hits_total",
-            help="Tuned-profile store lookups that found a profile",
-        )
-        tuned_config = profile.apply(self.config)
-        key = config_fingerprint(tuned_config)
-        child = self._tuned_engines.get(key)
-        if child is None:
-            child = TwoStepEngine(tuned_config)
-            child._lifetime_metrics = self._lifetime_metrics
-            self._tuned_engines[key] = child
-        note_profile_applied(profile)
-        return (matrix, child, profile)
-
-    def tuning_profile(self, matrix: COOMatrix):
-        """The :class:`~repro.autotune.profile.TuningProfile` applied to
-        ``matrix``'s runs, or None (no store, miss, or not yet run)."""
-        entry = self._tuned_decisions.get(id(matrix))
-        if entry is not None and entry[0] is matrix:
-            return entry[2]
-        return None
-
-    def tuning_stats(self) -> dict:
-        """Tuning state for stats surfaces (serving ``/stats``, CLI)."""
-        counters = {
-            name: self._lifetime_metrics.total(f"spmv_tuned_profile_{name}_total")
-            for name in ("hits", "misses", "applied")
-        }
-        with self._tuned_lock:
-            tuned = sum(
-                1 for entry in self._tuned_decisions.values() if entry[1] is not None
-            )
-            decided = len(self._tuned_decisions)
-        return {
-            "mode": self.config.tuning,
-            "store": self._tuner.describe() if self._tuner is not None else None,
-            "matrices_decided": decided,
-            "matrices_tuned": tuned,
-            **counters,
-        }
+        return len(stale)
 
     def run(
         self,
@@ -415,23 +310,13 @@ class TwoStepEngine:
             InvalidMatrixError: The matrix violates the input contract.
             InvalidVectorError: ``x`` or ``y`` violates the contract.
         """
-        delegate = self._tuned_delegate(matrix)
-        if delegate is not None:
-            return delegate.run(matrix, x, y=y, verify=verify)
         start = time.perf_counter()
         x, y = validate_inputs(matrix, x, y=y, strict=self.config.strict_validate)
         session = self._open_session()
         with telemetry_scope(session):
             with span("spmv.run", backend=self.backend.name, batch=1):
                 plan = self.plan(matrix)
-                symbolic = plan.step2_symbolic(self.config.n_cores)
-                workspace = self._workspace()
-                with span("step1", n_stripes=len(plan.stripes)):
-                    lists = self._step1.run_planned(plan, x, workspace=workspace)
-                with span("step2", n_lists=len(lists)):
-                    result = self._step2.run_lists_plan(
-                        symbolic, lists, y=y, workspace=workspace
-                    )
+                result = self._execute(plan, x, y)
         report = self._report(plan, batch=1)
         verified = None
         if verify:
@@ -480,9 +365,6 @@ class TwoStepEngine:
             matrix and intermediate-index streams once for the whole
             batch.
         """
-        delegate = self._tuned_delegate(matrix)
-        if delegate is not None:
-            return delegate.run_many(matrix, X, Y=Y, verify=verify)
         start = time.perf_counter()
         X, Y = validate_inputs(
             matrix, X, y=Y, strict=self.config.strict_validate, batch=True
@@ -492,14 +374,7 @@ class TwoStepEngine:
         with telemetry_scope(session):
             with span("spmv.run", backend=self.backend.name, batch=k):
                 plan = self.plan(matrix)
-                symbolic = plan.step2_symbolic(self.config.n_cores)
-                workspace = self._workspace()
-                with span("step1", n_stripes=len(plan.stripes)):
-                    lists = self._step1.run_planned_batch(plan, X)
-                with span("step2", n_lists=len(lists)):
-                    result = self._step2.run_batch_plan(
-                        symbolic, lists, k, Y=Y, workspace=workspace
-                    )
+                result = self._execute(plan, X, Y, k=k)
         report = self._report(plan, batch=max(k, 1))
         verified = None
         if verify:
@@ -516,6 +391,43 @@ class TwoStepEngine:
             wall_time_s=wall,
             telemetry=self._publish_telemetry(session, plan, report, wall),
         )
+
+    def _execute(
+        self,
+        plan: ExecutionPlan,
+        X: np.ndarray,
+        Y: np.ndarray | None,
+        k: int | None = None,
+    ) -> np.ndarray:
+        """The value datapath of ``run`` (``k`` None) and ``run_many``.
+
+        Step 1 runs over every stripe.  A plan with several stripes (or
+        ``check_interleave``) then merges the intermediate vectors in
+        step 2.  A one-stripe plan has nothing to merge: its single
+        row-sorted vector is scattered straight into the result.  The
+        planned merge over one list would add each value to 0.0 exactly
+        once, so both routes give the same result.
+        """
+        workspace = self._workspace()
+        with span("step1", n_stripes=len(plan.stripes)):
+            if k is None:
+                lists = self._step1.run_planned(plan, X, workspace=workspace)
+            else:
+                lists = self._step1.run_planned_batch(plan, X)
+        if len(lists) > 1 or self.config.check_interleave:
+            symbolic = plan.step2_symbolic(self.config.n_cores)
+            with span("step2", n_lists=len(lists)):
+                if k is None:
+                    return self._step2.run_lists_plan(
+                        symbolic, lists, y=Y, workspace=workspace
+                    )
+                return self._step2.run_batch_plan(
+                    symbolic, lists, k, Y=Y, workspace=workspace
+                )
+        out = np.zeros(plan.n_rows if k is None else (plan.n_rows, k))
+        for indices, values in lists:
+            out[indices] = values
+        return out if Y is None else out + Y
 
     def spgemm(
         self,

@@ -48,7 +48,6 @@ EXPERIMENTS = {
     "traced": ("time-domain DRAM trace replay (Fig. 4 in seconds)", ablations.render_traced),
     "its-schedule": ("segment-level ITS pipeline timeline (Fig. 15)", ablations.render_its_schedule),
     "spgemm": ("SpGEMM on the merge substrate (conclusion)", ablations.render_spgemm),
-    "autotune": ("per-matrix tuning study: trials + marginal contributions", ablations.render_autotune),
 }
 
 

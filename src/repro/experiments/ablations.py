@@ -345,27 +345,3 @@ def render_spgemm() -> str:
         "network's accumulation compresses them to the output nonzeros -- "
         "the same role it plays for SpMV intermediate vectors."
     )
-
-
-# --------------------------------------------------------------------------
-# Autotuning study (per-matrix config search; the serving-fleet ablation).
-
-def autotune_collect(n_nodes: int = 3000, degree: float = 4.0):
-    """One small tuning study's report (ER graph, reduced trial budget)."""
-    from repro.autotune import TuningStudy
-    from repro.generators.erdos_renyi import erdos_renyi_graph
-
-    graph = erdos_renyi_graph(n_nodes, degree, seed=47)
-    study = TuningStudy(graph, probe_batch=8, repeats=2, max_trials=24)
-    return study.run()
-
-
-def render_autotune() -> str:
-    """The comparative ablation a tuning study produces."""
-    report = autotune_collect()
-    return report.render() + (
-        "\n\nEach row is one timed candidate against the warm plan-replay "
-        "path; every kept trial was bit-identical to the reference oracle "
-        "at the same structural configuration.  'repro tune <matrix>' "
-        "runs the full-budget version and persists the winning profile."
-    )

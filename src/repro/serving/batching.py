@@ -140,20 +140,12 @@ class MicroBatcher:
         policy: Flush triggers and the global queue bound.
         metrics: Optional ``MetricsRegistry``; observes batch sizes and
             queue waits, counts batches, shed/expired/cancelled requests.
-        lane_cap: Optional ``lane_cap(key) -> int | None``.  When it
-            returns a positive integer for a lane, that lane's flush
-            width is ``min(policy.max_batch, cap)`` -- the hook the
-            server uses to apply a tuned profile's per-matrix
-            ``max_batch`` without re-batching globally.
     """
 
-    def __init__(
-        self, execute, policy: BatchPolicy | None = None, metrics=None, lane_cap=None
-    ):
+    def __init__(self, execute, policy: BatchPolicy | None = None, metrics=None):
         self._execute = execute
         self.policy = policy or BatchPolicy()
         self._metrics = metrics
-        self._lane_cap = lane_cap
         self._lanes: dict = {}
         self._in_flight = 0
         self._closed = False
@@ -260,8 +252,8 @@ class MicroBatcher:
         )
         lane.pending.append(pending)
         self._in_flight += 1
-        if len(lane.pending) >= self._lane_limit(key):
-            batch = self._pop(key, lane)
+        if len(lane.pending) >= self.policy.max_batch:
+            batch = self._pop(lane)
             asyncio.ensure_future(self._execute_batch(key, batch))
         elif lane.timer is None:
             lane.timer = asyncio.ensure_future(self._delayed_flush(key, lane))
@@ -275,7 +267,7 @@ class MicroBatcher:
             lane = self._lanes.get(k)
             if lane is None:
                 continue
-            batch = self._pop(k, lane)
+            batch = self._pop(lane)
             if batch:
                 tasks.append(asyncio.ensure_future(self._execute_batch(k, batch)))
         if tasks:
@@ -302,17 +294,9 @@ class MicroBatcher:
         self._closed = True
         self._pool.shutdown(wait=wait)
 
-    def _lane_limit(self, key) -> int:
-        """The lane's effective flush width: policy cap ∧ per-lane cap."""
-        if self._lane_cap is not None:
-            cap = self._lane_cap(key)
-            if cap is not None and cap > 0:
-                return min(self.policy.max_batch, int(cap))
-        return self.policy.max_batch
-
-    def _pop(self, key, lane: _Lane) -> list:
-        """Detach up to the lane's flush width and stop the timer."""
-        limit = self._lane_limit(key)
+    def _pop(self, lane: _Lane) -> list:
+        """Detach up to ``policy.max_batch`` requests and stop the timer."""
+        limit = self.policy.max_batch
         batch = lane.pending[:limit]
         del lane.pending[:limit]
         if lane.timer is not None and not lane.timer.done():
@@ -326,12 +310,7 @@ class MicroBatcher:
         except asyncio.CancelledError:
             return
         lane.timer = None
-        batch = self._pop(key, lane)
-        if lane.pending and lane.timer is None:
-            # A shrunken lane cap can leave a remainder behind the pop;
-            # re-arm so those requests are not stranded until the next
-            # submission happens to arrive.
-            lane.timer = asyncio.ensure_future(self._delayed_flush(key, lane))
+        batch = self._pop(lane)
         if batch:
             await self._execute_batch(key, batch)
 

@@ -18,23 +18,37 @@ actually released.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.api import EngineOptions, SpMVEngine, create_engine
+import numpy as np
 
-# The canonical fingerprint implementation lives in the autotune leaf
-# module so the engine, the profile store and the registry all key by
-# the same bytes; re-exported here for the serving layer's historical
-# import path.
-from repro.autotune.profile import matrix_fingerprint
+from repro.api import EngineOptions, SpMVEngine, create_engine
 from repro.faults.errors import (
     ConfigurationError,
     SnapshotCorruptError,
     UnknownMatrixError,
 )
+
+
+def matrix_fingerprint(matrix) -> str:
+    """Content fingerprint of an RM-COO matrix.
+
+    SHA-256 over the dimensions and the raw bytes of the ``rows``,
+    ``cols`` and ``vals`` streams, truncated to 16 hex characters.  The
+    registry keys registrations by it and the snapshot store re-derives
+    it to verify a restored payload, so both agree on the same bytes.
+    """
+    digest = hashlib.sha256()
+    digest.update(f"{matrix.n_rows}x{matrix.n_cols}:".encode())
+    for stream in (matrix.rows, matrix.cols, matrix.vals):
+        arr = np.ascontiguousarray(stream)
+        digest.update(str(arr.dtype).encode())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -69,9 +83,6 @@ class Registration:
     registered_at: float = field(default_factory=time.time)
     requests_served: int = 0
     batches_served: int = 0
-    #: The stored :class:`~repro.autotune.profile.TuningProfile` found at
-    #: registration time, or None (tuning off / store miss).
-    tuned_profile: object = None
 
     def describe(self) -> dict:
         """JSON-native summary for ``/stats``."""
@@ -82,11 +93,6 @@ class Registration:
             "nnz": int(self.matrix.nnz),
             "requests_served": self.requests_served,
             "batches_served": self.batches_served,
-            "tuned": (
-                self.tuned_profile.describe()
-                if self.tuned_profile is not None
-                else None
-            ),
         }
 
 
@@ -116,12 +122,6 @@ class MatrixRegistry:
         # Keyed (tenant, backend); backend None means the configured one.
         self._engines: dict[tuple, SpMVEngine] = {}
         self.evictions = 0
-        from repro.autotune.profile import resolve_profile_store
-
-        #: Tuned-profile store the registry consults at registration
-        #: (shared with every tenant engine consulting the same
-        #: directory); None when tuning is off.
-        self.tuned_store = resolve_profile_store(self.options.tuning)
 
     def engine(self, tenant: str = "default", backend: str | None = None) -> SpMVEngine:
         """The tenant's engine (created through ``create_engine`` once).
@@ -155,14 +155,6 @@ class MatrixRegistry:
         engine).
         """
         fingerprint = matrix_fingerprint(matrix)
-        # Profile lookup happens before taking the registry lock: the
-        # store does file I/O and takes its own lock, and the tenant
-        # engines consult the same store under their own locking.
-        tuned_profile = (
-            self.tuned_store.lookup(fingerprint)
-            if self.tuned_store is not None
-            else None
-        )
         with self._lock:
             table = self._matrices.setdefault(tenant, OrderedDict())
             existing = table.get(fingerprint)
@@ -177,7 +169,6 @@ class MatrixRegistry:
                 fingerprint=fingerprint,
                 matrix=matrix,
                 tenant=tenant,
-                tuned_profile=tuned_profile,
             )
         return fingerprint
 
@@ -272,40 +263,6 @@ class MatrixRegistry:
                     self._engines.items(), key=lambda item: (item[0][0], item[0][1] or "")
                 )
             )
-
-    def tuning_stats(self) -> dict:
-        """Tuning state across the registry, for the server's ``/stats``.
-
-        Aggregates the per-tenant engines' ``spmv_tuned_profile_*``
-        counters with the shared store's lookup/quarantine counters and
-        the count of registrations that carry a stored profile.
-        """
-        with self._lock:
-            engines = list(self._engines.values())
-            registrations = sum(len(t) for t in self._matrices.values())
-            tuned = sum(
-                1
-                for table in self._matrices.values()
-                for reg in table.values()
-                if reg.tuned_profile is not None
-            )
-        counters = {"hits": 0.0, "misses": 0.0, "applied": 0.0}
-        for engine in engines:
-            if hasattr(engine, "tuning_stats"):
-                engine_stats = engine.tuning_stats()
-                for name in counters:
-                    counters[name] += float(engine_stats.get(name, 0.0))
-        return {
-            "mode": self.options.tuning or "off",
-            "store": (
-                self.tuned_store.describe()
-                if self.tuned_store is not None
-                else None
-            ),
-            "registrations": registrations,
-            "registrations_tuned": tuned,
-            **counters,
-        }
 
     def stats(self) -> dict:
         """Per-tenant registry statistics for ``/stats``."""

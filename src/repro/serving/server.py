@@ -107,17 +107,7 @@ class SpMVServer:
         self.resilience = resilience or ResiliencePolicy()
         self.registry = MatrixRegistry(self.options, quotas)
         self.metrics = MetricsRegistry()
-        # Per-lane batch-width hints recorded from tuned profiles at
-        # registration; consulted by the batcher on every flush decision
-        # (a plain dict .get -- no locking needed, the event loop owns
-        # all flush decisions).
-        self._lane_caps: dict[tuple, int] = {}
-        self._batcher = MicroBatcher(
-            self._execute,
-            self.policy,
-            metrics=self.metrics,
-            lane_cap=self._lane_caps.get,
-        )
+        self._batcher = MicroBatcher(self._execute, self.policy, metrics=self.metrics)
         self._inflight_by_tenant: dict[str, int] = {}
         self._breakers: dict[tuple, CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
@@ -137,23 +127,8 @@ class SpMVServer:
     # ------------------------------------------------------------------
 
     def register(self, matrix, tenant: str = "default") -> str:
-        """Register a matrix for a tenant; returns its fingerprint.
-
-        When tuning is on and the profile store holds a profile for this
-        matrix that recommends a serving batch width, the lane's flush
-        width is capped at that ``max_batch`` from here on.
-        """
+        """Register a matrix for a tenant; returns its fingerprint."""
         fingerprint = self.registry.register(matrix, tenant)
-        registration = self.registry.get(fingerprint, tenant)
-        profile = registration.tuned_profile
-        max_batch = getattr(profile, "max_batch", None)
-        if max_batch is not None:
-            self._lane_caps[(tenant, fingerprint)] = int(max_batch)
-            self.metrics.inc(
-                "serving_tuned_lanes_total",
-                labels={"tenant": tenant},
-                help="Registrations whose lane adopted a tuned batch width",
-            )
         self.metrics.inc(
             "serving_matrices_registered_total",
             labels={"tenant": tenant},
@@ -162,9 +137,8 @@ class SpMVServer:
         return fingerprint
 
     def unregister(self, fingerprint: str, tenant: str = "default") -> None:
-        """Drop one registration (and its cached plan and lane cap)."""
+        """Drop one registration (and its cached plan)."""
         self.registry.unregister(fingerprint, tenant)
-        self._lane_caps.pop((tenant, fingerprint), None)
 
     # ------------------------------------------------------------------
     # Serving
@@ -501,17 +475,7 @@ class SpMVServer:
             "registry": self.registry.stats(),
             "backend": self._backend_stats(),
             "resilience": self._resilience_stats(),
-            "tuning": self._tuning_stats(),
         }
-
-    def _tuning_stats(self) -> dict:
-        """Autotuning state for ``/stats``: store, counters, lane caps."""
-        stats = self.registry.tuning_stats()
-        stats["lane_caps"] = {
-            f"{tenant}/{fingerprint}": cap
-            for (tenant, fingerprint), cap in sorted(self._lane_caps.items())
-        }
-        return stats
 
     def _resilience_stats(self) -> dict:
         """Breaker, deadline, retry and snapshot state for ``/stats``."""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import create_engine, reference_spmv
-from repro.api import DEFAULT_SEGMENT_WIDTH, ENV_VARS, EngineOptions, ensure_config
+from repro.api import ENV_VARS, EngineOptions, ensure_config
 from repro.backends import DEFAULT_BACKEND, NativeBackend
 from repro.core.accelerator import Accelerator
 from repro.core.config import TwoStepConfig
@@ -44,7 +44,8 @@ class TestPrecedence:
     def test_default_when_nothing_set(self, clean_env):
         options = EngineOptions().resolve()
         assert options.backend == DEFAULT_BACKEND
-        assert options.segment_width == DEFAULT_SEGMENT_WIDTH
+        # Unset width: the engine derives one stripe from the matrix.
+        assert options.segment_width is None
         assert options.telemetry is True
         assert options.strict_validate is False
 
@@ -258,7 +259,8 @@ class TestRemovedParallelBackend:
         assert "invalid choice: 'parallel'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "name", ["parallel_pool", "max_retries", "task_timeout", "min_parallel_nnz"]
+        "name",
+        ["parallel_pool", "max_retries", "task_timeout", "min_parallel_nnz", "tuning"],
     )
     def test_removed_fields_are_unknown(self, name):
         with pytest.raises(TypeError, match=name):
@@ -266,10 +268,8 @@ class TestRemovedParallelBackend:
         with pytest.raises(ConfigurationError, match="unknown engine option"):
             EngineOptions().replace(**{name: 1})
 
-    def test_env_vars_are_the_five_remaining(self):
-        assert set(ENV_VARS) == {
-            "backend", "n_jobs", "strict_validate", "telemetry", "tuning",
-        }
+    def test_env_vars_are_the_four_remaining(self):
+        assert set(ENV_VARS) == {"backend", "n_jobs", "strict_validate", "telemetry"}
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ def test_registry_covers_every_evaluation_artifact():
         "fig02", "fig04", "tab01", "tab02", "fig13", "fig14",
         "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "bloom",
         "dram", "sell", "hdn", "golomb", "validation",
-        "traced", "its-schedule", "spgemm", "autotune",
+        "traced", "its-schedule", "spgemm",
     }
     assert set(EXPERIMENTS) == expected
 

@@ -459,101 +459,3 @@ class TestHTTPFrontend:
         payload = json.loads(body)
         assert payload["error"] == "overloaded"
         assert payload["limit"] == 1
-
-
-# ----------------------------------------------------------------------
-# Tuned-profile integration
-# ----------------------------------------------------------------------
-
-
-class TestServingTuning:
-    def _store_with_profile(self, tmp_path, graph, max_batch=None):
-        from repro.autotune import TuningProfile, resolve_profile_store
-
-        store = resolve_profile_store(str(tmp_path))
-        knobs = {"q": 1}
-        if max_batch is not None:
-            knobs["max_batch"] = max_batch
-        store.save(
-            TuningProfile(fingerprint=matrix_fingerprint(graph), knobs=knobs)
-        )
-        return store
-
-    def test_registration_records_stored_profile(self, graph, tmp_path):
-        from repro.api import EngineOptions
-
-        self._store_with_profile(tmp_path, graph)
-        registry = MatrixRegistry(EngineOptions(tuning=str(tmp_path)))
-        fp = registry.register(graph)
-        registration = registry.get(fp)
-        assert registration.tuned_profile is not None
-        assert registration.describe()["tuned"]["knobs"] == {"q": 1}
-        stats = registry.tuning_stats()
-        assert stats["registrations_tuned"] == 1
-        assert stats["store"]["hits"] == 1
-
-    def test_tuning_off_registry_has_no_store(self, graph):
-        registry = MatrixRegistry()
-        fp = registry.register(graph)
-        assert registry.tuned_store is None
-        assert registry.get(fp).tuned_profile is None
-        assert registry.tuning_stats()["mode"] == "off"
-
-    def test_lane_cap_bounds_batch_width(self, graph, tmp_path):
-        from repro.api import EngineOptions
-
-        self._store_with_profile(tmp_path, graph, max_batch=3)
-        server = SpMVServer(
-            options=EngineOptions(tuning=str(tmp_path)),
-            policy=BatchPolicy(max_batch=32, max_delay_s=0.005),
-        )
-
-        async def main():
-            fp = server.register(graph)
-            xs = [np.full(graph.n_cols, float(i)) for i in range(9)]
-            results = await asyncio.gather(
-                *(server.submit(fp, x) for x in xs)
-            )
-            await server.shutdown()
-            return fp, results
-
-        fp, results = asyncio.run(main())
-        assert max(r.batch_size for r in results) <= 3
-        stats = server.stats()["tuning"]
-        assert stats["lane_caps"] == {f"default/{fp}": 3}
-        assert stats["registrations_tuned"] == 1
-
-    def test_unregister_drops_lane_cap(self, graph, tmp_path):
-        from repro.api import EngineOptions
-
-        self._store_with_profile(tmp_path, graph, max_batch=3)
-        server = SpMVServer(options=EngineOptions(tuning=str(tmp_path)))
-        fp = server.register(graph)
-        assert server._lane_caps
-        server.unregister(fp)
-        assert not server._lane_caps
-        assert server.stats()["tuning"]["lane_caps"] == {}
-
-    def test_tuned_results_stay_bit_identical(self, graph, tmp_path):
-        from repro.api import EngineOptions, create_engine
-
-        self._store_with_profile(tmp_path, graph, max_batch=4)
-        options = EngineOptions(tuning=str(tmp_path))
-        server = SpMVServer(
-            options=options, policy=BatchPolicy(max_batch=8, max_delay_s=0.002)
-        )
-
-        async def main():
-            fp = server.register(graph)
-            rng = np.random.default_rng(7)
-            xs = [rng.standard_normal(graph.n_cols) for _ in range(6)]
-            results = await asyncio.gather(
-                *(server.submit(fp, x) for x in xs)
-            )
-            await server.shutdown()
-            return xs, results
-
-        xs, results = asyncio.run(main())
-        engine = create_engine(options)
-        for x, result in zip(xs, results):
-            assert np.array_equal(result.y, engine.run(graph, x).y)
