@@ -607,8 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=2.0,
         metavar="MS",
-        help="micro-batch delay cap: a partial batch flushes after this "
-        "long even if not full",
+        help="how long a partial batch waits behind a busy matrix lane "
+        "(one with a batch executing) before it flushes; a request on an "
+        "idle lane is dispatched at once",
     )
     serve.add_argument(
         "--max-queue",

@@ -3,7 +3,9 @@
 The serving layer turns the batch-oriented engine into a long-lived
 service: matrices are registered once by content fingerprint, concurrent
 single-RHS requests are coalesced by a dynamic micro-batching queue
-(max-batch / max-delay policy) into :meth:`run_many` calls, admission
+into :meth:`run_many` calls (an idle lane dispatches at once; requests
+arriving while a batch executes coalesce behind it, up to max-batch or
+max-delay), admission
 control sheds load past a bounded queue, and every tenant gets its own
 engine (plan cache + workspaces) with LRU eviction and quotas.
 

@@ -4,12 +4,26 @@ The engine's :meth:`~repro.core.twostep.TwoStepEngine.run_many` amortises
 the matrix-side traversal (plan lookup, stripe walk, merge scheduling)
 across every column of a multi-RHS block, so k coalesced requests cost
 far less than k independent ``run`` calls.  The :class:`MicroBatcher`
-exploits that: concurrent requests against the same (tenant, matrix)
-lane accumulate in a pending list and are flushed as one ``run_many``
-batch when either
+exploits that without making a lone request wait for partners that
+never come.  Each (tenant, matrix) lane tracks the batches it has
+dispatched that have not finished, and forms a batch when
 
-* the lane reaches ``BatchPolicy.max_batch`` pending requests, or
-* the oldest pending request has waited ``BatchPolicy.max_delay_s``.
+* the lane is **idle** (nothing executing): the pending requests are
+  flushed on the next event-loop turn (``loop.call_soon``), so requests
+  submitted in the same tick -- a gathered burst -- still form one
+  batch, but nobody waits on a timer;
+* the lane reaches ``BatchPolicy.max_batch`` pending requests (**full**),
+  busy or not;
+* the lane is busy and its oldest pending request has waited
+  ``BatchPolicy.max_delay_s`` (**timer**): requests that arrive while a
+  batch executes coalesce behind it, and the lane's last running batch
+  finishing flushes them at once (an **idle** flush) if the timer has
+  not fired yet;
+* :meth:`MicroBatcher.flush` / :meth:`MicroBatcher.drain` force it
+  (**drain**).
+
+The trigger labels the ``serving_batches_total`` counter and
+:attr:`MicroBatcher.by_trigger`.
 
 Admission control is a single bound across all lanes: once
 ``BatchPolicy.max_queue`` requests are in flight (queued or executing),
@@ -63,6 +77,9 @@ from repro.serving.resilience import Deadline
 #: Smoothing factor for the observed-batch-latency EWMA.
 _EWMA_ALPHA = 0.2
 
+#: Why a batch was formed: the ``trigger`` label of ``serving_batches_total``.
+TRIGGERS = ("idle", "full", "timer", "drain")
+
 
 @dataclass(frozen=True)
 class BatchPolicy:
@@ -71,10 +88,10 @@ class BatchPolicy:
     Attributes:
         max_batch: Flush a lane as soon as this many requests are
             pending (one ``run_many`` call serves them all).
-        max_delay_s: Flush a non-empty lane once its oldest request has
-            waited this long, even if the batch is not full.  This is
-            the latency a lone request pays to give companions a chance
-            to arrive.
+        max_delay_s: How long a partial batch waits behind a busy lane
+            (one with a batch executing) before it is dispatched anyway.
+            An idle lane never waits on it: its requests are flushed on
+            the next event-loop turn.
         max_queue: Total in-flight requests (queued + executing, across
             all lanes) before submissions are shed with
             ``OverloadedError``.
@@ -111,10 +128,14 @@ class _Pending:
 
 @dataclass
 class _Lane:
-    """Per-(tenant, fingerprint) pending queue and delay timer."""
+    """Per-(tenant, fingerprint) pending queue and dispatch state."""
 
     pending: list = field(default_factory=list)
-    timer: asyncio.Task | None = None
+    #: The armed flush: ``call_soon`` on an idle lane, the
+    #: ``max_delay_s`` timer on a busy one; at most one at a time.
+    flush: asyncio.Handle | None = None
+    #: Dispatched batch tasks whose executor call has not returned.
+    running: set = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -163,6 +184,8 @@ class MicroBatcher:
         self.shed = 0
         self.expired = 0
         self.cancelled = 0
+        #: Executed batches by what formed them (see :data:`TRIGGERS`).
+        self.by_trigger = dict.fromkeys(TRIGGERS, 0)
         #: EWMA of observed batch execution wall time; 0 until the first
         #: batch completes.  Drives admission-time deadline estimates
         #: and the HTTP frontend's queue-aware ``Retry-After`` hint.
@@ -182,15 +205,18 @@ class MicroBatcher:
         """Estimated queueing delay for a request arriving now.
 
         ``ceil((in_flight + extra) / max_batch)`` batches ahead of it,
-        each costing the observed EWMA batch latency, plus the coalescing
-        delay it will itself wait.  Deliberately simple -- an admission
-        estimate only has to be right about *order of magnitude* to keep
-        doomed requests out of the queue.
+        each costing the observed EWMA batch latency, plus -- only when
+        something is already in flight -- the ``max_delay_s`` it may
+        wait coalescing behind a busy lane (an idle server dispatches
+        at once).  Deliberately simple -- an admission estimate only has
+        to be right about *order of magnitude* to keep doomed requests
+        out of the queue.
         """
         batches_ahead = (self._in_flight + extra + self.policy.max_batch - 1) // (
             self.policy.max_batch
         )
-        return batches_ahead * self.ewma_batch_s + self.policy.max_delay_s
+        wait = batches_ahead * self.ewma_batch_s
+        return wait + self.policy.max_delay_s if self._in_flight else wait
 
     async def submit(
         self, key, x: np.ndarray, deadline: Deadline | None = None
@@ -253,35 +279,42 @@ class MicroBatcher:
         lane.pending.append(pending)
         self._in_flight += 1
         if len(lane.pending) >= self.policy.max_batch:
-            batch = self._pop(lane)
-            asyncio.ensure_future(self._execute_batch(key, batch))
-        elif lane.timer is None:
-            lane.timer = asyncio.ensure_future(self._delayed_flush(key, lane))
+            self._dispatch(key, lane, "full")
+        elif lane.flush is None:
+            if lane.running:
+                lane.flush = loop.call_later(
+                    self.policy.max_delay_s, self._dispatch, key, lane, "timer"
+                )
+            else:
+                lane.flush = loop.call_soon(self._dispatch, key, lane, "idle")
         return await pending.future
 
     async def flush(self, key=None) -> None:
-        """Immediately flush one lane (or every lane) without waiting."""
+        """Immediately flush one lane (or every lane) and await those batches."""
         keys = [key] if key is not None else list(self._lanes)
-        tasks = []
-        for k in keys:
-            lane = self._lanes.get(k)
-            if lane is None:
-                continue
-            batch = self._pop(lane)
-            if batch:
-                tasks.append(asyncio.ensure_future(self._execute_batch(k, batch)))
+        tasks = [
+            self._dispatch(k, self._lanes[k], "drain")
+            for k in keys
+            if k in self._lanes and self._lanes[k].pending
+        ]
         if tasks:
             await asyncio.gather(*tasks)
 
     async def drain(self) -> None:
         """Flush everything and wait for in-flight batches to finish.
 
-        The batcher stays usable afterwards; call :meth:`shutdown` to
-        also release the execution threads.
+        Awaits the lanes' running batch tasks rather than polling, so a
+        long batch does not keep the event loop spinning against the
+        executor thread.  The batcher stays usable afterwards; call
+        :meth:`shutdown` to also release the execution threads.
         """
         while self._in_flight:
             await self.flush()
-            await asyncio.sleep(0)
+            running = [t for lane in self._lanes.values() for t in lane.running]
+            if running:
+                await asyncio.wait(running)
+            elif not any(lane.pending for lane in self._lanes.values()):
+                return  # nothing left that could settle the count
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting submissions and release the execution threads.
@@ -294,25 +327,29 @@ class MicroBatcher:
         self._closed = True
         self._pool.shutdown(wait=wait)
 
-    def _pop(self, lane: _Lane) -> list:
-        """Detach up to ``policy.max_batch`` requests and stop the timer."""
+    def _dispatch(self, key, lane: _Lane, trigger: str) -> asyncio.Task:
+        """Detach up to ``policy.max_batch`` requests and start their batch.
+
+        Also the armed flush's callback: a flush is armed only while
+        requests are pending, and every dispatch disarms it.  The batch
+        counts as running on the lane until its executor call returns.
+        """
         limit = self.policy.max_batch
         batch = lane.pending[:limit]
         del lane.pending[:limit]
-        if lane.timer is not None and not lane.timer.done():
-            lane.timer.cancel()
-        lane.timer = None
-        return batch
+        if lane.flush is not None:
+            lane.flush.cancel()
+            lane.flush = None
+        task = asyncio.ensure_future(self._execute_batch(key, lane, batch, trigger))
+        lane.running.add(task)
+        return task
 
-    async def _delayed_flush(self, key, lane: _Lane) -> None:
-        try:
-            await asyncio.sleep(self.policy.max_delay_s)
-        except asyncio.CancelledError:
-            return
-        lane.timer = None
-        batch = self._pop(lane)
-        if batch:
-            await self._execute_batch(key, batch)
+    def _batch_done(self, key, lane: _Lane) -> None:
+        """The current batch leaves the lane; if it was the last one
+        running, what queued behind it is dispatched at once."""
+        lane.running.discard(asyncio.current_task())
+        if not lane.running and lane.pending:
+            self._dispatch(key, lane, "idle")
 
     def _triage(self, batch: list) -> tuple:
         """Split a formed batch into live members and dropped ones.
@@ -371,12 +408,18 @@ class MicroBatcher:
             Y = self._execute(key, X)
         return np.ascontiguousarray(Y.T)
 
-    async def _execute_batch(self, key, batch: list) -> None:
-        """Execute one coalesced batch and fan results back to futures."""
+    async def _execute_batch(self, key, lane: _Lane, batch: list, trigger: str) -> None:
+        """Execute one coalesced batch and fan results back to futures.
+
+        The batch leaves the lane as soon as the executor returns, before
+        the fan-out, so the next batch is already executing while this
+        one's callers are woken.
+        """
         now = time.perf_counter()
         live, dropped = self._triage(batch)
         self._in_flight -= dropped
         if not live:
+            self._batch_done(key, lane)
             return
         k = len(live)
         deadlines = [p.deadline for p in live if p.deadline is not None]
@@ -385,11 +428,14 @@ class MicroBatcher:
         )
         loop = asyncio.get_running_loop()
         try:
-            apply_fault("batch", self.batches)
-            YT = await loop.run_in_executor(
-                self._pool, self._execute_stacked, key, [p.x for p in live],
-                batch_deadline,
-            )
+            try:
+                apply_fault("batch", self.batches)
+                YT = await loop.run_in_executor(
+                    self._pool, self._execute_stacked, key, [p.x for p in live],
+                    batch_deadline,
+                )
+            finally:
+                self._batch_done(key, lane)
         except Exception as exc:
             if isinstance(exc, RuntimeError) and self._closed:
                 # The pool was torn down while this batch was in flight;
@@ -420,10 +466,13 @@ class MicroBatcher:
         finally:
             self._in_flight -= k
             self.batches += 1
+            self.by_trigger[trigger] += 1
             self.coalesced += k
             if self._metrics is not None:
                 self._metrics.inc(
-                    "serving_batches_total", help="Coalesced batches executed"
+                    "serving_batches_total",
+                    labels={"trigger": trigger},
+                    help="Coalesced batches executed, by what formed them",
                 )
                 self._metrics.observe(
                     "serving_batch_size",

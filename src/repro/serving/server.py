@@ -457,6 +457,7 @@ class SpMVServer:
                 "in_flight": self._batcher.in_flight,
                 "batches": self._batcher.batches,
                 "coalesced": self._batcher.coalesced,
+                "by_trigger": dict(self._batcher.by_trigger),
                 "shed": self._batcher.shed,
                 "expired": self._batcher.expired,
                 "cancelled": self._batcher.cancelled,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,30 @@ def small_er_graph():
 def small_rmat_graph():
     """2**11-node RMAT graph with power-law degrees."""
     return rmat_graph(11, 8.0, seed=2)
+
+
+@pytest.fixture
+def gate_engine():
+    """``gate_engine(server) -> (started, release)``: hold a server's lane busy.
+
+    The server's batches block in the executor (``started`` set) until
+    ``release`` is set, so later requests queue behind a running batch.
+    """
+
+    def gate(server):
+        engine = server.registry.engine()
+        original = engine.run_many
+        started, release = threading.Event(), threading.Event()
+
+        def gated(matrix, X, **kwargs):
+            started.set()
+            release.wait(timeout=5)
+            return original(matrix, X, **kwargs)
+
+        engine.run_many = gated
+        return started, release
+
+    return gate
 
 
 @pytest.fixture

@@ -239,6 +239,20 @@ class TestDeadlines:
         assert batcher.expired == 1
         assert batcher.in_flight == 0  # never queued
 
+    def test_idle_batcher_serves_budget_below_max_delay(self):
+        batcher = MicroBatcher(
+            lambda key, X: X, BatchPolicy(max_batch=4, max_delay_s=0.05)
+        )
+
+        async def main():
+            return await batcher.submit(
+                "k", np.ones(2), deadline=Deadline.from_budget(0.02)
+            )
+
+        result = asyncio.run(main())
+        np.testing.assert_array_equal(result.y, np.ones(2))
+        assert batcher.expired == 0
+
     def test_expiry_while_queued_dropped_at_batch_formation(self):
         executed = []
 
@@ -280,19 +294,24 @@ class TestDeadlines:
 
 
 class TestCancellation:
-    def test_cancelled_request_releases_slot_and_counts(self, graph):
+    def test_cancelled_request_releases_slot_and_counts(self, graph, gate_engine):
         server = SpMVServer(policy=BatchPolicy(max_batch=8, max_delay_s=0.02))
         fp = server.register(graph)
         x = np.ones(graph.n_cols)
+        started, release = gate_engine(server)
 
         async def main():
+            busy = asyncio.ensure_future(server.submit(fp, x))
+            while not started.is_set():  # the lane is busy behind the gate
+                await asyncio.sleep(0.001)
             task = asyncio.ensure_future(server.submit(fp, x))
             await asyncio.sleep(0.001)  # request queued, batch not yet formed
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await task
-            # Let the flush timer fire and triage the dead member.
-            await asyncio.sleep(0.05)
+            # Free the lane; its next batch triages the dead member.
+            release.set()
+            await busy
             await server.shutdown()
 
         asyncio.run(main())

@@ -8,6 +8,7 @@ server in-process with ``asyncio.run`` (no pytest-asyncio dependency).
 
 import asyncio
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -32,6 +33,7 @@ from repro.serving import (
     run_open_loop,
 )
 from repro.serving.http import HTTPServingFrontend
+from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,29 @@ def server(graph):
 
 def _fp(graph):
     return matrix_fingerprint(graph)
+
+
+class _Gate:
+    """A batcher ``execute`` whose batches block until released.
+
+    Holds a lane busy, so later requests queue behind a running batch.
+    """
+
+    def __init__(self):
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.sizes = []
+
+    def __call__(self, key, X):
+        self.sizes.append(X.shape[1])
+        self.started.set()
+        self.release.wait(timeout=5)
+        return X
+
+    async def running(self):
+        """Wait until the first batch is blocked in the executor."""
+        while not self.started.is_set():
+            await asyncio.sleep(0.001)
 
 
 # ----------------------------------------------------------------------
@@ -143,17 +168,146 @@ class TestMicroBatcher:
             np.testing.assert_array_equal(r.y, np.full(3, 2.0 * i))
 
     def test_delay_flush_for_partial_batch(self):
-        def execute(key, X):
-            return X
-
-        batcher = MicroBatcher(execute, BatchPolicy(max_batch=64, max_delay_s=0.005))
+        gate = _Gate()
+        batcher = MicroBatcher(gate, BatchPolicy(max_batch=64, max_delay_s=0.005))
 
         async def main():
-            return await batcher.submit("k", np.ones(2))
+            first = asyncio.ensure_future(batcher.submit("k", np.ones(2)))
+            await gate.running()  # the lane is busy
+            second = asyncio.ensure_future(batcher.submit("k", np.ones(2)))
+            await asyncio.sleep(0.05)  # the timer fires behind the busy lane
+            gate.release.set()
+            return await asyncio.gather(first, second)
+
+        _, result = asyncio.run(main())
+        assert result.batch_size == 1
+        assert result.queued_s >= 0.004  # waited out max_delay_s
+        assert batcher.by_trigger == {"idle": 1, "full": 0, "timer": 1, "drain": 0}
+
+    def test_lone_request_on_idle_lane_skips_the_timer(self):
+        metrics = MetricsRegistry()
+        batcher = MicroBatcher(
+            lambda key, X: X, BatchPolicy(max_batch=64, max_delay_s=5.0), metrics=metrics
+        )
+
+        async def main():
+            return await asyncio.wait_for(batcher.submit("k", np.ones(2)), 1.0)
 
         result = asyncio.run(main())
         assert result.batch_size == 1
-        assert result.queued_s >= 0.004  # waited out max_delay_s
+        assert result.queued_s < 0.5
+        assert batcher.by_trigger["idle"] == 1
+        assert metrics.value("serving_batches_total", {"trigger": "idle"}) == 1.0
+
+    def test_same_tick_burst_forms_one_batch(self):
+        sizes = []
+
+        def execute(key, X):
+            sizes.append(X.shape[1])
+            return X
+
+        batcher = MicroBatcher(execute, BatchPolicy(max_batch=64, max_delay_s=5.0))
+
+        async def main():
+            burst = asyncio.gather(*(batcher.submit("k", np.ones(2)) for _ in range(8)))
+            return await asyncio.wait_for(burst, 1.0)
+
+        results = asyncio.run(main())
+        assert sizes == [8]
+        assert all(r.batch_size == 8 for r in results)
+        assert batcher.by_trigger["idle"] == 1
+
+    def test_requests_behind_busy_lane_flush_when_it_finishes(self):
+        gate = _Gate()
+        batcher = MicroBatcher(gate, BatchPolicy(max_batch=64, max_delay_s=5.0))
+
+        async def main():
+            first = asyncio.ensure_future(batcher.submit("k", np.ones(2)))
+            await gate.running()
+            behind = []
+            for _ in range(3):  # arrive in separate ticks while the lane is busy
+                behind.append(asyncio.ensure_future(batcher.submit("k", np.ones(2))))
+                await asyncio.sleep(0.001)
+            gate.release.set()
+            return await asyncio.wait_for(asyncio.gather(first, *behind), 1.0)
+
+        results = asyncio.run(main())
+        assert gate.sizes == [1, 3]
+        assert [r.batch_size for r in results] == [1, 3, 3, 3]
+        assert batcher.by_trigger == {"idle": 2, "full": 0, "timer": 0, "drain": 0}
+
+    def test_full_batch_behind_busy_lane_dispatches_immediately(self):
+        started, release = threading.Event(), threading.Event()
+
+        def execute(key, X):
+            if X[0, 0] < 0:  # the gated first batch
+                started.set()
+                release.wait(timeout=5)
+            return X
+
+        batcher = MicroBatcher(
+            execute, BatchPolicy(max_batch=4, max_delay_s=5.0, workers=2)
+        )
+
+        async def main():
+            first = asyncio.ensure_future(batcher.submit("k", -np.ones(2)))
+            while not started.is_set():  # the first batch is executing, blocked
+                await asyncio.sleep(0.001)
+            full = asyncio.gather(*(batcher.submit("k", np.ones(2)) for _ in range(4)))
+            # Completes while the first batch still holds the lane busy.
+            results = await asyncio.wait_for(full, 1.0)
+            assert not first.done()
+            release.set()
+            await first
+            return results
+
+        results = asyncio.run(main())
+        assert all(r.batch_size == 4 for r in results)
+        assert batcher.by_trigger == {"idle": 1, "full": 1, "timer": 0, "drain": 0}
+
+    def test_flush_behind_busy_lane_counts_as_drain(self):
+        gate = _Gate()
+        batcher = MicroBatcher(gate, BatchPolicy(max_batch=64, max_delay_s=5.0))
+
+        async def main():
+            first = asyncio.ensure_future(batcher.submit("k", np.ones(2)))
+            await gate.running()
+            second = asyncio.ensure_future(batcher.submit("k", np.ones(2)))
+            await asyncio.sleep(0)
+            flushed = asyncio.ensure_future(batcher.flush())
+            await asyncio.sleep(0.01)
+            gate.release.set()
+            await asyncio.wait_for(asyncio.gather(first, second, flushed), 1.0)
+
+        asyncio.run(main())
+        assert gate.sizes == [1, 1]
+        assert batcher.by_trigger == {"idle": 1, "full": 0, "timer": 0, "drain": 1}
+
+    def test_drain_awaits_running_batch_without_spinning(self):
+        gate = _Gate()
+        batcher = MicroBatcher(gate, BatchPolicy(max_batch=64, max_delay_s=5.0))
+        flushes = 0
+        original = batcher.flush
+
+        async def counting_flush(key=None):
+            nonlocal flushes
+            flushes += 1
+            await original(key)
+
+        batcher.flush = counting_flush
+
+        async def main():
+            request = asyncio.ensure_future(batcher.submit("k", np.ones(2)))
+            await gate.running()
+            drained = asyncio.ensure_future(batcher.drain())
+            await asyncio.sleep(0.1)  # drain is blocked behind the gated batch
+            blocked_flushes = flushes
+            gate.release.set()
+            await asyncio.wait_for(asyncio.gather(request, drained), 1.0)
+            return blocked_flushes
+
+        assert asyncio.run(main()) <= 2
+        assert batcher.in_flight == 0
 
     def test_lanes_do_not_mix(self):
         seen = {}
@@ -267,20 +421,26 @@ class TestServer:
 
         asyncio.run(main())
 
-    def test_tenant_quota_sheds(self, graph):
+    def test_tenant_quota_sheds(self, graph, gate_engine):
         server = SpMVServer(
             policy=BatchPolicy(max_batch=64, max_delay_s=0.05, max_queue=1024),
             quotas=TenantQuotas(max_inflight=2),
         )
         fp = server.register(graph)
         x = np.ones(graph.n_cols)
+        started, release = gate_engine(server)
 
         async def main():
-            tasks = [asyncio.ensure_future(server.submit(fp, x)) for _ in range(2)]
+            # One request executing behind the gate, one queued behind it.
+            tasks = [asyncio.ensure_future(server.submit(fp, x))]
+            while not started.is_set():
+                await asyncio.sleep(0.001)
+            tasks.append(asyncio.ensure_future(server.submit(fp, x)))
             await asyncio.sleep(0.01)
             with pytest.raises(QuotaExceededError) as excinfo:
                 await server.submit(fp, x)
             assert excinfo.value.tenant == "default"
+            release.set()
             await asyncio.gather(*tasks)
             await server.close()
 
@@ -307,6 +467,17 @@ class TestServer:
         assert any(
             "backend=" in key for key in backend["runs_total"]
         ), backend["runs_total"]
+
+    def test_stats_report_batches_by_trigger(self, server, graph):
+        async def main():
+            await server.submit(_fp(graph), np.ones(graph.n_cols))
+            await server.close()
+
+        asyncio.run(main())
+        queue = server.stats()["queue"]
+        assert queue["by_trigger"]["idle"] >= 1
+        assert sum(queue["by_trigger"].values()) == queue["batches"]
+        assert 'serving_batches_total{trigger="idle"}' in server.prometheus()
 
     def test_loadgen_open_loop(self, server, graph):
         rng = np.random.default_rng(0)
