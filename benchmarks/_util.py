@@ -22,21 +22,14 @@ def bench_provenance() -> dict:
     """Machine/toolchain fingerprint stamped into every ``BENCH_*.json``.
 
     Trajectory comparisons across checkouts are meaningless without
-    knowing the core count and kernel toolchain that produced a number;
-    this records both, plus which backend selection was in force.
+    knowing the core count and toolchain that produced a number; this
+    records both, plus which backend selection was in force.
     """
-    try:
-        import numba
-
-        numba_version = numba.__version__
-    except Exception:
-        numba_version = None
     return {
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "numba": numba_version,
         "backend_env": os.environ.get("REPRO_BACKEND"),
     }
 

@@ -208,7 +208,6 @@ _CONFIG_FIELDS = (
     "check_interleave",
     "index_field_bytes",
     "backend",
-    "n_jobs",
     "plan_cache",
     "strict_validate",
     "telemetry",
@@ -222,7 +221,6 @@ _CONFIG_FIELDS = (
 #: package reads these variables during a run.
 ENV_VARS = {
     "backend": "REPRO_BACKEND",
-    "n_jobs": "REPRO_JOBS",
     "strict_validate": "REPRO_STRICT_VALIDATE",
     "telemetry": "REPRO_TELEMETRY",
 }
@@ -243,10 +241,10 @@ def static_defaults() -> MappingProxyType:
     Derived rather than copied: ``TwoStepConfig``'s scalar dataclass
     defaults, :data:`repro.backends.DEFAULT_BACKEND` and the env-backed
     flag defaults.  Fields absent here have *dynamic* defaults (one
-    stripe spanning the matrix for ``segment_width``, CPU count for
-    ``n_jobs``, value-precision SINGLE for ``precision``, feature-off
-    ``None`` for VLDI/HDN) and deliberately stay ``None`` after
-    resolution -- the component owning the live value resolves them.
+    stripe spanning the matrix for ``segment_width``, value-precision
+    SINGLE for ``precision``, feature-off ``None`` for VLDI/HDN) and
+    deliberately stay ``None`` after resolution -- the component owning
+    the live value resolves them.
     """
     from repro.backends import DEFAULT_BACKEND
     from repro.core.config import TwoStepConfig
@@ -272,22 +270,9 @@ def parse_env(field_name: str, raw: str):
     The only parser of these variables.  The default-on flag
     (``telemetry``) treats any value outside the falsy set as on; the
     default-off flag (``strict_validate``) requires an explicit truthy
-    value; ``n_jobs`` must be a positive integer.
-
-    Raises:
-        ConfigurationError: A malformed ``n_jobs`` value (the message
-            names the variable).
+    value.
     """
     raw = raw.strip()
-    if field_name == "n_jobs":
-        var = ENV_VARS[field_name]
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise _config_error(f"{var} must be an integer, got {raw!r}") from None
-        if jobs <= 0:
-            raise _config_error(f"{var} must be positive, got {jobs}")
-        return jobs
     if field_name == "strict_validate":
         return raw.lower() in _TRUTHY
     if field_name == "telemetry":
@@ -334,14 +319,8 @@ class EngineOptions:
         check_interleave: Route step-2 assembly through the store-queue
             invariant checker; default off.
         index_field_bytes: Uncompressed index field width; default 4.
-        backend: Execution backend name -- ``"reference"``,
-            ``"vectorized"`` or ``"native"``
-            (``REPRO_BACKEND``, then ``"vectorized"``).  ``native``
-            JIT-compiles the plan-replay kernels when Numba is
-            installed and falls back to the bit-identical vectorized
-            kernels when it is not.
-        n_jobs: Native-backend ``prange`` thread count
-            (``REPRO_JOBS``, then the CPU count).
+        backend: Execution backend name -- ``"reference"`` or
+            ``"vectorized"`` (``REPRO_BACKEND``, then ``"vectorized"``).
         plan_cache: Execution plans retained per engine (LRU); default 8.
         strict_validate: Full-scan input hardening
             (``REPRO_STRICT_VALIDATE``, then off).
@@ -363,7 +342,6 @@ class EngineOptions:
     check_interleave: bool | None = None
     index_field_bytes: int | None = None
     backend: str | None = None
-    n_jobs: int | None = None
     plan_cache: int | None = None
     strict_validate: bool | None = None
     telemetry: bool | None = None
@@ -425,7 +403,7 @@ class EngineOptions:
 
         Every env-backed field that is still ``None`` consults its
         environment variable, then :func:`static_defaults`.  Fields
-        with *dynamic* defaults (CPU count, value precision) stay ``None``
+        with *dynamic* defaults (stripe width, value precision) stay ``None``
         deliberately -- they are resolved where the live value exists.
         After this call the options are pinned: later environment
         mutations cannot change the engine.
@@ -466,9 +444,9 @@ class EngineOptions:
 
         Resolution against the environment happens first
         (:meth:`resolve`), so the returned config is pinned: ``backend``,
-        ``strict_validate`` and ``telemetry`` always carry a value,
-        ``n_jobs`` does whenever ``REPRO_JOBS`` is set.  Fields with
-        dynamic defaults stay unset so ``TwoStepConfig`` supplies them.
+        ``strict_validate`` and ``telemetry`` always carry a value.
+        Fields with dynamic defaults stay unset so ``TwoStepConfig``
+        supplies them.
         """
         from repro.core.config import TwoStepConfig
 

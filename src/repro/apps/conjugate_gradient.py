@@ -91,8 +91,8 @@ def conjugate_gradient(
         matrix: Symmetric positive-definite system matrix.
         b: Right-hand side.
         config: When given, the per-iteration SpMV runs through the
-            Two-Step engine (on the backend and worker count it
-            selects) and its traffic is accumulated.
+            Two-Step engine (on the backend it selects) and its
+            traffic is accumulated.
         tol: Convergence threshold on ``||r|| / ||b||``.
         max_iterations: Iteration cap.
 

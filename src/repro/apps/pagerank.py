@@ -106,7 +106,7 @@ def pagerank(
         adjacency: Directed graph adjacency (row = source).
         config: Two-Step configuration or :class:`repro.api.EngineOptions`
             (segment width should be the ITS half-scratchpad width); it
-            also selects the execution backend and worker count.
+            also selects the execution backend.
         damping: PageRank damping factor d.
         tol: L1 convergence threshold.
         max_iterations: Iteration cap.

@@ -52,7 +52,6 @@ PROFILE_VERSION = 1
 #: is the serving layer's micro-batch hint.
 KNOB_FIELDS = (
     "backend",
-    "n_jobs",
     "q",
     "segment_width",
     "vldi_vector_block_bits",
@@ -63,7 +62,6 @@ KNOB_FIELDS = (
 #: Knobs applied onto ``TwoStepConfig`` directly (same field name).
 _CONFIG_KNOBS = (
     "backend",
-    "n_jobs",
     "q",
     "segment_width",
     "vldi_vector_block_bits",

@@ -5,7 +5,7 @@ profile.KNOB_FIELDS` entry) and the candidate values worth trying for
 it; a :class:`SearchSpace` is an ordered tuple of components, swept in
 order by :class:`~repro.autotune.study.TuningStudy`.  The order encodes
 the greedy sweep's coordinate-descent sequence: structure first (stripe
-width, merge radix), then execution tier, then the feature toggles whose
+width, merge radix), then the feature toggles whose
 benefit depends on the structure already chosen.
 
 :func:`default_search_space` builds the space the paper's tuning story
@@ -17,12 +17,10 @@ to measure, not heuristics to trust.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.api import SIMULATION_SEGMENT_WIDTH
 from repro.autotune.profile import KNOB_FIELDS, _profile_error
-from repro.backends.native import numba_available
 
 
 def _dedupe(values) -> tuple:
@@ -125,12 +123,6 @@ def default_search_space(
             heuristics in :mod:`repro.core.autotune`).
         include_serving: Include the serving-side ``max_batch``
             component (measured on batched ``run_many`` throughput).
-
-    The ``backend`` and ``n_jobs`` components are offered only when
-    Numba is installed: without it ``native`` runs the vectorized
-    kernels and ignores ``n_jobs``, so both would be measured no-ops.
-    ``n_jobs`` (``native`` ``prange`` threads) also needs a multi-core
-    host.
     """
     n_cols = matrix.n_cols if matrix is not None else 1 << 20
 
@@ -150,19 +142,12 @@ def default_search_space(
         if stats.degree_skew > 4.0:
             hdn_candidates.append(int(stats.suggested_hdn_threshold()))
 
-    jit = numba_available()
     components = [
         Component("segment_width", _segment_width_candidates(n_cols)),
         Component("q", (4, 2, 1, 0)),
-    ]
-    if jit:
-        components.append(Component("backend", ("vectorized", "native")))
-    components += [
         Component("vldi_vector_block_bits", tuple(vldi_candidates), name="vldi"),
         Component("hdn_threshold", tuple(hdn_candidates), name="hdn"),
     ]
-    if jit and (os.cpu_count() or 1) > 1:
-        components.append(Component("n_jobs", (None, 2, os.cpu_count() or 2)))
     if include_serving:
         components.append(
             Component("max_batch", (8, 32, 128), serving=True)

@@ -58,8 +58,7 @@ def knobs_to_config(knobs: dict, *, backend_override: str | None = None):
     from repro.core.config import TwoStepConfig
 
     kwargs = {**_baseline_defaults(), "telemetry": False}
-    for name in ("segment_width", "q", "backend", "n_jobs",
-                 "vldi_vector_block_bits"):
+    for name in ("segment_width", "q", "backend", "vldi_vector_block_bits"):
         if name in knobs and knobs[name] is not None:
             kwargs[name] = knobs[name]
     threshold = knobs.get("hdn_threshold")
@@ -69,7 +68,6 @@ def knobs_to_config(knobs: dict, *, backend_override: str | None = None):
         kwargs["hdn"] = HDNConfig(degree_threshold=int(threshold))
     if backend_override is not None:
         kwargs["backend"] = backend_override
-        kwargs.pop("n_jobs", None)
     return TwoStepConfig(**kwargs)
 
 

@@ -8,10 +8,6 @@ accounting) through an :class:`ExecutionBackend`:
   (:class:`ReferenceBackend`).
 * ``vectorized`` -- whole-array NumPy kernels, the fast path and the
   default (:class:`VectorizedBackend`).
-* ``native`` -- JIT-fused plan-replay loops compiled with Numba (an
-  *optional* dependency; graceful fallback to the vectorized kernels
-  when unavailable), with ``prange`` run-range parallelism
-  (:class:`NativeBackend`).
 
 Selection precedence: an explicit backend object > the ``backend`` field
 of :class:`~repro.core.config.TwoStepConfig` > the ``REPRO_BACKEND``
@@ -26,7 +22,6 @@ import os
 
 from repro.api import ENV_VARS
 from repro.backends.base import ExecutionBackend, SparseVector
-from repro.backends.native import NativeBackend
 from repro.backends.reference import ReferenceBackend
 from repro.backends.vectorized import VectorizedBackend
 
@@ -39,10 +34,9 @@ DEFAULT_BACKEND = "vectorized"
 _REGISTRY: dict[str, type[ExecutionBackend]] = {
     ReferenceBackend.name: ReferenceBackend,
     VectorizedBackend.name: VectorizedBackend,
-    NativeBackend.name: NativeBackend,
 }
 
-_INSTANCES: dict[tuple, ExecutionBackend] = {}
+_INSTANCES: dict[str, ExecutionBackend] = {}
 
 
 def available_backends() -> tuple[str, ...]:
@@ -60,15 +54,13 @@ def get_backend(name: str) -> ExecutionBackend:
         raise ValueError(
             f"unknown backend {name!r}; available: {', '.join(available_backends())}"
         )
-    key = (name,)
-    if key not in _INSTANCES:
-        _INSTANCES[key] = _REGISTRY[name]()
-    return _INSTANCES[key]
+    if name not in _INSTANCES:
+        _INSTANCES[name] = _REGISTRY[name]()
+    return _INSTANCES[name]
 
 
 def resolve_backend(
     selection: str | ExecutionBackend | None = None,
-    n_jobs: int | None = None,
 ) -> ExecutionBackend:
     """Resolve a backend selection to an instance.
 
@@ -76,30 +68,19 @@ def resolve_backend(
         selection: A backend instance (returned as is), a registry name,
             or None -- which falls back to the ``REPRO_BACKEND``
             environment variable, then :data:`DEFAULT_BACKEND`.
-        n_jobs: ``prange`` thread count for the ``native`` backend;
-            ignored by the sequential backends.  None lets
-            ``REPRO_JOBS`` / the CPU count decide.
 
     Returns:
-        The selected :class:`ExecutionBackend`.  Parameterized
-        ``native`` instances are cached per ``n_jobs``.
+        The selected :class:`ExecutionBackend`.
     """
     if isinstance(selection, ExecutionBackend):
         return selection
-    name = selection or os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    if name == NativeBackend.name and n_jobs is not None:
-        key = (name, n_jobs)
-        if key not in _INSTANCES:
-            _INSTANCES[key] = NativeBackend(n_jobs=n_jobs)
-        return _INSTANCES[key]
-    return get_backend(name)
+    return get_backend(selection or os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND)
 
 
 __all__ = [
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "ExecutionBackend",
-    "NativeBackend",
     "ReferenceBackend",
     "SparseVector",
     "VectorizedBackend",

@@ -6,8 +6,7 @@ stripe accumulation, sorted-list merge with accumulation, missing-key
 injection, dense scatter, and VLDI size accounting.  An
 :class:`ExecutionBackend` bundles one implementation of each kernel, so
 the engine can swap the record-at-a-time oracle for whole-array NumPy
-kernels (or, later, native/accelerator kernels) without touching any
-caller.
+kernels without touching any caller.
 
 Every backend must be *bit-compatible*: for the same inputs, all kernels
 accumulate in the same left-to-right stream order, so result vectors are
@@ -39,12 +38,9 @@ class ExecutionBackend(ABC):
 
     @property
     def kernel_tier(self) -> str:
-        """Which kernel implementation actually executes.
+        """Which kernel implementation executes: the registry name.
 
-        Defaults to the registry name; backends with internal fallback
-        tiers (the ``native`` backend without Numba) override this so
-        telemetry and the serving layer can report the tier that served
-        a request, not just the tier that was requested.
+        ``perfbench`` reads it to label each run's kernels.
         """
         return self.name
 

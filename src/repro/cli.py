@@ -42,10 +42,11 @@ from repro.generators.rmat import rmat_graph
 
 
 def add_backend_options(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--backend`` / ``--jobs`` options to a subcommand.
+    """Attach the shared execution options to a subcommand.
 
     Every subcommand that executes the functional engine takes the same
-    pair; centralizing them here keeps choices and help text in sync with
+    ``--backend`` / ``--strict-validate`` / ``--no-telemetry`` set;
+    centralizing them here keeps choices and help text in sync with
     the backend registry.
     """
     parser.add_argument(
@@ -54,14 +55,6 @@ def add_backend_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="execution backend for the functional engine "
         "(default: $REPRO_BACKEND, then vectorized)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="prange threads for --backend native "
-        "(default: $REPRO_JOBS, then the CPU count)",
     )
     parser.add_argument(
         "--strict-validate",
@@ -116,7 +109,6 @@ def _exec_fields(args: argparse.Namespace) -> dict:
     """The execution-side flag values that were actually set."""
     fields = {
         "backend": args.backend,
-        "n_jobs": args.jobs,
         "strict_validate": args.strict_validate,
         "telemetry": args.telemetry,
     }

@@ -51,9 +51,9 @@ class Accelerator:
                 test matrices; pass a small value to exercise multi-stripe
                 behaviour on small inputs.
             options: Execution options (:class:`repro.api.EngineOptions`)
-                for the functional engine: backend, thread count,
-                validation/telemetry toggles; None
-                means all defaults.  Prefer building accelerators through
+                for the functional engine: backend and
+                validation/telemetry toggles; None means all defaults.
+                Prefer building accelerators through
                 :func:`repro.api.create_engine` with
                 ``design_point=point``.
 

@@ -44,15 +44,10 @@ class TwoStepConfig:
             DRAM layout.  The hardware uses fixed 32-bit fields (4 bytes)
             for row/column/intermediate indices regardless of the actual
             dimension; VLDI is what removes that slack.
-        backend: Execution-backend name (``"reference"``,
-            ``"vectorized"`` or ``"native"``); None
-            defers to the ``REPRO_BACKEND`` environment variable, then
-            the package default.  All backends are bit-compatible --
-            only wall-clock speed differs (``native`` falls back to the
-            vectorized kernels when Numba is not installed).
-        n_jobs: Thread count for the ``native`` backend's ``prange``
-            kernels; None defers to ``REPRO_JOBS``, then the CPU count.
-            Ignored by the sequential backends.
+        backend: Execution-backend name (``"reference"`` or
+            ``"vectorized"``); None defers to the ``REPRO_BACKEND``
+            environment variable, then the package default.  Both
+            backends are bit-compatible -- only wall-clock speed differs.
         plan_cache: Maximum :class:`~repro.core.plan.ExecutionPlan`
             objects an engine retains (LRU).  0 disables caching, so
             every ``run()`` rebuilds matrix-side state.
@@ -79,7 +74,6 @@ class TwoStepConfig:
     check_interleave: bool = False
     index_field_bytes: int = 4
     backend: str = None
-    n_jobs: int = None
     plan_cache: int = 8
     strict_validate: bool = None
     telemetry: bool = None

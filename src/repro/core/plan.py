@@ -75,10 +75,6 @@ class StripePlan:
         batch_cols: ``cols`` permuted into the layout's position-major
             order.
         batch_vals: ``vals`` in the same position-major order.
-        run_starts: CSR-style run offsets (length ``n_runs + 1``):
-            records of output run ``r`` occupy stream positions
-            ``run_starts[r]:run_starts[r+1]``.  The native backend's
-            fused loops iterate these ranges directly.
     """
 
     index: int
@@ -96,7 +92,6 @@ class StripePlan:
     run_groups: RunLayout
     batch_cols: np.ndarray
     batch_vals: np.ndarray
-    run_starts: np.ndarray | None = None
 
     @property
     def width(self) -> int:
@@ -152,11 +147,6 @@ class Step2Symbolic:
             (:class:`~repro.core.segsum.RunLayout`) of the sorted merge
             stream with ``order`` composed in, for the order-preserving
             multi-RHS kernel.
-        run_starts: CSR-style offsets into the *sorted* merge stream
-            (length ``n_merged + 1``): records of merged key ``r``
-            occupy sorted positions ``run_starts[r]:run_starts[r+1]``.
-            The native backend's fused merge loop composes these ranges
-            with ``order`` to read the unsorted concatenated stream.
     """
 
     p: int
@@ -171,7 +161,6 @@ class Step2Symbolic:
     class_positions: tuple
     class_keys: tuple
     run_groups: RunLayout
-    run_starts: np.ndarray | None = None
 
 
 def build_step2_symbolic(stripes: list, n_out: int, p: int) -> Step2Symbolic:
@@ -239,7 +228,6 @@ def build_step2_symbolic(stripes: list, n_out: int, p: int) -> Step2Symbolic:
         class_positions=tuple(positions),
         class_keys=tuple(class_keys),
         run_groups=run_groups,
-        run_starts=run_starts,
     )
 
 
@@ -283,9 +271,6 @@ class SpGEMMPlan:
             key stream -- the global merge permutation.
         run_ids: Per-sorted-record merged-output id (``bincount``
             weights collapse equal keys in stream order).
-        run_starts: CSR-style offsets into the *sorted* stream (length
-            ``n_merged + 1``); the native backend's fused merge loop
-            composes these ranges with ``order``.
         out_rows: Row coordinate of each merged output record.
         out_cols: Column coordinate of each merged output record.
         total_records: Partial-product records across all blocks.
@@ -300,7 +285,6 @@ class SpGEMMPlan:
     a_scale: np.ndarray
     order: np.ndarray
     run_ids: np.ndarray
-    run_starts: np.ndarray
     out_rows: np.ndarray
     out_cols: np.ndarray
     total_records: int
@@ -377,13 +361,9 @@ def build_spgemm_plan(stripes: list, b: COOMatrix, n_rows: int) -> SpGEMMPlan:
         new_run[1:] = sorted_keys[1:] != sorted_keys[:-1]
         run_ids = (np.cumsum(new_run) - 1).astype(np.int64, copy=False)
         merged_keys = sorted_keys[new_run]
-        run_starts = np.append(
-            np.flatnonzero(new_run), sorted_keys.size
-        ).astype(np.int64, copy=False)
     else:
         run_ids = np.empty(0, dtype=np.int64)
         merged_keys = np.empty(0, dtype=np.int64)
-        run_starts = np.zeros(1, dtype=np.int64)
     n_merged = int(merged_keys.size)
     return SpGEMMPlan(
         b=b,
@@ -394,7 +374,6 @@ def build_spgemm_plan(stripes: list, b: COOMatrix, n_rows: int) -> SpGEMMPlan:
         a_scale=a_scale,
         order=order,
         run_ids=run_ids,
-        run_starts=run_starts,
         out_rows=merged_keys // b.n_cols if n_merged else merged_keys,
         out_cols=merged_keys % b.n_cols if n_merged else merged_keys.copy(),
         total_records=int(total),
@@ -725,7 +704,6 @@ def build_plan(
                 run_groups=replace(layout, rec=None),
                 batch_cols=stripe.cols[layout.rec],
                 batch_vals=stripe.vals[layout.rec],
-                run_starts=run_starts,
             )
         )
         # Step-1 statistics are structure-only: accumulate the template

@@ -30,9 +30,9 @@ batch.
 The inner kernels (stripe accumulation, merge, injection, VLDI size
 accounting) are dispatched through an execution backend
 (:mod:`repro.backends`): ``reference`` replays records one at a time,
-``vectorized`` runs whole-array NumPy kernels, ``native`` fuses them
-into JIT-compiled loops.  All produce bit-identical
-results and byte-identical ledgers; only wall-clock speed differs.
+and ``vectorized`` runs whole-array NumPy kernels.  Both produce
+bit-identical results and byte-identical ledgers; only wall-clock speed
+differs.
 """
 
 from __future__ import annotations
@@ -182,10 +182,7 @@ class TwoStepEngine:
         self.config = config
         # The config is pinned, so its plan-cache key is too.
         self._fingerprint = config_fingerprint(config)
-        self.backend = resolve_backend(
-            backend or config.backend,
-            n_jobs=config.n_jobs,
-        )
+        self.backend = resolve_backend(backend or config.backend)
         self._step1 = Step1Engine(config, backend=self.backend)
         self._step2 = Step2Engine(config, backend=self.backend)
         self._plans: OrderedDict[tuple, ExecutionPlan] = OrderedDict()
@@ -560,11 +557,8 @@ class TwoStepEngine:
         )
         metrics.inc(
             "spgemm_backend_runs_total",
-            labels={
-                "backend": self.backend.name,
-                "kernels": self.backend.kernel_tier,
-            },
-            help="SpGEMM runs, by requested backend and executing kernel tier",
+            labels={"backend": self.backend.name},
+            help="SpGEMM runs, by backend",
         )
         telemetry = TelemetryReport(
             spans=session.tracer.finished(), metrics=metrics
@@ -635,11 +629,8 @@ class TwoStepEngine:
         )
         metrics.inc(
             "spmv_backend_runs_total",
-            labels={
-                "backend": self.backend.name,
-                "kernels": self.backend.kernel_tier,
-            },
-            help="Engine runs, by requested backend and executing kernel tier",
+            labels={"backend": self.backend.name},
+            help="Engine runs, by backend",
         )
         telemetry = TelemetryReport(
             spans=session.tracer.finished(), metrics=metrics

@@ -15,8 +15,8 @@ Three mechanisms, all configured through one :class:`ResiliencePolicy`:
   (tenant, fingerprint) lane.  ``breaker_threshold`` consecutive
   execution failures at the configured backend tier open the lane;
   while open, batches skip the failing tier and run down the
-  *degradation ladder* (:func:`degradation_ladder`: native ->
-  vectorized -> reference, starting below the configured tier).
+  *degradation ladder* (:func:`degradation_ladder`: vectorized ->
+  reference, starting below the configured tier).
   Because every backend in the registry is bit-identical by contract,
   a degraded run returns exactly the bytes the healthy tier would have.
   After ``breaker_cooldown_s`` the breaker half-opens and the next
@@ -45,7 +45,7 @@ from repro.faults.errors import CircuitOpenError, ConfigurationError
 #: Backend tiers from most to least specialised; a lane degrades
 #: rightward.  Every tier is bit-identical by the backend contract, so
 #: degradation trades throughput for availability, never correctness.
-TIER_ORDER = ("native", "vectorized", "reference")
+TIER_ORDER = ("vectorized", "reference")
 
 #: Circuit states, also the values of the ``serving_circuit_state`` gauge.
 CIRCUIT_CLOSED = 0

@@ -111,7 +111,7 @@ class SpMVServer:
         self._inflight_by_tenant: dict[str, int] = {}
         self._breakers: dict[tuple, CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
-        self._ladder = degradation_ladder(self.options.resolve().backend or "vectorized")
+        self._ladder = degradation_ladder(self.options.backend)
         self._rng = random.Random(0x5EED)
         self._execution_seq = itertools.count()
         self._closed = False
@@ -515,23 +515,17 @@ class SpMVServer:
         }
 
     def _backend_stats(self) -> dict:
-        """Which execution tier serves requests, and what it cost to build.
+        """Which backend serves requests, and how many runs each took.
 
         Merges every instantiated engine registry -- including
         degraded-tier engines the ladder may have created -- so
-        operators can see the requested backend, the kernel tier that
-        actually executed (``native-jit`` vs ``numpy-fallback``), and
-        the one-time JIT compile counters -- without scraping Prometheus.
+        operators can see the configured backend and the runs per
+        backend without scraping Prometheus.
         """
-        from repro.backends.native import numba_available
-
         merged = MetricsRegistry()
-        tiers: set[str] = set()
         for _tenant, _backend, engine in self.registry.engines():
             if hasattr(engine, "metrics"):
                 merged.merge(engine.metrics())
-            if hasattr(engine, "backend"):
-                tiers.add(engine.backend.kernel_tier)
 
         def flat(name: str) -> dict:
             return {
@@ -540,12 +534,9 @@ class SpMVServer:
             }
 
         return {
-            "configured": self.options.resolve().backend,
-            "numba_available": numba_available(),
-            "kernel_tiers": sorted(tiers),
+            "configured": self.options.backend,
             "runs_total": flat("spmv_backend_runs_total"),
             "spgemm_runs_total": flat("spgemm_backend_runs_total"),
-            "native_compile_total": flat("spmv_native_compile_total"),
         }
 
     def prometheus(self) -> str:

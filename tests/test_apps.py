@@ -1,6 +1,5 @@
 """Tests for the graph-analytics applications."""
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,12 +167,3 @@ def test_kcore_through_engine_matches_edge_sweep(small_er_graph):
     # Every peeling round after the first reused the cached plan.
     stats = engine.plan_cache_stats
     assert stats["misses"] == 1 and stats["hits"] >= 1
-
-
-def test_pagerank_accepts_parallel_jobs(small_er_graph):
-    cfg = TwoStepConfig(segment_width=512, q=2)
-    ref = pagerank(small_er_graph, cfg, max_iterations=8)
-    par = pagerank(
-        small_er_graph, replace(cfg, backend="native", n_jobs=2), max_iterations=8
-    )
-    assert np.array_equal(ref.ranks, par.ranks)

@@ -1,12 +1,11 @@
 """Differential tests: every execution backend is bit-compatible.
 
-The ``vectorized`` and ``native`` backends must be indistinguishable
-from the ``reference`` oracle on randomized inputs -- identical result
-bits, identical intermediate record counts, identical traffic-ledger
-byte totals, identical cycle statistics.  Kernel-level properties pin
-each backend method; engine-level properties pin the whole Two-Step
-path across ER/RMAT structure, HDN on/off, VLDI on/off and ``prange``
-thread counts.
+The ``vectorized`` backend must be indistinguishable from the
+``reference`` oracle on randomized inputs -- identical result bits,
+identical intermediate record counts, identical traffic-ledger byte
+totals, identical cycle statistics.  Kernel-level properties pin each
+backend method; engine-level properties pin the whole Two-Step path
+across ER/RMAT structure, HDN on/off and VLDI on/off.
 """
 
 import dataclasses
@@ -88,18 +87,16 @@ def test_merge_accumulate_kernels_bitwise_equal(data):
     assert np.array_equal(ref_val, vec_val)
 
 
-@given(sorted_lists(), st.sampled_from([1, 2, 4]))
+@given(sorted_lists())
 @settings(max_examples=30, deadline=None)
-def test_planned_merge_bitwise_equal(data, n_jobs):
-    """The planned merge matches the plan-free oracle merge bit for bit,
-    on every fast backend and at every ``prange`` thread count."""
+def test_planned_merge_bitwise_equal(data):
+    """The planned merge matches the plan-free oracle merge bit for bit."""
     key_space, lists = data
     stripes = [SimpleNamespace(out_indices=idx) for idx, _ in lists]
     symbolic = build_step2_symbolic(stripes, key_space, 1)
     ref_idx, ref_val = REFERENCE.merge_accumulate(lists)
     assert np.array_equal(ref_idx, symbolic.merged_keys)
-    for backend in (VECTORIZED, resolve_backend("native", n_jobs=n_jobs)):
-        assert np.array_equal(ref_val, backend.merge_accumulate_plan(symbolic, lists))
+    assert np.array_equal(ref_val, VECTORIZED.merge_accumulate_plan(symbolic, lists))
 
 
 @given(sorted_lists(), st.integers(0, 3))
@@ -185,38 +182,22 @@ def test_backends_agree_end_to_end(family, cfg, seed):
     x = np.random.default_rng(seed).uniform(size=graph.n_cols)
     ref = _run(graph, x, "reference", **cfg)
     vec = _run(graph, x, "vectorized", **cfg)
-    nat = _run(graph, x, "native", **cfg)
 
     # Result vectors are bit-comparable -- not merely allclose.
     assert np.array_equal(ref.y, vec.y)
-    assert np.array_equal(ref.y, nat.y)
     assert np.allclose(ref.y, reference_spmv(graph, x))
 
     # Identical instrumentation: records, formats, cycle stats, ledgers.
-    for other in (vec, nat):
-        assert ref.report.intermediate_records == other.report.intermediate_records
-        assert ref.report.stripe_formats == other.report.stripe_formats
-        assert dataclasses.asdict(ref.report.step1) == dataclasses.asdict(other.report.step1)
-        assert dataclasses.asdict(ref.report.step2) == dataclasses.asdict(other.report.step2)
-        for field in LEDGER_FIELDS:
-            assert getattr(ref.report.traffic, field) == getattr(other.report.traffic, field), field
-        assert ref.report.traffic.total_bytes == other.report.traffic.total_bytes
-
-
-@pytest.mark.parametrize("n_jobs", [1, 2, 4])
-def test_native_engine_bitwise_equal_across_job_counts(n_jobs):
-    """``prange`` execution is invariant in the thread count -- bit for bit."""
-    graph = _graph("rmat", 3)
-    x = np.random.default_rng(7).uniform(size=graph.n_cols)
-    cfg = dict(hdn=HDNConfig(degree_threshold=16), vldi_vector_block_bits=8)
-    vec = _run(graph, x, "vectorized", **cfg)
-    nat = _run(graph, x, "native", n_jobs=n_jobs, **cfg)
-    assert np.array_equal(vec.y, nat.y)
+    assert ref.report.intermediate_records == vec.report.intermediate_records
+    assert ref.report.stripe_formats == vec.report.stripe_formats
+    assert dataclasses.asdict(ref.report.step1) == dataclasses.asdict(vec.report.step1)
+    assert dataclasses.asdict(ref.report.step2) == dataclasses.asdict(vec.report.step2)
     for field in LEDGER_FIELDS:
-        assert getattr(vec.report.traffic, field) == getattr(nat.report.traffic, field)
+        assert getattr(ref.report.traffic, field) == getattr(vec.report.traffic, field), field
+    assert ref.report.traffic.total_bytes == vec.report.traffic.total_bytes
 
 
-@pytest.mark.parametrize("backend", ["reference", "vectorized", "native"])
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
 def test_run_many_matches_column_runs(backend):
     """Batched execution is column-for-column bit-identical to run()."""
     graph = _graph("er", 2)
@@ -252,7 +233,7 @@ def test_accumuland_agrees_across_backends(small_er_graph, rng):
 
 
 def test_available_backends_registry():
-    assert available_backends() == ("native", "reference", "vectorized")
+    assert available_backends() == ("reference", "vectorized")
     assert DEFAULT_BACKEND in available_backends()
     with pytest.raises(ValueError, match="unknown backend"):
         get_backend("cuda")

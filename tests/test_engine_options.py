@@ -13,7 +13,7 @@ import pytest
 
 from repro import create_engine, reference_spmv
 from repro.api import ENV_VARS, EngineOptions, ensure_config
-from repro.backends import DEFAULT_BACKEND, NativeBackend
+from repro.backends import DEFAULT_BACKEND, available_backends
 from repro.core.accelerator import Accelerator
 from repro.core.config import TwoStepConfig
 from repro.core.design_points import TS_ASIC
@@ -51,20 +51,20 @@ class TestPrecedence:
 
     def test_env_beats_default(self, clean_env):
         clean_env.setenv("REPRO_BACKEND", "reference")
-        clean_env.setenv("REPRO_JOBS", "3")
+        clean_env.setenv("REPRO_STRICT_VALIDATE", "1")
         options = EngineOptions().resolve()
         assert options.backend == "reference"
-        assert options.n_jobs == 3
+        assert options.strict_validate is True
 
     def test_explicit_beats_env(self, clean_env):
         clean_env.setenv("REPRO_BACKEND", "reference")
-        options = EngineOptions(backend="native").resolve()
-        assert options.backend == "native"
+        options = EngineOptions(backend="vectorized").resolve()
+        assert options.backend == "vectorized"
 
     def test_resolution_pins_values(self, clean_env):
         clean_env.setenv("REPRO_BACKEND", "reference")
         options = EngineOptions().resolve()
-        clean_env.setenv("REPRO_BACKEND", "native")
+        clean_env.setenv("REPRO_BACKEND", "vectorized")
         # Already-resolved options must not chase the environment.
         assert options.backend == "reference"
         assert options.resolve().backend == "reference"
@@ -84,32 +84,14 @@ class TestPrecedence:
         assert EngineOptions().resolve().strict_validate is False
 
     def test_garbage_env_value_raises_configuration_error(self, clean_env):
-        clean_env.setenv("REPRO_JOBS", "many")
-        with pytest.raises(ConfigurationError, match="REPRO_JOBS"):
-            EngineOptions().resolve()
-
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: create_engine(backend="native"),
-            lambda: TwoStepEngine(TwoStepConfig(segment_width=64, backend="native")),
-            lambda: NativeBackend(),
-        ],
-        ids=["factory", "direct", "backend"],
-    )
-    def test_non_positive_jobs_error_names_the_variable(self, clean_env, build):
-        clean_env.setenv("REPRO_JOBS", "0")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(
-                ConfigurationError, match="REPRO_JOBS must be positive, got 0"
-            ):
-                build()
+        clean_env.setenv("REPRO_BACKEND", "many")
+        with pytest.raises(ConfigurationError, match="unknown backend 'many'"):
+            EngineOptions().to_config()
 
     def test_dynamic_defaults_stay_unset(self, clean_env):
         options = EngineOptions().resolve()
-        # CPU count / precision resolve downstream.
-        assert options.n_jobs is None
+        # Stripe width / precision resolve downstream.
+        assert options.segment_width is None
         assert options.precision is None
 
 
@@ -123,12 +105,12 @@ class TestConstruction:
         clean_env.setenv("REPRO_BACKEND", "reference")
         options = EngineOptions.from_env()
         assert options.backend == "reference"
-        assert options.n_jobs is None  # unset variable stays None
+        assert options.telemetry is None  # unset variable stays None
 
     def test_from_env_overrides_win(self, clean_env):
         clean_env.setenv("REPRO_BACKEND", "reference")
-        options = EngineOptions.from_env(backend="native")
-        assert options.backend == "native"
+        options = EngineOptions.from_env(backend="vectorized")
+        assert options.backend == "vectorized"
 
     def test_from_config_round_trip(self, clean_env):
         config = TwoStepConfig(segment_width=1024, q=3, backend="reference")
@@ -239,14 +221,14 @@ class TestRemovedParallelBackend:
 
     def test_backend_argument_is_rejected(self, clean_env):
         with pytest.raises(
-            ConfigurationError, match="available: native, reference, vectorized"
+            ConfigurationError, match="available: reference, vectorized"
         ):
             create_engine(backend="parallel")
 
     def test_backend_env_var_is_rejected(self, clean_env):
         clean_env.setenv("REPRO_BACKEND", "parallel")
         with pytest.raises(
-            ConfigurationError, match="available: native, reference, vectorized"
+            ConfigurationError, match="available: reference, vectorized"
         ):
             create_engine()
 
@@ -268,8 +250,65 @@ class TestRemovedParallelBackend:
         with pytest.raises(ConfigurationError, match="unknown engine option"):
             EngineOptions().replace(**{name: 1})
 
-    def test_env_vars_are_the_four_remaining(self):
-        assert set(ENV_VARS) == {"backend", "n_jobs", "strict_validate", "telemetry"}
+
+# ----------------------------------------------------------------------
+# Removed native backend and its n_jobs knob
+# ----------------------------------------------------------------------
+
+
+class TestRemovedNativeBackend:
+    """The ``native`` backend and ``n_jobs`` are gone: naming them fails."""
+
+    def test_backend_argument_is_rejected(self, clean_env):
+        assert available_backends() == ("reference", "vectorized")
+        for build in (
+            lambda: create_engine(backend="native"),
+            lambda: TwoStepConfig(backend="native"),
+        ):
+            with pytest.raises(
+                ConfigurationError, match="available: reference, vectorized"
+            ):
+                build()
+
+    def test_backend_env_var_is_rejected(self, clean_env):
+        clean_env.setenv("REPRO_BACKEND", "native")
+        with pytest.raises(
+            ConfigurationError, match="available: reference, vectorized"
+        ):
+            create_engine()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--backend", "native"], "invalid choice: 'native'"),
+            (["--jobs", "2"], "unrecognized arguments: --jobs 2"),
+        ],
+        ids=["backend", "jobs"],
+    )
+    def test_cli_flags_are_argparse_errors(self, capsys, flags, message):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["run", "m.bin", *flags])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_n_jobs_field_is_unknown(self):
+        for build in (EngineOptions, TwoStepConfig):
+            with pytest.raises(TypeError, match="n_jobs"):
+                build(n_jobs=2)
+        with pytest.raises(ConfigurationError, match="unknown engine option"):
+            create_engine(n_jobs=2)
+
+    def test_env_vars_are_the_three_remaining(self):
+        assert set(ENV_VARS) == {"backend", "strict_validate", "telemetry"}
+
+    def test_degradation_ladder_has_no_native_rung(self):
+        from repro.serving.resilience import degradation_ladder
+
+        assert degradation_ladder("vectorized") == ("vectorized", "reference")
+        # An unknown tier fails closed: it never re-routes to another one.
+        assert degradation_ladder("native") == ("native",)
 
 
 # ----------------------------------------------------------------------

@@ -55,10 +55,8 @@ class TestErrorHierarchy:
             assert issubclass(cls, FaultError)
 
     def test_legacy_config_raises_stay_catchable(self):
-        from repro.backends.native import NativeBackend
-
-        with pytest.raises(ValueError, match="n_jobs must be positive"):
-            NativeBackend(n_jobs=0)
+        with pytest.raises(ValueError, match="segment_width must be positive"):
+            TwoStepConfig(segment_width=0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +223,9 @@ class TestCLIFlags:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["run", "m.mtx", "--backend", "native", "--jobs", "2", "--strict-validate"]
+            ["run", "m.mtx", "--backend", "vectorized", "--strict-validate"]
         )
-        assert args.backend == "native"
-        assert args.jobs == 2
+        assert args.backend == "vectorized"
         assert args.strict_validate is True
 
     def test_solve_parser_defaults_defer_to_environment(self):
@@ -236,5 +233,4 @@ class TestCLIFlags:
 
         args = build_parser().parse_args(["solve", "pagerank", "m.mtx"])
         assert args.backend is None
-        assert args.jobs is None
         assert args.strict_validate is None

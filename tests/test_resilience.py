@@ -107,9 +107,6 @@ class TestDeadline:
 
 
 class TestDegradationLadder:
-    def test_native(self):
-        assert degradation_ladder("native") == ("native", "vectorized", "reference")
-
     def test_vectorized(self):
         assert degradation_ladder("vectorized") == ("vectorized", "reference")
 

@@ -165,7 +165,7 @@ def test_stripe_kernel_loops_once_per_run_position(rmat13):
     plan, _symbolic = rmat13
     rng = np.random.default_rng(0)
     for stripe in plan.stripes:
-        lengths = np.diff(stripe.run_starts)
+        lengths = np.bincount(stripe.run_ids, minlength=stripe.n_runs)
         distinct = np.unique(lengths)
         # A per-distinct-length loop would take sum(distinct) steps.
         assert distinct.sum() > lengths.max()
@@ -183,7 +183,7 @@ def test_stripe_kernel_loops_once_per_run_position(rmat13):
 
 def test_merge_kernel_loops_once_per_run_position(rmat13):
     _plan, symbolic = rmat13
-    lengths = np.diff(symbolic.run_starts)
+    lengths = np.bincount(symbolic.run_ids, minlength=symbolic.n_merged)
     source = np.random.default_rng(1).standard_normal((symbolic.total_records, 3))
     counted = CountingReads(source)
     out = segment_sum_batch(counted, symbolic.run_groups)

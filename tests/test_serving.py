@@ -462,8 +462,8 @@ class TestServer:
         assert "serving_requests_total" in text
         assert "serving_batch_size" in text
         backend = stats["backend"]
-        assert isinstance(backend["numba_available"], bool)
-        assert backend["kernel_tiers"]  # at least the tier that just ran
+        assert set(backend) == {"configured", "runs_total", "spgemm_runs_total"}
+        assert backend["configured"] == "vectorized"
         assert any(
             "backend=" in key for key in backend["runs_total"]
         ), backend["runs_total"]

@@ -63,9 +63,8 @@ def workload(graph):
     return xs, ys
 
 
-def _server(n_jobs: int) -> SpMVServer:
+def _server() -> SpMVServer:
     return SpMVServer(
-        options=EngineOptions(n_jobs=n_jobs),
         policy=BatchPolicy(max_batch=4, max_delay_s=0.001),
         resilience=ResiliencePolicy(
             breaker_threshold=2, breaker_cooldown_s=0.05, max_retries=2,
@@ -91,13 +90,12 @@ class TestFaultStorm:
 
 
 class TestChaosSites:
-    """One storm per serving site, across engine parallelism levels."""
+    """One storm per serving site."""
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize("site", ["batch", "executor"])
-    def test_execution_site_storms(self, graph, workload, site, n_jobs):
+    def test_execution_site_storms(self, graph, workload, site):
         xs, ys = workload
-        server = _server(n_jobs)
+        server = _server()
         fp = server.register(graph)
         plan = fault_storm(sites=(site,), seed=7, n_faults=10)
 
@@ -114,10 +112,9 @@ class TestChaosSites:
         assert report.completed >= 1  # the run served through the storm
         assert report.fired, "storm never fired; the test proved nothing"
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_all_sites_storm(self, graph, workload, n_jobs):
+    def test_all_sites_storm(self, graph, workload):
         xs, ys = workload
-        server = _server(n_jobs)
+        server = _server()
         fp = server.register(graph)
         plan = fault_storm(sites=SERVING_SITES, seed=13, n_faults=16)
 
@@ -137,7 +134,7 @@ class TestChaosSites:
         """Deadlines and fault storms compose: delay faults may turn
         requests into 504s, never into hangs or wrong answers."""
         xs, ys = workload
-        server = _server(1)
+        server = _server()
         fp = server.register(graph)
         plan = FaultPlan(
             FaultSpec(site="executor", kind="delay", index=ANY_INDEX,
@@ -161,7 +158,7 @@ class TestChaosSites:
         """An unlimited executor fault storm pushes every batch down the
         ladder; results must still be bit-identical."""
         xs, ys = workload
-        server = _server(1)
+        server = _server()
         fp = server.register(graph)
         # times=-1: the configured tier's first attempt always faults,
         # so retries exhaust and the ladder engages... but apply_fault
@@ -253,7 +250,7 @@ class TestChaosHTTP:
         (some are mapped fault statuses) and every 200 body is
         bit-identical to the oracle."""
         xs, ys = workload
-        server = _server(1)
+        server = _server()
         fp = server.register(graph)
         plan = FaultPlan(
             FaultSpec(site="http", kind="raise", index=2, times=1),

@@ -42,8 +42,7 @@ settings.load_profile("repro")
 
 
 _KNOB_VALUES = {
-    "backend": st.sampled_from(["reference", "vectorized", "native"]),
-    "n_jobs": st.integers(1, 8),
+    "backend": st.sampled_from(["reference", "vectorized"]),
     "q": st.integers(0, 6),
     "segment_width": st.integers(1, 1 << 20),
     "vldi_vector_block_bits": st.integers(1, 8),
@@ -156,6 +155,8 @@ class TestQuarantine:
             ("min_parallel_nnz", 0),
             ("backend", "bogus"),
             ("backend", "parallel"),
+            ("n_jobs", 2),
+            ("backend", "native"),
         )
         for name, value in cases:
             directory = tmp_path / f"{name}-{value}"
@@ -172,6 +173,7 @@ class TestQuarantine:
             path.write_text(json.dumps(payload))
             with pytest.warns(RuntimeWarning, match="quarantined"):
                 assert store.lookup(matrix_fingerprint(graph)) is None
+            assert (store.quarantined, store.misses) == (1, 1)
             result = create_engine(segment_width=64).run(graph, x, verify=True)
             assert result.verified
             assert not path.exists()
@@ -214,9 +216,7 @@ class TestTunedDifferential:
     every backend produces exactly the reference backend's bytes.
     """
 
-    @pytest.mark.parametrize(
-        "backend", ["reference", "vectorized", "native"]
-    )
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_tuned_config_matches_oracle_bitwise(self, backend):
         from dataclasses import replace
 
@@ -238,9 +238,7 @@ class TestTunedDifferential:
         assert np.array_equal(y_tuned, oracle.run(graph, x).y)
         assert np.allclose(y_tuned, y_default)
 
-    @pytest.mark.parametrize(
-        "backend", ["reference", "vectorized", "native"]
-    )
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_store_lookup_to_engine_matches_oracle(self, backend, tmp_path):
         from dataclasses import replace
 

@@ -73,19 +73,10 @@ class TestSearchSpace:
         no_serving = default_search_space(graph, include_serving=False)
         assert not any(c.serving for c in no_serving)
 
-    @pytest.mark.parametrize("jit", [False, True], ids=["no-numba", "numba"])
-    def test_execution_knobs_only_offered_with_numba(
-        self, graph, monkeypatch, jit
-    ):
-        """Without Numba ``native`` is the vectorized kernels and ignores
-        ``n_jobs``: sweeping either would only measure noise."""
-        monkeypatch.setattr("repro.autotune.space.numba_available", lambda: jit)
-        monkeypatch.setattr("repro.autotune.space.os.cpu_count", lambda: 4)
+    def test_execution_knobs_are_not_offered(self, graph):
+        """The removed ``native`` backend's knobs are never swept."""
         knobs = [c.knob for c in default_search_space(graph)]
-        assert ("backend" in knobs) is jit
-        assert ("n_jobs" in knobs) is jit
-        monkeypatch.setattr("repro.autotune.space.os.cpu_count", lambda: 1)
-        assert "n_jobs" not in [c.knob for c in default_search_space(graph)]
+        assert not {"backend", "n_jobs"} & set(knobs)
 
     def test_describe_is_json_native(self, graph):
         payload = default_search_space(graph).describe()
@@ -102,11 +93,10 @@ class TestKnobsToConfig:
 
     def test_backend_override_drops_parallel_knobs(self):
         config = knobs_to_config(
-            {"backend": "native", "n_jobs": 4},
-            backend_override="reference",
+            {"backend": "vectorized", "q": 2}, backend_override="reference"
         )
         assert config.backend == "reference"
-        assert config.n_jobs is None
+        assert config.q == 2
 
     def test_max_batch_is_ignored(self):
         config = knobs_to_config({"max_batch": 64, "q": 2})
@@ -116,7 +106,7 @@ class TestKnobsToConfig:
     def test_structural_key_ignores_execution_knobs(self):
         structural = {"segment_width": 64, "q": 1}
         assert structural_key(structural) == structural_key(
-            {**structural, "backend": "native", "n_jobs": 8}
+            {**structural, "backend": "reference", "max_batch": 8}
         )
         assert structural_key(structural) != structural_key(
             {**structural, "q": 2}
