@@ -6,9 +6,8 @@ the "numerous scientific applications" of the paper's abstract.  The
 SpMV inside each iteration runs through the Two-Step engine when a
 configuration is supplied, with the ITS-style traffic accounting
 aggregated over the run.  The engine persists across iterations, so its
-step 2 reuses the cached symbolic merge structure and per-thread
-workspace: warm iterations perform no argsort and allocate O(1) new
-arrays.
+step 2 reuses the cached symbolic merge structure: warm iterations
+perform no argsort.
 """
 
 from __future__ import annotations

@@ -151,18 +151,13 @@ class ExecutionBackend(ABC):
     # order.
     # ------------------------------------------------------------------
 
-    def stripe_spmv_plan(
-        self, stripe, x_segment: np.ndarray, workspace=None
-    ) -> SparseVector:
+    def stripe_spmv_plan(self, stripe, x_segment: np.ndarray) -> SparseVector:
         """Step-1 kernel against a precomputed stripe plan.
 
         Args:
             stripe: A ``StripePlan`` carrying ``rows``/``cols``/``vals``
                 plus the precomputed run structure.
             x_segment: Scratchpad-resident source-vector segment.
-            workspace: Optional :class:`repro.core.plan.Workspace` whose
-                scratch buffers a fast path may reuse; the default
-                (oracle-delegating) implementation ignores it.
 
         Returns:
             ``(indices, values)`` of the intermediate sparse vector.
@@ -193,14 +188,12 @@ class ExecutionBackend(ABC):
         ]
         return stripe.out_indices, np.stack(columns, axis=1)
 
-    def map_stripe_plans(self, stripes: list, segments: list, workspace=None) -> list:
+    def map_stripe_plans(self, stripes: list, segments: list) -> list:
         """Run step 1 over all stripes.
 
         Args:
             stripes: ``StripePlan`` objects, one per column block.
             segments: Matching source-vector segments.
-            workspace: Optional :class:`repro.core.plan.Workspace`
-                forwarded to the per-stripe kernel on serial paths.
 
         Returns:
             Per-stripe ``(indices, values)`` pairs, in stripe order.
@@ -208,7 +201,7 @@ class ExecutionBackend(ABC):
         out = []
         for sp, seg in zip(stripes, segments):
             with span(f"step1.stripe[{sp.index}]", nnz=sp.nnz):
-                out.append(self.stripe_spmv_plan(sp, seg, workspace=workspace))
+                out.append(self.stripe_spmv_plan(sp, seg))
         return out
 
     def map_stripe_plans_batch(self, stripes: list, segments: list) -> list:
@@ -281,25 +274,20 @@ class ExecutionBackend(ABC):
     # fused-capable and automatically bit-compatible.
     # ------------------------------------------------------------------
 
-    def merge_accumulate_plan(
-        self, symbolic, lists: list, workspace=None
-    ) -> np.ndarray:
+    def merge_accumulate_plan(self, symbolic, lists: list) -> np.ndarray:
         """K-way merge against precomputed structure: values only.
 
         Args:
             symbolic: The plan's :class:`~repro.core.plan.Step2Symbolic`.
             lists: ``(indices, values)`` pairs in stripe order (the
                 order the symbolic permutation was derived from).
-            workspace: Optional scratch-buffer workspace.
 
         Returns:
             Accumulated values aligned with ``symbolic.merged_keys``.
         """
         return self.merge_accumulate(lists)[1]
 
-    def merge_accumulate_plan_batch(
-        self, symbolic, lists: list, k: int, workspace=None
-    ) -> np.ndarray:
+    def merge_accumulate_plan_batch(self, symbolic, lists: list, k: int) -> np.ndarray:
         """Multi-RHS variant of :meth:`merge_accumulate_plan`.
 
         Returns:
@@ -308,13 +296,12 @@ class ExecutionBackend(ABC):
         """
         return self.merge_accumulate_batch(lists, k)[1]
 
-    def inject_classes_plan(self, symbolic, merged_vals, workspace=None) -> list:
+    def inject_classes_plan(self, symbolic, merged_vals) -> list:
         """Missing-key injection against precomputed class structure.
 
         Args:
             symbolic: The plan's :class:`~repro.core.plan.Step2Symbolic`.
             merged_vals: Values aligned with ``symbolic.merged_keys``.
-            workspace: Optional scratch-buffer workspace.
 
         Returns:
             ``p`` dense per-class *value* streams in radix order; the
@@ -338,15 +325,13 @@ class ExecutionBackend(ABC):
     # order.
     # ------------------------------------------------------------------
 
-    def spgemm_products(self, splan, b_vals: np.ndarray, workspace=None) -> np.ndarray:
+    def spgemm_products(self, splan, b_vals: np.ndarray) -> np.ndarray:
         """Partial-product value stream of ``C = A @ B`` in plan order.
 
         Args:
             splan: The plan's :class:`~repro.core.plan.SpGEMMPlan`.
             b_vals: The right operand's value array (``b.vals`` of the
                 matrix the plan was built against).
-            workspace: Optional scratch-buffer workspace; the default
-                (oracle) implementation ignores it.
 
         Returns:
             ``float64`` products, one per partial-product record, in the
@@ -359,7 +344,7 @@ class ExecutionBackend(ABC):
             out[i] = float(b_vals[gather[i]]) * scale[i]
         return out
 
-    def spgemm_merge(self, splan, products: np.ndarray, workspace=None) -> np.ndarray:
+    def spgemm_merge(self, splan, products: np.ndarray) -> np.ndarray:
         """Multi-way merge of the partial-product stream into ``C``'s values.
 
         Accumulates each output cell's contributions sequentially in
@@ -370,7 +355,6 @@ class ExecutionBackend(ABC):
         Args:
             splan: The plan's :class:`~repro.core.plan.SpGEMMPlan`.
             products: Partial-product values from :meth:`spgemm_products`.
-            workspace: Optional scratch-buffer workspace (ignored here).
 
         Returns:
             Accumulated values aligned with ``(splan.out_rows,

@@ -46,19 +46,15 @@ class VectorizedBackend(ExecutionBackend):
     def merge_accumulate(self, lists: list[SparseVector]) -> SparseVector:
         return merge_accumulate(lists)
 
-    def stripe_spmv_plan(
-        self, stripe, x_segment: np.ndarray, workspace=None
-    ) -> SparseVector:
+    def stripe_spmv_plan(self, stripe, x_segment: np.ndarray) -> SparseVector:
         # The run structure (boundaries, output rows) is precomputed in the
-        # plan; only the value datapath runs per call.
+        # plan; only the value datapath runs per call.  Gathers let
+        # np.take allocate: with out= and the default bounds-checking
+        # mode it takes into a temporary and copies that back.
         if stripe.vals.size == 0:
             return stripe.out_indices, np.empty(0, dtype=np.float64)
-        if workspace is not None:
-            products = workspace.buffer("step1.products", stripe.vals.size)
-            np.take(x_segment, stripe.cols, out=products)
-            np.multiply(stripe.vals, products, out=products)
-        else:
-            products = stripe.vals * x_segment[stripe.cols]
+        products = np.take(x_segment, stripe.cols)
+        np.multiply(stripe.vals, products, out=products)
         values = np.bincount(stripe.run_ids, weights=products, minlength=stripe.n_runs)
         return stripe.out_indices, values
 
@@ -106,26 +102,16 @@ class VectorizedBackend(ExecutionBackend):
     # bit-identical to :meth:`merge_accumulate` and the oracle.
     # ------------------------------------------------------------------
 
-    def merge_accumulate_plan(
-        self, symbolic, lists: list, workspace=None
-    ) -> np.ndarray:
+    def merge_accumulate_plan(self, symbolic, lists: list) -> np.ndarray:
         if symbolic.total_records == 0:
             return np.zeros(symbolic.n_merged, dtype=np.float64)
         values = [np.asarray(v, dtype=np.float64) for _, v in lists]
-        if workspace is not None:
-            concat = workspace.buffer("merge.concat", symbolic.total_records)
-            np.concatenate(values, out=concat)
-            ordered = workspace.buffer("merge.ordered", symbolic.total_records)
-            np.take(concat, symbolic.order, out=ordered)
-        else:
-            ordered = np.concatenate(values)[symbolic.order]
+        ordered = np.take(np.concatenate(values), symbolic.order)
         return np.bincount(
             symbolic.run_ids, weights=ordered, minlength=symbolic.n_merged
         )
 
-    def merge_accumulate_plan_batch(
-        self, symbolic, lists: list, k: int, workspace=None
-    ) -> np.ndarray:
+    def merge_accumulate_plan_batch(self, symbolic, lists: list, k: int) -> np.ndarray:
         if k == 0 or symbolic.total_records == 0:
             return np.zeros((symbolic.n_merged, k), dtype=np.float64)
         from repro.core.segsum import segment_sum_batch
@@ -139,7 +125,7 @@ class VectorizedBackend(ExecutionBackend):
         # replays bincount's stream-order addition, k columns at a time.
         return segment_sum_batch(all_val, symbolic.run_groups)
 
-    def inject_classes_plan(self, symbolic, merged_vals, workspace=None) -> list:
+    def inject_classes_plan(self, symbolic, merged_vals) -> list:
         streams = []
         for radix in range(symbolic.p):
             with span(f"inject.class[{radix}]"):
@@ -158,26 +144,17 @@ class VectorizedBackend(ExecutionBackend):
     # scalar oracle's stream-order addition exactly.
     # ------------------------------------------------------------------
 
-    def spgemm_products(self, splan, b_vals, workspace=None) -> np.ndarray:
+    def spgemm_products(self, splan, b_vals) -> np.ndarray:
         if splan.total_records == 0:
             return np.empty(0, dtype=np.float64)
-        if workspace is not None:
-            products = workspace.buffer("spgemm.products", splan.total_records)
-            np.take(b_vals, splan.gather_b, out=products)
-            np.multiply(products, splan.a_scale, out=products)
-        else:
-            products = b_vals[splan.gather_b] * splan.a_scale
+        products = np.take(b_vals, splan.gather_b)
+        products *= splan.a_scale
         return products
 
-    def spgemm_merge(self, splan, products, workspace=None) -> np.ndarray:
+    def spgemm_merge(self, splan, products) -> np.ndarray:
         if splan.total_records == 0:
             return np.zeros(splan.n_merged, dtype=np.float64)
-        products = np.asarray(products, dtype=np.float64)
-        if workspace is not None:
-            ordered = workspace.buffer("spgemm.ordered", splan.total_records)
-            np.take(products, splan.order, out=ordered)
-        else:
-            ordered = products[splan.order]
+        ordered = np.take(np.asarray(products, dtype=np.float64), splan.order)
         return np.bincount(splan.run_ids, weights=ordered, minlength=splan.n_merged)
 
     def vldi_stream_bits(self, deltas: np.ndarray, block_bits: int) -> int:

@@ -381,33 +381,6 @@ def build_spgemm_plan(stripes: list, b: COOMatrix, n_rows: int) -> SpGEMMPlan:
     )
 
 
-class Workspace:
-    """Named, grow-only scratch buffers for the fused value datapath.
-
-    Steady-state iterations reuse the same few buffers (step-1 products,
-    the concatenated and permuted value streams), so iteration 2..N
-    allocates O(1) new arrays.  Buffers are keyed by name and only ever
-    grow; a request returns a length-``size`` view.  A workspace is
-    single-threaded state: engines keep one per thread.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict = {}
-
-    def buffer(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
-        """A reusable length-``size`` view of the named buffer."""
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size or buf.dtype != np.dtype(dtype):
-            buf = np.empty(max(int(size), 1), dtype=dtype)
-            self._buffers[name] = buf
-        return buf[:size]
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes currently held across all buffers."""
-        return sum(buf.nbytes for buf in self._buffers.values())
-
-
 @dataclass
 class ExecutionPlan:
     """Reusable matrix-side state for Two-Step execution on one matrix.

@@ -117,7 +117,7 @@ class Step1Engine:
             stats.cycles += self._stripe_cycles(stripe.rows, detector, stats)
         return IntermediateVector(block.index, indices, values)
 
-    def run_planned(self, plan, x: np.ndarray, workspace=None) -> list:
+    def run_planned(self, plan, x: np.ndarray) -> list:
         """Step 1 over every stripe of a prebuilt execution plan.
 
         The run structure (boundaries, output rows) lives in the plan, so
@@ -127,15 +127,13 @@ class Step1Engine:
         Args:
             plan: The matrix's :class:`~repro.core.plan.ExecutionPlan`.
             x: Dense source vector (length ``n_cols``).
-            workspace: Optional :class:`~repro.core.plan.Workspace` whose
-                scratch buffers serial kernels reuse between iterations.
 
         Returns:
             Per-stripe sorted ``(indices, values)`` pairs, in stripe
             order -- the intermediate vectors ``v_k``.
         """
         segments = [x[sp.col_lo : sp.col_hi] for sp in plan.stripes]
-        return self.backend.map_stripe_plans(plan.stripes, segments, workspace=workspace)
+        return self.backend.map_stripe_plans(plan.stripes, segments)
 
     def run_planned_batch(self, plan, X: np.ndarray) -> list:
         """Multi-RHS step 1: one pass over the plan serves all columns.

@@ -90,7 +90,6 @@ class Step2Engine:
         symbolic,
         lists: list,
         y: np.ndarray | None = None,
-        workspace=None,
     ) -> np.ndarray:
         """Merge raw ``(indices, values)`` pairs via precomputed structure.
 
@@ -102,7 +101,6 @@ class Step2Engine:
                 (built for this engine's ``p``).
             lists: Sorted sparse vectors in stripe order.
             y: Optional dense accumuland.
-            workspace: Optional scratch-buffer workspace.
 
         Returns:
             Dense ``float64`` result, bit-identical to
@@ -113,7 +111,6 @@ class Step2Engine:
             lists,
             check_interleave=self.config.check_interleave,
             backend=self.backend,
-            workspace=workspace,
         )
         if y is not None:
             y = np.asarray(y, dtype=np.float64)
@@ -128,7 +125,6 @@ class Step2Engine:
         lists: list,
         k: int,
         Y: np.ndarray | None = None,
-        workspace=None,
     ) -> np.ndarray:
         """Multi-RHS :meth:`run_lists_plan`: one permutation, k columns.
 
@@ -137,7 +133,6 @@ class Step2Engine:
             lists: ``(indices, values)`` pairs with ``(n, k)`` values.
             k: Batch width.
             Y: Optional dense accumuland block, shape ``(n_out, k)``.
-            workspace: Optional scratch-buffer workspace.
 
         Returns:
             Dense ``float64`` result of shape ``(n_out, k)``; column
@@ -150,7 +145,6 @@ class Step2Engine:
             k,
             check_interleave=self.config.check_interleave,
             backend=self.backend,
-            workspace=workspace,
         )
         if Y is not None:
             Y = np.asarray(Y, dtype=np.float64)

@@ -49,7 +49,6 @@ from repro.backends import ExecutionBackend, resolve_backend
 from repro.core.config import TwoStepConfig
 from repro.core.plan import (
     ExecutionPlan,
-    Workspace,
     build_plan,
     config_fingerprint,
 )
@@ -194,17 +193,6 @@ class TwoStepEngine:
         self._plan_misses = 0
         self._plan_build_s = 0.0
         self._lifetime_metrics = MetricsRegistry()
-        # Per-thread scratch buffers for the planned kernels: solver threads
-        # share engines, but a workspace is single-threaded state.
-        self._workspaces = threading.local()
-
-    def _workspace(self) -> Workspace:
-        """This thread's reusable scratch-buffer workspace."""
-        workspace = getattr(self._workspaces, "value", None)
-        if workspace is None:
-            workspace = Workspace()
-            self._workspaces.value = workspace
-        return workspace
 
     def plan(self, matrix: COOMatrix) -> ExecutionPlan:
         """The (cached) execution plan for ``matrix`` under this config.
@@ -405,22 +393,17 @@ class TwoStepEngine:
         planned merge over one list would add each value to 0.0 exactly
         once, so both routes give the same result.
         """
-        workspace = self._workspace()
         with span("step1", n_stripes=len(plan.stripes)):
             if k is None:
-                lists = self._step1.run_planned(plan, X, workspace=workspace)
+                lists = self._step1.run_planned(plan, X)
             else:
                 lists = self._step1.run_planned_batch(plan, X)
         if len(lists) > 1 or self.config.check_interleave:
             symbolic = plan.step2_symbolic(self.config.n_cores)
             with span("step2", n_lists=len(lists)):
                 if k is None:
-                    return self._step2.run_lists_plan(
-                        symbolic, lists, y=Y, workspace=workspace
-                    )
-                return self._step2.run_batch_plan(
-                    symbolic, lists, k, Y=Y, workspace=workspace
-                )
+                    return self._step2.run_lists_plan(symbolic, lists, y=Y)
+                return self._step2.run_batch_plan(symbolic, lists, k, Y=Y)
         out = np.zeros(plan.n_rows if k is None else (plan.n_rows, k))
         for indices, values in lists:
             out[indices] = values
@@ -472,15 +455,10 @@ class TwoStepEngine:
             with span("spgemm.run", backend=self.backend.name):
                 plan = self.plan(a)
                 splan = plan.spgemm_plan(b)
-                workspace = self._workspace()
                 with span("spgemm.products", records=splan.total_records):
-                    products = self.backend.spgemm_products(
-                        splan, b.vals, workspace=workspace
-                    )
+                    products = self.backend.spgemm_products(splan, b.vals)
                 with span("spgemm.merge", n_merged=splan.n_merged):
-                    merged = self.backend.spgemm_merge(
-                        splan, products, workspace=workspace
-                    )
+                    merged = self.backend.spgemm_merge(splan, products)
         c = COOMatrix(
             a.n_rows,
             b.n_cols,
@@ -653,6 +631,10 @@ def reference_spmv(
 #: Cached dense references, keyed by matrix identity + source-vector bytes.
 _REFERENCE_CACHE: OrderedDict[tuple, tuple] = OrderedDict()
 _REFERENCE_CACHE_CAPACITY = 16
+#: Guards every read and write of ``_REFERENCE_CACHE``: engines are shared
+#: across threads, and an eviction between another thread's lookup and its
+#: ``move_to_end`` would raise ``KeyError``.
+_REFERENCE_LOCK = threading.Lock()
 
 
 def reference_spmv_cached(matrix: COOMatrix, x: np.ndarray) -> np.ndarray:
@@ -674,21 +656,27 @@ def reference_spmv_cached(matrix: COOMatrix, x: np.ndarray) -> np.ndarray:
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     key = (id(matrix), hash(x.tobytes()))
-    entry = _REFERENCE_CACHE.get(key)
-    if entry is not None:
-        cached_matrix, cached_x, base = entry
-        if cached_matrix is matrix and np.array_equal(cached_x, x):
-            _REFERENCE_CACHE.move_to_end(key)
-            return base
+    with _REFERENCE_LOCK:
+        entry = _REFERENCE_CACHE.get(key)
+        if entry is not None:
+            cached_matrix, cached_x, base = entry
+            if cached_matrix is matrix and np.array_equal(cached_x, x):
+                _REFERENCE_CACHE.move_to_end(key)
+                return base
+    # The dense product runs unlocked; a racing thread may compute the
+    # same entry, and the later insert simply replaces an equal one.
     base = matrix.spmv(x)
     base.flags.writeable = False
-    _REFERENCE_CACHE[key] = (matrix, x.copy(), base)
-    _REFERENCE_CACHE.move_to_end(key)
-    while len(_REFERENCE_CACHE) > _REFERENCE_CACHE_CAPACITY:
-        _REFERENCE_CACHE.popitem(last=False)
+    entry = (matrix, x.copy(), base)
+    with _REFERENCE_LOCK:
+        _REFERENCE_CACHE[key] = entry
+        _REFERENCE_CACHE.move_to_end(key)
+        while len(_REFERENCE_CACHE) > _REFERENCE_CACHE_CAPACITY:
+            _REFERENCE_CACHE.popitem(last=False)
     return base
 
 
 def clear_reference_cache() -> None:
     """Empty the dense-reference cache (mainly for tests)."""
-    _REFERENCE_CACHE.clear()
+    with _REFERENCE_LOCK:
+        _REFERENCE_CACHE.clear()

@@ -150,7 +150,6 @@ def prap_merge_dense_plan(
     lists: list,
     check_interleave: bool = False,
     backend=None,
-    workspace=None,
 ) -> np.ndarray:
     """Fused :func:`prap_merge_dense` against precomputed structure.
 
@@ -168,8 +167,6 @@ def prap_merge_dense_plan(
         check_interleave: Emulate the store-queue interleave (per-class
             injection + strided assembly) instead of a direct scatter.
         backend: Optional execution backend; None resolves the default.
-        workspace: Optional :class:`~repro.core.plan.Workspace` for
-            scratch-buffer reuse.
 
     Returns:
         Dense ``float64`` vector of length ``symbolic.n_out``.
@@ -179,7 +176,7 @@ def prap_merge_dense_plan(
     backend = resolve_backend(backend)
     p = symbolic.p
     with span("step2.merge", n_lists=len(lists)):
-        merged_val = backend.merge_accumulate_plan(symbolic, lists, workspace=workspace)
+        merged_val = backend.merge_accumulate_plan(symbolic, lists)
     metric_inc(
         "spmv_records_merged_total",
         int(symbolic.n_merged),
@@ -191,7 +188,7 @@ def prap_merge_dense_plan(
     # is exactly what StoreQueue.drain() produces (stream r fills
     # positions r, r+p, ...), truncated to n_out.
     with span("inject", p=p):
-        streams = backend.inject_classes_plan(symbolic, merged_val, workspace=workspace)
+        streams = backend.inject_classes_plan(symbolic, merged_val)
     metric_inc(
         "spmv_keys_injected_total",
         int(symbolic.padded - symbolic.n_merged),
@@ -209,7 +206,6 @@ def prap_merge_dense_plan_batch(
     k: int,
     check_interleave: bool = False,
     backend=None,
-    workspace=None,
 ) -> np.ndarray:
     """Multi-RHS :func:`prap_merge_dense_plan`: values are ``(n, k)``.
 
@@ -223,7 +219,6 @@ def prap_merge_dense_plan_batch(
         k: Batch width.
         check_interleave: Per-column store-queue-equivalent assembly.
         backend: Optional execution backend; None resolves the default.
-        workspace: Optional workspace for scratch-buffer reuse.
 
     Returns:
         Dense ``float64`` array of shape ``(symbolic.n_out, k)``.
@@ -233,9 +228,7 @@ def prap_merge_dense_plan_batch(
     backend = resolve_backend(backend)
     p = symbolic.p
     with span("step2.merge", n_lists=len(lists), batch=k):
-        merged_val = backend.merge_accumulate_plan_batch(
-            symbolic, lists, k, workspace=workspace
-        )
+        merged_val = backend.merge_accumulate_plan_batch(symbolic, lists, k)
     metric_inc(
         "spmv_records_merged_total",
         int(symbolic.n_merged),
@@ -248,9 +241,7 @@ def prap_merge_dense_plan_batch(
     out = np.empty((symbolic.n_out, k), dtype=np.float64)
     with span("inject", p=p, batch=k):
         for j in range(k):
-            streams = backend.inject_classes_plan(
-                symbolic, merged_val[:, j], workspace=workspace
-            )
+            streams = backend.inject_classes_plan(symbolic, merged_val[:, j])
             full = np.empty(symbolic.padded, dtype=np.float64)
             for radix, stream in enumerate(streams):
                 full[radix::p] = stream

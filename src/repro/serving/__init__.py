@@ -7,7 +7,7 @@ into :meth:`run_many` calls (an idle lane dispatches at once; requests
 arriving while a batch executes coalesce behind it, up to max-batch or
 max-delay), admission
 control sheds load past a bounded queue, and every tenant gets its own
-engine (plan cache + workspaces) with LRU eviction and quotas.
+engine and plan cache, with LRU eviction and quotas.
 
 Resilience is first-class: requests carry deadlines (enforced at
 admission and batch formation), each (tenant, matrix) lane has a

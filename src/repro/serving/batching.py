@@ -47,12 +47,9 @@ at batch formation and counted, releasing their queue slot.
 All queue state is mutated only on the event-loop thread, so no locks
 are needed; batch execution runs on a small *dedicated* thread pool
 (``BatchPolicy.workers``, default 1) rather than ``asyncio.to_thread``'s
-shared rotating pool.  Pinning execution to stable threads keeps the
-engine's thread-local workspaces warm -- with a rotating pool every
-batch lands on a cold thread and re-allocates its scratch buffers,
-which on memory-starved hosts costs as much as the kernels themselves.
-(The engine is thread-safe: the plan cache is locked and workspaces are
-thread-local.)
+shared default pool, so batch execution never queues behind unrelated
+``to_thread`` work.  (The engine is thread-safe: its plan cache is
+locked.)
 """
 
 from __future__ import annotations
@@ -96,8 +93,8 @@ class BatchPolicy:
             all lanes) before submissions are shed with
             ``OverloadedError``.
         workers: Dedicated batch-execution threads.  Keep small (the
-            default 1 is right for most hosts): stable threads keep the
-            engine's thread-local workspaces warm across batches.
+            default 1 is right for most hosts): a dedicated pool keeps
+            batch execution off asyncio's shared default executor.
     """
 
     max_batch: int = 32

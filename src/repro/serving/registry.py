@@ -5,8 +5,8 @@ reuses fingerprint-keyed indexes across repeated operations: a matrix is
 registered once, keyed by a *content* fingerprint (dimensions + the raw
 triple bytes), and every subsequent request names the fingerprint
 instead of shipping the matrix.  Each tenant gets its own engine -- and
-therefore its own execution-plan cache and per-thread workspaces -- so
-one tenant's traffic cannot evict another's hot plans.
+therefore its own execution-plan cache -- so one tenant's traffic cannot
+evict another's hot plans.
 
 Eviction pressure is two-level: the engine's plan cache is already LRU
 (``TwoStepConfig.plan_cache``), and the registry applies a per-tenant

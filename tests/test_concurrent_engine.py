@@ -3,11 +3,13 @@
 One engine instance is shared by the micro-batcher's worker threads, so
 these tests pin down the thread-safety properties: the plan cache
 builds each plan exactly once under its lock, the ``Step2Symbolic``
-structure is built once per ``(plan, p)`` and shared by identity, each
-thread gets its own grow-only :class:`Workspace`, and results stay
-bit-identical to a single-threaded run under 8+ concurrent callers.
+structure is built once per ``(plan, p)`` and shared by identity,
+results stay bit-identical to a single-threaded run under 8+ concurrent
+callers, and concurrent ``verify=True`` runs share the dense-reference
+cache safely.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import create_engine
+from repro.core import twostep
 from repro.generators import erdos_renyi_graph
 
 N_THREADS = 10
@@ -62,18 +65,6 @@ class TestConcurrentPlanCache:
         assert all(s is symbolics[0] for s in symbolics)
 
 
-class TestConcurrentWorkspaces:
-    def test_workspace_is_per_thread(self, engine, graph):
-        x = np.ones(graph.n_cols)
-
-        def run_and_report(i):
-            engine.run(graph, x)
-            return id(engine._workspace())
-
-        ids = _fan_out(run_and_report)
-        assert len(set(ids)) == N_THREADS, "workspaces shared across threads"
-
-
 class TestConcurrentBitIdentity:
     def test_concurrent_runs_bit_identical(self, engine, graph):
         rng = np.random.default_rng(3)
@@ -105,3 +96,26 @@ class TestConcurrentBitIdentity:
         for j, got in _fan_out(run, n=12):
             assert np.array_equal(got, expected[j])
         assert engine.plan_cache_stats["size"] == len(graphs)
+
+
+class TestConcurrentVerify:
+    def test_reference_cache_survives_concurrent_eviction(self, engine):
+        # More distinct vectors than the cache holds, revisited by every
+        # thread in a different order: lookups, hits and evictions race.
+        small = erdos_renyi_graph(n_nodes=200, avg_degree=3.0, seed=8)
+        n_x = twostep._REFERENCE_CACHE_CAPACITY + 8
+        xs = [np.full(small.n_cols, float(i + 1)) for i in range(n_x)]
+        twostep.clear_reference_cache()
+
+        def verify_all(i):
+            order = np.random.default_rng(i).permutation(10 * n_x) % n_x
+            return [engine.run(small, xs[j], verify=True).verified for j in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            results = _fan_out(verify_all, n=8)
+        finally:
+            sys.setswitchinterval(interval)
+            twostep.clear_reference_cache()
+        assert all(v is True for per_thread in results for v in per_thread)

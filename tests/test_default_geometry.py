@@ -54,13 +54,25 @@ DEGENERATE = {
 
 MATRICES = {"er": WIDE_ER, "rmat": WIDE_RMAT, **DEGENERATE}
 
+#: Square operands for ``A @ A``: the wide matrices' partial-product
+#: streams would make the test slow, so SpGEMM uses smaller ones.
+SPGEMM_MATRICES = {
+    "er": erdos_renyi_graph(3000, 4.0, seed=6),
+    "rmat": rmat_graph(11, 4.0, seed=4),
+    "n1": DEGENERATE["n1"],
+    "empty_rows_cols": _coo(
+        8, 8, [1, 1, 4, 6, 7], [0, 7, 7, 1, 1], [1.0, -2.0, 0.5, 3.0, -0.0]
+    ),
+}
+
 
 def _x(n, seed=0):
     return np.random.default_rng(seed).standard_normal(n)
 
 
 class TestSciPyOracle:
-    """The default path equals ``csr @ x`` bit for bit."""
+    """The default path equals ``csr @ x`` bit for bit; multi-stripe
+    merges and SpGEMM agree with SciPy to rounding."""
 
     @pytest.mark.parametrize("name", sorted(MATRICES))
     def test_run_matches_scipy(self, name):
@@ -84,6 +96,41 @@ class TestSciPyOracle:
         y0 = _x(WIDE_ER.n_rows, seed=2)
         result = create_engine().run(WIDE_ER, x, y=y0).y
         assert np.array_equal(result, (_csr(WIDE_ER) @ x) + y0)
+
+    @pytest.mark.parametrize("check_interleave", [False, True])
+    @pytest.mark.parametrize("name", ["er", "rmat"])
+    def test_multi_stripe_run_matches_scipy(self, name, check_interleave):
+        matrix = MATRICES[name]
+        x = _x(matrix.n_cols)
+        engine = create_engine(segment_width=1024, check_interleave=check_interleave)
+        result = engine.run(matrix, x)
+        assert result.report.n_stripes > 1
+        np.testing.assert_allclose(result.y, _csr(matrix) @ x, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("check_interleave", [False, True])
+    @pytest.mark.parametrize("name", ["er", "rmat"])
+    def test_multi_stripe_run_many_matches_scipy(self, name, check_interleave):
+        matrix = MATRICES[name]
+        X = np.random.default_rng(1).standard_normal((matrix.n_cols, 3))
+        engine = create_engine(segment_width=1024, check_interleave=check_interleave)
+        result = engine.run_many(matrix, X)
+        assert result.report.n_stripes > 1
+        np.testing.assert_allclose(result.y, _csr(matrix) @ X, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("segment_width", [None, 1024])
+    @pytest.mark.parametrize("name", sorted(SPGEMM_MATRICES))
+    def test_spgemm_matches_scipy(self, name, segment_width):
+        matrix = SPGEMM_MATRICES[name]
+        c = create_engine(segment_width=segment_width).spgemm(matrix, matrix).c
+        got = _csr(c)
+        want = _csr(matrix) @ _csr(matrix)
+        for product in (got, want):
+            product.eliminate_zeros()
+            product.sort_indices()
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["er", "rmat"])
     def test_reference_backend_agrees(self, name):

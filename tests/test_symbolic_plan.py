@@ -19,7 +19,9 @@ three claims that make the split safe:
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from repro.apps.pagerank import pagerank
 from repro.backends import get_backend
 from repro.core.config import TwoStepConfig
 from repro.faults.errors import ConfigurationError
-from repro.core.plan import Workspace, build_plan, build_step2_symbolic
+from repro.core.plan import build_plan, build_step2_symbolic
 from repro.core.twostep import TwoStepEngine, reference_spmv
 from repro.generators.erdos_renyi import erdos_renyi_graph
 from repro.merge.prap import prap_merge_dense
@@ -261,33 +263,86 @@ def test_symbolic_cached_per_p_on_the_plan(graph):
 
 
 # ---------------------------------------------------------------------------
-# Workspace reuse and configuration plumbing
+# Gathers allocate; configuration plumbing
 # ---------------------------------------------------------------------------
 
-
-def test_workspace_buffers_grow_only_and_reuse_memory():
-    ws = Workspace()
-    big = ws.buffer("merge.concat", 100)
-    assert big.size == 100
-    small = ws.buffer("merge.concat", 40)
-    assert small.size == 40
-    assert np.shares_memory(big, small)
-    grown = ws.buffer("merge.concat", 150)
-    assert grown.size == 150
-    assert ws.buffer("other", 10, dtype=np.int64).dtype == np.int64
-    assert ws.nbytes >= 150 * 8 + 10 * 8
+SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
-def test_engine_workspace_is_stable_across_warm_runs(graph):
+def _buffered_takes(source: str) -> list:
+    """Line numbers of ``take`` calls that hand NumPy an ``out=`` buffer
+    in the default bounds-checking mode.
+
+    ``np.take(a, idx, out=buf)`` with ``mode="raise"`` takes into a
+    fresh temporary and copies it back into ``buf``: the buffer saves no
+    allocation and writes the gather twice.  Covers ``np.take`` /
+    ``numpy.take`` (``out`` is positional argument 3, ``mode`` 4) and
+    the ``ndarray.take`` method (``out`` 2, ``mode`` 3).
+    """
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "take"
+        ):
+            continue
+        module_call = isinstance(node.func.value, ast.Name) and node.func.value.id in (
+            "np",
+            "numpy",
+        )
+        out_pos, mode_pos = (3, 4) if module_call else (2, 3)
+        keywords = {kw.arg: kw.value for kw in node.keywords}
+        has_out = "out" in keywords or len(node.args) > out_pos
+        mode = keywords.get("mode")
+        if mode is None and len(node.args) > mode_pos:
+            mode = node.args[mode_pos]
+        unbuffered = (
+            isinstance(mode, ast.Constant)
+            and isinstance(mode.value, str)
+            and mode.value != "raise"
+        )
+        if has_out and not unbuffered:
+            hits.append(node.lineno)
+    return hits
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("np.take(a, i, out=b)", True),
+        ("np.take(a, i, None, b)", True),
+        ("np.take(a, i, out=b, mode='raise')", True),
+        ("a.take(i, out=b)", True),
+        ("np.take(a, i)", False),
+        ("np.take(a, i, out=b, mode='clip')", False),
+        ("a.take(i, None, b, 'wrap')", False),
+        ("queue.put(a)", False),
+    ],
+)
+def test_buffered_take_detector_bites(source, flagged):
+    assert bool(_buffered_takes(source)) is flagged
+
+
+def test_no_buffered_take_under_src():
+    offenders = [
+        f"{path.relative_to(SRC_ROOT)}:{line}"
+        for path in sorted(SRC_ROOT.rglob("*.py"))
+        for line in _buffered_takes(path.read_text())
+    ]
+    assert offenders == []
+
+
+def test_workspace_is_gone(graph):
+    import repro.core.plan as plan_module
+
+    with pytest.raises(ImportError):
+        from repro.core.plan import Workspace  # noqa: F401
+    assert not hasattr(plan_module, "Workspace")
     engine = _engine("vectorized")
-    x = np.ones(graph.n_cols)
-    engine.run(graph, x)
-    workspace = engine._workspace()
-    nbytes = workspace.nbytes
-    assert nbytes > 0
-    engine.run(graph, x)
-    assert engine._workspace() is workspace
-    assert workspace.nbytes == nbytes  # warm runs allocate no new scratch
+    engine.run(graph, np.ones(graph.n_cols))
+    assert not hasattr(engine, "_workspace")
+    assert not hasattr(engine, "_workspaces")
 
 
 def test_config_change_invalidates_plan_reuse(graph):
