@@ -389,10 +389,9 @@ class EngineOptions:
     def from_config(cls, config, **overrides) -> "EngineOptions":
         """Options mirroring an existing ``TwoStepConfig``.
 
-        Bridges pre-redesign code (autotuners, saved configs) onto the
-        single entry point: every config field becomes the explicit
-        value of the corresponding option, then ``overrides`` apply on
-        top.
+        Bridges code that already holds a config onto the single entry
+        point: every config field becomes the explicit value of the
+        corresponding option, then ``overrides`` apply on top.
         """
         values = {name: getattr(config, name) for name in _CONFIG_FIELDS}
         values.update(overrides)

@@ -9,8 +9,10 @@ the engine can swap the record-at-a-time oracle for whole-array NumPy
 kernels without touching any caller.
 
 Every backend must be *bit-compatible*: for the same inputs, all kernels
-accumulate in the same left-to-right stream order, so result vectors are
-``np.array_equal`` across backends and traffic ledgers agree to the byte.
+accumulate in the same left-to-right stream order, starting every sum
+from ``+0.0`` as ``np.bincount`` does, so result vectors are
+byte-identical across backends (signed zeros included) and traffic
+ledgers agree to the byte.
 The differential test suite (``tests/test_backends_equivalence.py``)
 enforces this on randomized inputs.
 """
@@ -57,7 +59,7 @@ class ExecutionBackend(ABC):
         Nonzeros arrive sorted by row, so equal-row products are adjacent;
         the kernel compresses each run into one accumulated record (the
         adder chain of paper Fig. 5).  Accumulation must be sequential in
-        stream order.
+        stream order, starting from ``+0.0``.
 
         Args:
             rows: Stripe row indices (non-decreasing within runs).

@@ -40,7 +40,7 @@ class ReferenceBackend(ExecutionBackend):
                 out_val[-1] += product  # adder chain: same-row run continues
             else:
                 out_idx.append(row)
-                out_val.append(product)
+                out_val.append(0.0 + product)  # sums start at +0.0
         return (
             np.asarray(out_idx, dtype=np.int64),
             np.asarray(out_val, dtype=np.float64),

@@ -37,7 +37,7 @@ from repro.core.perf import (
     twostep_traffic,
 )
 from repro.core.records import Precision, index_bytes, record_bytes
-from repro.core.spgemm import spgemm, spgemm_twostep
+from repro.core.spgemm import spgemm
 from repro.core.spmspv import spmspv, spmspv_dense_reference
 from repro.core.schedule import ITSSchedule, build_its_schedule, sequential_makespan
 from repro.core.autotune import AutotuneReport, autotune
@@ -81,7 +81,6 @@ __all__ = [
     "TwoStepReport",
     "reference_spmv",
     "spgemm",
-    "spgemm_twostep",
     "spmspv",
     "spmspv_dense_reference",
     "ITSSchedule",

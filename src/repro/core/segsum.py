@@ -23,11 +23,13 @@ one accumulator row per run from its first record, then adds position
     ...                                     # left-associated, as bincount
 
 Each column of each run sees precisely the additions ``bincount`` would
-perform, in the same order and association, so the result is
-bit-identical -- except for the sign of a zero: ``bincount`` starts
-every run from ``+0.0`` while the kernel starts from the first record,
-so a run whose only record is ``-0.0`` keeps ``-0.0`` here (the
-record-at-a-time oracle's answer).  The two are IEEE-equal.
+perform, in the same order and association.  ``bincount`` starts every
+run from ``+0.0`` while the kernel starts from the first record; that
+differs only for a run whose records are all ``-0.0``, so the kernel
+adds ``+0.0`` once at the end, which turns ``-0.0`` into ``+0.0`` and
+leaves every other value's bits alone.  The result is bit-identical,
+signed zeros included; only a ``nan``'s sign and payload may differ,
+since they follow the adder's operand order.
 
 The Python-level loop runs once per run *position* -- the maximum run
 length, a few hundred steps on power-law stripes -- not once per run,
@@ -160,7 +162,7 @@ def segment_sum_batch(values: np.ndarray, layout: RunLayout) -> np.ndarray:
 
     Returns:
         Accumulated values of shape ``(n_runs, k)``; column ``j`` is
-        IEEE-equal to ``np.bincount(run_ids, weights=sorted[:, j],
+        bit-identical to ``np.bincount(run_ids, weights=sorted[:, j],
         minlength=n_runs)`` (empty runs are 0.0, as with ``minlength``).
     """
     out = np.zeros((layout.n_runs, values.shape[1]), dtype=np.float64)
@@ -173,6 +175,7 @@ def segment_sum_batch(values: np.ndarray, layout: RunLayout) -> np.ndarray:
     for c in counts[1:]:
         acc[:c] += values[rec[off : off + c]]
         off += c
+    acc += 0.0
     out[layout.runs] = acc
     return out
 
@@ -187,7 +190,7 @@ def mul_segment_sum_batch(
 
     Computes, without materializing the ``(nnz, k)`` product block, the
     per-run sums of ``vals[:, None] * segments[cols, :]`` -- each
-    column IEEE-equal to the scalar gather/multiply/bincount path
+    column bit-identical to the scalar gather/multiply/bincount path
     (multiplication is elementwise, so only the addition order matters,
     and the position loop replays it exactly).
 
@@ -213,6 +216,7 @@ def mul_segment_sum_batch(
         step *= vals[off : off + c, None]
         acc[:c] += step
         off += c
+    acc += 0.0
     out[layout.runs] = acc
     return out
 

@@ -318,16 +318,17 @@ def render_its_schedule() -> str:
 
 def spgemm_collect(n_nodes: int = 1500, degrees=(2.0, 4.0, 8.0)):
     """Per-degree partial-product accounting rows."""
-    from repro.core.spgemm import spgemm_twostep
+    from repro.api import create_engine
     from repro.generators.erdos_renyi import erdos_renyi_graph
 
+    engine = create_engine(segment_width=256)
     rows = []
     for degree in degrees:
         graph = erdos_renyi_graph(n_nodes, degree, seed=71)
-        product, stats = spgemm_twostep(graph, graph, segment_width=256)
+        report = engine.spgemm(graph, graph).report
         rows.append(
-            (degree, graph.nnz, stats["partial_records"], product.nnz,
-             stats["compression"])
+            (degree, graph.nnz, report.partial_records, report.output_records,
+             report.compression)
         )
     return rows
 

@@ -151,6 +151,7 @@ class TournamentTree:
         while self._heap and self._heap[0][0] == key:
             _, val = self.pop()
             total += val
+        total = 0.0 + total  # sums start at +0.0, as with bincount
         return key, total
 
     def drain_accumulated(self) -> tuple:

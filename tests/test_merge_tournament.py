@@ -84,6 +84,17 @@ def test_tournament_matches_merge_accumulate(rng):
     assert np.allclose(val, ref_val)
 
 
+def test_tournament_sums_start_from_positive_zero():
+    # bincount (merge_accumulate) starts every sum from +0.0, so keys
+    # whose records are all -0.0 accumulate to +0.0 on both paths.
+    lists = [(np.array([0, 1]), np.array([-0.0, -0.0])), (np.array([0]), np.array([-0.0]))]
+    _, ref_val = merge_accumulate(lists)
+    tree = TournamentTree([list(zip(i.tolist(), v.tolist())) for i, v in lists])
+    _, val = tree.drain_accumulated()
+    assert not np.signbit(ref_val).any()
+    assert val.tobytes() == ref_val.tobytes()
+
+
 def test_tournament_peek_key():
     tree = TournamentTree([[(4, 1.0)], [(2, 2.0)]])
     assert tree.peek_key() == 2

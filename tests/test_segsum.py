@@ -1,8 +1,8 @@
 """The position-major batched segment sums of :mod:`repro.core.segsum`.
 
 Both kernels are compared column by column against ``np.bincount`` --
-the accumulation order the engine's bit-identity contract pins -- with
-``array_equal`` (IEEE equality; ``nan`` compares equal to ``nan``).  A
+the accumulation order the engine's bit-identity contract pins -- byte
+for byte, signed zeros included (a ``nan`` only has to be a ``nan``).  A
 structural test pins the loop shape: one step per run position, so the
 Python-level loop runs ``max run length`` times per stream.
 """
@@ -63,6 +63,18 @@ def bincount_columns(run_ids: np.ndarray, block: np.ndarray, n_runs: int) -> np.
     return out
 
 
+def assert_same_bits(out: np.ndarray, want: np.ndarray) -> None:
+    """IEEE-equal, and byte-equal wherever the value is not nan.
+
+    Signed zeros are compared bit for bit; a nan's sign and payload
+    depend on operand order inside the adder, which the contract leaves
+    open.
+    """
+    assert np.array_equal(out, want, equal_nan=True)
+    numbers = ~np.isnan(want)
+    assert out[numbers].tobytes() == want[numbers].tobytes()
+
+
 @st.composite
 def streams(draw):
     """A run-id stream, its run offsets, a value block and an RNG."""
@@ -91,7 +103,7 @@ def test_segment_sum_batch_equals_bincount(case, composed):
         layout = build_run_layout(run_starts)
     out = segment_sum_batch(source, layout)
     assert out.shape == (n_runs, ordered.shape[1])
-    assert np.array_equal(out, bincount_columns(run_ids, ordered, n_runs), equal_nan=True)
+    assert_same_bits(out, bincount_columns(run_ids, ordered, n_runs))
 
 
 @given(case=streams(), width=st.integers(1, 50))
@@ -107,7 +119,7 @@ def test_mul_segment_sum_batch_equals_bincount(case, width):
     out = mul_segment_sum_batch(segments, cols[layout.rec], vals[layout.rec], layout)
     want = bincount_columns(run_ids, vals[:, None] * segments[cols], n_runs)
     assert out.shape == (n_runs, k)
-    assert np.array_equal(out, want, equal_nan=True)
+    assert_same_bits(out, want)
 
 
 def test_empty_stream_keeps_minlength():
@@ -129,15 +141,18 @@ def test_layout_is_position_major():
 
 
 def test_seeds_from_the_first_record():
-    # bincount starts every run from +0.0; the kernel starts from the
-    # run's first record, so a lone -0.0 keeps its sign.  IEEE-equal.
+    # The kernel seeds each run from its first record, then adds +0.0
+    # once, so a run of -0.0 ends at +0.0 as bincount's does: the same
+    # bytes, not just IEEE equality.
     run_ids, run_starts = stream_of([1, 2])
     block = np.array([[-0.0], [-0.0], [-0.0]])
-    out = segment_sum_batch(block, build_run_layout(run_starts))
-    assert np.signbit(out[:, 0]).all()
     want = bincount_columns(run_ids, block, 2)
-    assert not np.signbit(want[:, 0]).any()
-    assert np.array_equal(out, want)
+    layout = build_run_layout(run_starts)
+    out = segment_sum_batch(block, layout)
+    assert out.tobytes() == want.tobytes()
+    cols = np.zeros(3, dtype=np.int64)
+    fused = mul_segment_sum_batch(block[:1], cols, np.ones(3), layout)
+    assert fused.tobytes() == want.tobytes()
 
 
 class CountingReads:
@@ -193,31 +208,63 @@ def test_merge_kernel_loops_once_per_run_position(rmat13):
 
 
 class TestSignedZeroContract:
-    """The contract is IEEE equality (``array_equal``), not byte equality.
+    """The contract is byte equality, signed zeros included.
 
-    A row whose only product is ``-0.0``: single-RHS ``run`` on the
-    array backends accumulates with ``bincount`` from ``+0.0`` and
-    returns ``+0.0``; the reference oracle and ``run_many`` (whose
-    segment sum seeds from the first record) return ``-0.0``.
+    Every sum starts from ``+0.0``, as ``bincount`` and SciPy do, so a
+    row whose only product is ``-0.0`` returns ``+0.0`` from ``run``
+    and from every ``run_many`` column, on every backend.
     """
 
     matrix = COOMatrix(3, 3, [0, 1, 1, 2], [0, 1, 2, 2], [-1.5, 2.0, 1.0, 3.0])
     x = np.array([0.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_run_many_keeps_negative_zero(self, backend):
+    def test_run_many_returns_positive_zero(self, backend):
         engine = create_engine(backend=backend)
         y = engine.run_many(self.matrix, np.stack([self.x, self.x], axis=1)).y
         assert np.array_equal(y[:, 0], [0.0, 3.0, 3.0])
-        assert np.signbit(y[0]).all()
+        assert not np.signbit(y[0]).any()
+        want = engine.run(self.matrix, self.x).y
+        assert np.ascontiguousarray(y[:, 1]).tobytes() == want.tobytes()
 
-    def test_reference_run_returns_negative_zero(self):
+    def test_reference_run_returns_positive_zero(self):
         y = create_engine(backend="reference").run(self.matrix, self.x).y
-        assert np.signbit(y[0])
+        assert not np.signbit(y[0])
 
     def test_vectorized_run_returns_positive_zero(self):
         y = create_engine(backend="vectorized").run(self.matrix, self.x).y
         want = create_engine(backend="reference").run(self.matrix, self.x).y
         assert not np.signbit(y[0])
-        assert np.array_equal(y, want)
-        assert y.tobytes() != want.tobytes()
+        assert y.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"segment_width": 4}, {"check_interleave": True}],
+        ids=["default", "width4", "interleave"],
+    )
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_signbit_matches_scipy(self, backend, options):
+        sparse = pytest.importorskip("scipy.sparse")
+        engine = create_engine(backend=backend, **options)
+        zeros = np.array([0.0, -0.0, 1.5, -2.0])
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n_rows, n_cols = rng.integers(1, 16, size=2)
+            nnz = int(rng.integers(0, 40))
+            matrix = COOMatrix.from_triples(
+                n_rows,
+                n_cols,
+                rng.integers(0, n_rows, nnz),
+                rng.integers(0, n_cols, nnz),
+                rng.choice(zeros, nnz),
+            )
+            csr = sparse.csr_matrix(
+                (matrix.vals, (matrix.rows, matrix.cols)), shape=matrix.shape
+            )
+            X = rng.choice(zeros, size=(n_cols, 2))
+            y = engine.run(matrix, X[:, 0]).y
+            want = csr @ X[:, 0]
+            assert np.array_equal(np.signbit(y), np.signbit(want))
+            assert y.tobytes() == want.tobytes()
+            Y = engine.run_many(matrix, X).y
+            assert np.ascontiguousarray(Y[:, 0]).tobytes() == y.tobytes()

@@ -29,7 +29,7 @@ from repro.apps import (
     count_triangles_reference,
 )
 from repro.core.config import TwoStepConfig
-from repro.core.spgemm import spgemm, spgemm_twostep
+from repro.core.spgemm import spgemm
 from repro.core.twostep import TwoStepEngine
 from repro.faults.errors import ConfigurationError
 from repro.formats.coo import COOMatrix
@@ -123,23 +123,6 @@ def test_engine_matches_gustavson_and_dense(backend, case):
     assert np.array_equal(result.c.to_dense(), dense_oracle(a, b))
     assert result.verified
     assert result.report.backend == backend
-
-
-@given(case=spgemm_cases(max_dim=24, max_nnz=80))
-@settings(max_examples=20, deadline=None)
-def test_engine_matches_twostep_reference(case):
-    """The engine agrees with the pre-engine two-step scheduler too."""
-    a, b, segment_width = case
-    engine = build_engine("vectorized", segment_width)
-    c = engine.spgemm(a, b).c
-    twostep_c, stats = spgemm_twostep(a, b, segment_width)
-    assert np.allclose(c.to_dense(), twostep_c.to_dense())
-    # The engine counts the raw partial-product stream; spgemm_twostep
-    # canonicalizes duplicates inside each block before counting, so the
-    # engine's traffic is an upper bound with the same output.
-    report = engine.spgemm(a, b).report
-    assert report.partial_records >= stats["partial_records"]
-    assert report.output_records == twostep_c.nnz
 
 
 def test_report_ledger_equal_across_backends(rng):
@@ -295,8 +278,6 @@ def test_inner_dimension_mismatch_is_configuration_error(rng):
         engine.spgemm(a, b)
     with pytest.raises(ConfigurationError, match="4x5.*6x3"):
         spgemm(a, b)
-    with pytest.raises(ConfigurationError):
-        spgemm_twostep(a, b, 4)
     # Back-compat: ConfigurationError subclasses ValueError, so historic
     # `except ValueError` call sites still catch the mismatch.
     with pytest.raises(ValueError):

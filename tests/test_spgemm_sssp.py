@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import create_engine
 from repro.apps.sssp import sssp_bellman_ford
-from repro.core.spgemm import spgemm, spgemm_twostep
+from repro.core.spgemm import spgemm
 from repro.formats.coo import COOMatrix
 from repro.generators.erdos_renyi import erdos_renyi_graph
 
@@ -57,20 +58,20 @@ def test_spgemm_output_canonical(rng):
     assert np.unique(keys).size == c.nnz
 
 
-def test_spgemm_twostep_matches_rowwise(rng):
+def test_engine_spgemm_matches_rowwise(rng):
     a, b = random_pair(rng, m=40, k=64, n=30)
     ref = spgemm(a, b)
     for width in (8, 17, 64):
-        c, stats = spgemm_twostep(a, b, segment_width=width)
-        assert np.allclose(c.to_dense(), ref.to_dense())
-        assert stats["partial_records"] >= stats["output_records"]
-        assert stats["compression"] >= 1.0
+        result = create_engine(segment_width=width).spgemm(a, b)
+        assert np.allclose(result.c.to_dense(), ref.to_dense())
+        assert result.report.partial_records >= result.report.output_records
+        assert result.report.compression >= 1.0
 
 
-def test_spgemm_twostep_block_count(rng):
+def test_engine_spgemm_block_count(rng):
     a, b = random_pair(rng, m=20, k=40, n=20, density=0.3)
-    _, stats = spgemm_twostep(a, b, segment_width=10)
-    assert stats["n_blocks"] <= 4
+    report = create_engine(segment_width=10).spgemm(a, b).report
+    assert report.n_blocks == 4
 
 
 def test_spgemm_squaring_graph(rng):
