@@ -13,8 +13,9 @@ with no argsort and no per-row Python dispatch.  This bench:
   bipartite-banded), gating a >= 2x speedup;
 * archives ``BENCH_spgemm.json`` (with provenance) for CI trend gates.
 
-The ``repro figure spgemm`` table remains the scheduling ablation in
-:mod:`repro.experiments.ablations`; this bench covers the engine path.
+It also archives ``spgemm_extension.txt``, the partial-product
+accounting table of :func:`repro.experiments.ablations.render_spgemm`
+(the ``repro figure spgemm`` table).
 """
 
 import time
@@ -24,6 +25,7 @@ import numpy as np
 from repro.analysis.reporting import format_table
 from repro.api import create_engine
 from repro.core.spgemm import spgemm
+from repro.experiments.ablations import render_spgemm
 from repro.formats.coo import COOMatrix
 from repro.generators.erdos_renyi import erdos_renyi_graph
 from repro.generators.rmat import rmat_graph
@@ -153,6 +155,7 @@ def test_spgemm_engine_speedup(benchmark):
     table = payload.pop("table")
     emit("spgemm_engine", table)
     emit_json("spgemm", payload)
+    emit("spgemm_extension", render_spgemm())
     assert payload["min_speedup"] >= MIN_SPEEDUP
 
 
@@ -161,6 +164,7 @@ if __name__ == "__main__":
     table = payload.pop("table")
     emit("spgemm_engine", table)
     path = emit_json("spgemm", payload)
+    emit("spgemm_extension", render_spgemm())
     print(f"wrote {path}")
     assert payload["min_speedup"] >= MIN_SPEEDUP, (
         f"warm engine speedup {payload['min_speedup']:.2f}x "

@@ -166,6 +166,31 @@ class ExecutionBackend(ABC):
         """
         return self.stripe_spmv(stripe.rows, stripe.cols, stripe.vals, x_segment)
 
+    def stripe_spmv_dense(
+        self, stripe, x_segment: np.ndarray, n_out: int
+    ) -> np.ndarray:
+        """Step 1 of a one-stripe plan, returned as the dense result.
+
+        A plan with one stripe has one intermediate vector, already
+        row-sorted, so step 1 alone is ``A x``.  This default runs
+        :meth:`stripe_spmv_plan` and scatters its records into a zero
+        vector; overrides may produce the dense vector directly, as long
+        as every row is the same sequential sum from ``+0.0`` and every
+        row without a nonzero is ``0.0``.
+
+        Args:
+            stripe: The plan's only ``StripePlan``.
+            x_segment: The source vector (the stripe spans every column).
+            n_out: Dense output length (the matrix's row count).
+
+        Returns:
+            Dense ``float64`` vector of length ``n_out``.
+        """
+        indices, values = self.stripe_spmv_plan(stripe, x_segment)
+        out = np.zeros(n_out, dtype=np.float64)
+        out[indices] = values
+        return out
+
     def stripe_spmv_plan_batch(self, stripe, segments: np.ndarray) -> SparseVector:
         """Multi-RHS step-1 kernel: ``V_k = A_k @ X_k`` for one stripe.
 

@@ -58,6 +58,19 @@ class VectorizedBackend(ExecutionBackend):
         values = np.bincount(stripe.run_ids, weights=products, minlength=stripe.n_runs)
         return stripe.out_indices, values
 
+    def stripe_spmv_dense(
+        self, stripe, x_segment: np.ndarray, n_out: int
+    ) -> np.ndarray:
+        # Binning by row instead of by run id makes bincount's output the
+        # dense result: each row is the same sequential sum from +0.0,
+        # and minlength leaves rows without a nonzero at 0.0.  An empty
+        # stream is special-cased because bincount then returns int64.
+        if stripe.vals.size == 0:
+            return np.zeros(n_out, dtype=np.float64)
+        products = np.take(x_segment, stripe.cols)
+        np.multiply(stripe.vals, products, out=products)
+        return np.bincount(stripe.rows, weights=products, minlength=n_out)
+
     def stripe_spmv_plan_batch(self, stripe, segments: np.ndarray) -> SparseVector:
         k = segments.shape[1]
         if stripe.vals.size == 0 or k == 0:

@@ -399,6 +399,11 @@ class ExecutionPlan:
             identical for every run); copied into each report.
         step2_template: Complete step-2 statistics, ditto.
         build_s: Wall-clock seconds spent building the plan.
+        run_samples: Batch size -> the per-run telemetry samples the
+            engine publishes for a run of that many right-hand sides
+            (structure-only, like the templates).  Filled lazily by the
+            engine on its first telemetry-enabled run of each size, so
+            building a plan does not pay for it.
 
     The step-2 symbolic structures (:class:`Step2Symbolic`) are built
     lazily per ``p`` via :meth:`step2_symbolic` and cached on the plan,
@@ -417,6 +422,7 @@ class ExecutionPlan:
     step1_template: Step1Stats = field(default_factory=Step1Stats)
     step2_template: Step2Stats = field(default_factory=Step2Stats)
     build_s: float = 0.0
+    run_samples: dict = field(default_factory=dict, repr=False, compare=False)
     _symbolic: dict = field(default_factory=dict, repr=False, compare=False)
     _symbolic_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False

@@ -18,9 +18,9 @@ have a record are exactly a prefix ``[:counts[i]]``.  The kernel seeds
 one accumulator row per run from its first record, then adds position
 ``i`` of every still-active run with one ``k``-wide vectorized add::
 
-    acc = values[rec[:counts[0]]]           # record 0 of every run
-    acc[:counts[1]] += values[rec[...]]     # record 1, still stream order
-    ...                                     # left-associated, as bincount
+    acc = np.take(values, rec[:counts[0]], axis=0)    # record 0 of each run
+    acc[:counts[1]] += np.take(values, rec[...], axis=0)  # record 1, in order
+    ...                                      # left-associated, as bincount
 
 Each column of each run sees precisely the additions ``bincount`` would
 perform, in the same order and association.  ``bincount`` starts every
@@ -45,10 +45,14 @@ full-size intermediates per call:
   concatenated value block directly -- the sorted stream is never
   materialized.
 * :func:`mul_segment_sum_batch` folds the step-1 gather-multiply
-  (``vals * segments[cols]``) into the position loop, reading ``cols``
-  and ``vals`` already permuted into position-major order at plan
-  time, so the full ``(nnz, k)`` product block is never materialized
-  and no index composition happens per call.
+  (``vals[:, None] * np.take(segments, cols, axis=0)``) into the
+  position loop, reading ``cols`` and ``vals`` already permuted into
+  position-major order at plan time, so the full ``(nnz, k)`` product
+  block is never materialized and no index composition happens per
+  call.
+
+Every row gather is ``np.take(..., axis=0)`` rather than fancy
+indexing (``values[idx]``): same rows, same bytes, less per-call work.
 
 The index-side work (sorting runs by length, building the record map)
 is done once per plan with whole-array operations -- one stable sort
@@ -171,9 +175,9 @@ def segment_sum_batch(values: np.ndarray, layout: RunLayout) -> np.ndarray:
         return out
     rec = layout.rec
     off = counts[0]
-    acc = values[rec[:off]]
+    acc = np.take(values, rec[:off], axis=0)
     for c in counts[1:]:
-        acc[:c] += values[rec[off : off + c]]
+        acc[:c] += np.take(values, rec[off : off + c], axis=0)
         off += c
     acc += 0.0
     out[layout.runs] = acc
@@ -209,10 +213,10 @@ def mul_segment_sum_batch(
     if not counts:
         return out
     off = counts[0]
-    acc = segments[cols[:off]]
+    acc = np.take(segments, cols[:off], axis=0)
     acc *= vals[:off, None]
     for c in counts[1:]:
-        step = segments[cols[off : off + c]]
+        step = np.take(segments, cols[off : off + c], axis=0)
         step *= vals[off : off + c, None]
         acc[:c] += step
         off += c

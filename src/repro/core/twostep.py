@@ -8,7 +8,9 @@ merge), producing the dense result plus a byte-accurate
 Execution geometry and modelled geometry are separate.  Without an
 explicit ``segment_width`` the plan is one stripe spanning every column:
 its row-sorted step-1 output already is ``A x``, so the functional engine
-scatters it and skips step 2, while the report still charges the
+skips step 2 -- ``run`` has the backend accumulate step 1 straight into
+the dense result (one ``bincount`` by row on ``vectorized``), ``run_many``
+scatters the step-1 block -- while the report still charges the
 modelled traffic and cycles of that one-stripe plan.  An explicit width
 (or a design point) cuts the matrix into scratchpad-sized stripes and
 runs the full PRaP merge.
@@ -61,11 +63,60 @@ from repro.formats.hypersparse import StripeFormat
 from repro.memory.traffic import TrafficLedger
 from repro.telemetry import (
     MetricsRegistry,
+    SeriesHandle,
     TelemetryReport,
-    metric_inc,
+    metric_record,
     span,
     telemetry_scope,
     telemetry_session,
+)
+
+
+#: Per-run metric series, resolved once (the backend-labelled
+#: ``*_backend_runs_total`` series are resolved per engine).
+_PLAN_HIT, _PLAN_MISS = (
+    SeriesHandle(
+        "spmv_plan_cache_events_total",
+        "counter",
+        labels={"outcome": outcome},
+        help="Plan-cache lookups by outcome",
+    )
+    for outcome in ("hit", "miss")
+)
+_STREAM_BYTES = {
+    stream: SeriesHandle(
+        "spmv_stream_bytes_total",
+        "counter",
+        labels={"stream": stream},
+        help="Off-chip bytes moved, by traffic stream",
+    )
+    for stream in TrafficLedger().breakdown()
+}
+_SHARD_IMBALANCE = SeriesHandle(
+    "spmv_shard_imbalance_ratio",
+    "gauge",
+    help="Max/mean intermediate records across stripes",
+)
+_VLDI_BITS = SeriesHandle(
+    "spmv_vldi_bits_per_index",
+    "gauge",
+    help="Encoded bits per intermediate index (VLDI or fixed)",
+)
+_RUN_SECONDS = SeriesHandle(
+    "spmv_run_seconds", "histogram", help="Wall-clock seconds per engine run"
+)
+_SPGEMM_RUN_SECONDS = SeriesHandle(
+    "spgemm_run_seconds", "histogram", help="Wall-clock seconds per SpGEMM run"
+)
+_SPGEMM_PARTIALS = SeriesHandle(
+    "spgemm_partial_records_total",
+    "counter",
+    help="SpGEMM partial-product records expanded",
+)
+_SPGEMM_OUTPUTS = SeriesHandle(
+    "spgemm_output_records_total",
+    "counter",
+    help="SpGEMM output records after merge accumulation",
 )
 
 
@@ -193,6 +244,18 @@ class TwoStepEngine:
         self._plan_misses = 0
         self._plan_build_s = 0.0
         self._lifetime_metrics = MetricsRegistry()
+        self._runs_series = SeriesHandle(
+            "spmv_backend_runs_total",
+            "counter",
+            labels={"backend": self.backend.name},
+            help="Engine runs, by backend",
+        )
+        self._spgemm_runs_series = SeriesHandle(
+            "spgemm_backend_runs_total",
+            "counter",
+            labels={"backend": self.backend.name},
+            help="SpGEMM runs, by backend",
+        )
 
     def plan(self, matrix: COOMatrix) -> ExecutionPlan:
         """The (cached) execution plan for ``matrix`` under this config.
@@ -214,18 +277,10 @@ class TwoStepEngine:
             if cached is not None and cached.matrix is matrix:
                 self._plans.move_to_end(key)
                 self._plan_hits += 1
-                metric_inc(
-                    "spmv_plan_cache_events_total",
-                    labels={"outcome": "hit"},
-                    help="Plan-cache lookups by outcome",
-                )
+                metric_record(_PLAN_HIT)
                 return cached
             self._plan_misses += 1
-            metric_inc(
-                "spmv_plan_cache_events_total",
-                labels={"outcome": "miss"},
-                help="Plan-cache lookups by outcome",
-            )
+            metric_record(_PLAN_MISS)
             with span("plan.build", matrix_id=id(matrix)):
                 plan = build_plan(matrix, self.config, self.backend)
             self._plan_build_s += plan.build_s
@@ -314,7 +369,7 @@ class TwoStepEngine:
             report=report,
             verified=verified,
             wall_time_s=wall,
-            telemetry=self._publish_telemetry(session, plan, report, wall),
+            telemetry=self._publish_telemetry(session, plan, report.batch_size, wall),
         )
 
     def run_many(
@@ -374,7 +429,7 @@ class TwoStepEngine:
             report=report,
             verified=verified,
             wall_time_s=wall,
-            telemetry=self._publish_telemetry(session, plan, report, wall),
+            telemetry=self._publish_telemetry(session, plan, report.batch_size, wall),
         )
 
     def _execute(
@@ -388,11 +443,24 @@ class TwoStepEngine:
 
         Step 1 runs over every stripe.  A plan with several stripes (or
         ``check_interleave``) then merges the intermediate vectors in
-        step 2.  A one-stripe plan has nothing to merge: its single
-        row-sorted vector is scattered straight into the result.  The
-        planned merge over one list would add each value to 0.0 exactly
-        once, so both routes give the same result.
+        step 2.  A one-stripe plan has nothing to merge.  For ``run``
+        the backend's ``stripe_spmv_dense`` hook returns step 1's
+        output as the dense result (``vectorized``: one ``bincount``
+        over the stripe's rows, so no run values are built and nothing
+        is scattered); ``run_many`` scatters its single row-sorted block
+        into a zero result.  Every route adds each row's products in
+        stream order from ``+0.0`` and leaves empty rows at ``0.0``,
+        which is what the planned merge over one list would give, so
+        all of them return the same bytes.
         """
+        if k is None and len(plan.stripes) == 1 and not self.config.check_interleave:
+            stripe = plan.stripes[0]
+            with span("step1", n_stripes=1):
+                with span(f"step1.stripe[{stripe.index}]", nnz=stripe.nnz):
+                    out = self.backend.stripe_spmv_dense(
+                        stripe, X[stripe.col_lo : stripe.col_hi], plan.n_rows
+                    )
+            return out if Y is None else out + Y
         with span("step1", n_stripes=len(plan.stripes)):
             if k is None:
                 lists = self._step1.run_planned(plan, X)
@@ -520,23 +588,13 @@ class TwoStepEngine:
         if session is None:
             return None
         metrics = session.metrics
-        metrics.observe(
-            "spgemm_run_seconds", wall_s, help="Wall-clock seconds per SpGEMM run"
-        )
-        metrics.inc(
-            "spgemm_partial_records_total",
-            report.partial_records,
-            help="SpGEMM partial-product records expanded",
-        )
-        metrics.inc(
-            "spgemm_output_records_total",
-            report.output_records,
-            help="SpGEMM output records after merge accumulation",
-        )
-        metrics.inc(
-            "spgemm_backend_runs_total",
-            labels={"backend": self.backend.name},
-            help="SpGEMM runs, by backend",
+        metrics.record_all(
+            (
+                (_SPGEMM_RUN_SECONDS, wall_s),
+                (_SPGEMM_PARTIALS, report.partial_records),
+                (_SPGEMM_OUTPUTS, report.output_records),
+                (self._spgemm_runs_series, 1.0),
+            )
         )
         telemetry = TelemetryReport(
             spans=session.tracer.finished(), metrics=metrics
@@ -569,52 +627,51 @@ class TwoStepEngine:
         return telemetry_session()
 
     def _publish_telemetry(
-        self, session, plan: ExecutionPlan, report: TwoStepReport, wall_s: float
+        self, session, plan: ExecutionPlan, batch: int, wall_s: float
     ) -> TelemetryReport | None:
         """Snapshot one run's telemetry and fold it into the lifetime registry.
 
-        Derived metrics (per-stream bytes, shard imbalance, VLDI density)
-        come from the already-final report/plan, so publishing them can
-        never perturb the measured execution.
+        Derived metrics (per-stream bytes, stripe imbalance, index bits)
+        depend only on the plan and the batch size, so they are derived
+        on the first publish per ``(plan, batch)`` and replayed from
+        ``plan.run_samples`` afterwards; every series is a resolved
+        handle, and the run's registry is folded into the lifetime one
+        in place.  Publishing costs a fixed handful of dictionary
+        updates per run and can never perturb the measured execution.
         """
         if session is None:
             return None
         metrics = session.metrics
-        for stream, nbytes in report.traffic.breakdown().items():
-            metrics.inc(
-                "spmv_stream_bytes_total",
-                nbytes,
-                labels={"stream": stream},
-                help="Off-chip bytes moved, by traffic stream",
-            )
-        per_stripe = report.step1.per_stripe_nnz
-        if per_stripe:
-            mean = sum(per_stripe) / len(per_stripe)
-            metrics.set(
-                "spmv_shard_imbalance_ratio",
-                (max(per_stripe) / mean) if mean else 0.0,
-                help="Max/mean intermediate records across stripes",
-            )
-        if plan.intermediate_records:
-            total_bits = sum(sp.iv_index_bits for sp in plan.stripes)
-            metrics.set(
-                "spmv_vldi_bits_per_index",
-                total_bits / plan.intermediate_records,
-                help="Encoded bits per intermediate index (VLDI or fixed)",
-            )
-        metrics.observe(
-            "spmv_run_seconds", wall_s, help="Wall-clock seconds per engine run"
-        )
-        metrics.inc(
-            "spmv_backend_runs_total",
-            labels={"backend": self.backend.name},
-            help="Engine runs, by backend",
+        metrics.record_all(
+            self._run_samples(plan, batch)
+            + ((_RUN_SECONDS, wall_s), (self._runs_series, 1.0))
         )
         telemetry = TelemetryReport(
             spans=session.tracer.finished(), metrics=metrics
         )
         self._lifetime_metrics.merge(metrics)
         return telemetry
+
+    def _run_samples(self, plan: ExecutionPlan, batch: int) -> tuple:
+        """``(handle, value)`` pairs every ``batch``-RHS run publishes."""
+        samples = plan.run_samples.get(batch)
+        if samples is not None:
+            return samples
+        ledger = plan.traffic_ledger(self.config, batch=batch)
+        derived = [
+            (_STREAM_BYTES[stream], nbytes)
+            for stream, nbytes in ledger.breakdown().items()
+        ]
+        per_stripe = plan.step1_template.per_stripe_nnz
+        if per_stripe:
+            mean = sum(per_stripe) / len(per_stripe)
+            derived.append(
+                (_SHARD_IMBALANCE, (max(per_stripe) / mean) if mean else 0.0)
+            )
+        if plan.intermediate_records:
+            total_bits = sum(sp.iv_index_bits for sp in plan.stripes)
+            derived.append((_VLDI_BITS, total_bits / plan.intermediate_records))
+        return plan.run_samples.setdefault(batch, tuple(derived))
 
     def metrics(self) -> MetricsRegistry:
         """Engine-lifetime metrics: every telemetry-enabled run merged."""

@@ -36,7 +36,7 @@ from repro.telemetry.export import (
     write_prometheus,
 )
 from repro.telemetry.hooks import CallbackHook, NullHook, TelemetryHook
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, SeriesHandle
 from repro.telemetry.session import (
     TelemetrySession,
     add_global_hook,
@@ -45,6 +45,7 @@ from repro.telemetry.session import (
     global_hooks,
     metric_inc,
     metric_observe,
+    metric_record,
     metric_set,
     remove_global_hook,
     span,
@@ -118,6 +119,7 @@ __all__ = [
     "CallbackHook",
     "MetricsRegistry",
     "NullHook",
+    "SeriesHandle",
     "Span",
     "TelemetryHook",
     "TelemetryReport",
@@ -131,6 +133,7 @@ __all__ = [
     "global_hooks",
     "metric_inc",
     "metric_observe",
+    "metric_record",
     "metric_set",
     "prometheus_text",
     "remove_global_hook",

@@ -4,10 +4,10 @@ One :class:`TelemetrySession` bundles the tracer, the metrics registry
 and the attached hooks for one engine execution.  The engine opens a
 :func:`telemetry_scope` around ``run`` / ``run_many``; instrumented
 code anywhere below records through the module helpers :func:`span`,
-:func:`metric_inc`, :func:`metric_set`, :func:`metric_observe` and
-:func:`annotate_span`, all of which collapse to a single ContextVar read
-plus an ``is None`` test when telemetry is disabled -- the hot path pays
-essentially nothing.
+:func:`metric_inc`, :func:`metric_set`, :func:`metric_observe`,
+:func:`metric_record` and :func:`annotate_span`, all of which collapse
+to a single ContextVar read plus an ``is None`` test when telemetry is
+disabled -- the hot path pays essentially nothing.
 
 External collectors attach process-wide with :func:`add_global_hook`;
 engines include the global hooks in every session they create, so
@@ -17,11 +17,10 @@ internals.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, SeriesHandle
 from repro.telemetry.spans import Span, Tracer
 
 #: Process-wide hooks included in every session engines create.
@@ -58,11 +57,8 @@ class TelemetrySession:
 def telemetry_session(hooks: tuple = ()) -> TelemetrySession:
     """Build a fresh session wired to ``hooks`` plus the global hooks."""
     all_hooks = tuple(hooks) + global_hooks()
-    return TelemetrySession(
-        tracer=Tracer(hooks=all_hooks),
-        metrics=MetricsRegistry(hooks=all_hooks),
-        hooks=all_hooks,
-    )
+    # Positional: engines build one session per run.
+    return TelemetrySession(Tracer(all_hooks), MetricsRegistry(all_hooks), all_hooks)
 
 
 _ACTIVE: ContextVar[TelemetrySession | None] = ContextVar(
@@ -75,19 +71,32 @@ def current_session() -> TelemetrySession | None:
     return _ACTIVE.get()
 
 
-@contextmanager
-def telemetry_scope(session: TelemetrySession | None):
+class _Scope:
+    """Context manager activating one session (see :func:`telemetry_scope`)."""
+
+    __slots__ = ("_session", "_token")
+
+    def __init__(self, session: TelemetrySession | None):
+        self._session = session
+        self._token = None
+
+    def __enter__(self) -> TelemetrySession | None:
+        self._token = _ACTIVE.set(self._session)
+        return self._session
+
+    def __exit__(self, *exc_info) -> None:
+        _ACTIVE.reset(self._token)
+
+
+def telemetry_scope(session: TelemetrySession | None) -> _Scope:
     """Scope within which the record helpers target ``session``.
 
     Passing None explicitly deactivates telemetry for the block (an
     inner engine call inherits nothing from an outer scope), which is
-    what makes the disabled fast path deterministic.
+    what makes the disabled fast path deterministic.  A plain class
+    rather than a generator context manager: engines enter one per run.
     """
-    token = _ACTIVE.set(session)
-    try:
-        yield session
-    finally:
-        _ACTIVE.reset(token)
+    return _Scope(session)
 
 
 class _NoopSpan:
@@ -129,6 +138,13 @@ def metric_inc(
         session.metrics.inc(name, amount, labels=labels, help=help)
 
 
+def metric_record(handle: SeriesHandle, value: float = 1.0) -> None:
+    """Record into a resolved series on the active session; no-op when inactive."""
+    session = _ACTIVE.get()
+    if session is not None:
+        session.metrics.record(handle, value)
+
+
 def metric_set(
     name: str, value: float, labels: dict | None = None, help: str = ""
 ) -> None:
@@ -155,6 +171,7 @@ __all__ = [
     "global_hooks",
     "metric_inc",
     "metric_observe",
+    "metric_record",
     "metric_set",
     "remove_global_hook",
     "span",

@@ -112,15 +112,19 @@ class Tracer:
                 ...
         """
         parent = self._stack[-1].span_id if self._stack else None
+        # Positional: a dataclass __init__ called with keywords costs
+        # about three times as much, and engines open spans every run.
         span = Span(
-            name=name,
-            span_id=next(self._ids),
-            parent_id=parent,
-            t_start=time.perf_counter(),
-            wall_start=time.time(),
-            attrs=attrs,
-            pid=os.getpid(),
-            thread=threading.current_thread().name,
+            name,
+            next(self._ids),
+            parent,
+            time.perf_counter(),
+            0.0,
+            time.time(),
+            attrs,
+            [],
+            os.getpid(),
+            threading.current_thread().name,
         )
         self._stack.append(span)
         for hook in self.hooks:

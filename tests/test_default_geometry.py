@@ -210,3 +210,69 @@ class TestGeometryContract:
         assert TwoStepConfig().stripe_width(0) == 1
         assert TwoStepConfig().n_stripes(20_000) == 1
         assert TwoStepConfig(segment_width=8192).n_stripes(20_000) == 3
+
+
+#: One-stripe cases at the edges of the dense fold, each as
+#: ``(matrix, x, y)``; the products of "negative_zero" are all -0.0.
+FOLD_CASES = {
+    "trailing_empty_rows": (
+        _coo(9, 6, [0, 0, 2, 4], [1, 5, 0, 3], [1.5, -2.0, 0.25, 3.0]),
+        np.array([1.0, -3.0, 0.5, 2.0, 7.0, -1.25]),
+        None,
+    ),
+    "nnz0": (_coo(6, 9), np.arange(9.0), None),
+    "n1": (_coo(1, 1, [0], [0], [2.5]), np.array([-4.0]), None),
+    "negative_zero": (
+        _coo(4, 3, [0, 0, 2, 3], [0, 1, 2, 0], [1.0, -1.0, -2.0, 3.0]),
+        np.array([-0.0, 0.0, 0.0]),
+        None,
+    ),
+    "accumuland": (
+        _coo(7, 5, [1, 1, 3, 6], [0, 4, 2, 2], [2.0, -1.0, 0.5, 4.0]),
+        np.array([1.0, 2.0, -3.0, 0.5, 8.0]),
+        np.array([0.5, -0.0, 1.0, -2.0, 0.0, 3.0, -0.0]),
+    ),
+}
+
+
+class TestDenseFold:
+    """A default ``run`` accumulates step 1 straight into the result
+    (the backends' ``stripe_spmv_dense`` hook); it must keep the bytes of
+    the reference oracle and of SciPy at the edges of that fold."""
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_fold_matches_oracle_and_scipy(self, case, backend):
+        matrix, x, y = FOLD_CASES[case]
+        got = create_engine(backend=backend).run(matrix, x, y=y).y
+        oracle = create_engine(backend="reference").run(matrix, x, y=y).y
+        want = _csr(matrix) @ x if y is None else (_csr(matrix) @ x) + y
+        assert got.dtype == np.float64 and got.shape == (matrix.n_rows,)
+        assert got.tobytes() == oracle.tobytes()
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_negative_zero_rows_are_positive_zero(self):
+        matrix, x, _ = FOLD_CASES["negative_zero"]
+        got = create_engine(backend="vectorized").run(matrix, x).y
+        assert got[0] == 0.0 and not np.signbit(got[0])
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_only_single_rhs_one_stripe_runs_take_the_fold(self, backend, monkeypatch):
+        engine = create_engine(backend=backend)
+        calls = []
+        cls = type(engine.backend)
+        original = cls.stripe_spmv_dense
+
+        def counting(self, stripe, x_segment, n_out):
+            calls.append(n_out)
+            return original(self, stripe, x_segment, n_out)
+
+        monkeypatch.setattr(cls, "stripe_spmv_dense", counting)
+        matrix, x, y = FOLD_CASES["accumuland"]
+        engine.run(matrix, x, y=y)
+        assert calls == [matrix.n_rows]
+        engine.run_many(matrix, np.stack([x, x], axis=1))
+        create_engine(backend=backend, check_interleave=True).run(matrix, x)
+        create_engine(backend=backend, segment_width=2).run(matrix, x)
+        assert calls == [matrix.n_rows]

@@ -156,7 +156,8 @@ def test_seeds_from_the_first_record():
 
 
 class CountingReads:
-    """An operand block that counts how often a kernel indexes it."""
+    """An operand block that counts how often a kernel gathers from it,
+    by indexing or through ``np.take`` (which calls ``.take``)."""
 
     def __init__(self, array: np.ndarray):
         self.array = array
@@ -166,6 +167,10 @@ class CountingReads:
     def __getitem__(self, index):
         self.reads += 1
         return self.array[index]
+
+    def take(self, indices, axis=None, out=None, mode="raise"):
+        self.reads += 1
+        return self.array.take(indices, axis=axis, out=out, mode=mode)
 
 
 @pytest.fixture(scope="module")

@@ -10,8 +10,11 @@ trip through ``json.loads``.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from repro.generators.erdos_renyi import erdos_renyi_graph
 from repro.telemetry import (
     CallbackHook,
     MetricsRegistry,
+    SeriesHandle,
     TelemetryReport,
     Tracer,
     add_global_hook,
@@ -398,6 +402,155 @@ class TestTextExporters:
 # ---------------------------------------------------------------------------
 
 
+def _streams(source_and_result: float, intermediate: float) -> dict:
+    return {
+        '{stream="matrix"}': 55988.0,
+        '{stream="source_vector"}': source_and_result,
+        '{stream="result_vector"}': source_and_result,
+        '{stream="intermediate_write"}': intermediate,
+        '{stream="intermediate_read"}': intermediate,
+        '{stream="cache_line_wastage"}': 0.0,
+    }
+
+
+def _published(streams: dict) -> dict:
+    """One warm run's ``metrics.to_dict()`` minus ``spmv_run_seconds``."""
+
+    def entry(kind, help, series):
+        return {"kind": kind, "help": help, "series": series}
+
+    return {
+        "spmv_backend_runs_total": entry(
+            "counter", "Engine runs, by backend", {'{backend="vectorized"}': 1.0}
+        ),
+        "spmv_plan_cache_events_total": entry(
+            "counter", "Plan-cache lookups by outcome", {'{outcome="hit"}': 1.0}
+        ),
+        "spmv_shard_imbalance_ratio": entry(
+            "gauge", "Max/mean intermediate records across stripes", {"{}": 1.0}
+        ),
+        "spmv_stream_bytes_total": entry(
+            "counter", "Off-chip bytes moved, by traffic stream", streams
+        ),
+        "spmv_vldi_bits_per_index": entry(
+            "gauge", "Encoded bits per intermediate index (VLDI or fixed)", {"{}": 32.0}
+        ),
+    }
+
+
+#: What one warm default-geometry run (``run``, and ``run_many`` with
+#: k = 3) on ``_contents_inputs()`` published before the per-run publish
+#: became O(1); ``spmv_run_seconds`` is left out because it is wall time.
+WARM_METRICS = {
+    "run": _published(_streams(8000.0, 15128.0)),
+    "run_many": _published(_streams(24000.0, 30256.0)),
+}
+
+#: sha256 prefixes of the same ``to_dict()`` and of the ``on_metric``
+#: call list a global hook saw (``spmv_run_seconds`` value blanked),
+#: recorded at the same point, for the default and a multi-stripe plan.
+WARM_DIGESTS = {
+    ("default", "run"): ("d3e802056672765c", "1698b13ab3cb2551"),
+    ("default", "run_many"): ("58bb5b746ca17ad8", "e7e9a7d9b1c83b67"),
+    ("width512", "run"): ("26366bba8cc4e22e", "77def5f21b549440"),
+    ("width512", "run_many"): ("a0833d8d32920478", "3f12495d945aad00"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _contents_inputs():
+    matrix = erdos_renyi_graph(2000, 3.0, seed=7)
+    x = np.random.default_rng(1).standard_normal(matrix.n_cols)
+    X = np.random.default_rng(2).standard_normal((matrix.n_cols, 3))
+    return matrix, x, X
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _without_run_seconds(registry: MetricsRegistry) -> dict:
+    published = registry.to_dict()
+    published.pop("spmv_run_seconds")
+    return published
+
+
+def _engine_with_options(**options) -> TwoStepEngine:
+    return TwoStepEngine(TwoStepConfig(backend="vectorized", telemetry=True, **options))
+
+
+class TestPublishedContents:
+    """The per-run publish replays cached samples through resolved
+    handles and folds runs into the lifetime registry in place; what a
+    run reports, what hooks hear and what accumulates must not move."""
+
+    @staticmethod
+    def _op(engine, op):
+        matrix, x, X = _contents_inputs()
+        if op == "run":
+            return engine.run(matrix, x)
+        return engine.run_many(matrix, X)
+
+    @pytest.mark.parametrize("op", ["run", "run_many"])
+    def test_warm_run_metrics_match_recorded_snapshot(self, op):
+        engine = _engine_with_options()
+        self._op(engine, op)
+        result = self._op(engine, op)
+        assert _without_run_seconds(result.telemetry.metrics) == WARM_METRICS[op]
+        histogram = result.telemetry.metrics.to_dict()["spmv_run_seconds"]
+        assert histogram["series"]["{}"]["count"] == 1
+
+    @pytest.mark.parametrize("op", ["run", "run_many"])
+    @pytest.mark.parametrize("geometry", ["default", "width512"])
+    def test_warm_run_and_hook_calls_match_recorded_digests(self, geometry, op):
+        options = {} if geometry == "default" else {"segment_width": 512}
+        engine = _engine_with_options(**options)
+        self._op(engine, op)
+        calls = []
+        hook = CallbackHook(
+            on_metric=lambda name, kind, value, labels: calls.append(
+                [name, kind, None if name == "spmv_run_seconds" else value, labels]
+            )
+        )
+        add_global_hook(hook)
+        try:
+            result = self._op(engine, op)
+        finally:
+            remove_global_hook(hook)
+        metrics_digest, calls_digest = WARM_DIGESTS[(geometry, op)]
+        assert _digest(_without_run_seconds(result.telemetry.metrics)) == metrics_digest
+        assert _digest(calls) == calls_digest
+
+    def test_each_batch_size_publishes_its_own_samples(self):
+        engine = _engine_with_options()
+        for op in ("run", "run_many", "run", "run_many"):
+            result = self._op(engine, op)
+            published = _without_run_seconds(result.telemetry.metrics)
+            published.pop("spmv_plan_cache_events_total")  # a miss, then hits
+            expected = dict(WARM_METRICS[op])
+            expected.pop("spmv_plan_cache_events_total")
+            assert published == expected
+
+    @pytest.mark.parametrize("op", ["run", "run_many"])
+    def test_lifetime_counters_are_n_times_one_run(self, op):
+        engine = _engine_with_options()
+        engine.plan(_contents_inputs()[0])  # outside a session: records nothing
+        runs = [self._op(engine, op) for _ in range(4)]
+        one = runs[0].telemetry.metrics.to_dict()
+        lifetime = engine.metrics().to_dict()
+        assert set(lifetime) == set(one)
+        for name, entry in one.items():
+            kept = lifetime[name]["series"]
+            if entry["kind"] == "counter":
+                assert kept == {k: 4 * v for k, v in entry["series"].items()}
+            elif entry["kind"] == "gauge":
+                assert kept == entry["series"]
+            else:
+                assert kept["{}"]["count"] == 4
+                total = sum(r.telemetry.metrics.value(name) for r in runs)
+                assert kept["{}"]["sum"] == pytest.approx(total)
+
+
 class TestMetricsRegistry:
     def test_counter_rejects_negative_and_kind_clashes(self):
         registry = MetricsRegistry()
@@ -427,6 +580,99 @@ class TestMetricsRegistry:
             (("site", "x"),): 5.0,
             (("site", "y"),): 7.0,
         }
+
+    def test_handles_end_in_the_same_state_as_by_name_writes(self):
+        by_name_calls, handle_calls = [], []
+        by_name = MetricsRegistry(
+            hooks=(CallbackHook(on_metric=lambda *call: by_name_calls.append(call)),)
+        )
+        by_handle = MetricsRegistry(
+            hooks=(CallbackHook(on_metric=lambda *call: handle_calls.append(call)),)
+        )
+        by_name.inc("c_total", 2, labels={"site": "x"}, help="c")
+        by_name.set("g", 0.5)
+        by_name.observe("h_seconds", 3e-4)
+        by_name.inc("c_total", 1.5, labels={"site": "x"}, help="c")
+        counter = SeriesHandle("c_total", "counter", {"site": "x"}, help="c")
+        by_handle.record(counter, 2)
+        by_handle.record_all(
+            (
+                (SeriesHandle("g", "gauge"), 0.5),
+                (SeriesHandle("h_seconds", "histogram"), 3e-4),
+                (counter, 1.5),
+            )
+        )
+        assert by_handle.to_dict() == by_name.to_dict()
+        assert by_handle.to_prometheus() == by_name.to_prometheus()
+        assert handle_calls == by_name_calls
+
+    def test_handles_reject_bad_input_like_by_name_writes(self):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError):
+            registry.record(SeriesHandle("a_total", "counter"), -1)
+        with pytest.raises(ValueError):
+            SeriesHandle("0bad", "counter")
+        with pytest.raises(ValueError):
+            SeriesHandle("a_total", "summary")
+
+    def test_queued_kind_clash_raises_on_read_and_keeps_the_rest(self):
+        registry = MetricsRegistry()
+        registry.inc("a_total")
+        registry.record_all(
+            (
+                (SeriesHandle("a_total", "gauge"), 5.0),
+                (SeriesHandle("b_total", "counter"), 2.0),
+            )
+        )
+        with pytest.raises(ValueError, match="already registered as counter"):
+            registry.to_dict()
+        assert registry.value("a_total") == 1.0
+        assert registry.value("b_total") == 2.0
+
+    def test_merge_of_queued_samples_adds_each_series_total(self):
+        # 1e16 + (1.0 + 1.0) != (1e16 + 1.0) + 1.0: a run's samples for
+        # one series must reach the lifetime registry as their sum.
+        lifetime, run = MetricsRegistry(), MetricsRegistry()
+        lifetime.inc("c_total", 1e16)
+        counter = SeriesHandle("c_total", "counter")
+        run.record_all(((counter, 1.0), (counter, 1.0)))
+        lifetime.merge(run)
+        assert lifetime.value("c_total") == 1e16 + 2.0
+        assert run.value("c_total") == 2.0
+        # One sample per series: applied straight to the lifetime registry.
+        other = MetricsRegistry()
+        other.record_all(((counter, 4.0), (SeriesHandle("g", "gauge"), 4.0)))
+        lifetime.merge(other)
+        assert lifetime.value("c_total") == 1e16 + 6.0
+        assert lifetime.value("g") == 4.0
+        assert other.to_dict()["g"]["series"] == {"{}": 4.0}
+
+    def test_merge_into_self_doubles(self):
+        registry = MetricsRegistry()
+        registry.inc("c_total", 3)
+        registry.record(SeriesHandle("h_seconds", "histogram"), 0.5)
+        registry.merge(registry)
+        assert registry.value("c_total") == 6
+        assert registry.to_dict()["h_seconds"]["series"]["{}"]["count"] == 2
+
+    def test_registries_merging_into_each_other_do_not_deadlock(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.inc("a_total")
+        b.inc("b_total")
+
+        def fold(into, other):
+            for _ in range(2000):
+                into.merge(other)
+
+        threads = [
+            threading.Thread(target=fold, args=(a, b)),
+            threading.Thread(target=fold, args=(b, a)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
 
     def test_combine_reports_skips_none_and_sums(self):
         first, second = MetricsRegistry(), MetricsRegistry()
