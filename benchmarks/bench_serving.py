@@ -12,8 +12,9 @@ Two measurements, archived as ``BENCH_serving.json``:
   once per request), so the acceptance bar is a >= 2x throughput win;
   CI smoke-gates a looser 1.5x.
 * **Latency**: an open-loop offered-QPS sweep (paced arrivals, no
-  self-throttling) reporting p50/p95/p99 latency and the mean coalesced
-  batch size per level.
+  self-throttling) reporting p50/p95/p99 latency, the mean coalesced
+  batch size and how many batches ran inline on the event-loop thread
+  (a lone request on an idle server) per level.
 
 The matrix is sized for the high-QPS serving regime (sub-millisecond
 single-request runs), where coalescing has something to amortise.  At
@@ -103,16 +104,18 @@ def measure() -> dict:
     sweep_server, graph_s, fingerprint_s = _server(MAX_BATCH)
 
     async def sweep_main():
-        reports = []
+        levels = []
         for qps in QPS_LEVELS:
+            inline = sweep_server.stats()["queue"]["inline"]
             report = await run_open_loop(
                 sweep_server, fingerprint_s, xs, qps, SWEEP_REQUESTS
             )
             await sweep_server.close()
-            reports.append(report)
-        return reports
+            inline = sweep_server.stats()["queue"]["inline"] - inline
+            levels.append({**report.to_dict(), "inline": inline})
+        return levels
 
-    reports = asyncio.run(sweep_main())
+    levels = asyncio.run(sweep_main())
     return {
         "throughput": {
             "burst": BURST,
@@ -121,7 +124,7 @@ def measure() -> dict:
             "speedup": round(batched_qps / naive_qps, 2),
             "mean_batch": round(batched_mean, 2),
         },
-        "sweep": [r.to_dict() for r in reports],
+        "sweep": levels,
     }
 
 
@@ -142,11 +145,15 @@ def render(results: dict) -> str:
             f"{r['p95_ms']:.2f}",
             f"{r['p99_ms']:.2f}",
             f"{r['mean_batch']:g}",
+            str(r["inline"]),
         ]
         for r in results["sweep"]
     ]
     table = format_table(
-        ["offered qps", "achieved", "ok", "shed", "p50 ms", "p95 ms", "p99 ms", "batch"],
+        [
+            "offered qps", "achieved", "ok", "shed",
+            "p50 ms", "p95 ms", "p99 ms", "batch", "inline",
+        ],
         rows,
         title=(
             f"Open-loop sweep: ER N={N_NODES:,} d={AVG_DEGREE:g}, "

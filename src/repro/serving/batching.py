@@ -45,11 +45,22 @@ awaiting task, which cancels the pending future -- are likewise dropped
 at batch formation and counted, releasing their queue slot.
 
 All queue state is mutated only on the event-loop thread, so no locks
-are needed; batch execution runs on a small *dedicated* thread pool
+are needed.  Batches execute on a small *dedicated* thread pool
 (``BatchPolicy.workers``, default 1) rather than ``asyncio.to_thread``'s
 shared default pool, so batch execution never queues behind unrelated
 ``to_thread`` work.  (The engine is thread-safe: its plan cache is
-locked.)
+locked.)  One batch skips the pool: a lone request (``k == 1``) on an
+otherwise idle server (``in_flight == 1``) whose lane has measured its
+execution at no more than ``BatchPolicy.max_delay_s`` runs **inline**
+on the event-loop thread, sparing it the two thread crossings (handoff
+to the pool, wake-up back on the loop) that otherwise cost as much as
+the kernel.  Blocking the loop for at most ``max_delay_s`` delays any
+other request by no more than the policy already lets a batch wait
+behind a busy lane.  A lane's first batch has no estimate yet and uses
+the pool, and so does every burst, busy server and slow lane.  An
+inline ``execute`` that cannot finish without blocking (a retry
+backoff) raises :class:`Offload`, and the rest of the batch finishes on
+the pool.  :attr:`MicroBatcher.inline` counts inline batches.
 """
 
 from __future__ import annotations
@@ -78,6 +89,13 @@ _EWMA_ALPHA = 0.2
 TRIGGERS = ("idle", "full", "timer", "drain")
 
 
+def _ewma(estimate: float | None, sample: float) -> float:
+    """Fold ``sample`` into an EWMA; a falsy estimate means none yet."""
+    if not estimate:
+        return sample
+    return (1 - _EWMA_ALPHA) * estimate + _EWMA_ALPHA * sample
+
+
 @dataclass(frozen=True)
 class BatchPolicy:
     """Micro-batching policy: flush triggers and queue bound.
@@ -88,13 +106,18 @@ class BatchPolicy:
         max_delay_s: How long a partial batch waits behind a busy lane
             (one with a batch executing) before it is dispatched anyway.
             An idle lane never waits on it: its requests are flushed on
-            the next event-loop turn.
+            the next event-loop turn.  It also bounds inline execution:
+            a lone request on an idle server runs on the event-loop
+            thread only when its lane's measured execution time is at
+            most this long.
         max_queue: Total in-flight requests (queued + executing, across
             all lanes) before submissions are shed with
             ``OverloadedError``.
         workers: Dedicated batch-execution threads.  Keep small (the
             default 1 is right for most hosts): a dedicated pool keeps
             batch execution off asyncio's shared default executor.
+            Every batch runs here except an inline one (see the module
+            docstring).
     """
 
     max_batch: int = 32
@@ -111,6 +134,19 @@ class BatchPolicy:
             raise ConfigurationError("max_queue must be positive")
         if self.workers <= 0:
             raise ConfigurationError("workers must be positive")
+
+
+class Offload(Exception):
+    """Raised by an ``execute`` called with ``inline=True`` that cannot
+    finish without blocking the event loop (say, before a retry backoff).
+
+    The batcher runs ``finish()`` on the executor instead; it returns
+    what ``execute`` would have.
+    """
+
+    def __init__(self, finish):
+        super().__init__("batch continues on the executor")
+        self.finish = finish
 
 
 @dataclass
@@ -133,6 +169,9 @@ class _Lane:
     flush: asyncio.Handle | None = None
     #: Dispatched batch tasks whose executor call has not returned.
     running: set = field(default_factory=set)
+    #: EWMA of the lane's batch body time (stack, execute, transpose),
+    #: on either route; None until its first batch succeeds.
+    exec_s: float | None = None
 
 
 @dataclass(frozen=True)
@@ -149,12 +188,16 @@ class MicroBatcher:
 
     Args:
         execute: ``execute(key, X) -> np.ndarray`` of shape ``(m, k)``;
-            called in a worker thread with the stacked RHS block.  When
-            the callable declares a ``deadline`` parameter it also
+            called with the stacked RHS block in a worker thread, or on
+            the event-loop thread for an inline batch.  When the
+            callable declares a ``deadline`` parameter it also
             receives the tightest remaining
             :class:`~repro.serving.resilience.Deadline` among the
             batch's members (or None), so retry loops downstream can
-            respect the budget.
+            respect the budget.  When it declares an ``inline``
+            parameter, an inline call passes ``inline=True``, and the
+            callable may raise :class:`Offload` to finish on the
+            executor instead of blocking the loop.
         policy: Flush triggers and the global queue bound.
         metrics: Optional ``MetricsRegistry``; observes batch sizes and
             queue waits, counts batches, shed/expired/cancelled requests.
@@ -171,11 +214,11 @@ class MicroBatcher:
             max_workers=self.policy.workers, thread_name_prefix="spmv-batch"
         )
         try:
-            self._wants_deadline = (
-                "deadline" in inspect.signature(execute).parameters
-            )
+            params = inspect.signature(execute).parameters
         except (TypeError, ValueError):
-            self._wants_deadline = False
+            params = {}
+        self._wants_deadline = "deadline" in params
+        self._wants_inline = "inline" in params
         self.batches = 0
         self.coalesced = 0
         self.shed = 0
@@ -183,6 +226,8 @@ class MicroBatcher:
         self.cancelled = 0
         #: Executed batches by what formed them (see :data:`TRIGGERS`).
         self.by_trigger = dict.fromkeys(TRIGGERS, 0)
+        #: Batches run on the event-loop thread instead of the pool.
+        self.inline = 0
         #: EWMA of observed batch execution wall time; 0 until the first
         #: batch completes.  Drives admission-time deadline estimates
         #: and the HTTP frontend's queue-aware ``Retry-After`` hint.
@@ -324,6 +369,13 @@ class MicroBatcher:
         self._closed = True
         self._pool.shutdown(wait=wait)
 
+    def forget(self, key) -> None:
+        """Drop ``key``'s lane and its timing if nothing is pending or
+        running on it (its matrix was unregistered or evicted)."""
+        lane = self._lanes.get(key)
+        if lane is not None and not lane.pending and not lane.running:
+            del self._lanes[key]
+
     def _dispatch(self, key, lane: _Lane, trigger: str) -> asyncio.Task:
         """Detach up to ``policy.max_batch`` requests and start their batch.
 
@@ -390,27 +442,46 @@ class MicroBatcher:
                 live.append(p)
         return live, dropped
 
-    def _execute_stacked(self, key, xs: list, deadline) -> np.ndarray:
-        """Worker-thread body: stack, execute, unstack.
+    def _execute_stacked(self, key, xs: list, deadline, inline: bool = False) -> tuple:
+        """The batch body on either route: stack, execute, transpose.
 
-        The RHS stack (column-major fill) and the result transpose are
-        both O(n*k) memory passes; doing them here keeps the event loop
-        free to keep coalescing while a batch executes.  The returned
-        array is ``(k, m)`` so each request's ``y`` is a contiguous row.
+        Returns ``(YT, seconds)``; ``YT`` is ``(k, m)`` so each request's
+        ``y`` is a contiguous row.  On the executor route the RHS stack
+        (column-major fill) and the transpose, both O(n*k) memory passes,
+        stay off the loop, which keeps coalescing while a batch executes.
+        Keep all three in this one frame: returning ``Y`` to a caller
+        that transposes it frees ``X`` before ``YT`` is allocated, and
+        that order made 32-wide bursts about 15% slower in
+        ``bench_serving`` (2 vCPUs, Linux, glibc).
         """
+        t0 = time.perf_counter()
         X = np.stack(xs, axis=1)
-        if self._wants_deadline:
-            Y = self._execute(key, X, deadline=deadline)
-        else:
-            Y = self._execute(key, X)
-        return np.ascontiguousarray(Y.T)
+        kwargs = {"deadline": deadline} if self._wants_deadline else {}
+        if inline and self._wants_inline:
+            kwargs["inline"] = True
+        Y = self._execute(key, X, **kwargs)
+        YT = np.ascontiguousarray(Y.T)
+        return YT, time.perf_counter() - t0
+
+    @staticmethod
+    def _finish(offload: Offload) -> tuple:
+        """Executor body of an offloaded inline batch, as
+        :meth:`_execute_stacked` returns it.  Its time excludes the
+        inline part but includes any backoff, so a lane that just
+        failed leaves the loop until its estimate falls back."""
+        t0 = time.perf_counter()
+        YT = np.ascontiguousarray(offload.finish().T)
+        return YT, time.perf_counter() - t0
 
     async def _execute_batch(self, key, lane: _Lane, batch: list, trigger: str) -> None:
         """Execute one coalesced batch and fan results back to futures.
 
-        The batch leaves the lane as soon as the executor returns, before
-        the fan-out, so the next batch is already executing while this
-        one's callers are woken.
+        A lone request on an idle server whose lane runs in at most
+        ``max_delay_s`` executes inline on the loop thread (an
+        :class:`Offload` moves the rest of it to the executor); every
+        other batch runs on the executor.  The batch leaves the lane as
+        soon as execution returns, before the fan-out, so the next batch
+        is already executing while this one's callers are woken.
         """
         now = time.perf_counter()
         live, dropped = self._triage(batch)
@@ -423,14 +494,30 @@ class MicroBatcher:
         batch_deadline = (
             min(deadlines, key=lambda d: d.expires_at) if deadlines else None
         )
+        xs = [p.x for p in live]
+        inline = (
+            self._in_flight == 1  # this lone request is all the server holds
+            and lane.exec_s is not None
+            and lane.exec_s <= self.policy.max_delay_s
+        )
         loop = asyncio.get_running_loop()
         try:
             try:
                 apply_fault("batch", self.batches)
-                YT = await loop.run_in_executor(
-                    self._pool, self._execute_stacked, key, [p.x for p in live],
-                    batch_deadline,
-                )
+                if inline:
+                    self.inline += 1
+                    try:
+                        YT, exec_s = self._execute_stacked(
+                            key, xs, batch_deadline, inline=True
+                        )
+                    except Offload as offload:
+                        YT, exec_s = await loop.run_in_executor(
+                            self._pool, self._finish, offload
+                        )
+                else:
+                    YT, exec_s = await loop.run_in_executor(
+                        self._pool, self._execute_stacked, key, xs, batch_deadline
+                    )
             finally:
                 self._batch_done(key, lane)
         except Exception as exc:
@@ -445,12 +532,8 @@ class MicroBatcher:
                 if not p.future.done():
                     p.future.set_exception(exc)
         else:
-            t_exec = time.perf_counter() - now
-            self.ewma_batch_s = (
-                t_exec
-                if self.ewma_batch_s == 0.0
-                else (1 - _EWMA_ALPHA) * self.ewma_batch_s + _EWMA_ALPHA * t_exec
-            )
+            lane.exec_s = _ewma(lane.exec_s, exec_s)
+            self.ewma_batch_s = _ewma(self.ewma_batch_s, time.perf_counter() - now)
             for j, p in enumerate(live):
                 if not p.future.done():
                     p.future.set_result(
@@ -484,4 +567,4 @@ class MicroBatcher:
                     )
 
 
-__all__ = ["BatchPolicy", "BatchResult", "MicroBatcher"]
+__all__ = ["BatchPolicy", "BatchResult", "MicroBatcher", "Offload"]

@@ -107,6 +107,7 @@ class MatrixRegistry:
         self,
         options: EngineOptions | None = None,
         quotas: TenantQuotas | None = None,
+        on_drop=None,
     ):
         """
         Args:
@@ -114,9 +115,13 @@ class MatrixRegistry:
                 (resolved once, so all tenants run the same audited
                 configuration).
             quotas: Per-tenant limits; defaults to :class:`TenantQuotas`.
+            on_drop: Optional ``on_drop(tenant, fingerprint)``, called
+                outside the lock after a registration is unregistered
+                or evicted, so per-matrix state elsewhere can go too.
         """
         self.options = (options or EngineOptions()).resolve()
         self.quotas = quotas or TenantQuotas()
+        self._on_drop = on_drop
         self._lock = threading.Lock()
         self._matrices: dict[str, OrderedDict[str, Registration]] = {}
         # Keyed (tenant, backend); backend None means the configured one.
@@ -155,6 +160,7 @@ class MatrixRegistry:
         engine).
         """
         fingerprint = matrix_fingerprint(matrix)
+        evicted = []
         with self._lock:
             table = self._matrices.setdefault(tenant, OrderedDict())
             existing = table.get(fingerprint)
@@ -162,14 +168,17 @@ class MatrixRegistry:
                 table.move_to_end(fingerprint)
                 return fingerprint
             while len(table) >= self.quotas.max_matrices:
-                _, evicted = table.popitem(last=False)
+                old_fingerprint, old = table.popitem(last=False)
                 self.evictions += 1
-                self._forget_locked(tenant, evicted.matrix)
+                self._forget_locked(tenant, old.matrix)
+                evicted.append(old_fingerprint)
             table[fingerprint] = Registration(
                 fingerprint=fingerprint,
                 matrix=matrix,
                 tenant=tenant,
             )
+        for old_fingerprint in evicted:
+            self._dropped(tenant, old_fingerprint)
         return fingerprint
 
     def get(self, fingerprint: str, tenant: str = "default") -> Registration:
@@ -205,6 +214,11 @@ class MatrixRegistry:
                     f"for tenant {tenant!r}"
                 )
             self._forget_locked(tenant, registration.matrix)
+        self._dropped(tenant, fingerprint)
+
+    def _dropped(self, tenant: str, fingerprint: str) -> None:
+        if self._on_drop is not None:
+            self._on_drop(tenant, fingerprint)
 
     def _forget_locked(self, tenant: str, matrix) -> None:
         """Drop a matrix's cached plans from every tier engine (lock held)."""

@@ -34,6 +34,7 @@ Resilience (see :mod:`repro.serving.resilience`):
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import random
 import threading
@@ -52,7 +53,7 @@ from repro.faults.errors import (
 )
 from repro.faults.injection import apply_fault
 from repro.faults.validation import validate_vector
-from repro.serving.batching import BatchPolicy, MicroBatcher
+from repro.serving.batching import BatchPolicy, MicroBatcher, Offload
 from repro.serving.registry import MatrixRegistry, TenantQuotas
 from repro.serving.resilience import (
     CircuitBreaker,
@@ -63,6 +64,17 @@ from repro.serving.resilience import (
 )
 from repro.serving.snapshot import SnapshotStore
 from repro.telemetry.metrics import MetricsRegistry
+
+
+def _drive(attempts, pause: float):
+    """Finish :meth:`SpMVServer._attempts` here, sleeping each pause."""
+    while True:
+        if pause:
+            time.sleep(pause)
+        try:
+            pause = next(attempts)
+        except StopIteration as done:
+            return done.value
 
 
 @dataclass(frozen=True)
@@ -105,9 +117,9 @@ class SpMVServer:
         self.options = (options or EngineOptions()).resolve()
         self.policy = policy or BatchPolicy()
         self.resilience = resilience or ResiliencePolicy()
-        self.registry = MatrixRegistry(self.options, quotas)
         self.metrics = MetricsRegistry()
         self._batcher = MicroBatcher(self._execute, self.policy, metrics=self.metrics)
+        self.registry = MatrixRegistry(self.options, quotas, on_drop=self._forget)
         self._inflight_by_tenant: dict[str, int] = {}
         self._breakers: dict[tuple, CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
@@ -137,8 +149,16 @@ class SpMVServer:
         return fingerprint
 
     def unregister(self, fingerprint: str, tenant: str = "default") -> None:
-        """Drop one registration (and its cached plan)."""
+        """Drop one registration (and its cached plan, breaker and idle lane)."""
         self.registry.unregister(fingerprint, tenant)
+
+    def _forget(self, tenant: str, fingerprint: str) -> None:
+        """A registration went (unregistered or LRU-evicted): drop its
+        lane's breaker and, if idle, its batching lane."""
+        key = (tenant, fingerprint)
+        with self._breaker_lock:
+            self._breakers.pop(key, None)
+        self._batcher.forget(key)
 
     # ------------------------------------------------------------------
     # Serving
@@ -281,67 +301,86 @@ class SpMVServer:
                 self._breakers[key] = breaker
             return breaker
 
-    def _execute(self, key, X: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
-        """Run one coalesced batch (called by the batcher in a thread).
+    def _execute(
+        self, key, X: np.ndarray, deadline: Deadline | None = None, inline: bool = False
+    ) -> np.ndarray:
+        """Run one coalesced batch, on the batcher's executor thread or,
+        with ``inline=True``, on the event-loop thread.
 
         Walks the breaker-selected rungs of the degradation ladder; each
         rung gets bounded jittered retries that respect the remaining
         deadline budget.  A configured-tier success closes the lane's
-        circuit; a whole-ladder failure opens it outright.
+        circuit; a whole-ladder failure opens it outright.  Inline, only
+        a first attempt on the configured tier runs here: anything after
+        it (a backoff sleep, a degraded tier) is raised as
+        :class:`~repro.serving.batching.Offload` and finishes on the
+        executor, on the same ladder and breaker, with the retry budget
+        already charged for the attempt made here.
+        """
+        attempts = self._attempts(key, X, deadline)
+        try:
+            pause = next(attempts)
+        except StopIteration as done:
+            return done.value
+        if inline:
+            raise Offload(functools.partial(_drive, attempts, pause))
+        return _drive(attempts, pause)
+
+    def _attempts(self, key, X, deadline):
+        """The ladder walk as a generator that returns ``Y``.
+
+        Before every attempt except a first one on the configured tier
+        it yields the seconds to pause first (a retry's backoff, or 0
+        before a degraded tier), so the caller decides where to wait.
         """
         tenant, fingerprint = key
         registration = self.registry.get(fingerprint, tenant)
         breaker = self._breaker(key)
-        tiers = breaker.plan_tiers(self._ladder)
         last_error: Exception | None = None
-        for tier in tiers:
+        pause = None  # the first attempt, if on the configured tier, may run inline
+        for tier in breaker.plan_tiers(self._ladder):
             tier_index = self._ladder.index(tier)
             degraded = tier_index > 0
             if degraded:
+                pause = 0.0
                 self.metrics.inc(
                     "serving_degraded_runs_total",
                     labels={"tier": tier},
                     help="Batches executed on a degraded backend tier",
                 )
-            try:
-                Y = self._attempt_tier(registration, tenant, tier, degraded, X, deadline)
-            except Exception as exc:  # noqa: BLE001 - every failure feeds the breaker
-                last_error = exc
-                breaker.record_failure(tier_index)
-                continue
-            breaker.record_success(tier_index)
-            registration.requests_served += X.shape[1]
-            registration.batches_served += 1
-            return Y
+            engine = self.registry.engine(tenant, backend=tier if degraded else None)
+            delays = backoff_delays(self.resilience, self._rng)
+            while True:
+                if pause is not None:
+                    yield pause
+                pause = 0.0
+                try:
+                    apply_fault("executor", next(self._execution_seq))
+                    Y, _report = engine.run_many(registration.matrix, X)
+                except Exception as exc:  # noqa: BLE001 - every failure feeds the breaker
+                    backoff = next(delays, None)
+                    # Sleeping through the deadline helps nobody; move
+                    # down the ladder (cheap) instead of retrying (slow).
+                    if backoff is None or (
+                        deadline is not None and deadline.remaining() <= backoff
+                    ):
+                        last_error = exc
+                        breaker.record_failure(tier_index)
+                        break
+                    self.metrics.inc(
+                        "serving_retries_total",
+                        labels={"tier": tier},
+                        help="Batch execution retries, by backend tier",
+                    )
+                    pause = backoff
+                    continue
+                breaker.record_success(tier_index)
+                registration.requests_served += X.shape[1]
+                registration.batches_served += 1
+                return Y
         breaker.record_exhausted()
         assert last_error is not None
         raise last_error
-
-    def _attempt_tier(
-        self, registration, tenant: str, tier: str, degraded: bool, X, deadline
-    ) -> np.ndarray:
-        """One ladder rung: first try plus bounded jittered retries."""
-        engine = self.registry.engine(tenant, backend=tier if degraded else None)
-        delays = backoff_delays(self.resilience, self._rng)
-        while True:
-            try:
-                apply_fault("executor", next(self._execution_seq))
-                Y, _report = engine.run_many(registration.matrix, X)
-                return Y
-            except Exception:
-                backoff = next(delays, None)
-                if backoff is None:
-                    raise
-                if deadline is not None and deadline.remaining() <= backoff:
-                    # Sleeping through the deadline helps nobody; move
-                    # down the ladder (cheap) instead of retrying (slow).
-                    raise
-                self.metrics.inc(
-                    "serving_retries_total",
-                    labels={"tier": tier},
-                    help="Batch execution retries, by backend tier",
-                )
-                time.sleep(backoff)
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -458,6 +497,7 @@ class SpMVServer:
                 "batches": self._batcher.batches,
                 "coalesced": self._batcher.coalesced,
                 "by_trigger": dict(self._batcher.by_trigger),
+                "inline": self._batcher.inline,
                 "shed": self._batcher.shed,
                 "expired": self._batcher.expired,
                 "cancelled": self._batcher.cancelled,

@@ -9,6 +9,7 @@ server in-process with ``asyncio.run`` (no pytest-asyncio dependency).
 import asyncio
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -17,16 +18,22 @@ import pytest
 
 from repro.faults.errors import (
     ConfigurationError,
+    DeadlineExceededError,
+    FaultError,
+    InjectedFault,
     InvalidVectorError,
     OverloadedError,
     QuotaExceededError,
     UnknownMatrixError,
 )
+from repro.faults.injection import ANY_INDEX, FaultPlan, FaultSpec, inject_faults
 from repro.generators import erdos_renyi_graph
 from repro.serving import (
     BatchPolicy,
+    Deadline,
     MatrixRegistry,
     MicroBatcher,
+    ResiliencePolicy,
     SpMVServer,
     TenantQuotas,
     matrix_fingerprint,
@@ -375,6 +382,225 @@ class TestMicroBatcher:
         assert batcher.in_flight == 0
 
 
+class _Recorder:
+    """A batcher ``execute`` that records the thread and width of each batch."""
+
+    def __init__(self, sleep_s: float = 0.0):
+        self.sleep_s = sleep_s
+        self.calls = []  # (thread ident, X)
+
+    def __call__(self, key, X):
+        self.calls.append((threading.get_ident(), X.copy()))
+        if self.sleep_s:
+            time.sleep(self.sleep_s)
+        return X * 2.0
+
+    def threads(self):
+        return [ident for ident, _X in self.calls]
+
+
+class TestInlineRouting:
+    """A lone request on a warm lane of an idle server runs on the loop
+    thread; every other batch runs on the executor."""
+
+    POLICY = BatchPolicy(max_batch=64, max_delay_s=0.01)
+
+    def test_first_batch_on_executor_then_inline(self):
+        execute = _Recorder()
+        batcher = MicroBatcher(execute, self.POLICY)
+
+        async def main():
+            first = await batcher.submit("k", np.ones(2))
+            second = await batcher.submit("k", np.full(2, 3.0))
+            return threading.get_ident(), first, second
+
+        loop_thread, first, second = asyncio.run(main())
+        assert execute.threads()[0] != loop_thread  # no estimate yet
+        assert execute.threads()[1] == loop_thread
+        assert batcher.inline == 1
+        np.testing.assert_array_equal(first.y, np.full(2, 2.0))
+        np.testing.assert_array_equal(second.y, np.full(2, 6.0))
+
+    def test_inline_result_bit_identical_to_engine_run(self, graph):
+        server = SpMVServer(policy=BatchPolicy(max_delay_s=0.05))
+        fp = server.register(graph)
+        engine = server.registry.engine()
+        threads = []
+        original = engine.run_many
+
+        def recording(matrix, X, **kwargs):
+            threads.append(threading.get_ident())
+            return original(matrix, X, **kwargs)
+
+        engine.run_many = recording
+        rng = np.random.default_rng(11)
+        xs = [rng.uniform(-1.0, 1.0, size=graph.n_cols) for _ in range(4)]
+
+        async def main():
+            results = [await server.submit(fp, x) for x in xs]
+            await server.shutdown()
+            return threading.get_ident(), results
+
+        loop_thread, results = asyncio.run(main())
+        assert threads[0] != loop_thread
+        assert threads[1:] == [loop_thread] * 3
+        assert server.stats()["queue"]["inline"] == 3
+        for x, result in zip(xs, results):  # both routes
+            assert result.y.tobytes() == engine.run(graph, x).y.tobytes()
+
+    def test_same_tick_burst_runs_on_executor(self):
+        execute = _Recorder()
+        batcher = MicroBatcher(execute, self.POLICY)
+
+        async def main():
+            await batcher.submit("k", np.ones(2))  # warm the lane
+            await asyncio.gather(*(batcher.submit("k", np.ones(2)) for _ in range(4)))
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(main())
+        assert [X.shape[1] for _t, X in execute.calls] == [1, 4]
+        assert loop_thread not in execute.threads()
+        assert batcher.inline == 0
+
+    def test_request_while_another_lane_in_flight_runs_on_executor(self):
+        started, release = threading.Event(), threading.Event()
+        calls = []
+
+        def execute(key, X):
+            calls.append((key, threading.get_ident()))
+            if key == "busy":
+                started.set()
+                release.wait(timeout=5)
+            return X
+
+        batcher = MicroBatcher(
+            execute, BatchPolicy(max_batch=64, max_delay_s=0.01, workers=2)
+        )
+
+        async def main():
+            await batcher.submit("k", np.ones(2))  # warm the lane
+            busy = asyncio.ensure_future(batcher.submit("busy", np.ones(2)))
+            while not started.is_set():
+                await asyncio.sleep(0.001)
+            await asyncio.wait_for(batcher.submit("k", np.ones(2)), 1.0)
+            release.set()
+            await busy
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(main())
+        assert [key for key, _t in calls] == ["k", "busy", "k"]
+        assert loop_thread not in [ident for _k, ident in calls]
+        assert batcher.inline == 0
+
+    def test_slow_lane_stays_on_executor(self):
+        policy = BatchPolicy(max_batch=64, max_delay_s=0.005)
+        execute = _Recorder(sleep_s=3 * policy.max_delay_s)
+        batcher = MicroBatcher(execute, policy)
+
+        async def main():
+            for _ in range(4):
+                await batcher.submit("k", np.ones(2))
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(main())
+        assert len(execute.calls) == 4
+        assert loop_thread not in execute.threads()
+        assert batcher.inline == 0
+
+    def test_cancelled_and_expired_members_triaged_before_inline_run(self):
+        execute = _Recorder()
+        batcher = MicroBatcher(execute, self.POLICY)
+
+        async def main():
+            await batcher.submit("k", np.ones(2))  # warm the lane
+            live = asyncio.ensure_future(batcher.submit("k", np.full(2, 5.0)))
+            doomed = asyncio.ensure_future(
+                batcher.submit("k", np.full(2, 7.0), deadline=Deadline.from_budget(0.02))
+            )
+            gone = asyncio.ensure_future(batcher.submit("k", np.full(2, 9.0)))
+            await asyncio.sleep(0)  # all three queued; the batch is not formed
+            gone.cancel()
+            time.sleep(0.05)  # stall the loop past the deadline
+            result = await live
+            with pytest.raises(DeadlineExceededError):
+                await doomed
+            return threading.get_ident(), result
+
+        loop_thread, result = asyncio.run(main())
+        ident, X = execute.calls[1]
+        assert ident == loop_thread  # one live member left: inline
+        np.testing.assert_array_equal(X, np.full((2, 1), 5.0))
+        np.testing.assert_array_equal(result.y, np.full(2, 10.0))
+        assert (batcher.expired, batcher.cancelled, batcher.inline) == (1, 1, 1)
+        assert batcher.in_flight == 0
+
+
+class TestInlineFaults:
+    """A fault on an inline attempt finishes the batch on the executor:
+    no retry backoff ever sleeps on the loop thread."""
+
+    RETRY_BASE_S = 0.1
+
+    @pytest.mark.parametrize(
+        "times, retries, degraded",
+        [(1, 1, 0), (3, 2, 1), (-1, 4, 1)],
+        ids=["retry-recovers", "budget-spent-then-degrade", "ladder-exhausted"],
+    )
+    def test_fault_on_inline_attempt(self, graph, times, retries, degraded):
+        server = SpMVServer(
+            policy=BatchPolicy(max_delay_s=0.05),
+            resilience=ResiliencePolicy(
+                max_retries=2,
+                retry_base_s=self.RETRY_BASE_S,
+                retry_jitter=0.0,
+                breaker_threshold=10,
+            ),
+        )
+        fp = server.register(graph)
+        x = np.random.default_rng(4).uniform(size=graph.n_cols)
+
+        async def main():
+            await server.submit(fp, x)  # the lane's first batch: executor
+            stalls = []
+            running = True
+
+            async def ticker():
+                last = time.perf_counter()
+                while running:
+                    await asyncio.sleep(0.001)
+                    now = time.perf_counter()
+                    stalls.append(now - last)
+                    last = now
+
+            tick = asyncio.ensure_future(ticker())
+            await asyncio.sleep(0.01)
+            plan = FaultPlan(
+                FaultSpec(site="executor", kind="raise", index=ANY_INDEX, times=times)
+            )
+            with inject_faults(plan):
+                try:
+                    outcome = await asyncio.wait_for(server.submit(fp, x), 5.0)
+                except FaultError as exc:
+                    outcome = exc
+            running = False
+            await tick
+            await server.shutdown()
+            return outcome, max(stalls)
+
+        outcome, worst_stall = asyncio.run(main())
+        assert worst_stall < self.RETRY_BASE_S, worst_stall
+        assert server.stats()["queue"]["inline"] == 1
+        resilience = server.stats()["resilience"]
+        # The inline attempt counts against the retry budget of 2.
+        assert resilience["retries"] == retries
+        assert resilience["degraded_runs"] == degraded
+        if times == -1:
+            assert isinstance(outcome, InjectedFault)
+        else:
+            direct = server.registry.engine().run(graph, x).y
+            assert outcome.y.tobytes() == direct.tobytes()
+
+
 # ----------------------------------------------------------------------
 # Server core
 # ----------------------------------------------------------------------
@@ -479,6 +705,31 @@ class TestServer:
         assert sum(queue["by_trigger"].values()) == queue["batches"]
         assert 'serving_batches_total{trigger="idle"}' in server.prometheus()
 
+    def test_unregister_and_eviction_drop_breakers_and_lanes(self):
+        server = SpMVServer(quotas=TenantQuotas(max_matrices=2))
+        graphs = [
+            erdos_renyi_graph(n_nodes=200, avg_degree=3.0, seed=s) for s in range(6)
+        ]
+        x = np.ones(200)
+
+        async def main():
+            for g in graphs[:3]:  # register -> submit -> unregister, three times
+                fp = server.register(g)
+                await server.submit(fp, x)
+                server.unregister(fp)
+            kept = []
+            for g in graphs[3:]:  # the third registration evicts the first
+                kept.append(server.register(g))
+                await server.submit(kept[-1], x)
+            await server.shutdown()
+            return kept[1:]
+
+        kept = asyncio.run(main())
+        assert server.registry.evictions == 1
+        breakers = server.stats()["resilience"]["breakers"]
+        assert sorted(breakers) == sorted(f"default/{fp}" for fp in kept)
+        assert sorted(server._batcher._lanes) == sorted(("default", fp) for fp in kept)
+
     def test_loadgen_open_loop(self, server, graph):
         rng = np.random.default_rng(0)
         xs = [rng.uniform(size=graph.n_cols) for _ in range(8)]
@@ -549,6 +800,12 @@ class TestHTTPFrontend:
 
             status, health = await asyncio.to_thread(_request, port, "GET", "/health")
             assert status == 200 and json.loads(health)["status"] == "ok"
+            status, stats = await asyncio.to_thread(_request, port, "GET", "/stats")
+            assert status == 200
+            queue = json.loads(stats)["queue"]
+            # One lone request on a cold lane: no estimate yet, so not inline.
+            assert queue["inline"] == 0
+            assert queue["by_trigger"]["idle"] == 1
             status, metrics = await asyncio.to_thread(_request, port, "GET", "/metrics")
             assert status == 200 and "serving_requests_total" in metrics
 
