@@ -9,9 +9,8 @@
 * :mod:`repro.faults.validation` -- input hardening
   (:func:`validate_inputs`) at the engine boundary.
 
-The recovery machinery these sites exercise -- retries, circuit
-breakers and the backend degradation ladder -- lives in
-:mod:`repro.serving.resilience`.
+The recovery machinery these sites exercise -- deadlines, retries and
+circuit breakers -- lives in :mod:`repro.serving.resilience`.
 """
 
 from repro.faults.errors import (
@@ -35,7 +34,6 @@ from repro.faults.errors import (
 )
 from repro.faults.injection import (
     ANY_INDEX,
-    FAULT_KINDS,
     SERVING_SITES,
     FaultPlan,
     FaultSpec,
@@ -55,7 +53,6 @@ __all__ = [
     "ANY_INDEX",
     "CircuitOpenError",
     "ConfigurationError",
-    "FAULT_KINDS",
     "SERVING_SITES",
     "CorruptPayloadError",
     "DeadlineExceededError",

@@ -133,10 +133,11 @@ class ServerClosedError(ServingError):
 class CircuitOpenError(ServingError):
     """A (tenant, matrix) lane's circuit breaker is rejecting requests.
 
-    Raised only after the degradation ladder is exhausted: the lane saw
-    ``breaker_threshold`` consecutive execution failures, went open, and
-    every lower backend tier also failed.  HTTP frontends map this to
-    ``503`` with a ``Retry-After`` hint covering the breaker cooldown.
+    Raised at admission while the lane is open: it saw
+    ``breaker_threshold`` consecutive failed batches (or a failed
+    half-open probe) less than ``breaker_cooldown_s`` ago.  HTTP
+    frontends map this to ``503`` with a ``Retry-After`` hint covering
+    the cooldown left.
 
     Attributes:
         tenant: Owning tenant of the open lane.

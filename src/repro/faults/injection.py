@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.faults.errors import CorruptPayloadError, InjectedFault, WorkerCrashError
 
 #: Recognized fault kinds.
-FAULT_KINDS = ("raise", "kill", "delay", "corrupt")
+_FAULT_KINDS = ("raise", "kill", "delay", "corrupt")
 
 #: Matches any index at a site.
 ANY_INDEX = -1
@@ -28,7 +28,7 @@ ANY_INDEX = -1
 #: Serving-layer injection sites consulted through :func:`apply_fault`:
 #: ``"batch"`` fires when a coalesced batch forms (before execution),
 #: ``"executor"`` inside each batch-execution attempt (so retries and the
-#: degradation ladder are exercised), ``"registry.io"`` around snapshot
+#: circuit breaker are exercised), ``"registry.io"`` around snapshot
 #: payload reads/writes, and ``"http"`` in the HTTP frontend's routing.
 SERVING_SITES = ("batch", "executor", "registry.io", "http")
 
@@ -47,8 +47,7 @@ class FaultSpec:
         index: Site index that triggers the fault; :data:`ANY_INDEX`
             matches every index.
         times: How many matches fire before the spec is spent; -1 fires
-            forever (use to force retries to exhaust and the degradation
-            ladder to engage).
+            forever (use to exhaust retries and open the breaker).
         delay_s: Sleep duration for ``"delay"`` faults.
         message: Text carried by the raised exception.
     """
@@ -61,8 +60,8 @@ class FaultSpec:
     message: str = "injected fault"
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}")
+        if self.kind not in _FAULT_KINDS:
+            raise ValueError(f"unknown fault kind {self.kind!r}; expected one of {_FAULT_KINDS}")
         if self.times == 0:
             raise ValueError("times must be positive or -1 (unlimited)")
 
@@ -161,7 +160,6 @@ def apply_fault(site: str, index: int = 0) -> None:
 
 __all__ = [
     "ANY_INDEX",
-    "FAULT_KINDS",
     "SERVING_SITES",
     "FaultPlan",
     "FaultSpec",

@@ -10,11 +10,11 @@ control sheds load past a bounded queue, and every tenant gets its own
 engine and plan cache, with LRU eviction and quotas.
 
 Resilience is first-class: requests carry deadlines (enforced at
-admission and batch formation), each (tenant, matrix) lane has a
-circuit breaker that degrades down the backend ladder before rejecting,
-the registry can be snapshotted crash-safely and restored with
-corrupted entries quarantined, and a chaos harness drives fault storms
-against all of it.
+admission and batch formation), a failed batch gets bounded jittered
+retries, each (tenant, matrix) lane has a circuit breaker that rejects
+after repeated failures until a probe succeeds, the registry can be
+snapshotted crash-safely and restored with corrupted entries
+quarantined, and a chaos harness drives fault storms against all of it.
 
 Layering:
 
@@ -48,12 +48,7 @@ from repro.serving.batching import BatchPolicy, BatchResult, MicroBatcher
 from repro.serving.chaos import ChaosReport, fault_storm, run_chaos
 from repro.serving.loadgen import LoadReport, run_open_loop, sweep
 from repro.serving.registry import MatrixRegistry, Registration, TenantQuotas, matrix_fingerprint
-from repro.serving.resilience import (
-    CircuitBreaker,
-    Deadline,
-    ResiliencePolicy,
-    degradation_ladder,
-)
+from repro.serving.resilience import CircuitBreaker, Deadline, ResiliencePolicy
 from repro.serving.server import ServeResult, SpMVServer
 from repro.serving.snapshot import SnapshotStore
 
@@ -72,7 +67,6 @@ __all__ = [
     "SnapshotStore",
     "SpMVServer",
     "TenantQuotas",
-    "degradation_ladder",
     "fault_storm",
     "matrix_fingerprint",
     "run_chaos",

@@ -57,7 +57,9 @@ to the pool, wake-up back on the loop) that otherwise cost as much as
 the kernel.  Blocking the loop for at most ``max_delay_s`` delays any
 other request by no more than the policy already lets a batch wait
 behind a busy lane.  A lane's first batch has no estimate yet and uses
-the pool, and so does every burst, busy server and slow lane.  An
+the pool, and so does every burst, busy server and slow lane.  The
+first batch's time includes the plan build, so the lane's second
+sample replaces it instead of blending with it.  An
 inline ``execute`` that cannot finish without blocking (a retry
 backoff) raises :class:`Offload`, and the rest of the batch finishes on
 the pool.  :attr:`MicroBatcher.inline` counts inline batches.
@@ -66,7 +68,6 @@ the pool.  :attr:`MicroBatcher.inline` counts inline batches.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -172,6 +173,9 @@ class _Lane:
     #: EWMA of the lane's batch body time (stack, execute, transpose),
     #: on either route; None until its first batch succeeds.
     exec_s: float | None = None
+    #: Batches that fed ``exec_s``.  The first one's time includes the
+    #: plan build, so the second sample replaces it instead of blending.
+    samples: int = 0
 
 
 @dataclass(frozen=True)
@@ -187,17 +191,15 @@ class MicroBatcher:
     """Coalesces per-lane requests into batched ``execute`` calls.
 
     Args:
-        execute: ``execute(key, X) -> np.ndarray`` of shape ``(m, k)``;
-            called with the stacked RHS block in a worker thread, or on
-            the event-loop thread for an inline batch.  When the
-            callable declares a ``deadline`` parameter it also
-            receives the tightest remaining
+        execute: ``execute(key, X, deadline, inline) -> np.ndarray`` of
+            shape ``(m, k)``; called with the stacked RHS block in a
+            worker thread (``inline=False``) or on the event-loop
+            thread for an inline batch (``inline=True``, when it may
+            raise :class:`Offload` to finish on the executor instead of
+            blocking the loop).  ``deadline`` is the tightest
             :class:`~repro.serving.resilience.Deadline` among the
-            batch's members (or None), so retry loops downstream can
-            respect the budget.  When it declares an ``inline``
-            parameter, an inline call passes ``inline=True``, and the
-            callable may raise :class:`Offload` to finish on the
-            executor instead of blocking the loop.
+            batch's members, or None, so a retry loop can respect the
+            budget.
         policy: Flush triggers and the global queue bound.
         metrics: Optional ``MetricsRegistry``; observes batch sizes and
             queue waits, counts batches, shed/expired/cancelled requests.
@@ -213,12 +215,6 @@ class MicroBatcher:
         self._pool = ThreadPoolExecutor(
             max_workers=self.policy.workers, thread_name_prefix="spmv-batch"
         )
-        try:
-            params = inspect.signature(execute).parameters
-        except (TypeError, ValueError):
-            params = {}
-        self._wants_deadline = "deadline" in params
-        self._wants_inline = "inline" in params
         self.batches = 0
         self.coalesced = 0
         self.shed = 0
@@ -442,7 +438,7 @@ class MicroBatcher:
                 live.append(p)
         return live, dropped
 
-    def _execute_stacked(self, key, xs: list, deadline, inline: bool = False) -> tuple:
+    def _execute_stacked(self, key, xs: list, deadline, inline: bool) -> tuple:
         """The batch body on either route: stack, execute, transpose.
 
         Returns ``(YT, seconds)``; ``YT`` is ``(k, m)`` so each request's
@@ -456,10 +452,7 @@ class MicroBatcher:
         """
         t0 = time.perf_counter()
         X = np.stack(xs, axis=1)
-        kwargs = {"deadline": deadline} if self._wants_deadline else {}
-        if inline and self._wants_inline:
-            kwargs["inline"] = True
-        Y = self._execute(key, X, **kwargs)
+        Y = self._execute(key, X, deadline, inline)
         YT = np.ascontiguousarray(Y.T)
         return YT, time.perf_counter() - t0
 
@@ -508,7 +501,7 @@ class MicroBatcher:
                     self.inline += 1
                     try:
                         YT, exec_s = self._execute_stacked(
-                            key, xs, batch_deadline, inline=True
+                            key, xs, batch_deadline, True
                         )
                     except Offload as offload:
                         YT, exec_s = await loop.run_in_executor(
@@ -516,7 +509,12 @@ class MicroBatcher:
                         )
                 else:
                     YT, exec_s = await loop.run_in_executor(
-                        self._pool, self._execute_stacked, key, xs, batch_deadline
+                        self._pool,
+                        self._execute_stacked,
+                        key,
+                        xs,
+                        batch_deadline,
+                        False,
                     )
             finally:
                 self._batch_done(key, lane)
@@ -532,7 +530,8 @@ class MicroBatcher:
                 if not p.future.done():
                     p.future.set_exception(exc)
         else:
-            lane.exec_s = _ewma(lane.exec_s, exec_s)
+            lane.exec_s = exec_s if lane.samples < 2 else _ewma(lane.exec_s, exec_s)
+            lane.samples += 1
             self.ewma_batch_s = _ewma(self.ewma_batch_s, time.perf_counter() - now)
             for j, p in enumerate(live):
                 if not p.future.done():

@@ -14,10 +14,10 @@ two invariants a resilient serving layer owes its clients:
 
 2. **No returned result is numerically wrong.**  Every 200-path result
    is compared bit-for-bit against a reference oracle computed up
-   front.  Injected faults may slow requests, shed them, or push
-   execution down the degradation ladder -- but a degraded or retried
-   run must return *exactly* the oracle's bytes (mismatches are
-   recorded and fail the run).
+   front.  Injected faults may slow requests, shed them, fail them with
+   a typed error or force retries -- but a retried run must return
+   *exactly* the oracle's bytes (mismatches are recorded and fail the
+   run).
 
 :func:`fault_storm` builds storms deterministically from a seed, so a
 failing scenario replays exactly from its (sites, seed, n_faults)
@@ -36,7 +36,7 @@ from repro.faults.errors import FaultError
 from repro.faults.injection import ANY_INDEX, SERVING_SITES, FaultPlan, FaultSpec
 
 #: Fault kinds a storm draws from.  ``"delay"`` exercises deadline and
-#: queueing paths; the raising kinds exercise retries, the ladder, and
+#: queueing paths; the raising kinds exercise retries, the breaker and
 #: error mapping.
 _STORM_KINDS = ("raise", "kill", "corrupt", "delay")
 

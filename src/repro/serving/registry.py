@@ -124,30 +124,15 @@ class MatrixRegistry:
         self._on_drop = on_drop
         self._lock = threading.Lock()
         self._matrices: dict[str, OrderedDict[str, Registration]] = {}
-        # Keyed (tenant, backend); backend None means the configured one.
-        self._engines: dict[tuple, SpMVEngine] = {}
+        self._engines: dict[str, SpMVEngine] = {}
         self.evictions = 0
 
-    def engine(self, tenant: str = "default", backend: str | None = None) -> SpMVEngine:
-        """The tenant's engine (created through ``create_engine`` once).
-
-        Args:
-            tenant: Owning tenant.
-            backend: Backend tier override; ``None`` uses the configured
-                backend.  The degradation ladder requests lower tiers
-                (``"vectorized"``, ``"reference"``) through this -- each
-                (tenant, tier) engine is created lazily and cached, so a
-                healthy lane never pays for fallback engines.
-        """
-        key = (tenant, backend)
+    def engine(self, tenant: str = "default") -> SpMVEngine:
+        """The tenant's engine (created through ``create_engine`` once)."""
         with self._lock:
-            engine = self._engines.get(key)
+            engine = self._engines.get(tenant)
             if engine is None:
-                options = self.options
-                if backend is not None:
-                    options = options.replace(backend=backend)
-                engine = create_engine(options)
-                self._engines[key] = engine
+                engine = self._engines[tenant] = create_engine(self.options)
             return engine
 
     def register(self, matrix, tenant: str = "default") -> str:
@@ -221,10 +206,10 @@ class MatrixRegistry:
             self._on_drop(tenant, fingerprint)
 
     def _forget_locked(self, tenant: str, matrix) -> None:
-        """Drop a matrix's cached plans from every tier engine (lock held)."""
-        for (eng_tenant, _backend), engine in self._engines.items():
-            if eng_tenant == tenant and hasattr(engine, "forget"):
-                engine.forget(matrix)
+        """Drop a matrix's cached plan from the tenant engine (lock held)."""
+        engine = self._engines.get(tenant)
+        if engine is not None and hasattr(engine, "forget"):
+            engine.forget(matrix)
 
     # ------------------------------------------------------------------
     # Snapshot support
@@ -265,18 +250,9 @@ class MatrixRegistry:
             return tuple(sorted(self._matrices))
 
     def engines(self) -> tuple:
-        """Every instantiated engine as ``(tenant, backend, engine)``.
-
-        ``backend`` is ``None`` for the configured tier; degraded-tier
-        engines appear once the ladder has had to create them.
-        """
+        """Every instantiated engine as ``(tenant, engine)``, by tenant."""
         with self._lock:
-            return tuple(
-                (tenant, backend, engine)
-                for (tenant, backend), engine in sorted(
-                    self._engines.items(), key=lambda item: (item[0][0], item[0][1] or "")
-                )
-            )
+            return tuple(sorted(self._engines.items()))
 
     def stats(self) -> dict:
         """Per-tenant registry statistics for ``/stats``."""
@@ -290,7 +266,7 @@ class MatrixRegistry:
                 "tenants": {},
             }
             for tenant, table in sorted(self._matrices.items()):
-                engine = self._engines.get((tenant, None))
+                engine = self._engines.get(tenant)
                 out["tenants"][tenant] = {
                     "matrices": [reg.describe() for reg in table.values()],
                     "plan_cache": (

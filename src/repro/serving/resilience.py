@@ -12,25 +12,20 @@ Three mechanisms, all configured through one :class:`ResiliencePolicy`:
   remains when pacing its backoff sleeps.
 
 * **Circuit breakers** -- one :class:`CircuitBreaker` per
-  (tenant, fingerprint) lane.  ``breaker_threshold`` consecutive
-  execution failures at the configured backend tier open the lane;
-  while open, batches skip the failing tier and run down the
-  *degradation ladder* (:func:`degradation_ladder`: vectorized ->
-  reference, starting below the configured tier).
-  Because every backend in the registry is bit-identical by contract,
-  a degraded run returns exactly the bytes the healthy tier would have.
-  After ``breaker_cooldown_s`` the breaker half-opens and the next
-  batch probes the configured tier: success closes the lane, failure
-  re-opens it.  Only when the *whole ladder* has failed does the lane
-  reject outright with :class:`~repro.faults.errors.CircuitOpenError`
-  until the cooldown elapses.
+  (tenant, fingerprint) lane.  ``breaker_threshold`` consecutive failed
+  batches open the lane; while open, every submission is rejected with
+  :class:`~repro.faults.errors.CircuitOpenError` until
+  ``breaker_cooldown_s`` has passed.  Then the lane is half-open and the
+  next batch probes the lane's engine: success closes the lane, failure
+  re-opens it for another cooldown.  There is no fallback engine: a
+  lane runs on its one configured backend or not at all.
 
-* **Bounded jittered retries** -- each tier gets ``max_retries``
+* **Bounded jittered retries** -- a batch gets ``max_retries``
   re-attempts with exponential backoff (``retry_base_s * 2**attempt``)
   and multiplicative jitter in ``[1 - retry_jitter, 1 + retry_jitter]``.
   A retry whose backoff sleep would not fit in the remaining deadline
-  budget is abandoned (the ladder moves on instead of sleeping through
-  the deadline).
+  budget is abandoned: the batch fails now instead of sleeping through
+  the deadline.
 """
 
 from __future__ import annotations
@@ -41,11 +36,6 @@ import time
 from dataclasses import dataclass
 
 from repro.faults.errors import CircuitOpenError, ConfigurationError
-
-#: Backend tiers from most to least specialised; a lane degrades
-#: rightward.  Every tier is bit-identical by the backend contract, so
-#: degradation trades throughput for availability, never correctness.
-TIER_ORDER = ("vectorized", "reference")
 
 #: Circuit states, also the values of the ``serving_circuit_state`` gauge.
 CIRCUIT_CLOSED = 0
@@ -63,12 +53,12 @@ class ResiliencePolicy:
         default_deadline_s: Deadline budget applied to requests that do
             not carry their own; ``None`` (the default) means requests
             without a deadline never expire.
-        breaker_threshold: Consecutive configured-tier execution
-            failures that open a lane's circuit.
+        breaker_threshold: Consecutive failed batches that open a
+            lane's circuit.
         breaker_cooldown_s: Seconds an open lane waits before
             half-opening for a probe.
-        max_retries: Re-attempts per backend tier after the first
-            failure (0 disables retries).
+        max_retries: Re-attempts per batch after the first failure
+            (0 disables retries).
         retry_base_s: Base backoff; attempt ``i`` sleeps roughly
             ``retry_base_s * 2**i``, jittered.
         retry_jitter: Multiplicative jitter fraction applied to each
@@ -142,19 +132,13 @@ class Deadline:
         return f"<Deadline remaining={self.remaining() * 1e3:.1f}ms>"
 
 
-def degradation_ladder(backend: str) -> tuple:
-    """Backend tiers to try, starting at ``backend`` and degrading down.
-
-    Unknown backend names get a single-rung ladder (just themselves) so
-    future backends fail closed rather than silently re-routing.
-    """
-    if backend not in TIER_ORDER:
-        return (backend,)
-    return TIER_ORDER[TIER_ORDER.index(backend):]
-
-
 class CircuitBreaker:
     """Consecutive-failure circuit for one (tenant, fingerprint) lane.
+
+    Closed -> open after ``breaker_threshold`` consecutive failed
+    batches; open -> half-open once ``breaker_cooldown_s`` has passed
+    (checked at admission); half-open -> closed on the probe's success,
+    or back to open on its failure.  Any success resets the count.
 
     Thread-safe: ``admit`` runs on the event loop while ``record_*``
     run in the batch-execution thread.  State transitions invoke
@@ -169,7 +153,6 @@ class CircuitBreaker:
         self.state = CIRCUIT_CLOSED
         self.consecutive_failures = 0
         self.opened_at = 0.0
-        self.exhausted_until = 0.0  # whole ladder failed -> reject until
         self.opens = 0
 
     @property
@@ -183,54 +166,38 @@ class CircuitBreaker:
                 self._on_state(state)
 
     def admit(self, tenant: str, fingerprint: str) -> None:
-        """Fail fast when the lane is rejecting outright.
+        """Reject while the lane is open; half-open it once the
+        cooldown has passed, so the next batch probes the engine.
 
         Raises:
-            CircuitOpenError: The breaker is open *and* the degradation
-                ladder was exhausted within the current cooldown window.
+            CircuitOpenError: The lane is open and inside its cooldown;
+                ``retry_after_s`` is the cooldown left.
         """
         with self._lock:
-            now = time.monotonic()
-            if now < self.exhausted_until:
+            if self.state != CIRCUIT_OPEN:
+                return
+            left = self.opened_at + self.policy.breaker_cooldown_s - time.monotonic()
+            if left > 0:
                 raise CircuitOpenError(
-                    f"circuit open for tenant {tenant!r} matrix {fingerprint!r}: "
-                    f"every backend tier failed; retry in "
-                    f"{self.exhausted_until - now:.3f}s",
+                    f"circuit open for tenant {tenant!r} matrix {fingerprint!r} "
+                    f"after {self.consecutive_failures} failed batches; retry in "
+                    f"{left:.3f}s",
                     tenant=tenant,
                     fingerprint=fingerprint,
-                    retry_after_s=self.exhausted_until - now,
+                    retry_after_s=left,
                 )
+            self._set_state(CIRCUIT_HALF_OPEN)
 
-    def plan_tiers(self, ladder: tuple) -> tuple:
-        """Which rungs of ``ladder`` this batch should attempt.
-
-        Closed: the full ladder (healthy tier first).  Open within the
-        cooldown: skip the failing configured tier, go straight to the
-        degraded rungs.  Open past the cooldown: half-open -- probe the
-        configured tier again (full ladder, probe first).
-        """
+    def record_success(self) -> None:
+        """A batch executed: the lane closes."""
         with self._lock:
-            if self.state == CIRCUIT_CLOSED or len(ladder) == 1:
-                return ladder
-            now = time.monotonic()
-            if now - self.opened_at >= self.policy.breaker_cooldown_s:
-                self._set_state(CIRCUIT_HALF_OPEN)
-                return ladder
-            return ladder[1:]
+            self.consecutive_failures = 0
+            self._set_state(CIRCUIT_CLOSED)
 
-    def record_success(self, tier_index: int) -> None:
-        """A batch executed; a configured-tier success closes the lane."""
+    def record_failure(self) -> None:
+        """A batch failed (first try and every retry): count it, and
+        open the lane at the threshold or on a failed probe."""
         with self._lock:
-            if tier_index == 0:
-                self.consecutive_failures = 0
-                self._set_state(CIRCUIT_CLOSED)
-            self.exhausted_until = 0.0
-
-    def record_failure(self, tier_index: int) -> None:
-        """One tier's attempts (first try + retries) all failed."""
-        with self._lock:
-            if tier_index != 0:
-                return
             self.consecutive_failures += 1
             if self.state == CIRCUIT_HALF_OPEN or (
                 self.consecutive_failures >= self.policy.breaker_threshold
@@ -239,15 +206,6 @@ class CircuitBreaker:
                     self.opens += 1
                 self.opened_at = time.monotonic()
                 self._set_state(CIRCUIT_OPEN)
-
-    def record_exhausted(self) -> None:
-        """Every rung failed: reject outright for one cooldown period."""
-        with self._lock:
-            self.exhausted_until = time.monotonic() + self.policy.breaker_cooldown_s
-            if self.state != CIRCUIT_OPEN:
-                self.opens += 1
-            self.opened_at = time.monotonic()
-            self._set_state(CIRCUIT_OPEN)
 
     def describe(self) -> dict:
         """JSON-native snapshot for ``/stats``."""
@@ -271,10 +229,8 @@ __all__ = [
     "CIRCUIT_CLOSED",
     "CIRCUIT_HALF_OPEN",
     "CIRCUIT_OPEN",
-    "TIER_ORDER",
     "CircuitBreaker",
     "Deadline",
     "ResiliencePolicy",
     "backoff_delays",
-    "degradation_ladder",
 ]

@@ -11,21 +11,19 @@ and the load generator drive it in-process.
 Every served result is bit-identical to a direct ``engine.run`` on the
 same matrix and vector: ``run_many`` guarantees column ``j`` of a batch
 equals the single-RHS result, and the batcher only ever stacks requests
-for the same (tenant, fingerprint) lane.  That identity survives every
-resilience path too -- the circuit breaker's degradation ladder only
-moves execution between backend tiers that are bit-identical by
-contract, so a degraded run returns exactly the bytes the healthy tier
-would have.
+for the same (tenant, fingerprint) lane.  Every lane runs on its
+tenant's one engine, so a retried batch returns the same bytes too.
 
 Resilience (see :mod:`repro.serving.resilience`):
 
 * ``submit(deadline=...)`` enforces per-request deadlines at admission
   and batch formation; expired requests resolve with
   :class:`~repro.faults.errors.DeadlineExceededError`.
-* A :class:`~repro.serving.resilience.CircuitBreaker` per
-  (tenant, fingerprint) lane opens after K consecutive configured-tier
-  failures, degrades down the backend ladder while open, half-opens for
-  probes, and rejects outright only when the whole ladder failed.
+* A failed batch is retried a bounded number of times with jittered
+  backoff.  A :class:`~repro.serving.resilience.CircuitBreaker` per
+  (tenant, fingerprint) lane opens after K consecutive failed batches,
+  rejects with :class:`~repro.faults.errors.CircuitOpenError` for the
+  cooldown, then half-opens for one probe.
 * With a ``state_dir``, the matrix registry is snapshotted atomically
   (periodic + on shutdown) and restored at construction, with corrupted
   entries quarantined (see :mod:`repro.serving.snapshot`).
@@ -60,21 +58,9 @@ from repro.serving.resilience import (
     Deadline,
     ResiliencePolicy,
     backoff_delays,
-    degradation_ladder,
 )
 from repro.serving.snapshot import SnapshotStore
 from repro.telemetry.metrics import MetricsRegistry
-
-
-def _drive(attempts, pause: float):
-    """Finish :meth:`SpMVServer._attempts` here, sleeping each pause."""
-    while True:
-        if pause:
-            time.sleep(pause)
-        try:
-            pause = next(attempts)
-        except StopIteration as done:
-            return done.value
 
 
 @dataclass(frozen=True)
@@ -123,7 +109,6 @@ class SpMVServer:
         self._inflight_by_tenant: dict[str, int] = {}
         self._breakers: dict[tuple, CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
-        self._ladder = degradation_ladder(self.options.backend)
         self._rng = random.Random(0x5EED)
         self._execution_seq = itertools.count()
         self._closed = False
@@ -278,7 +263,7 @@ class SpMVServer:
                 )
 
     # ------------------------------------------------------------------
-    # Execution: degradation ladder + bounded jittered retries
+    # Execution: bounded jittered retries behind the lane's breaker
     # ------------------------------------------------------------------
 
     def _breaker(self, key) -> CircuitBreaker:
@@ -302,85 +287,57 @@ class SpMVServer:
             return breaker
 
     def _execute(
-        self, key, X: np.ndarray, deadline: Deadline | None = None, inline: bool = False
+        self, key, X: np.ndarray, deadline: Deadline | None, inline: bool
     ) -> np.ndarray:
-        """Run one coalesced batch, on the batcher's executor thread or,
-        with ``inline=True``, on the event-loop thread.
+        """Run one coalesced batch on the lane's engine, on the batcher's
+        executor thread or, with ``inline=True``, on the event-loop thread.
 
-        Walks the breaker-selected rungs of the degradation ladder; each
-        rung gets bounded jittered retries that respect the remaining
-        deadline budget.  A configured-tier success closes the lane's
-        circuit; a whole-ladder failure opens it outright.  Inline, only
-        a first attempt on the configured tier runs here: anything after
-        it (a backoff sleep, a degraded tier) is raised as
+        A failed attempt is retried with jittered backoff while the
+        retry budget and the remaining deadline allow; a batch that
+        succeeds closes the lane's circuit, one that fails counts
+        toward opening it.  Inline, only the first attempt runs here:
+        if it fails, the rest of the loop is raised as
         :class:`~repro.serving.batching.Offload` and finishes on the
-        executor, on the same ladder and breaker, with the retry budget
-        already charged for the attempt made here.
+        executor, with the retry budget already charged for it.
         """
-        attempts = self._attempts(key, X, deadline)
-        try:
-            pause = next(attempts)
-        except StopIteration as done:
-            return done.value
-        if inline:
-            raise Offload(functools.partial(_drive, attempts, pause))
-        return _drive(attempts, pause)
+        delays = backoff_delays(self.resilience, self._rng)
+        return self._attempts(key, X, deadline, inline, delays, None)
 
-    def _attempts(self, key, X, deadline):
-        """The ladder walk as a generator that returns ``Y``.
-
-        Before every attempt except a first one on the configured tier
-        it yields the seconds to pause first (a retry's backoff, or 0
-        before a degraded tier), so the caller decides where to wait.
-        """
+    def _attempts(self, key, X, deadline, inline: bool, delays, pause: float | None):
+        """The retry loop of :meth:`_execute`; ``pause`` is the backoff
+        before the next attempt, None before the first."""
         tenant, fingerprint = key
         registration = self.registry.get(fingerprint, tenant)
+        engine = self.registry.engine(tenant)
         breaker = self._breaker(key)
-        last_error: Exception | None = None
-        pause = None  # the first attempt, if on the configured tier, may run inline
-        for tier in breaker.plan_tiers(self._ladder):
-            tier_index = self._ladder.index(tier)
-            degraded = tier_index > 0
-            if degraded:
-                pause = 0.0
-                self.metrics.inc(
-                    "serving_degraded_runs_total",
-                    labels={"tier": tier},
-                    help="Batches executed on a degraded backend tier",
-                )
-            engine = self.registry.engine(tenant, backend=tier if degraded else None)
-            delays = backoff_delays(self.resilience, self._rng)
-            while True:
-                if pause is not None:
-                    yield pause
-                pause = 0.0
-                try:
-                    apply_fault("executor", next(self._execution_seq))
-                    Y, _report = engine.run_many(registration.matrix, X)
-                except Exception as exc:  # noqa: BLE001 - every failure feeds the breaker
-                    backoff = next(delays, None)
-                    # Sleeping through the deadline helps nobody; move
-                    # down the ladder (cheap) instead of retrying (slow).
-                    if backoff is None or (
-                        deadline is not None and deadline.remaining() <= backoff
-                    ):
-                        last_error = exc
-                        breaker.record_failure(tier_index)
-                        break
-                    self.metrics.inc(
-                        "serving_retries_total",
-                        labels={"tier": tier},
-                        help="Batch execution retries, by backend tier",
+        while True:
+            if pause is not None:
+                if inline:
+                    raise Offload(
+                        functools.partial(
+                            self._attempts, key, X, deadline, False, delays, pause
+                        )
                     )
-                    pause = backoff
-                    continue
-                breaker.record_success(tier_index)
-                registration.requests_served += X.shape[1]
-                registration.batches_served += 1
-                return Y
-        breaker.record_exhausted()
-        assert last_error is not None
-        raise last_error
+                time.sleep(pause)
+            try:
+                apply_fault("executor", next(self._execution_seq))
+                Y, _report = engine.run_many(registration.matrix, X)
+            except Exception:  # noqa: BLE001 - every failure feeds the breaker
+                pause = next(delays, None)
+                # Sleeping through the deadline helps nobody: fail now.
+                if pause is None or (
+                    deadline is not None and deadline.remaining() <= pause
+                ):
+                    breaker.record_failure()
+                    raise
+                self.metrics.inc(
+                    "serving_retries_total", help="Batch execution retries"
+                )
+                continue
+            breaker.record_success()
+            registration.requests_served += X.shape[1]
+            registration.batches_served += 1
+            return Y
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -533,14 +490,12 @@ class SpMVServer:
                 "max_retries": self.resilience.max_retries,
                 "snapshot_interval_s": self.resilience.snapshot_interval_s,
             },
-            "ladder": list(self._ladder),
             "breakers": breakers,
             "deadline_exceeded": int(
                 self.metrics.total("serving_deadline_exceeded_total")
             ),
             "cancelled": int(self.metrics.total("serving_cancelled_total")),
             "retries": int(self.metrics.total("serving_retries_total")),
-            "degraded_runs": int(self.metrics.total("serving_degraded_runs_total")),
             "snapshots": (
                 self.snapshots.describe() if self.snapshots is not None else None
             ),
@@ -555,15 +510,14 @@ class SpMVServer:
         }
 
     def _backend_stats(self) -> dict:
-        """Which backend serves requests, and how many runs each took.
+        """Which backend serves requests, and how many runs it took.
 
-        Merges every instantiated engine registry -- including
-        degraded-tier engines the ladder may have created -- so
-        operators can see the configured backend and the runs per
-        backend without scraping Prometheus.
+        Merges every tenant engine's registry, so operators can see the
+        configured backend and its run counts without scraping
+        Prometheus.
         """
         merged = MetricsRegistry()
-        for _tenant, _backend, engine in self.registry.engines():
+        for _tenant, engine in self.registry.engines():
             if hasattr(engine, "metrics"):
                 merged.merge(engine.metrics())
 
@@ -588,7 +542,7 @@ class SpMVServer:
             float(self._batcher.in_flight),
             help="Requests currently queued or executing",
         )
-        for _tenant, _backend, engine in self.registry.engines():
+        for _tenant, engine in self.registry.engines():
             if hasattr(engine, "metrics"):
                 merged.merge(engine.metrics())
         return merged.to_prometheus()

@@ -48,8 +48,8 @@ from repro.faults.errors import SnapshotCorruptError
 from repro.faults.injection import apply_fault
 from repro.telemetry.session import span
 
-SNAPSHOT_VERSION = 1
 _MANIFEST = "MANIFEST.json"
+_MANIFEST_VERSION = 1
 
 
 def _safe_name(tenant: str, fingerprint: str) -> str:
@@ -158,7 +158,7 @@ class SnapshotStore:
                     }
                 )
             manifest = {
-                "version": SNAPSHOT_VERSION,
+                "version": _MANIFEST_VERSION,
                 "saved_at": time.time(),
                 "entries": entries,
             }
@@ -298,4 +298,4 @@ class SnapshotStore:
         }
 
 
-__all__ = ["SNAPSHOT_VERSION", "SnapshotStore"]
+__all__ = ["SnapshotStore"]

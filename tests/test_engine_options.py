@@ -303,13 +303,6 @@ class TestRemovedNativeBackend:
     def test_env_vars_are_the_three_remaining(self):
         assert set(ENV_VARS) == {"backend", "strict_validate", "telemetry"}
 
-    def test_degradation_ladder_has_no_native_rung(self):
-        from repro.serving.resilience import degradation_ladder
-
-        assert degradation_ladder("vectorized") == ("vectorized", "reference")
-        # An unknown tier fails closed: it never re-routes to another one.
-        assert degradation_ladder("native") == ("native",)
-
 
 # ----------------------------------------------------------------------
 # Deprecation shims

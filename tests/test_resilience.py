@@ -2,9 +2,9 @@
 
 Covers the resilience layer end to end: deadline enforcement at
 admission and batch formation, client-cancellation accounting, the
-circuit breaker's open/degrade/half-open/close lifecycle (with
-bit-identity preserved through every degradation path), bounded
-jittered retries, fail-fast submission during shutdown, and crash-safe
+circuit breaker's closed/open/half-open lifecycle (an open lane
+rejects; a probe that succeeds closes it, bit-identical to the oracle),
+bounded jittered retries, fail-fast submission during shutdown, and crash-safe
 registry snapshots (round-trip bit-identity, corruption quarantine).
 Async tests drive the server in-process with ``asyncio.run``; tests
 that must not hang bound themselves with ``asyncio.wait_for``.
@@ -41,12 +41,12 @@ from repro.serving import (
     ResiliencePolicy,
     SnapshotStore,
     SpMVServer,
-    degradation_ladder,
     matrix_fingerprint,
 )
 from repro.serving.http import HTTPServingFrontend
 from repro.serving.resilience import (
     CIRCUIT_CLOSED,
+    CIRCUIT_HALF_OPEN,
     CIRCUIT_OPEN,
     backoff_delays,
 )
@@ -106,76 +106,67 @@ class TestDeadline:
         assert coerced.budget_s == 0.5
 
 
-class TestDegradationLadder:
-    def test_vectorized(self):
-        assert degradation_ladder("vectorized") == ("vectorized", "reference")
-
-    def test_reference_is_single_rung(self):
-        assert degradation_ladder("reference") == ("reference",)
-
-    def test_unknown_backend_fails_closed(self):
-        assert degradation_ladder("quantum") == ("quantum",)
-        assert degradation_ladder("parallel") == ("parallel",)  # removed tier
-
-
 class TestCircuitBreaker:
     def test_opens_after_threshold(self):
         policy = ResiliencePolicy(breaker_threshold=3, breaker_cooldown_s=60.0)
         breaker = CircuitBreaker(policy)
-        ladder = ("vectorized", "reference")
         for _ in range(2):
-            breaker.record_failure(0)
+            breaker.record_failure()
             assert breaker.state == CIRCUIT_CLOSED
-        breaker.record_failure(0)
+            breaker.admit("t", "fp")  # closed: no-op
+        breaker.record_failure()
         assert breaker.state == CIRCUIT_OPEN
-        # While open within the cooldown, the failing tier is skipped.
-        assert breaker.plan_tiers(ladder) == ("reference",)
+        # While open within the cooldown, the lane rejects.
+        with pytest.raises(CircuitOpenError):
+            breaker.admit("t", "fp")
 
     def test_half_open_probe_closes_on_success(self):
         policy = ResiliencePolicy(breaker_threshold=1, breaker_cooldown_s=0.01)
         breaker = CircuitBreaker(policy)
-        ladder = ("vectorized", "reference")
-        breaker.record_failure(0)
+        breaker.record_failure()
         assert breaker.state == CIRCUIT_OPEN
         time.sleep(0.02)
-        # Past the cooldown: half-open, probe gets the full ladder.
-        assert breaker.plan_tiers(ladder) == ladder
-        breaker.record_success(0)
+        # Past the cooldown: admitted, and the lane is half-open.
+        breaker.admit("t", "fp")
+        assert breaker.state == CIRCUIT_HALF_OPEN
+        breaker.record_success()
         assert breaker.state == CIRCUIT_CLOSED
-        assert breaker.plan_tiers(ladder) == ladder
+        assert breaker.consecutive_failures == 0
 
     def test_half_open_probe_failure_reopens(self):
         policy = ResiliencePolicy(breaker_threshold=5, breaker_cooldown_s=0.01)
         breaker = CircuitBreaker(policy)
         for _ in range(5):
-            breaker.record_failure(0)
+            breaker.record_failure()
         time.sleep(0.02)
-        breaker.plan_tiers(("vectorized", "reference"))  # half-open
-        breaker.record_failure(0)  # probe failed
+        breaker.admit("t", "fp")  # half-open
+        breaker.record_failure()  # probe failed
         assert breaker.state == CIRCUIT_OPEN
-
-    def test_degraded_tier_outcomes_do_not_count(self):
-        breaker = CircuitBreaker(ResiliencePolicy(breaker_threshold=1))
-        breaker.record_failure(1)
-        assert breaker.state == CIRCUIT_CLOSED
-        breaker.record_success(1)  # degraded success does not close-reset
-        assert breaker.consecutive_failures == 0
+        assert breaker.opens == 2
 
     def test_exhausted_rejects_outright(self):
         policy = ResiliencePolicy(breaker_threshold=1, breaker_cooldown_s=30.0)
         breaker = CircuitBreaker(policy)
         breaker.admit("t", "fp")  # closed: no-op
-        breaker.record_exhausted()
+        breaker.record_failure()
         with pytest.raises(CircuitOpenError) as excinfo:
             breaker.admit("t", "fp")
-        assert excinfo.value.retry_after_s > 0
+        assert 0 < excinfo.value.retry_after_s <= 30.0
+
+    def test_success_resets_the_count(self):
+        breaker = CircuitBreaker(ResiliencePolicy(breaker_threshold=2))
+        breaker.record_failure()
+        breaker.record_success()
+        breaker.record_failure()
+        assert breaker.state == CIRCUIT_CLOSED  # not two failures in a row
+        assert breaker.consecutive_failures == 1
 
     def test_state_callback_feeds_gauge(self):
         states = []
         breaker = CircuitBreaker(
             ResiliencePolicy(breaker_threshold=1), on_state=states.append
         )
-        breaker.record_failure(0)
+        breaker.record_failure()
         assert states == [CIRCUIT_OPEN]
 
 
@@ -219,7 +210,7 @@ class TestDeadlines:
         ) == 1.0
 
     def test_estimated_wait_sheds_doomed_requests(self):
-        def execute(key, X):
+        def execute(key, X, deadline, inline):
             return X
 
         batcher = MicroBatcher(execute, BatchPolicy(max_batch=4, max_delay_s=0.002))
@@ -238,7 +229,8 @@ class TestDeadlines:
 
     def test_idle_batcher_serves_budget_below_max_delay(self):
         batcher = MicroBatcher(
-            lambda key, X: X, BatchPolicy(max_batch=4, max_delay_s=0.05)
+            lambda key, X, deadline, inline: X,
+            BatchPolicy(max_batch=4, max_delay_s=0.05),
         )
 
         async def main():
@@ -253,7 +245,7 @@ class TestDeadlines:
     def test_expiry_while_queued_dropped_at_batch_formation(self):
         executed = []
 
-        def execute(key, X):
+        def execute(key, X, deadline, inline):
             executed.append(X.shape[1])
             return X
 
@@ -324,14 +316,14 @@ class TestCancellation:
 
 
 def _breaking_engine(server, fail_times=None):
-    """Make the configured-tier engine fail (forever, or fail_times)."""
+    """Make the lane's engine fail (forever, or fail_times)."""
     engine = server.registry.engine()
     original = engine.run_many
     state = {"left": fail_times}
 
     def flaky(matrix, X, **kwargs):
         if state["left"] is None:
-            raise RuntimeError("configured tier down")
+            raise RuntimeError("engine down")
         if state["left"] > 0:
             state["left"] -= 1
             raise RuntimeError("transient fault")
@@ -342,34 +334,39 @@ def _breaking_engine(server, fail_times=None):
 
 
 class TestCircuitBreakerServing:
-    def test_degraded_results_stay_bit_identical(self, graph):
+    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
+    def test_threshold_opens_lane_then_probe_closes_it(self, graph, backend):
+        cooldown_s = 0.3
         server = SpMVServer(
+            options=EngineOptions(backend=backend),
             resilience=ResiliencePolicy(
-                breaker_threshold=2, breaker_cooldown_s=30.0, max_retries=0
+                breaker_threshold=3, breaker_cooldown_s=cooldown_s, max_retries=0
             ),
         )
         fp = server.register(graph)
-        rng = np.random.default_rng(2)
-        xs = [rng.uniform(size=graph.n_cols) for _ in range(6)]
-        _breaking_engine(server)  # configured tier always fails
+        x = np.random.default_rng(2).uniform(size=graph.n_cols)
+        engine, original = _breaking_engine(server)  # the lane's engine is down
+        gauge = {"tenant": "default", "matrix": fp}
 
         async def main():
-            results = []
-            for x in xs:  # sequential: one batch each, breaker sees each
-                results.append(await server.submit(fp, x))
+            for _ in range(3):
+                with pytest.raises(RuntimeError, match="engine down"):
+                    await server.submit(fp, x)
+            with pytest.raises(CircuitOpenError) as excinfo:
+                await server.submit(fp, x)
+            assert 0 < excinfo.value.retry_after_s <= cooldown_s
+            assert server.metrics.value("serving_circuit_state", gauge) == 1.0
+            engine.run_many = original  # the engine heals
+            await asyncio.sleep(cooldown_s + 0.05)
+            probe = await server.submit(fp, x)  # half-open probe
             await server.shutdown()
-            return results
+            return probe
 
-        results = asyncio.run(main())
-        for x, result in zip(xs, results):
-            np.testing.assert_array_equal(result.y, _oracle(graph, x))
-        # The lane opened after the threshold and served degraded.
-        resilience = server.stats()["resilience"]
-        assert resilience["breakers"][f"default/{fp}"]["state"] == "open"
-        assert resilience["degraded_runs"] >= len(xs)
-        assert server.metrics.value(
-            "serving_circuit_state", {"tenant": "default", "matrix": fp}
-        ) == 1.0
+        probe = asyncio.run(main())
+        assert probe.y.tobytes() == _oracle(graph, x).tobytes()
+        breaker = server.stats()["resilience"]["breakers"][f"default/{fp}"]
+        assert breaker == {"state": "closed", "consecutive_failures": 0, "opens": 1}
+        assert server.metrics.value("serving_circuit_state", gauge) == 0.0
 
     def test_half_open_probe_recovers(self, graph):
         server = SpMVServer(
@@ -382,44 +379,19 @@ class TestCircuitBreakerServing:
         engine, original = _breaking_engine(server)
 
         async def main():
-            r1 = await server.submit(fp, x)  # tier0 fails -> opens, degraded
-            engine.run_many = original  # tier heals
+            with pytest.raises(RuntimeError):
+                await server.submit(fp, x)  # the batch fails -> lane opens
+            engine.run_many = original  # the engine heals
             await asyncio.sleep(0.03)  # past the cooldown
             r2 = await server.submit(fp, x)  # half-open probe succeeds
             await server.shutdown()
-            return r1, r2
+            return r2
 
-        r1, r2 = asyncio.run(main())
-        np.testing.assert_array_equal(r1.y, _oracle(graph, x))
+        r2 = asyncio.run(main())
         np.testing.assert_array_equal(r2.y, _oracle(graph, x))
         assert server.stats()["resilience"]["breakers"][f"default/{fp}"][
             "state"
         ] == "closed"
-
-    def test_exhausted_ladder_rejects_with_circuit_open(self, graph):
-        # A single-rung ladder (reference backend) with a dead engine:
-        # the first submit surfaces the failure, the second fails fast.
-        server = SpMVServer(
-            options=EngineOptions(backend="reference"),
-            resilience=ResiliencePolicy(
-                breaker_threshold=1, breaker_cooldown_s=30.0, max_retries=0
-            ),
-        )
-        fp = server.register(graph)
-        x = np.ones(graph.n_cols)
-        server.registry.engine().run_many = lambda *a, **k: (_ for _ in ()).throw(
-            RuntimeError("dead")
-        )
-
-        async def main():
-            with pytest.raises(RuntimeError):
-                await server.submit(fp, x)
-            with pytest.raises(CircuitOpenError) as excinfo:
-                await server.submit(fp, x)
-            assert excinfo.value.retry_after_s > 0
-            await server.shutdown()
-
-        asyncio.run(main())
 
     def test_retries_recover_transient_faults(self, graph):
         server = SpMVServer(
@@ -439,7 +411,7 @@ class TestCircuitBreakerServing:
         result = asyncio.run(main())
         np.testing.assert_array_equal(result.y, _oracle(graph, x))
         assert server.metrics.total("serving_retries_total") >= 1.0
-        # The retry succeeded at tier 0: the breaker never opened.
+        # The retry succeeded: the batch never failed, the breaker stayed closed.
         assert server.stats()["resilience"]["breakers"][f"default/{fp}"][
             "state"
         ] == "closed"
@@ -722,6 +694,34 @@ class TestHTTPResilience:
         payload = json.loads(body)
         assert payload["error"] == "deadline_exceeded"
         assert payload["stage"] == "admission"
+
+    def test_failed_batch_is_500_then_open_circuit_is_503(self, graph):
+        server = SpMVServer(
+            resilience=ResiliencePolicy(
+                breaker_threshold=1, breaker_cooldown_s=20.0, max_retries=0
+            ),
+        )
+        fp = server.register(graph)
+        _breaking_engine(server)
+        body = {"fingerprint": fp, "x": np.ones(graph.n_cols).tolist()}
+
+        async def main():
+            frontend = HTTPServingFrontend(server, port=0)
+            await frontend.start()
+            first = await asyncio.to_thread(
+                _request, frontend.port, "POST", "/v1/spmv", body
+            )
+            second = await asyncio.to_thread(
+                _request, frontend.port, "POST", "/v1/spmv", body
+            )
+            await frontend.stop()
+            return first, second
+
+        (status1, _, _), (status2, body2, headers2) = asyncio.run(main())
+        assert status1 == 500
+        assert status2 == 503
+        assert json.loads(body2)["error"] == "circuit_open"
+        assert 1 <= int(headers2["Retry-After"]) <= 24  # 20 s cooldown, +-20%
 
     def test_bad_deadline_header_is_400(self, graph):
         server = SpMVServer()

@@ -16,6 +16,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.api import EngineOptions
 from repro.faults.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -72,7 +73,7 @@ class _Gate:
         self.release = threading.Event()
         self.sizes = []
 
-    def __call__(self, key, X):
+    def __call__(self, key, X, deadline, inline):
         self.sizes.append(X.shape[1])
         self.started.set()
         self.release.wait(timeout=5)
@@ -134,6 +135,14 @@ class TestRegistry:
             registry.get(fp, tenant="b")
         assert registry.engine("a") is not registry.engine("b")
 
+    def test_one_engine_per_tenant(self, graph):
+        registry = MatrixRegistry(EngineOptions(backend="reference"))
+        engine = registry.engine("b")
+        assert registry.engine("b") is engine
+        registry.engine("a")
+        assert [tenant for tenant, _engine in registry.engines()] == ["a", "b"]
+        assert engine.config.backend == "reference"
+
     def test_quota_validation(self):
         with pytest.raises(ConfigurationError):
             TenantQuotas(max_matrices=0)
@@ -158,7 +167,7 @@ class TestMicroBatcher:
     def test_coalesces_to_max_batch(self):
         batches = []
 
-        def execute(key, X):
+        def execute(key, X, deadline, inline):
             batches.append(X.shape[1])
             return X * 2.0
 
@@ -194,7 +203,9 @@ class TestMicroBatcher:
     def test_lone_request_on_idle_lane_skips_the_timer(self):
         metrics = MetricsRegistry()
         batcher = MicroBatcher(
-            lambda key, X: X, BatchPolicy(max_batch=64, max_delay_s=5.0), metrics=metrics
+            lambda key, X, deadline, inline: X,
+            BatchPolicy(max_batch=64, max_delay_s=5.0),
+            metrics=metrics,
         )
 
         async def main():
@@ -209,7 +220,7 @@ class TestMicroBatcher:
     def test_same_tick_burst_forms_one_batch(self):
         sizes = []
 
-        def execute(key, X):
+        def execute(key, X, deadline, inline):
             sizes.append(X.shape[1])
             return X
 
@@ -246,7 +257,7 @@ class TestMicroBatcher:
     def test_full_batch_behind_busy_lane_dispatches_immediately(self):
         started, release = threading.Event(), threading.Event()
 
-        def execute(key, X):
+        def execute(key, X, deadline, inline):
             if X[0, 0] < 0:  # the gated first batch
                 started.set()
                 release.wait(timeout=5)
@@ -319,7 +330,7 @@ class TestMicroBatcher:
     def test_lanes_do_not_mix(self):
         seen = {}
 
-        def execute(key, X):
+        def execute(key, X, deadline, inline):
             seen.setdefault(key, 0)
             seen[key] += X.shape[1]
             return X
@@ -339,7 +350,7 @@ class TestMicroBatcher:
     def test_overload_sheds_immediately(self):
         release = None
 
-        def execute(key, X):
+        def execute(key, X, deadline, inline):
             release.wait(timeout=5)
             return X
 
@@ -365,7 +376,7 @@ class TestMicroBatcher:
         assert batcher.in_flight == 0
 
     def test_execute_failure_propagates_to_every_future(self):
-        def execute(key, X):
+        def execute(key, X, deadline, inline):
             raise RuntimeError("kaboom")
 
         batcher = MicroBatcher(execute, BatchPolicy(max_batch=2, max_delay_s=0.0))
@@ -389,7 +400,7 @@ class _Recorder:
         self.sleep_s = sleep_s
         self.calls = []  # (thread ident, X)
 
-    def __call__(self, key, X):
+    def __call__(self, key, X, deadline, inline):
         self.calls.append((threading.get_ident(), X.copy()))
         if self.sleep_s:
             time.sleep(self.sleep_s)
@@ -448,6 +459,30 @@ class TestInlineRouting:
         for x, result in zip(xs, results):  # both routes
             assert result.y.tobytes() == engine.run(graph, x).y.tobytes()
 
+    def test_cold_first_batch_does_not_keep_lane_off_the_loop(self):
+        """The first batch's time (a plan build, say) is replaced by the
+        lane's second sample, not averaged with it."""
+        policy = BatchPolicy(max_batch=64, max_delay_s=0.01)
+        threads = []
+
+        def execute(key, X, deadline, inline):
+            if not threads:
+                time.sleep(5 * policy.max_delay_s)
+            threads.append(threading.get_ident())
+            return X
+
+        batcher = MicroBatcher(execute, policy)
+
+        async def main():
+            for _ in range(4):
+                await batcher.submit("k", np.ones(2))
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(main())
+        assert loop_thread not in threads[:2]
+        assert threads[2:] == [loop_thread] * 2
+        assert batcher.inline == 2
+
     def test_same_tick_burst_runs_on_executor(self):
         execute = _Recorder()
         batcher = MicroBatcher(execute, self.POLICY)
@@ -466,7 +501,7 @@ class TestInlineRouting:
         started, release = threading.Event(), threading.Event()
         calls = []
 
-        def execute(key, X):
+        def execute(key, X, deadline, inline):
             calls.append((key, threading.get_ident()))
             if key == "busy":
                 started.set()
@@ -542,11 +577,11 @@ class TestInlineFaults:
     RETRY_BASE_S = 0.1
 
     @pytest.mark.parametrize(
-        "times, retries, degraded",
-        [(1, 1, 0), (3, 2, 1), (-1, 4, 1)],
-        ids=["retry-recovers", "budget-spent-then-degrade", "ladder-exhausted"],
+        "times, retries",
+        [(1, 1), (3, 2), (-1, 2)],
+        ids=["retry-recovers", "budget-spent", "always-failing"],
     )
-    def test_fault_on_inline_attempt(self, graph, times, retries, degraded):
+    def test_fault_on_inline_attempt(self, graph, times, retries):
         server = SpMVServer(
             policy=BatchPolicy(max_delay_s=0.05),
             resilience=ResiliencePolicy(
@@ -593,12 +628,42 @@ class TestInlineFaults:
         resilience = server.stats()["resilience"]
         # The inline attempt counts against the retry budget of 2.
         assert resilience["retries"] == retries
-        assert resilience["degraded_runs"] == degraded
-        if times == -1:
+        if times != 1:
             assert isinstance(outcome, InjectedFault)
         else:
             direct = server.registry.engine().run(graph, x).y
             assert outcome.y.tobytes() == direct.tobytes()
+
+
+    def test_zero_backoff_retry_still_leaves_the_loop(self, graph):
+        server = SpMVServer(
+            policy=BatchPolicy(max_delay_s=0.05),
+            resilience=ResiliencePolicy(max_retries=1, retry_base_s=0.0),
+        )
+        fp = server.register(graph)
+        engine = server.registry.engine()
+        original = engine.run_many
+        threads = []
+
+        def flaky(matrix, X, **kwargs):
+            threads.append(threading.get_ident())
+            if len(threads) == 2:  # the lane's first inline attempt
+                raise RuntimeError("transient")
+            return original(matrix, X, **kwargs)
+
+        engine.run_many = flaky
+        x = np.ones(graph.n_cols)
+
+        async def main():
+            await server.submit(fp, x)  # the lane's first batch: executor
+            result = await server.submit(fp, x)
+            await server.shutdown()
+            return threading.get_ident(), result
+
+        loop_thread, result = asyncio.run(main())
+        assert threads[1] == loop_thread  # the inline attempt
+        assert threads[2] != loop_thread  # its retry, offloaded
+        assert result.y.tobytes() == engine.run(graph, x).y.tobytes()
 
 
 # ----------------------------------------------------------------------
