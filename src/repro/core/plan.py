@@ -404,6 +404,9 @@ class ExecutionPlan:
             (structure-only, like the templates).  Filled lazily by the
             engine on its first telemetry-enabled run of each size, so
             building a plan does not pay for it.
+        ledgers: Batch size -> that batch's :meth:`traffic_ledger`,
+            derived on the first :meth:`run_ledger` call of each size
+            and copied into each report from then on.
 
     The step-2 symbolic structures (:class:`Step2Symbolic`) are built
     lazily per ``p`` via :meth:`step2_symbolic` and cached on the plan,
@@ -423,6 +426,7 @@ class ExecutionPlan:
     step2_template: Step2Stats = field(default_factory=Step2Stats)
     build_s: float = 0.0
     run_samples: dict = field(default_factory=dict, repr=False, compare=False)
+    ledgers: dict = field(default_factory=dict, repr=False, compare=False)
     _symbolic: dict = field(default_factory=dict, repr=False, compare=False)
     _symbolic_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -522,14 +526,29 @@ class ExecutionPlan:
 
     def step1_stats(self) -> Step1Stats:
         """Fresh per-run copy of the step-1 statistics."""
-        return replace(
-            self.step1_template,
-            per_stripe_nnz=list(self.step1_template.per_stripe_nnz),
-        )
+        stats = _copy(self.step1_template)
+        stats.per_stripe_nnz = list(stats.per_stripe_nnz)
+        return stats
 
     def step2_stats(self) -> Step2Stats:
         """Fresh per-run copy of the step-2 statistics."""
-        return replace(self.step2_template)
+        return _copy(self.step2_template)
+
+    def run_ledger(self, config: TwoStepConfig, batch: int = 1) -> TrafficLedger:
+        """Fresh per-run copy of :meth:`traffic_ledger`.
+
+        The ledger depends only on the plan, the configuration it was
+        built under and ``batch``, so it is derived once per batch size
+        and cached in :attr:`ledgers`.
+        """
+        ledger = self.ledgers.get(batch)
+        if ledger is None:
+            ledger = self.ledgers.setdefault(
+                batch, self.traffic_ledger(config, batch=batch)
+            )
+        copy = _copy(ledger)
+        copy.notes = dict(ledger.notes)
+        return copy
 
     def traffic_ledger(self, config: TwoStepConfig, batch: int = 1) -> TrafficLedger:
         """The run's byte-accurate traffic ledger.
@@ -559,6 +578,18 @@ class ExecutionPlan:
         ledger.notes["vldi_vector"] = config.vldi_vector_block_bits
         ledger.notes["vldi_matrix"] = config.vldi_matrix_block_bits
         return ledger
+
+
+def _copy(template):
+    """Shallow copy of a plain dataclass instance.
+
+    Cheaper than ``dataclasses.replace``, which re-runs ``__init__``
+    field by field; every run's report copies three templates.  Callers
+    copy the mutable fields themselves.
+    """
+    copy = object.__new__(type(template))
+    copy.__dict__.update(template.__dict__)
+    return copy
 
 
 def config_fingerprint(config: TwoStepConfig) -> str:

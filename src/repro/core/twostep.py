@@ -9,11 +9,12 @@ Execution geometry and modelled geometry are separate.  Without an
 explicit ``segment_width`` the plan is one stripe spanning every column:
 its row-sorted step-1 output already is ``A x``, so the functional engine
 skips step 2 -- ``run`` has the backend accumulate step 1 straight into
-the dense result (one ``bincount`` by row on ``vectorized``), ``run_many``
-scatters the step-1 block -- while the report still charges the
-modelled traffic and cycles of that one-stripe plan.  An explicit width
-(or a design point) cuts the matrix into scratchpad-sized stripes and
-runs the full PRaP merge.
+the dense result (one ``bincount`` by row on ``vectorized``), and so
+does ``run_many`` for each column of a column-major block, while a
+row-major block's step-1 output is scattered -- and the report still
+charges the modelled traffic and cycles of that one-stripe plan.  An
+explicit width (or a design point) cuts the matrix into scratchpad-sized
+stripes and runs the full PRaP merge.
 
 The engine is *functional* -- the returned vector is bit-comparable to the
 dense reference ``A @ x + y`` (up to float associativity) -- while the
@@ -401,9 +402,11 @@ class TwoStepEngine:
 
         Returns:
             :class:`~repro.api.SpMVResult` whose ``y`` has shape
-            ``(n_rows, k)``; the report's traffic ledger charges the
-            matrix and intermediate-index streams once for the whole
-            batch.
+            ``(n_rows, k)``; without ``Y`` its memory order follows
+            ``X``'s (a column-major ``X`` gives a column-major ``y``,
+            each of whose columns is contiguous).  The report's traffic
+            ledger charges the matrix and intermediate-index streams
+            once for the whole batch.
         """
         start = time.perf_counter()
         X, Y = validate_inputs(
@@ -447,20 +450,37 @@ class TwoStepEngine:
         the backend's ``stripe_spmv_dense`` hook returns step 1's
         output as the dense result (``vectorized``: one ``bincount``
         over the stripe's rows, so no run values are built and nothing
-        is scattered); ``run_many`` scatters its single row-sorted block
-        into a zero result.  Every route adds each row's products in
-        stream order from ``+0.0`` and leaves empty rows at ``0.0``,
-        which is what the planned merge over one list would give, so
-        all of them return the same bytes.
+        is scattered).  ``run_many`` on a column-major ``X`` (every
+        ``k == 1`` block is one) folds each contiguous column with the
+        same hook into one contiguous row of a ``(k, n_rows)`` buffer
+        and returns its transpose, so column ``j`` is ``run``'s vector
+        for ``X[:, j]``; a row-major block goes through the
+        position-major segment sum, which reads it along its rows, and
+        scatters its single row-sorted block into a zero result.  Every
+        route adds each row's products in stream order from ``+0.0``
+        and leaves empty rows at ``0.0``, which is what the planned
+        merge over one list would give, so all of them return the same
+        bytes.
         """
-        if k is None and len(plan.stripes) == 1 and not self.config.check_interleave:
+        if len(plan.stripes) == 1 and not self.config.check_interleave:
             stripe = plan.stripes[0]
-            with span("step1", n_stripes=1):
-                with span(f"step1.stripe[{stripe.index}]", nnz=stripe.nnz):
-                    out = self.backend.stripe_spmv_dense(
-                        stripe, X[stripe.col_lo : stripe.col_hi], plan.n_rows
-                    )
-            return out if Y is None else out + Y
+            if k is None:
+                with span("step1", n_stripes=1):
+                    with span(f"step1.stripe[{stripe.index}]", nnz=stripe.nnz):
+                        out = self.backend.stripe_spmv_dense(
+                            stripe, X[stripe.col_lo : stripe.col_hi], plan.n_rows
+                        )
+                return out if Y is None else out + Y
+            if X.flags.f_contiguous:
+                # Each column of a column-major block is contiguous:
+                # fold it with run's kernel into one contiguous row.
+                out = np.empty((k, plan.n_rows))
+                with span("step1", n_stripes=1):
+                    for j in range(k):
+                        out[j] = self.backend.stripe_spmv_dense(
+                            stripe, X[:, j], plan.n_rows
+                        )
+                return out.T if Y is None else out.T + Y
         with span("step1", n_stripes=len(plan.stripes)):
             if k is None:
                 lists = self._step1.run_planned(plan, X)
@@ -606,7 +626,7 @@ class TwoStepEngine:
         """Assemble a report from the plan's precomputed templates."""
         cache = self.plan_cache_stats
         return TwoStepReport(
-            traffic=plan.traffic_ledger(self.config, batch=batch),
+            traffic=plan.run_ledger(self.config, batch=batch),
             step1=plan.step1_stats(),
             step2=plan.step2_stats(),
             n_stripes=len(plan.stripes),
@@ -657,7 +677,7 @@ class TwoStepEngine:
         samples = plan.run_samples.get(batch)
         if samples is not None:
             return samples
-        ledger = plan.traffic_ledger(self.config, batch=batch)
+        ledger = plan.run_ledger(self.config, batch=batch)
         derived = [
             (_STREAM_BYTES[stream], nbytes)
             for stream, nbytes in ledger.breakdown().items()

@@ -192,7 +192,8 @@ class MicroBatcher:
 
     Args:
         execute: ``execute(key, X, deadline, inline) -> np.ndarray`` of
-            shape ``(m, k)``; called with the stacked RHS block in a
+            shape ``(m, k)``; called with the stacked RHS block (shape
+            ``(n, k)``, column-major, column ``j`` request ``j``) in a
             worker thread (``inline=False``) or on the event-loop
             thread for an inline batch (``inline=True``, when it may
             raise :class:`Offload` to finish on the executor instead of
@@ -442,16 +443,16 @@ class MicroBatcher:
         """The batch body on either route: stack, execute, transpose.
 
         Returns ``(YT, seconds)``; ``YT`` is ``(k, m)`` so each request's
-        ``y`` is a contiguous row.  On the executor route the RHS stack
-        (column-major fill) and the transpose, both O(n*k) memory passes,
-        stay off the loop, which keeps coalescing while a batch executes.
-        Keep all three in this one frame: returning ``Y`` to a caller
-        that transposes it frees ``X`` before ``YT`` is allocated, and
-        that order made 32-wide bursts about 15% slower in
-        ``bench_serving`` (2 vCPUs, Linux, glibc).
+        ``y`` is a contiguous row.  ``execute`` receives a column-major
+        ``X`` whose column ``j`` is request ``j``'s vector, copied
+        contiguously; a one-stripe engine folds it column by column into
+        a column-major ``Y``, whose transpose is already ``YT``, so the
+        transpose copies nothing.  (A multi-stripe engine returns a
+        row-major ``Y``, and its transpose is copied here, off the loop
+        on the executor route.)
         """
         t0 = time.perf_counter()
-        X = np.stack(xs, axis=1)
+        X = np.stack(xs).T
         Y = self._execute(key, X, deadline, inline)
         YT = np.ascontiguousarray(Y.T)
         return YT, time.perf_counter() - t0

@@ -276,3 +276,44 @@ class TestDenseFold:
         create_engine(backend=backend, check_interleave=True).run(matrix, x)
         create_engine(backend=backend, segment_width=2).run(matrix, x)
         assert calls == [matrix.n_rows]
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_column_major_run_many_matches_scipy(self, case, backend):
+        matrix, x, y = FOLD_CASES[case]
+        X = np.stack([x, -x, 0.5 * x]).T
+        Y = None if y is None else np.stack([y, -y, y]).T
+        assert X.flags.f_contiguous
+        got = create_engine(backend=backend).run_many(matrix, X, Y=Y).y
+        want = _csr(matrix) @ X if Y is None else (_csr(matrix) @ X) + Y
+        assert got.dtype == np.float64 and got.shape == (matrix.n_rows, 3)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        for j in range(3):
+            column = create_engine(backend=backend).run(
+                matrix, X[:, j], y=None if Y is None else Y[:, j]
+            ).y
+            assert got[:, j].tobytes() == column.tobytes()
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_column_major_run_many_folds_each_column(self, backend, monkeypatch):
+        engine = create_engine(backend=backend)
+        calls = []
+        cls = type(engine.backend)
+        original = cls.stripe_spmv_dense
+
+        def counting(self, stripe, x_segment, n_out):
+            calls.append(x_segment.flags.c_contiguous)
+            return original(self, stripe, x_segment, n_out)
+
+        monkeypatch.setattr(cls, "stripe_spmv_dense", counting)
+        matrix, x, _ = FOLD_CASES["accumuland"]
+        X = np.stack([x, 2.0 * x, -x]).T
+        engine.run_many(matrix, X)
+        assert calls == [True] * 3
+        engine.run_many(matrix, x[:, None])
+        assert calls == [True] * 4
+        engine.run_many(matrix, np.ascontiguousarray(X))
+        create_engine(backend=backend, check_interleave=True).run_many(matrix, X)
+        create_engine(backend=backend, segment_width=2).run_many(matrix, X)
+        assert calls == [True] * 4

@@ -102,6 +102,34 @@ def test_plan_traffic_matches_report(graph):
     assert ledger == result.report.traffic
 
 
+@pytest.mark.parametrize("batch", [None, 3])
+def test_mutating_a_report_leaves_the_next_one_unchanged(graph, batch):
+    """Reports copy the plan's cached ledger and stats templates: editing
+    one result's report in place must not leak into later reports."""
+    engine = _engine(hdn=HDNConfig(degree_threshold=8))
+
+    def report():
+        if batch is None:
+            return engine.run(graph, np.ones(graph.n_cols)).report
+        return engine.run_many(graph, np.ones((graph.n_cols, batch))).report
+
+    def contents(rep):
+        d = rep.to_dict()
+        for key in ("plan_build_s", "plan_cache_hits", "plan_cache_misses"):
+            d.pop(key)
+        return d
+
+    first = report()
+    want = contents(first)
+    first.traffic.matrix_bytes += 1.0
+    first.traffic.notes["vldi_vector"] = -1
+    first.step1.per_stripe_nnz.append(7)
+    first.step1.cycles = -1.0
+    first.step2.output_records += 5
+    first.stripe_formats.clear()
+    assert contents(report()) == want
+
+
 def test_run_many_bitwise_matches_single_runs(graph):
     engine = _engine()
     rng = np.random.default_rng(2)

@@ -14,7 +14,7 @@ from repro import create_engine
 from repro.faults.errors import ConfigurationError
 from repro.faults.validation import normalize_batch_operand
 from repro.formats.coo import COOMatrix
-from repro.generators import erdos_renyi_graph
+from repro.generators import erdos_renyi_graph, rmat_graph
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +87,68 @@ class TestRunManyShapes:
         direct, _ = engine.run(graph, x, y=y0.copy())
         batched, _ = engine.run_many(graph, x, Y=y0.copy())  # both 1-D
         assert np.array_equal(batched[:, 0], direct)
+
+
+#: Wide enough that ``segment_width=1024`` cuts two or more stripes.
+LAYOUT_GRAPHS = {
+    "er": erdos_renyi_graph(n_nodes=1500, avg_degree=3.0, seed=4),
+    "rmat": rmat_graph(scale=11, avg_degree=4.0, seed=5),
+}
+LAYOUT_CONFIGS = {
+    "default": {},
+    "width1024": {"segment_width": 1024},
+    "check_interleave": {"check_interleave": True},
+}
+
+
+@pytest.fixture(scope="module")
+def layout_engines():
+    return {
+        (backend, config): create_engine(backend=backend, **LAYOUT_CONFIGS[config])
+        for backend in ("reference", "vectorized")
+        for config in LAYOUT_CONFIGS
+    }
+
+
+class TestRunManyLayouts:
+    """A column-major block folds one contiguous column at a time and a
+    row-major one runs the position-major path; both must return the
+    bytes of a per-column ``run``, signed zeros included."""
+
+    @pytest.mark.parametrize("with_y", [False, True], ids=["noY", "Y"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 33])
+    @pytest.mark.parametrize("graph_name", sorted(LAYOUT_GRAPHS))
+    @pytest.mark.parametrize("config", sorted(LAYOUT_CONFIGS))
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_layouts_match_each_other_and_run(
+        self, layout_engines, backend, config, graph_name, k, with_y
+    ):
+        engine = layout_engines[backend, config]
+        matrix = LAYOUT_GRAPHS[graph_name]
+        rng = np.random.default_rng(k)
+        X = rng.standard_normal((matrix.n_cols, k))
+        X[::3] = -0.0
+        Y = rng.standard_normal((matrix.n_rows, k)) if with_y else None
+        if with_y:
+            Y[::4] = -0.0
+        per_column = [
+            engine.run(matrix, X[:, j], y=None if Y is None else Y[:, j]).y
+            for j in range(k)
+        ]
+        outputs = {}
+        for order in ("C", "F"):
+            Xo = np.array(X, order=order)
+            Yo = None if Y is None else np.array(Y, order=order)
+            outputs[order] = engine.run_many(matrix, Xo, Y=Yo).y
+            assert outputs[order].shape == (matrix.n_rows, k)
+            for j in range(k):
+                assert outputs[order][:, j].tobytes() == per_column[j].tobytes()
+        assert outputs["C"].tobytes(order="C") == outputs["F"].tobytes(order="C")
+
+    def test_column_major_result_is_column_major(self, layout_engines):
+        # Without Y the result keeps X's memory order, so each column --
+        # one served request -- is contiguous.
+        engine = layout_engines["vectorized", "default"]
+        matrix = LAYOUT_GRAPHS["er"]
+        X = np.asfortranarray(np.ones((matrix.n_cols, 4)))
+        assert engine.run_many(matrix, X).y.flags.f_contiguous

@@ -666,6 +666,55 @@ class TestInlineFaults:
         assert result.y.tobytes() == engine.run(graph, x).y.tobytes()
 
 
+class TestColumnMajorBatches:
+    """A batch reaches ``execute`` column-major with request ``j`` in
+    column ``j``, and every served ``y`` is a contiguous row holding
+    ``engine.run``'s bytes, on each route a batch can take."""
+
+    def test_layout_and_bytes_on_every_route(self, graph):
+        server = SpMVServer(
+            policy=BatchPolicy(max_delay_s=0.05),
+            resilience=ResiliencePolicy(max_retries=1, retry_base_s=0.0),
+        )
+        fp = server.register(graph)
+        engine = server.registry.engine()
+        original = engine.run_many
+        calls = []  # (thread ident, X copy, X column-major) per attempt
+
+        def recording(matrix, X, **kwargs):
+            calls.append((threading.get_ident(), X.copy(), X.flags.f_contiguous))
+            if len(calls) == 4:  # the second inline attempt
+                raise RuntimeError("transient")
+            return original(matrix, X, **kwargs)
+
+        engine.run_many = recording
+        rng = np.random.default_rng(8)
+        xs = [rng.uniform(-1.0, 1.0, size=graph.n_cols) for _ in range(7)]
+        for x in xs:
+            x[::5] = -0.0
+
+        async def main():
+            first = await server.submit(fp, xs[0])  # a cold lane: executor
+            burst = await asyncio.gather(*(server.submit(fp, x) for x in xs[1:5]))
+            inline = await server.submit(fp, xs[5])
+            offloaded = await server.submit(fp, xs[6])  # fails inline
+            await server.shutdown()
+            return threading.get_ident(), [first, *burst, inline, offloaded]
+
+        loop_thread, results = asyncio.run(main())
+        on_loop = [ident == loop_thread for ident, _X, _f in calls]
+        assert on_loop == [False, False, True, True, False]
+        assert all(f_contiguous for _i, _X, f_contiguous in calls)
+        assert server.stats()["queue"]["inline"] == 2
+        burst_X = calls[1][1]
+        assert burst_X.shape == (graph.n_cols, 4)
+        for j in range(4):
+            assert burst_X[:, j].tobytes() == xs[1 + j].tobytes()
+        for x, result in zip(xs, results):
+            assert result.y.flags.c_contiguous
+            assert result.y.tobytes() == engine.run(graph, x).y.tobytes()
+
+
 # ----------------------------------------------------------------------
 # Server core
 # ----------------------------------------------------------------------
