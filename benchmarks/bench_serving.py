@@ -10,7 +10,10 @@ Two measurements, archived as ``BENCH_serving.json``:
   validation, metrics) and the matrix-side index traffic (column ids,
   merge permutation, run boundaries -- read once per batch instead of
   once per request), so the acceptance bar is a >= 2x throughput win;
-  CI smoke-gates a looser 1.5x.
+  CI smoke-gates a looser 1.5x.  Naive and batched bursts alternate
+  (which side goes first alternates too) over ``PAIRS`` pairs, and the
+  speedup is the ratio of the two medians, so host noise during one
+  burst cannot decide it.
 * **Latency**: an open-loop offered-QPS sweep (paced arrivals, no
   self-throttling) reporting p50/p95/p99 latency, the mean coalesced
   batch size and how many batches ran inline on the event-loop thread
@@ -28,6 +31,7 @@ Every served result is checked bit-identical to a direct
 """
 
 import asyncio
+import statistics
 import time
 
 import numpy as np
@@ -48,7 +52,7 @@ QPS_LEVELS = (250.0, 500.0, 1000.0, 2000.0)
 SWEEP_REQUESTS = 150
 MIN_SPEEDUP = 2.0
 CI_SMOKE_SPEEDUP = 1.5
-TRIALS = 3  # best-of, to shrug off noisy-neighbour jitter
+PAIRS = 11  # alternating naive/batched bursts; medians are compared
 
 
 def _server(max_batch: int) -> tuple:
@@ -90,16 +94,15 @@ def measure() -> dict:
     rng = np.random.default_rng(29)
     xs = [rng.uniform(size=N_NODES) for _ in range(BURST)]
 
-    batched_server, graph, fingerprint = _server(MAX_BATCH)
-    batched_qps, batched_mean = max(
-        _burst_qps(batched_server, graph, fingerprint, xs) for _ in range(TRIALS)
-    )
-
-    naive_server, graph_n, fingerprint_n = _server(1)
-    naive_qps = max(
-        _burst_qps(naive_server, graph_n, fingerprint_n, xs)[0]
-        for _ in range(TRIALS)
-    )
+    servers = {"batched": _server(MAX_BATCH), "naive": _server(1)}
+    runs = {"batched": [], "naive": []}
+    for pair in range(PAIRS):
+        for side in ("naive", "batched") if pair % 2 == 0 else ("batched", "naive"):
+            runs[side].append(_burst_qps(*servers[side], xs))
+    batched_qps = [qps for qps, _mean in runs["batched"]]
+    naive_qps = [qps for qps, _mean in runs["naive"]]
+    median_batched = statistics.median(batched_qps)
+    median_naive = statistics.median(naive_qps)
 
     sweep_server, graph_s, fingerprint_s = _server(MAX_BATCH)
 
@@ -119,10 +122,16 @@ def measure() -> dict:
     return {
         "throughput": {
             "burst": BURST,
-            "batched_qps": round(batched_qps, 1),
-            "naive_qps": round(naive_qps, 1),
-            "speedup": round(batched_qps / naive_qps, 2),
-            "mean_batch": round(batched_mean, 2),
+            "pairs": PAIRS,
+            "batched_qps": round(median_batched, 1),
+            "naive_qps": round(median_naive, 1),
+            "speedup": round(median_batched / median_naive, 2),
+            "pair_speedups": [
+                round(b / n, 2) for b, n in zip(batched_qps, naive_qps)
+            ],
+            "mean_batch": round(
+                statistics.mean(mean for _qps, mean in runs["batched"]), 2
+            ),
         },
         "sweep": levels,
     }
@@ -131,9 +140,11 @@ def measure() -> dict:
 def render(results: dict) -> str:
     t = results["throughput"]
     head = (
-        f"closed burst of {t['burst']}: batched {t['batched_qps']:,.0f} req/s "
+        f"closed burst of {t['burst']}, median of {t['pairs']} alternating "
+        f"pairs: batched {t['batched_qps']:,.0f} req/s "
         f"(mean batch {t['mean_batch']:g}) vs naive {t['naive_qps']:,.0f} req/s "
-        f"-> {t['speedup']:.2f}x (gate >= {MIN_SPEEDUP:g}x)"
+        f"-> {t['speedup']:.2f}x (gate >= {MIN_SPEEDUP:g}x)\n"
+        f"per-pair speedups: {', '.join(f'{r:.2f}' for r in t['pair_speedups'])}"
     )
     rows = [
         [

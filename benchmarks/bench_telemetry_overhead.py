@@ -9,10 +9,12 @@ Three claims are measured on the vectorized Two-Step hot path:
 * **Enabled, small** -- on an ER graph with N = 1e4, d = 3 in the
   default one-stripe geometry the kernel is short, so the fixed
   per-run cost (session, spans, publish) shows: it must stay under
-  ``MAX_SMALL_OVERHEAD_PCT``.  Runs with telemetry on and off
-  alternate one by one (which side goes first alternates too) and each
-  side keeps its fastest run, so a burst of host noise hits both sides
-  alike and cannot decide it.
+  ``MAX_SMALL_OVERHEAD_PCT``.
+
+In both cases runs with telemetry on and off alternate one by one
+(which side goes first alternates too) and each side keeps its fastest
+run, so a burst of host noise hits both sides alike and cannot decide
+it.
 * **Disabled** -- the instrumented code collapses to one ContextVar read
   plus an ``is None`` test per site; a microbenchmark pins the cost of a
   disabled ``span()`` call in nanoseconds to document the "~0%" path.
@@ -38,7 +40,7 @@ N_NODES = 200_000
 AVG_DEGREE = 3.0
 SEGMENT_WIDTH = 8192
 Q = 4
-REPEATS = 7
+PAIRS = 15
 MAX_OVERHEAD_PCT = 3.0
 
 SMALL_NODES = 10_000
@@ -46,13 +48,15 @@ SMALL_PAIRS = 3000
 MAX_SMALL_OVERHEAD_PCT = 35.0
 
 
-def _best_of(engine, graph, x, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        engine.run(graph, x)
-        best = min(best, time.perf_counter() - start)
-    return best
+def _best_alternating(on, off, graph, x, pairs: int) -> tuple:
+    """Fastest ``run`` of each engine over ``pairs`` alternating runs."""
+    best = {on: float("inf"), off: float("inf")}
+    for pair in range(pairs):
+        for engine in (on, off) if pair % 2 == 0 else (off, on):
+            start = time.perf_counter()
+            engine.run(graph, x)
+            best[engine] = min(best[engine], time.perf_counter() - start)
+    return best[on], best[off]
 
 
 def measure_small() -> dict:
@@ -64,13 +68,7 @@ def measure_small() -> dict:
     r_on, r_off = on.run(graph, x), off.run(graph, x)
     assert np.array_equal(r_on.y, r_off.y)
     assert r_on.report.n_stripes == 1
-    best = {on: float("inf"), off: float("inf")}
-    for pair in range(SMALL_PAIRS):
-        for engine in (on, off) if pair % 2 == 0 else (off, on):
-            start = time.perf_counter()
-            engine.run(graph, x)
-            best[engine] = min(best[engine], time.perf_counter() - start)
-    t_on, t_off = best[on], best[off]
+    t_on, t_off = _best_alternating(on, off, graph, x, SMALL_PAIRS)
     return {
         "graph": {"n_nodes": graph.n_rows, "avg_degree": AVG_DEGREE, "nnz": graph.nnz},
         "pairs": SMALL_PAIRS,
@@ -95,8 +93,7 @@ def measure() -> dict:
     r_on, r_off = on.run(graph, x), off.run(graph, x)
     assert np.array_equal(r_on.y, r_off.y)
 
-    t_on = _best_of(on, graph, x)
-    t_off = _best_of(off, graph, x)
+    t_on, t_off = _best_alternating(on, off, graph, x, PAIRS)
     overhead_pct = (t_on - t_off) / t_off * 100.0
 
     # Disabled fast path, in isolation: ns per no-op span() call.
@@ -109,7 +106,7 @@ def measure() -> dict:
 
     return {
         "graph": {"n_nodes": graph.n_rows, "avg_degree": AVG_DEGREE, "nnz": graph.nnz},
-        "repeats": REPEATS,
+        "pairs": PAIRS,
         "enabled_wall_s": t_on,
         "disabled_wall_s": t_off,
         "overhead_pct": overhead_pct,
@@ -130,10 +127,12 @@ def render(payload: dict) -> str:
             f"(nnz {payload['graph']['nnz']:,})",
             "",
         ],
-        ["telemetry on", f"{payload['enabled_wall_s'] * 1e3:,.1f} ms", "best of "
-         f"{payload['repeats']}"],
-        ["telemetry off", f"{payload['disabled_wall_s'] * 1e3:,.1f} ms", "best of "
-         f"{payload['repeats']}"],
+        [
+            "telemetry on / off",
+            f"{payload['enabled_wall_s'] * 1e3:,.1f} / "
+            f"{payload['disabled_wall_s'] * 1e3:,.1f} ms",
+            f"best of {payload['pairs']} alternating runs each",
+        ],
         [
             "overhead",
             f"{payload['overhead_pct']:+.2f}%",

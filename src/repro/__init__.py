@@ -31,13 +31,7 @@ the :class:`~repro.api.SpMVEngine` protocol and return
 :class:`~repro.api.SpMVResult` (tuple-unpacking compatible).
 """
 
-from repro.api import (
-    EngineOptions,
-    SpMVEngine,
-    SpMVResult,
-    create_engine,
-    ensure_config,
-)
+from repro.api import SpMVEngine, SpMVResult, create_engine
 from repro.backends import available_backends, get_backend, resolve_backend
 from repro.faults import (
     ConfigurationError,
@@ -89,11 +83,9 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Accelerator",
-    "EngineOptions",
     "SpMVEngine",
     "SpMVResult",
     "create_engine",
-    "ensure_config",
     "available_backends",
     "get_backend",
     "resolve_backend",

@@ -1,18 +1,21 @@
 """Public engine construction, protocol and result type for SpMV execution.
 
-This module is the package's *single* entry point for building engines:
+:class:`~repro.core.config.TwoStepConfig` is the one object that holds
+engine settings.  This module turns it into engines:
 
-* :class:`EngineOptions` -- one consolidated, audited option surface
-  subsuming the scattered :class:`~repro.core.config.TwoStepConfig`
-  fields, ``REPRO_*`` environment variables and per-engine constructor
-  keywords, with a documented precedence rule
-  (**explicit argument > environment variable > package default**).
-* :func:`create_engine` -- the factory every caller (CLI, apps, serving
-  layer, examples) goes through.  It resolves options once, records the
-  provenance of every value, and returns a ready
-  :class:`~repro.core.twostep.TwoStepEngine` (or an
+* :func:`resolve_config` -- the one resolver.  It pins a config field by
+  field (**explicit value > ``REPRO_*`` environment variable > package
+  default**) and reports where every value came from.  It is the only
+  reader of the ``REPRO_*`` variables: ``TwoStepEngine.__init__``,
+  :func:`create_engine`, the accelerator facade, the serving layer and
+  :func:`repro.backends.resolve_backend` all pin through it.
+* :func:`create_engine` -- the factory the CLI, the serving layer and
+  the examples use.  It returns a ready
+  :class:`~repro.core.twostep.TwoStepEngine`, or an
   :class:`~repro.core.accelerator.Accelerator` when a design point is
-  requested).
+  requested.  The apps take a ``TwoStepConfig`` and build
+  ``TwoStepEngine(config)`` / ``ITSEngine(config)`` directly, which pins
+  through the same resolver.
 
 Every engine-shaped object in the package (:class:`~repro.core.twostep.
 TwoStepEngine`, :class:`~repro.core.accelerator.Accelerator`) satisfies
@@ -26,21 +29,19 @@ line.  ``SpMVResult`` unpacks like the historical ``(y, report)`` tuple::
 
 Quickstart::
 
-    from repro.api import EngineOptions, create_engine
+    from repro import TwoStepConfig, create_engine
 
     engine = create_engine()                          # one stripe, from the matrix
     engine = create_engine(segment_width=8_192, q=4)  # modelled stripes + merge
-    engine = create_engine(EngineOptions.from_env(), backend="reference")
+    engine = create_engine(TwoStepConfig(q=3), backend="reference")
     engine = create_engine(design_point="TS_ASIC")    # simulates at 8192
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import os
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
 
 import numpy as np
@@ -195,30 +196,9 @@ class SpMVEngine(Protocol):
 #: matrix instead (one stripe spanning every column).
 SIMULATION_SEGMENT_WIDTH = 8_192
 
-#: EngineOptions fields that map 1:1 onto TwoStepConfig fields.
-_CONFIG_FIELDS = (
-    "segment_width",
-    "q",
-    "precision",
-    "vldi_vector_block_bits",
-    "vldi_matrix_block_bits",
-    "dpage_bytes",
-    "step1_pipelines",
-    "hdn",
-    "check_interleave",
-    "index_field_bytes",
-    "backend",
-    "plan_cache",
-    "strict_validate",
-    "telemetry",
-)
-
-#: Environment variable consulted per env-backed field when the explicit
-#: value is None.  This is the one table the precedence rule
-#: (explicit > env > default) is implemented from; ``EngineOptions.
-#: from_env`` and ``resolve`` both read it, and every engine pins its
-#: config through ``resolve`` at construction, so nothing else in the
-#: package reads these variables during a run.
+#: Environment variable consulted per env-backed field when the config
+#: leaves it None.  :func:`resolve_config` reads these and nothing else
+#: in the package reads the environment.
 ENV_VARS = {
     "backend": "REPRO_BACKEND",
     "strict_validate": "REPRO_STRICT_VALIDATE",
@@ -231,37 +211,6 @@ _FLAG_DEFAULTS = {"strict_validate": False, "telemetry": True}
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 _FALSY = frozenset({"0", "false", "no", "off", ""})
-
-
-@functools.cache
-def static_defaults() -> MappingProxyType:
-    """Field -> package default, applied when neither an explicit value
-    nor an environment variable selects one.
-
-    Derived rather than copied: ``TwoStepConfig``'s scalar dataclass
-    defaults, :data:`repro.backends.DEFAULT_BACKEND` and the env-backed
-    flag defaults.  Fields absent here have *dynamic* defaults (one
-    stripe spanning the matrix for ``segment_width``, value-precision
-    SINGLE for ``precision``, feature-off ``None`` for VLDI/HDN) and
-    deliberately stay ``None`` after resolution -- the component owning
-    the live value resolves them.
-    """
-    from repro.backends import DEFAULT_BACKEND
-    from repro.core.config import TwoStepConfig
-
-    defaults = {
-        field.name: field.default
-        for field in dataclasses.fields(TwoStepConfig)
-        if isinstance(field.default, (bool, int, str))
-    }
-    defaults.update(backend=DEFAULT_BACKEND, **_FLAG_DEFAULTS)
-    return MappingProxyType(defaults)
-
-
-def _config_error(message: str):
-    from repro.faults.errors import ConfigurationError
-
-    return ConfigurationError(message)
 
 
 def parse_env(field_name: str, raw: str):
@@ -280,268 +229,134 @@ def parse_env(field_name: str, raw: str):
     return raw  # backend: a plain string
 
 
-@dataclass(frozen=True)
-class EngineOptions:
-    """Every engine-construction knob, in one audited dataclass.
+def _as_config(config) -> "TwoStepConfig":
+    """``config``, or a default config for None; anything else raises."""
+    from repro.core.config import TwoStepConfig
+    from repro.faults.errors import ConfigurationError
 
-    A field left at ``None`` means "unset": resolution falls back to the
-    field's environment variable (when one exists, see :data:`ENV_VARS`)
-    and then to the package default.  The precedence rule is therefore
-    **explicit argument > environment variable > default**, applied
-    field by field at :meth:`resolve` time -- never again afterwards, so
-    an engine built from resolved options cannot change behaviour when
-    the environment mutates under it.
+    if config is None:
+        return TwoStepConfig()
+    if not isinstance(config, TwoStepConfig):
+        raise ConfigurationError(
+            f"config must be a TwoStepConfig, got {type(config).__name__}"
+        )
+    return config
 
-    Structural fields (``segment_width`` .. ``index_field_bytes``) mirror
-    :class:`~repro.core.config.TwoStepConfig`; execution fields
-    (``backend`` .. ``telemetry``) subsume the historical ``REPRO_*``
-    environment variables; ``design_point`` selects the
-    :class:`~repro.core.accelerator.Accelerator` facade instead of a bare
-    :class:`~repro.core.twostep.TwoStepEngine`.
 
-    Attributes:
-        segment_width: Stripe width (scratchpad-resident source
-            elements).  Unset, the execution geometry comes from the
-            matrix: one stripe spanning every column, and no step-2
-            merge.  Under a ``design_point`` this is the *simulation*
-            segment width, default :data:`SIMULATION_SEGMENT_WIDTH`.
-        q: PRaP radix bits (``p = 2**q`` merge cores); default 4.
-        precision: Value :class:`~repro.core.records.Precision` for
-            traffic accounting; default SINGLE.
-        vldi_vector_block_bits: VLDI block width for intermediate vector
-            indices; default off.
-        vldi_matrix_block_bits: VLDI block width for stripe column
-            indices; default off.
-        dpage_bytes: DRAM page size for prefetch accounting; default 2048.
-        step1_pipelines: Parallel multiplier/adder sets in step 1;
-            default 8.
-        hdn: :class:`~repro.filters.hdn.HDNConfig`; default off.
-        check_interleave: Route step-2 assembly through the store-queue
-            invariant checker; default off.
-        index_field_bytes: Uncompressed index field width; default 4.
-        backend: Execution backend name -- ``"reference"`` or
-            ``"vectorized"`` (``REPRO_BACKEND``, then ``"vectorized"``).
-        plan_cache: Execution plans retained per engine (LRU); default 8.
-        strict_validate: Full-scan input hardening
-            (``REPRO_STRICT_VALIDATE``, then off).
-        telemetry: Span/metric collection (``REPRO_TELEMETRY``, then on).
-        design_point: Design-point name or
-            :class:`~repro.core.design_points.DesignPoint`; when set,
-            :func:`create_engine` returns an
-            :class:`~repro.core.accelerator.Accelerator`.
+def resolve_config(config: "TwoStepConfig | None" = None) -> tuple:
+    """Pin ``config`` and report where each of its values came from.
+
+    The precedence rule is applied here and nowhere else.  A field that
+    differs from its dataclass default is explicit.  A field at its
+    default consults its ``REPRO_*`` variable (when :data:`ENV_VARS` has
+    one), then the package default (``DEFAULT_BACKEND`` and the flag
+    defaults for the env-backed fields, the dataclass default for the
+    rest).  Fields whose default is resolved where the live value exists
+    (``segment_width``: one stripe per matrix) stay None.
+
+    Returns:
+        ``(pinned, provenance)``: the config with ``backend``,
+        ``strict_validate`` and ``telemetry`` set, and field ->
+        ``(value, source)`` with source ``"explicit"``,
+        ``"env:REPRO_*"`` or ``"default"``.  Engines keep the
+        provenance as ``engine.options_provenance``; ``/stats`` shows it.
+
+    Raises:
+        ConfigurationError: ``config`` is not a ``TwoStepConfig``, or an
+            environment value names an unknown backend.
     """
+    from repro.backends import DEFAULT_BACKEND
 
-    segment_width: int | None = None
-    q: int | None = None
-    precision: object | None = None
-    vldi_vector_block_bits: int | None = None
-    vldi_matrix_block_bits: int | None = None
-    dpage_bytes: int | None = None
-    step1_pipelines: int | None = None
-    hdn: object | None = None
-    check_interleave: bool | None = None
-    index_field_bytes: int | None = None
-    backend: str | None = None
-    plan_cache: int | None = None
-    strict_validate: bool | None = None
-    telemetry: bool | None = None
-    design_point: object | None = None
-
-    def replace(self, **overrides) -> "EngineOptions":
-        """A copy with ``overrides`` applied (unknown names raise).
-
-        Raises:
-            ConfigurationError: An override is not an ``EngineOptions``
-                field -- the audited surface rejects typos instead of
-                silently dropping them.
-        """
-        names = {f.name for f in dataclasses.fields(self)}
-        unknown = sorted(set(overrides) - names)
-        if unknown:
-            raise _config_error(
-                f"unknown engine option(s): {', '.join(unknown)}; "
-                f"valid fields: {', '.join(sorted(names))}"
-            )
-        return dataclasses.replace(self, **overrides)
-
-    @classmethod
-    def from_env(cls, **overrides) -> "EngineOptions":
-        """Options with every env-backed field read from ``REPRO_*``.
-
-        Fields whose variable is unset stay ``None`` (so provenance
-        reporting can distinguish "environment" from "default"), and
-        explicit ``overrides`` win over the environment -- the same
-        precedence :meth:`resolve` applies.
-
-        Raises:
-            ConfigurationError: An environment value fails to parse, or
-                an override names an unknown field.
-        """
-        from_env = {}
-        for field_name, var in ENV_VARS.items():
-            raw = os.environ.get(var)
-            if raw is not None:
-                from_env[field_name] = parse_env(field_name, raw)
-        from_env.update(overrides)
-        return cls().replace(**from_env)
-
-    @classmethod
-    def from_config(cls, config, **overrides) -> "EngineOptions":
-        """Options mirroring an existing ``TwoStepConfig``.
-
-        Bridges code that already holds a config onto the single entry
-        point: every config field becomes the explicit value of the
-        corresponding option, then ``overrides`` apply on top.
-        """
-        values = {name: getattr(config, name) for name in _CONFIG_FIELDS}
-        values.update(overrides)
-        return cls().replace(**values)
-
-    def resolve(self) -> "EngineOptions":
-        """Apply the precedence rule and return fully pinned options.
-
-        Every env-backed field that is still ``None`` consults its
-        environment variable, then :func:`static_defaults`.  Fields
-        with *dynamic* defaults (stripe width, value precision) stay ``None``
-        deliberately -- they are resolved where the live value exists.
-        After this call the options are pinned: later environment
-        mutations cannot change the engine.
-        """
-        resolved = dict(self.provenance())
-        updates = {
-            field_name: value
-            for field_name, (value, _source) in resolved.items()
-            if value is not None and getattr(self, field_name) is None
-        }
-        return dataclasses.replace(self, **updates) if updates else self
-
-    def provenance(self) -> dict:
-        """Field -> ``(value, source)`` with source one of ``"explicit"``,
-        ``"env:REPRO_*"`` or ``"default"``.
-
-        This is the audit trail ``create_engine`` attaches to the engine
-        (``engine.options_provenance``) and the serving layer surfaces in
-        ``/stats``.
-        """
-        report = {}
-        defaults = static_defaults()
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if value is not None:
-                report[field.name] = (value, "explicit")
-                continue
-            var = ENV_VARS.get(field.name)
-            raw = os.environ.get(var) if var else None
-            if raw is not None:
-                report[field.name] = (parse_env(field.name, raw), f"env:{var}")
-            else:
-                report[field.name] = (defaults.get(field.name), "default")
-        return report
-
-    def to_config(self) -> "TwoStepConfig":
-        """The equivalent :class:`~repro.core.config.TwoStepConfig`.
-
-        Resolution against the environment happens first
-        (:meth:`resolve`), so the returned config is pinned: ``backend``,
-        ``strict_validate`` and ``telemetry`` always carry a value.
-        Fields with dynamic defaults stay unset so ``TwoStepConfig``
-        supplies them.
-        """
-        from repro.core.config import TwoStepConfig
-
-        resolved = self.resolve()
-        kwargs = {
-            name: getattr(resolved, name)
-            for name in _CONFIG_FIELDS
-            if getattr(resolved, name) is not None
-        }
-        return TwoStepConfig(**kwargs)
+    config = _as_config(config)
+    defaults = {"backend": DEFAULT_BACKEND, **_FLAG_DEFAULTS}
+    provenance = {}
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        var = ENV_VARS.get(field.name)
+        if value != field.default:
+            source = "explicit"
+        elif var is not None and var in os.environ:
+            value, source = parse_env(field.name, os.environ[var]), f"env:{var}"
+        else:
+            value, source = defaults.get(field.name, value), "default"
+        provenance[field.name] = (value, source)
+    pinned = dataclasses.replace(
+        config, **{name: provenance[name][0] for name in ENV_VARS}
+    )
+    return pinned, provenance
 
 
 def create_engine(
-    options: EngineOptions | None = None, **overrides
+    config: "TwoStepConfig | None" = None, *, design_point=None, **overrides
 ) -> "SpMVEngine":
-    """Build an engine through the one audited entry point.
+    """Build an engine from a config plus field overrides.
 
-    This is the only supported way to construct engines: the CLI, the
-    apps, the serving layer and the examples all come through here.  The
-    factory resolves ``options`` (explicit argument > ``REPRO_*``
-    environment variable > package default), pins the result, and
-    attaches the audit trail to the returned engine as
-    ``engine.options`` / ``engine.options_provenance``.
+    The engine pins its settings through :func:`resolve_config` (explicit
+    value > ``REPRO_*`` environment variable > package default) and
+    keeps the result as ``engine.config`` and the audit trail as
+    ``engine.options_provenance``.
 
     Args:
-        options: Base options; None starts from blank
-            :class:`EngineOptions` (environment + defaults).
-        **overrides: Field overrides applied on top of ``options``
-            (unknown names raise ``ConfigurationError``).
+        config: Base :class:`~repro.core.config.TwoStepConfig`; None
+            starts from the defaults.
+        design_point: Design-point name or
+            :class:`~repro.core.design_points.DesignPoint`; when set, the
+            result is an :class:`~repro.core.accelerator.Accelerator`
+            simulating at ``segment_width`` (default
+            :data:`SIMULATION_SEGMENT_WIDTH`).
+        **overrides: ``TwoStepConfig`` field values applied on top of
+            ``config``.
 
     Returns:
         A :class:`~repro.core.twostep.TwoStepEngine`, or an
         :class:`~repro.core.accelerator.Accelerator` when
         ``design_point`` is set.
 
+    Raises:
+        ConfigurationError: An override is not a ``TwoStepConfig`` field
+            (the message lists the valid ones), or a value is invalid.
+
     Examples::
 
         engine = create_engine()                      # one stripe per matrix
         engine = create_engine(segment_width=4_096, backend="reference")
-        engine = create_engine(EngineOptions.from_env())
         accel = create_engine(design_point="ITS_ASIC")  # simulates at 8192
     """
-    base = options if options is not None else EngineOptions()
-    if not isinstance(base, EngineOptions):
-        raise _config_error(
-            f"options must be an EngineOptions, got {type(base).__name__}; "
-            "pass TwoStepConfig fields as keyword overrides instead"
-        )
-    merged = base.replace(**overrides)
-    provenance = merged.provenance()
-    resolved = merged.resolve()
-    if resolved.design_point is not None:
-        from repro.core.accelerator import Accelerator
-        from repro.core.design_points import DesignPoint, get_design_point
+    config = _as_config(config)
+    if overrides:
+        names = sorted(field.name for field in dataclasses.fields(config))
+        unknown = sorted(set(overrides) - set(names))
+        if unknown:
+            from repro.faults.errors import ConfigurationError
 
-        point = resolved.design_point
-        if not isinstance(point, DesignPoint):
-            point = get_design_point(str(point))
-        engine = Accelerator(
-            point,
-            simulation_segment_width=(
-                resolved.segment_width or SIMULATION_SEGMENT_WIDTH
-            ),
-            options=dataclasses.replace(resolved, design_point=None),
-        )
-    else:
+            raise ConfigurationError(
+                f"unknown engine option(s): {', '.join(unknown)}; "
+                f"valid fields: {', '.join(names)}"
+            )
+        config = dataclasses.replace(config, **overrides)
+    if design_point is None:
         from repro.core.twostep import TwoStepEngine
 
-        engine = TwoStepEngine(resolved.to_config())
-    engine.options = resolved
-    engine.options_provenance = provenance
-    return engine
+        return TwoStepEngine(config)
+    from repro.core.accelerator import Accelerator
+    from repro.core.design_points import DesignPoint, get_design_point
 
-
-def ensure_config(config) -> "TwoStepConfig | None":
-    """Normalize a ``TwoStepConfig | EngineOptions | None`` parameter.
-
-    The apps historically accepted a :class:`TwoStepConfig`; they now
-    also take :class:`EngineOptions` so every caller can stay on the
-    single option surface.  ``None`` passes through (apps treat it as
-    "reference kernels, no engine").
-    """
-    if config is None or isinstance(config, EngineOptions):
-        return config.to_config() if config is not None else None
-    return config
+    if not isinstance(design_point, DesignPoint):
+        design_point = get_design_point(str(design_point))
+    return Accelerator(
+        design_point,
+        simulation_segment_width=config.segment_width or SIMULATION_SEGMENT_WIDTH,
+        config=config,
+    )
 
 
 __all__ = [
     "ENV_VARS",
-    "EngineOptions",
     "SIMULATION_SEGMENT_WIDTH",
     "SpGEMMResult",
     "SpMVEngine",
     "SpMVResult",
     "create_engine",
-    "ensure_config",
     "parse_env",
-    "static_defaults",
+    "resolve_config",
 ]

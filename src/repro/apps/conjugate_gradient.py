@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.api import ensure_config
 from repro.core.config import TwoStepConfig
 from repro.core.twostep import TwoStepEngine
 from repro.formats.coo import COOMatrix
@@ -103,7 +102,6 @@ def conjugate_gradient(
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (matrix.n_rows,):
         raise ValueError(f"b must have shape ({matrix.n_rows},)")
-    config = ensure_config(config)
     engine = TwoStepEngine(config) if config is not None else None
     traffic = TrafficLedger()
     telemetry_reports = []

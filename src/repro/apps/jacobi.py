@@ -73,9 +73,6 @@ def jacobi_solve(
     Returns:
         :class:`JacobiResult`.
     """
-    from repro.api import ensure_config
-
-    config = ensure_config(config)
     diagonal, remainder = split_diagonal(matrix)
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (matrix.n_rows,):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.api import ensure_config
 from repro.core.config import TwoStepConfig
 from repro.core.its import ITSEngine
 from repro.formats.coo import COOMatrix
@@ -91,7 +90,7 @@ def pagerank_reference(
 
 def pagerank(
     adjacency: COOMatrix,
-    config: "TwoStepConfig | EngineOptions",
+    config: TwoStepConfig,
     damping: float = 0.85,
     tol: float = 1e-8,
     max_iterations: int = 100,
@@ -104,9 +103,8 @@ def pagerank(
 
     Args:
         adjacency: Directed graph adjacency (row = source).
-        config: Two-Step configuration or :class:`repro.api.EngineOptions`
-            (segment width should be the ITS half-scratchpad width); it
-            also selects the execution backend.
+        config: Two-Step configuration (segment width should be the ITS
+            half-scratchpad width); it also selects the execution backend.
         damping: PageRank damping factor d.
         tol: L1 convergence threshold.
         max_iterations: Iteration cap.
@@ -117,7 +115,6 @@ def pagerank(
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0, 1)")
-    config = ensure_config(config)
     transition = stochastic_matrix(adjacency)
     n = adjacency.n_rows
     engine = ITSEngine(config)

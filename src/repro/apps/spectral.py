@@ -58,9 +58,6 @@ def power_iteration(
     def converged(previous: np.ndarray, new: np.ndarray) -> bool:
         return len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < tol
 
-    from repro.api import ensure_config
-
-    config = ensure_config(config)
     if config is None:
         v = v0
         for iteration in range(1, max_iterations + 1):

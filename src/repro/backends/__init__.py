@@ -11,21 +11,20 @@ accounting) through an :class:`ExecutionBackend`:
 
 Selection precedence: an explicit backend object > the ``backend`` field
 of :class:`~repro.core.config.TwoStepConfig` > the ``REPRO_BACKEND``
-environment variable > :data:`DEFAULT_BACKEND`.  All backends produce
+environment variable > :data:`DEFAULT_BACKEND`; the last two are applied
+by :func:`repro.api.resolve_config`.  All backends produce
 bit-comparable results and identical traffic ledgers; the differential
 suite ``tests/test_backends_equivalence.py`` enforces this.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.api import ENV_VARS
+from repro.api import ENV_VARS, resolve_config
 from repro.backends.base import ExecutionBackend, SparseVector
 from repro.backends.reference import ReferenceBackend
 from repro.backends.vectorized import VectorizedBackend
 
-#: Environment variable consulted when no backend is configured.
+#: Environment variable naming the backend when none is configured.
 BACKEND_ENV_VAR = ENV_VARS["backend"]
 
 #: Backend used when neither the config nor the environment selects one.
@@ -66,15 +65,22 @@ def resolve_backend(
 
     Args:
         selection: A backend instance (returned as is), a registry name,
-            or None -- which falls back to the ``REPRO_BACKEND``
-            environment variable, then :data:`DEFAULT_BACKEND`.
+            or None -- which takes the backend a default config resolves
+            to (:func:`repro.api.resolve_config`: the ``REPRO_BACKEND``
+            environment variable, then :data:`DEFAULT_BACKEND`).
 
     Returns:
         The selected :class:`ExecutionBackend`.
+
+    Raises:
+        ConfigurationError: ``REPRO_BACKEND`` names an unknown backend.
+        ValueError: ``selection`` names an unknown backend.
     """
     if isinstance(selection, ExecutionBackend):
         return selection
-    return get_backend(selection or os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND)
+    if selection is None:
+        selection = resolve_config()[0].backend
+    return get_backend(selection)
 
 
 __all__ = [

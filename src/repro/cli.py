@@ -18,8 +18,9 @@ Subcommands:
 * ``repro datasets`` -- list the paper's evaluation graphs.
 
 Every subcommand that executes the functional engine builds it through
-:func:`repro.api.create_engine` from one :class:`~repro.api.EngineOptions`
-translation point (:func:`engine_options_from_args`).
+:func:`repro.api.create_engine` from one
+:class:`~repro.core.config.TwoStepConfig` translation point
+(:func:`engine_config_from_args`).
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ import sys
 import numpy as np
 
 from repro.analysis.reporting import format_table
-from repro.api import EngineOptions, create_engine
+from repro.api import create_engine
 from repro.backends import available_backends
 from repro.core.accelerator import Accelerator
+from repro.core.config import TwoStepConfig
 from repro.core.design_points import ALL_DESIGN_POINTS, get_design_point
 from repro.faults.errors import ConfigurationError
 from repro.formats.io import read_binary, read_matrix_market, write_binary, write_matrix_market
@@ -87,22 +89,15 @@ def add_backend_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def engine_options_from_args(
-    args: argparse.Namespace, **structural
-) -> EngineOptions:
-    """Build :class:`~repro.api.EngineOptions` from parsed CLI flags.
+def engine_config_from_args(args: argparse.Namespace) -> TwoStepConfig:
+    """Build a :class:`~repro.core.config.TwoStepConfig` from CLI flags.
 
-    One translation point from the ``add_backend_options`` flag set to
-    the audited option surface; unset flags stay ``None`` so the
-    standard precedence (explicit > ``REPRO_*`` env > default) applies
-    inside :func:`~repro.api.create_engine`.
-
-    Args:
-        args: Parsed namespace carrying the shared backend flags.
-        **structural: Extra explicit fields (``segment_width``,
-            ``design_point``, ...).
+    One translation point from ``--segment-width`` and the
+    ``add_backend_options`` flag set to the engine settings; unset flags
+    stay ``None`` so the standard precedence (explicit > ``REPRO_*`` env
+    > default) applies when the engine is built.
     """
-    return EngineOptions(**_exec_fields(args)).replace(**structural)
+    return TwoStepConfig(segment_width=args.segment_width, **_exec_fields(args))
 
 
 def _exec_fields(args: argparse.Namespace) -> dict:
@@ -183,16 +178,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"hdn={'on (threshold %d)' % tuned.config.hdn.degree_threshold if tuned.hdn_enabled else 'off'}, "
             f"stripe={tuned.config.segment_width}"
         )
-        base = EngineOptions.from_config(tuned.config)
-        engine = create_engine(base.replace(**_exec_fields(args)))
+        engine = create_engine(tuned.config, **_exec_fields(args))
     else:
-        engine = create_engine(
-            engine_options_from_args(
-                args,
-                design_point=point,
-                segment_width=args.segment_width,
-            )
-        )
+        engine = create_engine(engine_config_from_args(args), design_point=point)
     if args.batch > 1:
         X = rng.uniform(size=(matrix.n_cols, args.batch))
         result = engine.run_many(matrix, X, verify=True)
@@ -218,9 +206,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_spgemm(args: argparse.Namespace) -> int:
     a = _load_matrix(args.matrix)
     b = _load_matrix(args.rhs) if args.rhs else a
-    engine = create_engine(
-        engine_options_from_args(args, segment_width=args.segment_width)
-    )
+    engine = create_engine(engine_config_from_args(args))
     try:
         result = engine.spgemm(a, b, verify=args.verify)
     except ConfigurationError as exc:
@@ -251,12 +237,12 @@ def cmd_spgemm(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args.matrix)
-    options = engine_options_from_args(args, segment_width=args.segment_width)
-    engine = create_engine(options)
+    config = engine_config_from_args(args)
+    engine = create_engine(config)
     if args.app == "pagerank":
         from repro.apps.pagerank import pagerank
 
-        result = pagerank(matrix, options, max_iterations=args.iterations)
+        result = pagerank(matrix, config, max_iterations=args.iterations)
         top = np.argsort(result.ranks)[::-1][:5]
         print(
             f"pagerank: {result.iterations} iterations, "
@@ -295,7 +281,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import BatchPolicy, ResiliencePolicy, SpMVServer
     from repro.serving.http import HTTPServingFrontend
 
-    options = engine_options_from_args(args, segment_width=args.segment_width)
+    config = engine_config_from_args(args)
     policy = BatchPolicy(
         max_batch=args.max_batch,
         max_delay_s=args.max_delay_ms / 1e3,
@@ -310,7 +296,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     async def _main() -> None:
         server = SpMVServer(
-            options=options,
+            config=config,
             policy=policy,
             resilience=resilience,
             state_dir=args.state_dir,

@@ -16,13 +16,13 @@ import dataclasses
 
 import numpy as np
 
-from repro.api import EngineOptions, SpMVResult
+from repro.api import SpMVResult, _as_config
+from repro.core.config import TwoStepConfig
 from repro.core.design_points import DesignPoint
 from repro.core.its import ITSEngine
 from repro.core.perf import PerfEstimate, estimate_performance
 from repro.core.records import Precision
 from repro.core.twostep import TwoStepEngine
-from repro.faults.errors import ConfigurationError
 from repro.formats.coo import COOMatrix
 from repro.generators.datasets import DatasetSpec
 
@@ -40,7 +40,7 @@ class Accelerator:
         self,
         point: DesignPoint,
         simulation_segment_width: int = None,
-        options: EngineOptions = None,
+        config: TwoStepConfig = None,
     ):
         """
         Args:
@@ -50,42 +50,30 @@ class Accelerator:
                 real segment width, which is usually far larger than scaled
                 test matrices; pass a small value to exercise multi-stripe
                 behaviour on small inputs.
-            options: Execution options (:class:`repro.api.EngineOptions`)
-                for the functional engine: backend and
-                validation/telemetry toggles; None means all defaults.
-                Prefer building accelerators through
-                :func:`repro.api.create_engine` with
-                ``design_point=point``.
+            config: Settings for the functional engine (backend,
+                validation, telemetry, HDN, ...); None means all
+                defaults.  The design point overrides its structural
+                fields (stripe width, merge cores, precision, VLDI,
+                step-1 pipelines).
 
         Raises:
-            ConfigurationError: ``options`` is not an ``EngineOptions``.
+            ConfigurationError: ``config`` is not a ``TwoStepConfig``.
         """
-        if options is None:
-            options = EngineOptions()
-        elif not isinstance(options, EngineOptions):
-            raise ConfigurationError(
-                "Accelerator options must be an EngineOptions, got "
-                f"{type(options).__name__}; build one with "
-                "EngineOptions(...) or EngineOptions.from_config(config)"
-            )
         self.point = point
         width = simulation_segment_width or point.segment_elements
-        q = int(np.log2(point.n_merge_cores))
-        # The design point dictates the structural fields; the options
-        # surface supplies the execution fields (already env-resolved when
-        # the accelerator comes from create_engine).
-        execution = dataclasses.replace(
-            options,
-            segment_width=width,
-            q=q,
-            precision=_PRECISION_BY_BYTES[point.value_bytes],
-            vldi_vector_block_bits=8 if point.vldi else None,
-            vldi_matrix_block_bits=None,
-            step1_pipelines=point.step1_pipelines,
-            design_point=None,
+        self._engine = TwoStepEngine(
+            dataclasses.replace(
+                _as_config(config),
+                segment_width=width,
+                q=int(np.log2(point.n_merge_cores)),
+                precision=_PRECISION_BY_BYTES[point.value_bytes],
+                vldi_vector_block_bits=8 if point.vldi else None,
+                vldi_matrix_block_bits=None,
+                step1_pipelines=point.step1_pipelines,
+            )
         )
-        self.config = execution.to_config()
-        self._engine = TwoStepEngine(self.config)
+        self.config = self._engine.config
+        self.options_provenance = self._engine.options_provenance
 
     def metrics(self):
         """Engine-lifetime telemetry metrics (see ``TwoStepEngine.metrics``)."""

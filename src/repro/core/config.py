@@ -13,9 +13,9 @@ from repro.filters.hdn import HDNConfig
 class TwoStepConfig:
     """Parameters controlling the functional Two-Step engine.
 
-    Fields that "defer to" a ``REPRO_*`` variable are resolved once,
-    when an engine is built from the config
-    (:meth:`repro.api.EngineOptions.resolve`); ``engine.config`` holds
+    The one object that holds engine settings.  Fields that "defer to" a
+    ``REPRO_*`` variable are resolved once, when an engine is built from
+    the config (:func:`repro.api.resolve_config`); ``engine.config`` holds
     the pinned values.
 
     Attributes:
@@ -35,15 +35,10 @@ class TwoStepConfig:
             vector indices; None disables vector compression.
         vldi_matrix_block_bits: VLDI block width applied to stripe column
             indices; None disables matrix compression.
-        dpage_bytes: DRAM page size for prefetch-buffer accounting.
         step1_pipelines: P, parallel multiplier/adder-chain sets in step 1.
         hdn: High-degree-node handling; None disables the HDN pipeline.
         check_interleave: Route step-2 assembly through the store-queue
             invariant checker (slower but verifies section 4.2.2).
-        index_field_bytes: Width of an uncompressed index field in the
-            DRAM layout.  The hardware uses fixed 32-bit fields (4 bytes)
-            for row/column/intermediate indices regardless of the actual
-            dimension; VLDI is what removes that slack.
         backend: Execution-backend name (``"reference"`` or
             ``"vectorized"``); None defers to the ``REPRO_BACKEND``
             environment variable, then the package default.  Both
@@ -68,11 +63,9 @@ class TwoStepConfig:
     precision: Precision = Precision.SINGLE
     vldi_vector_block_bits: int = None
     vldi_matrix_block_bits: int = None
-    dpage_bytes: int = 2048
     step1_pipelines: int = 8
     hdn: HDNConfig = None
     check_interleave: bool = False
-    index_field_bytes: int = 4
     backend: str = None
     plan_cache: int = 8
     strict_validate: bool = None
@@ -85,13 +78,9 @@ class TwoStepConfig:
             raise ConfigurationError("q must be non-negative")
         if self.step1_pipelines <= 0:
             raise ConfigurationError("step1_pipelines must be positive")
-        if self.dpage_bytes <= 0:
-            raise ConfigurationError("dpage_bytes must be positive")
         for width in (self.vldi_vector_block_bits, self.vldi_matrix_block_bits):
             if width is not None and not 1 <= width <= 62:
                 raise ConfigurationError("VLDI block width must be in [1, 62]")
-        if self.index_field_bytes <= 0:
-            raise ConfigurationError("index_field_bytes must be positive")
         if self.backend is not None:
             from repro.backends import available_backends
 

@@ -46,6 +46,11 @@ from repro.formats.hypersparse import StripeFormat, choose_stripe_format
 from repro.memory.traffic import TrafficLedger
 from repro.telemetry.session import metric_inc, span
 
+#: Width of an uncompressed index field in the DRAM layout.  The hardware
+#: uses fixed 32-bit fields for row/column/intermediate indices whatever
+#: the actual dimension; VLDI is what removes that slack.
+INDEX_FIELD_BYTES = 4
+
 
 @dataclass(frozen=True)
 class StripePlan:
@@ -635,7 +640,7 @@ def _stripe_matrix_bytes(
     DRAM layouts pack absolute indices at byte granularity; only VLDI
     strings are bit-packed (that is the point of the scheme).
     """
-    field_bits = 8 * config.index_field_bytes
+    field_bits = 8 * INDEX_FIELD_BYTES
     if fmt is StripeFormat.RM_COO:
         row_bits = block.nnz * field_bits
     else:
@@ -658,7 +663,7 @@ def _iv_index_bits(
         return backend.vldi_stream_bits(
             delta_encode(out_indices), config.vldi_vector_block_bits
         )
-    return out_indices.size * 8 * config.index_field_bytes
+    return out_indices.size * 8 * INDEX_FIELD_BYTES
 
 
 def build_plan(

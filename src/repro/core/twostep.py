@@ -43,11 +43,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from repro.api import EngineOptions, SpGEMMResult, SpMVResult
+from repro.api import SpGEMMResult, SpMVResult, resolve_config
 from repro.backends import ExecutionBackend, resolve_backend
 from repro.core.config import TwoStepConfig
 from repro.core.plan import (
@@ -205,12 +205,13 @@ class TwoStepEngine:
     matrix -- the shape of every iterative solver -- re-derives nothing
     matrix-sided after the first call.
 
-    The configuration is pinned at construction through the same
-    resolver :func:`repro.api.create_engine` uses (explicit value >
-    ``REPRO_*`` environment variable > package default): ``backend``,
+    The configuration is pinned at construction by
+    :func:`repro.api.resolve_config` (explicit value > ``REPRO_*``
+    environment variable > package default): ``backend``,
     ``strict_validate`` and ``telemetry`` are settled on
     ``engine.config`` then, and later environment changes cannot alter a
-    built engine.
+    built engine.  ``engine.options_provenance`` records where each
+    value came from.
     """
 
     def __init__(
@@ -225,11 +226,9 @@ class TwoStepEngine:
             backend: Optional execution-backend override (a registry
                 name or an instance); defaults to ``config.backend``.
         """
-        options = EngineOptions.from_config(config)
         if isinstance(backend, str):
-            options = options.replace(backend=backend)
-        # to_config() resolves first: the returned config is pinned.
-        config = options.to_config()
+            config = replace(config, backend=backend)
+        config, self.options_provenance = resolve_config(config)
         self.config = config
         # The config is pinned, so its plan-cache key is too.
         self._fingerprint = config_fingerprint(config)

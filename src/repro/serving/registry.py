@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.api import EngineOptions, SpMVEngine, create_engine
+from repro.api import SpMVEngine, create_engine, resolve_config
+from repro.core.config import TwoStepConfig
 from repro.faults.errors import (
     ConfigurationError,
     SnapshotCorruptError,
@@ -105,21 +106,21 @@ class MatrixRegistry:
 
     def __init__(
         self,
-        options: EngineOptions | None = None,
+        config: TwoStepConfig | None = None,
         quotas: TenantQuotas | None = None,
         on_drop=None,
     ):
         """
         Args:
-            options: Engine options every tenant engine is built from
-                (resolved once, so all tenants run the same audited
-                configuration).
+            config: Engine configuration every tenant engine is built
+                from (resolved once, so all tenants run the same
+                settings).
             quotas: Per-tenant limits; defaults to :class:`TenantQuotas`.
             on_drop: Optional ``on_drop(tenant, fingerprint)``, called
                 outside the lock after a registration is unregistered
                 or evicted, so per-matrix state elsewhere can go too.
         """
-        self.options = (options or EngineOptions()).resolve()
+        self.config, _provenance = resolve_config(config)
         self.quotas = quotas or TenantQuotas()
         self._on_drop = on_drop
         self._lock = threading.Lock()
@@ -132,7 +133,7 @@ class MatrixRegistry:
         with self._lock:
             engine = self._engines.get(tenant)
             if engine is None:
-                engine = self._engines[tenant] = create_engine(self.options)
+                engine = self._engines[tenant] = create_engine(self.config)
             return engine
 
     def register(self, matrix, tenant: str = "default") -> str:

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api import EngineOptions
+from repro.api import resolve_config
+from repro.core.config import TwoStepConfig
 from repro.faults.errors import (
     DeadlineExceededError,
     FaultError,
@@ -79,8 +80,9 @@ class SpMVServer:
     """Async SpMV service over registered matrices.
 
     Args:
-        options: Engine options for every tenant engine (one audited
-            configuration; resolved once at construction).
+        config: Engine configuration for every tenant engine (resolved
+            once at construction; ``options_provenance`` records where
+            each value came from).
         policy: Micro-batching policy (flush triggers, queue bound).
         quotas: Per-tenant matrix and in-flight limits.
         resilience: Deadline/breaker/retry/snapshot policy; defaults to
@@ -94,18 +96,18 @@ class SpMVServer:
 
     def __init__(
         self,
-        options: EngineOptions | None = None,
+        config: TwoStepConfig | None = None,
         policy: BatchPolicy | None = None,
         quotas: TenantQuotas | None = None,
         resilience: ResiliencePolicy | None = None,
         state_dir=None,
     ):
-        self.options = (options or EngineOptions()).resolve()
+        self.config, self.options_provenance = resolve_config(config)
         self.policy = policy or BatchPolicy()
         self.resilience = resilience or ResiliencePolicy()
         self.metrics = MetricsRegistry()
         self._batcher = MicroBatcher(self._execute, self.policy, metrics=self.metrics)
-        self.registry = MatrixRegistry(self.options, quotas, on_drop=self._forget)
+        self.registry = MatrixRegistry(self.config, quotas, on_drop=self._forget)
         self._inflight_by_tenant: dict[str, int] = {}
         self._breakers: dict[tuple, CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
@@ -466,8 +468,8 @@ class SpMVServer:
                 ),
             },
             "engine_options": {
-                name: value
-                for name, (value, _source) in self.options.provenance().items()
+                name: value if isinstance(value, (bool, int, float, str)) else str(value)
+                for name, (value, _source) in self.options_provenance.items()
                 if value is not None
             },
             "registry": self.registry.stats(),
@@ -528,7 +530,7 @@ class SpMVServer:
             }
 
         return {
-            "configured": self.options.backend,
+            "configured": self.config.backend,
             "runs_total": flat("spmv_backend_runs_total"),
             "spgemm_runs_total": flat("spgemm_backend_runs_total"),
         }

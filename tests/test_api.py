@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Accelerator, EngineOptions, SpMVEngine, SpMVResult, TS_ASIC
+from repro import Accelerator, SpMVEngine, SpMVResult, TS_ASIC, TwoStepConfig
 from repro.core.config import TwoStepConfig
 from repro.core.twostep import TwoStepEngine, TwoStepReport, reference_spmv
 
@@ -49,7 +49,7 @@ def test_accelerator_returns_spmv_result(small_er_graph, rng):
     acc = Accelerator(
         TS_ASIC,
         simulation_segment_width=512,
-        options=EngineOptions(backend="vectorized"),
+        config=TwoStepConfig(backend="vectorized"),
     )
     x = rng.uniform(size=small_er_graph.n_cols)
     result = acc.run(small_er_graph, x, verify=True)

@@ -1,25 +1,31 @@
-"""EngineOptions / create_engine: the single audited entry point.
+"""TwoStepConfig / resolve_config / create_engine: one engine configuration.
 
-Covers the precedence rule (explicit argument > environment variable >
-package default), provenance reporting, the TwoStepConfig bridge, the
-rejection of the removed legacy constructor keywords, and the pinning
-of directly built engines through the same resolver.
+Covers the precedence rule (explicit value > environment variable >
+package default), provenance reporting, the one reader of ``REPRO_*``
+(every engine-building path agrees on the same environment), the
+rejection of removed fields and legacy constructor keywords, and the
+pinning of directly built engines through the same resolver.
 """
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from repro import create_engine, reference_spmv
-from repro.api import ENV_VARS, EngineOptions, ensure_config
-from repro.backends import DEFAULT_BACKEND, available_backends
+from repro.api import ENV_VARS, resolve_config
+from repro.backends import DEFAULT_BACKEND, available_backends, resolve_backend
 from repro.core.accelerator import Accelerator
 from repro.core.config import TwoStepConfig
 from repro.core.design_points import TS_ASIC
+from repro.core.records import Precision
+from repro.core.step1 import Step1Engine
+from repro.core.step2 import Step2Engine
 from repro.core.twostep import TwoStepEngine
 from repro.faults.errors import ConfigurationError
 from repro.generators import erdos_renyi_graph
+from repro.serving import SpMVServer
 
 
 @pytest.fixture
@@ -35,6 +41,10 @@ def small_graph():
     return erdos_renyi_graph(n_nodes=600, avg_degree=4.0, seed=11)
 
 
+def resolved(**fields) -> TwoStepConfig:
+    return resolve_config(TwoStepConfig(**fields))[0]
+
+
 # ----------------------------------------------------------------------
 # Precedence: explicit > env > default
 # ----------------------------------------------------------------------
@@ -42,103 +52,144 @@ def small_graph():
 
 class TestPrecedence:
     def test_default_when_nothing_set(self, clean_env):
-        options = EngineOptions().resolve()
-        assert options.backend == DEFAULT_BACKEND
+        config = resolved()
+        assert config.backend == DEFAULT_BACKEND
         # Unset width: the engine derives one stripe from the matrix.
-        assert options.segment_width is None
-        assert options.telemetry is True
-        assert options.strict_validate is False
+        assert config.segment_width is None
+        assert config.telemetry is True
+        assert config.strict_validate is False
 
     def test_env_beats_default(self, clean_env):
         clean_env.setenv("REPRO_BACKEND", "reference")
         clean_env.setenv("REPRO_STRICT_VALIDATE", "1")
-        options = EngineOptions().resolve()
-        assert options.backend == "reference"
-        assert options.strict_validate is True
+        config = resolved()
+        assert config.backend == "reference"
+        assert config.strict_validate is True
 
     def test_explicit_beats_env(self, clean_env):
         clean_env.setenv("REPRO_BACKEND", "reference")
-        options = EngineOptions(backend="vectorized").resolve()
-        assert options.backend == "vectorized"
+        assert resolved(backend="vectorized").backend == "vectorized"
 
     def test_resolution_pins_values(self, clean_env):
         clean_env.setenv("REPRO_BACKEND", "reference")
-        options = EngineOptions().resolve()
+        config = resolved()
         clean_env.setenv("REPRO_BACKEND", "vectorized")
-        # Already-resolved options must not chase the environment.
-        assert options.backend == "reference"
-        assert options.resolve().backend == "reference"
+        # An already-pinned config must not chase the environment.
+        assert config.backend == "reference"
+        assert resolve_config(config)[0].backend == "reference"
 
     def test_boolean_env_parsing_matches_historical_resolvers(self, clean_env):
         # Default-on flag: only the falsy set (case- and space-insensitive)
         # turns it off.
         for falsy in ("0", "false", "No", " OFF ", ""):
             clean_env.setenv("REPRO_TELEMETRY", falsy)
-            assert EngineOptions().resolve().telemetry is False, falsy
+            assert resolved().telemetry is False, falsy
         clean_env.setenv("REPRO_TELEMETRY", "maybe")
-        assert EngineOptions().resolve().telemetry is True
+        assert resolved().telemetry is True
         # Default-off flag: requires an explicit truthy value.
         clean_env.setenv("REPRO_STRICT_VALIDATE", "yes")
-        assert EngineOptions().resolve().strict_validate is True
+        assert resolved().strict_validate is True
         clean_env.setenv("REPRO_STRICT_VALIDATE", "maybe")
-        assert EngineOptions().resolve().strict_validate is False
+        assert resolved().strict_validate is False
 
     def test_garbage_env_value_raises_configuration_error(self, clean_env):
         clean_env.setenv("REPRO_BACKEND", "many")
-        with pytest.raises(ConfigurationError, match="unknown backend 'many'"):
-            EngineOptions().to_config()
+        for build in (resolved, create_engine):
+            with pytest.raises(ConfigurationError, match="unknown backend 'many'"):
+                build()
 
     def test_dynamic_defaults_stay_unset(self, clean_env):
-        options = EngineOptions().resolve()
-        # Stripe width / precision resolve downstream.
-        assert options.segment_width is None
-        assert options.precision is None
+        config = resolved()
+        # Stripe width resolves per matrix; the other defaults are the
+        # dataclass's own.
+        assert config.segment_width is None
+        assert config.precision is Precision.SINGLE
 
 
 # ----------------------------------------------------------------------
-# from_env / from_config / replace / provenance
+# One reader of REPRO_*: every engine-building path agrees
 # ----------------------------------------------------------------------
 
 
-class TestConstruction:
-    def test_from_env_reads_only_set_variables(self, clean_env):
+_BACKEND_OF = {
+    "create_engine": lambda: create_engine().backend,
+    "TwoStepEngine": lambda: TwoStepEngine(TwoStepConfig()).backend,
+    "Step1Engine": lambda: Step1Engine(TwoStepConfig()).backend,
+    "Step2Engine": lambda: Step2Engine(TwoStepConfig()).backend,
+    "resolve_backend": lambda: resolve_backend(None),
+}
+
+
+class TestOneBackendReader:
+    @pytest.mark.parametrize("build", sorted(_BACKEND_OF))
+    def test_padded_value_is_stripped_everywhere(self, clean_env, build):
+        clean_env.setenv("REPRO_BACKEND", " reference")
+        assert _BACKEND_OF[build]().name == "reference"
+
+    @pytest.mark.parametrize("build", sorted(_BACKEND_OF))
+    def test_empty_value_is_rejected_everywhere(self, clean_env, build):
+        clean_env.setenv("REPRO_BACKEND", "")
+        with pytest.raises(
+            ConfigurationError, match="available: reference, vectorized"
+        ):
+            _BACKEND_OF[build]()
+
+    def test_env_backend_reaches_served_engines(self, clean_env, small_graph):
+        # The reference-oracle CI leg sets REPRO_BACKEND=reference; the
+        # engine and every serving lane must then run the oracle.
         clean_env.setenv("REPRO_BACKEND", "reference")
-        options = EngineOptions.from_env()
-        assert options.backend == "reference"
-        assert options.telemetry is None  # unset variable stays None
+        x = np.ones(small_graph.n_cols)
+        assert create_engine().run(small_graph, x).report.backend == "reference"
+        server = SpMVServer()
+        assert server.registry.engine().backend.name == "reference"
+        assert server.stats()["backend"]["configured"] == "reference"
 
-    def test_from_env_overrides_win(self, clean_env):
-        clean_env.setenv("REPRO_BACKEND", "reference")
-        options = EngineOptions.from_env(backend="vectorized")
-        assert options.backend == "vectorized"
 
-    def test_from_config_round_trip(self, clean_env):
-        config = TwoStepConfig(segment_width=1024, q=3, backend="reference")
-        options = EngineOptions.from_config(config)
-        rebuilt = options.to_config()
-        assert rebuilt.segment_width == 1024
-        assert rebuilt.q == 3
-        assert rebuilt.backend == "reference"
+# ----------------------------------------------------------------------
+# Provenance
+# ----------------------------------------------------------------------
 
-    def test_replace_rejects_unknown_fields(self):
-        with pytest.raises(ConfigurationError, match="segmnt_width"):
-            EngineOptions().replace(segmnt_width=512)
 
-    def test_create_engine_rejects_unknown_overrides(self):
-        with pytest.raises(ConfigurationError, match="unknown engine option"):
-            create_engine(bakend="reference")
-
-    def test_create_engine_rejects_non_options(self):
-        with pytest.raises(ConfigurationError, match="EngineOptions"):
-            create_engine(TwoStepConfig(segment_width=512))
-
+class TestProvenance:
     def test_provenance_sources(self, clean_env):
         clean_env.setenv("REPRO_BACKEND", "reference")
-        options = EngineOptions(segment_width=2048)
-        provenance = options.provenance()
+        _config, provenance = resolve_config(TwoStepConfig(segment_width=2048))
         assert provenance["segment_width"] == (2048, "explicit")
         assert provenance["backend"] == ("reference", "env:REPRO_BACKEND")
         assert provenance["q"] == (4, "default")
+        assert provenance["telemetry"] == (True, "default")
+
+    def test_value_equal_to_default_reports_default(self, clean_env):
+        _config, provenance = resolve_config(TwoStepConfig(q=4, plan_cache=8))
+        assert provenance["q"] == (4, "default")
+        assert provenance["plan_cache"] == (8, "default")
+
+    def test_engine_carries_provenance(self, clean_env):
+        clean_env.setenv("REPRO_TELEMETRY", "0")
+        engine = create_engine(segment_width=512)
+        provenance = engine.options_provenance
+        assert set(provenance) == {
+            "segment_width", "q", "precision", "vldi_vector_block_bits",
+            "vldi_matrix_block_bits", "step1_pipelines", "hdn",
+            "check_interleave", "backend", "plan_cache", "strict_validate",
+            "telemetry",
+        }
+        assert provenance["segment_width"] == (512, "explicit")
+        assert provenance["telemetry"] == (False, "env:REPRO_TELEMETRY")
+        assert provenance["backend"] == (DEFAULT_BACKEND, "default")
+
+    def test_stats_lists_the_resolved_settings(self, clean_env):
+        clean_env.setenv("REPRO_BACKEND", "reference")
+        server = SpMVServer(config=TwoStepConfig(segment_width=256))
+        assert server.options_provenance["backend"] == (
+            "reference", "env:REPRO_BACKEND",
+        )
+        options = server.stats()["engine_options"]
+        assert options["segment_width"] == 256
+        assert options["backend"] == "reference"
+        assert options["telemetry"] is True
+        assert "hdn" not in options  # unset values are left out
+        json.dumps(options)  # served as JSON by /stats
 
 
 # ----------------------------------------------------------------------
@@ -151,19 +202,41 @@ class TestCreateEngine:
         engine = create_engine(segment_width=512)
         assert isinstance(engine, TwoStepEngine)
         assert engine.config.segment_width == 512
-        assert engine.options.segment_width == 512
-        assert engine.options_provenance["segment_width"] == (512, "explicit")
+
+    def test_takes_a_config_plus_overrides(self, clean_env):
+        engine = create_engine(TwoStepConfig(q=3), backend="reference")
+        assert engine.config.q == 3
+        assert engine.config.backend == "reference"
+        assert engine.options_provenance["q"] == (3, "explicit")
+
+    def test_create_engine_rejects_unknown_overrides(self):
+        with pytest.raises(ConfigurationError, match="unknown engine option") as info:
+            create_engine(bakend="reference")
+        assert "valid fields: backend, check_interleave" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "config", ["reference", {"backend": "reference"}], ids=["str", "dict"]
+    )
+    def test_create_engine_rejects_non_configs(self, config):
+        with pytest.raises(ConfigurationError, match="must be a TwoStepConfig"):
+            create_engine(config)
 
     def test_returns_accelerator_for_design_point(self, clean_env):
         engine = create_engine(design_point="TS_ASIC", segment_width=1024)
         assert isinstance(engine, Accelerator)
         assert engine.point is TS_ASIC
         assert engine.config.segment_width == 1024
+        assert engine.options_provenance["segment_width"] == (1024, "explicit")
 
     def test_design_point_object_accepted(self, clean_env):
         engine = create_engine(design_point=TS_ASIC, segment_width=1024)
         assert isinstance(engine, Accelerator)
         assert engine.point is TS_ASIC
+
+    def test_design_point_simulates_at_default_width(self, clean_env):
+        engine = create_engine(design_point="TS_ASIC", backend="reference")
+        assert engine.config.segment_width == 8_192
+        assert engine.config.backend == "reference"
 
     def test_env_backed_engine_runs_correctly(self, clean_env, small_graph):
         clean_env.setenv("REPRO_BACKEND", "reference")
@@ -171,15 +244,7 @@ class TestCreateEngine:
         x = np.random.default_rng(0).uniform(size=small_graph.n_cols)
         y, _ = engine.run(small_graph, x)
         np.testing.assert_allclose(y, reference_spmv(small_graph, x))
-        assert engine.options.backend == "reference"
-
-    def test_ensure_config_accepts_both_surfaces(self, clean_env):
-        config = TwoStepConfig(segment_width=512)
-        assert ensure_config(config) is config
-        assert ensure_config(None) is None
-        converted = ensure_config(EngineOptions(segment_width=512))
-        assert isinstance(converted, TwoStepConfig)
-        assert converted.segment_width == 512
+        assert engine.config.backend == "reference"
 
 
 class TestDirectEnginePinning:
@@ -190,7 +255,9 @@ class TestDirectEnginePinning:
         clean_env.setenv("REPRO_STRICT_VALIDATE", "1")
         clean_env.setenv("REPRO_TELEMETRY", "0")
         direct = TwoStepEngine(TwoStepConfig(segment_width=512))
-        assert direct.config == create_engine(segment_width=512).config
+        factory = create_engine(segment_width=512)
+        assert direct.config == factory.config
+        assert direct.options_provenance == factory.options_provenance
         assert direct.backend.name == "reference"
         assert direct.config.strict_validate is True
         assert direct.config.telemetry is False
@@ -242,13 +309,16 @@ class TestRemovedParallelBackend:
 
     @pytest.mark.parametrize(
         "name",
-        ["parallel_pool", "max_retries", "task_timeout", "min_parallel_nnz", "tuning"],
+        [
+            "parallel_pool", "max_retries", "task_timeout", "min_parallel_nnz",
+            "tuning", "dpage_bytes", "index_field_bytes",
+        ],
     )
     def test_removed_fields_are_unknown(self, name):
         with pytest.raises(TypeError, match=name):
-            EngineOptions(**{name: 1})
+            TwoStepConfig(**{name: 1})
         with pytest.raises(ConfigurationError, match="unknown engine option"):
-            EngineOptions().replace(**{name: 1})
+            create_engine(**{name: 1})
 
 
 # ----------------------------------------------------------------------
@@ -294,9 +364,8 @@ class TestRemovedNativeBackend:
         assert message in capsys.readouterr().err
 
     def test_n_jobs_field_is_unknown(self):
-        for build in (EngineOptions, TwoStepConfig):
-            with pytest.raises(TypeError, match="n_jobs"):
-                build(n_jobs=2)
+        with pytest.raises(TypeError, match="n_jobs"):
+            TwoStepConfig(n_jobs=2)
         with pytest.raises(ConfigurationError, match="unknown engine option"):
             create_engine(n_jobs=2)
 
@@ -314,34 +383,37 @@ class TestDeprecationShims:
 
     def test_accelerator_legacy_kwargs_are_typeerror(self):
         for name, value in (("backend", "reference"), ("n_jobs", 2),
-                            ("telemetry", False), ("max_retries", 1)):
+                            ("telemetry", False), ("max_retries", 1),
+                            ("options", None)):
             with pytest.raises(TypeError, match=name):
                 Accelerator(TS_ASIC, simulation_segment_width=1024,
                             **{name: value})
 
     @pytest.mark.parametrize(
-        "options",
-        ["reference", TwoStepConfig(segment_width=64), {"backend": "reference"}],
-        ids=["str", "TwoStepConfig", "dict"],
+        "config",
+        ["reference", {"backend": "reference"}],
+        ids=["str", "dict"],
     )
-    def test_accelerator_options_must_be_engine_options(self, options):
-        # The third positional argument is ``options``, never a backend.
+    def test_accelerator_config_must_be_a_config(self, config):
+        # The third positional argument is ``config``, never a backend.
         with pytest.raises(ConfigurationError) as info:
-            Accelerator(TS_ASIC, 1024, options)
+            Accelerator(TS_ASIC, 1024, config)
         message = str(info.value)
-        assert "must be an EngineOptions" in message
-        assert type(options).__name__ in message
+        assert "must be a TwoStepConfig" in message
+        assert type(config).__name__ in message
         assert "unknown backend" not in message
 
     def test_accelerator_unknown_kwarg_is_typeerror(self):
         with pytest.raises(TypeError):
             Accelerator(TS_ASIC, bakend="reference")
 
-    def test_accelerator_options_path_does_not_warn(self):
+    def test_accelerator_config_path_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            Accelerator(TS_ASIC, simulation_segment_width=1024,
-                        options=EngineOptions(backend="reference"))
+            accelerator = Accelerator(TS_ASIC, simulation_segment_width=1024,
+                                      config=TwoStepConfig(backend="reference"))
+        assert accelerator.config.backend == "reference"
+        assert accelerator.config.segment_width == 1024
 
     def test_pagerank_legacy_backend_kwarg_is_typeerror(self, small_graph):
         from repro.apps import conjugate_gradient, pagerank
@@ -354,15 +426,3 @@ class TestDeprecationShims:
         b = np.ones(small_graph.n_rows)
         with pytest.raises(TypeError, match="backend"):
             conjugate_gradient(small_graph, b, config=config, backend="reference")
-
-    def test_pagerank_accepts_engine_options(self, small_graph):
-        from repro.apps import pagerank
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = pagerank(
-                small_graph,
-                EngineOptions(segment_width=256, backend="reference"),
-                max_iterations=2,
-            )
-        assert np.isfinite(result.ranks).all()

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import EngineOptions
+from repro.core.config import TwoStepConfig
 from repro.faults.errors import (
     CircuitOpenError,
     ConfigurationError,
@@ -60,7 +60,7 @@ def graph():
 def _oracle(graph, x):
     from repro.api import create_engine
 
-    engine = create_engine(EngineOptions(backend="reference"))
+    engine = create_engine(backend="reference")
     y, _ = engine.run(graph, x)
     return y
 
@@ -338,7 +338,7 @@ class TestCircuitBreakerServing:
     def test_threshold_opens_lane_then_probe_closes_it(self, graph, backend):
         cooldown_s = 0.3
         server = SpMVServer(
-            options=EngineOptions(backend=backend),
+            config=TwoStepConfig(backend=backend),
             resilience=ResiliencePolicy(
                 breaker_threshold=3, breaker_cooldown_s=cooldown_s, max_retries=0
             ),

@@ -16,7 +16,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.api import EngineOptions
+from repro.core.config import TwoStepConfig
 from repro.faults.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -136,7 +136,7 @@ class TestRegistry:
         assert registry.engine("a") is not registry.engine("b")
 
     def test_one_engine_per_tenant(self, graph):
-        registry = MatrixRegistry(EngineOptions(backend="reference"))
+        registry = MatrixRegistry(TwoStepConfig(backend="reference"))
         engine = registry.engine("b")
         assert registry.engine("b") is engine
         registry.engine("a")

@@ -22,7 +22,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.api import EngineOptions, create_engine
+from repro.api import create_engine
 from repro.faults.injection import (
     ANY_INDEX,
     SERVING_SITES,
@@ -57,7 +57,7 @@ def workload(graph):
     """RHS vectors plus reference-oracle results, computed un-faulted."""
     rng = np.random.default_rng(17)
     xs = [rng.uniform(size=graph.n_cols) for _ in range(8)]
-    engine = create_engine(EngineOptions(backend="reference"))
+    engine = create_engine(backend="reference")
     ys = [engine.run(graph, x)[0] for x in xs]
     return xs, ys
 

@@ -19,7 +19,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api import ENV_VARS, EngineOptions
+from repro.api import ENV_VARS, resolve_config
 from repro.core.config import TwoStepConfig
 from repro.core.twostep import TwoStepEngine
 from repro.generators.erdos_renyi import erdos_renyi_graph
@@ -224,15 +224,19 @@ class TestSessionScoping:
     def test_resolve_telemetry_precedence(self, monkeypatch):
         var = ENV_VARS["telemetry"]
         monkeypatch.delenv(var, raising=False)
-        assert EngineOptions().resolve().telemetry is True  # default on
-        assert EngineOptions(telemetry=False).resolve().telemetry is False
+
+        def resolved(**fields):
+            return resolve_config(TwoStepConfig(**fields))[0].telemetry
+
+        assert resolved() is True  # default on
+        assert resolved(telemetry=False) is False
         monkeypatch.setenv(var, "0")
-        assert EngineOptions().resolve().telemetry is False
+        assert resolved() is False
         monkeypatch.setenv(var, "1")
-        assert EngineOptions().resolve().telemetry is True
+        assert resolved() is True
         # An explicit flag always beats the environment.
         monkeypatch.setenv(var, "0")
-        assert EngineOptions(telemetry=True).resolve().telemetry is True
+        assert resolved(telemetry=True) is True
 
     def test_env_var_disables_engine_telemetry(self, graph, monkeypatch):
         monkeypatch.setenv(ENV_VARS["telemetry"], "0")
