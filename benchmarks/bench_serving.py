@@ -119,6 +119,14 @@ def measure() -> dict:
         return levels
 
     levels = asyncio.run(sweep_main())
+
+    async def shutdown_all():
+        # close() only quiesces; shutdown() also ends the executor
+        # threads, which would otherwise outlive the benchmark.
+        for server in [server for server, _g, _f in servers.values()] + [sweep_server]:
+            await server.shutdown()
+
+    asyncio.run(shutdown_all())
     return {
         "throughput": {
             "burst": BURST,

@@ -159,7 +159,7 @@ def render(payload: dict) -> str:
             f"{payload['ns_per_disabled_span']:.0f} ns/call",
             "ContextVar read + is-None",
         ],
-        ["spans per run", str(payload["spans_per_run"]), "warm plan cache"],
+        ["spans per run", str(payload["spans_per_run"]), "first run, cold plan cache"],
         ["results", "bit-identical", "zero semantic drift"],
     ]
     return format_table(

@@ -25,7 +25,7 @@ kernels), :mod:`repro.merge` (merge cores, bitonic pre-sorter, PRaP),
 :mod:`repro.compression` (VLDI), :mod:`repro.filters` (Bloom/HDN),
 :mod:`repro.baselines`, :mod:`repro.apps`, :mod:`repro.analysis`,
 :mod:`repro.faults` (typed errors, input hardening, fault injection),
-:mod:`repro.telemetry` (tracing spans, metrics registry, profiling hooks).
+:mod:`repro.telemetry` (tracing spans, metrics registry, Chrome trace export).
 The public call surface is defined by :mod:`repro.api`: engines satisfy
 the :class:`~repro.api.SpMVEngine` protocol and return
 :class:`~repro.api.SpMVResult` (tuple-unpacking compatible).
@@ -69,13 +69,10 @@ from repro.core import (
 )
 from repro.formats import COOMatrix, CSRMatrix, CSCMatrix
 from repro.telemetry import (
-    CallbackHook,
     MetricsRegistry,
     TelemetryReport,
     Tracer,
-    add_global_hook,
     combine_reports,
-    remove_global_hook,
     telemetry_session,
 )
 
@@ -121,13 +118,10 @@ __all__ = [
     "WorkerCrashError",
     "inject_faults",
     "validate_inputs",
-    "CallbackHook",
     "MetricsRegistry",
     "TelemetryReport",
     "Tracer",
-    "add_global_hook",
     "combine_reports",
-    "remove_global_hook",
     "telemetry_session",
     "__version__",
 ]

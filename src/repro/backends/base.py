@@ -23,7 +23,6 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.telemetry.session import span
 
 #: ``(indices, values)`` sparse-vector pair; indices int64, values float64.
 SparseVector = tuple[np.ndarray, np.ndarray]
@@ -225,11 +224,7 @@ class ExecutionBackend(ABC):
         Returns:
             Per-stripe ``(indices, values)`` pairs, in stripe order.
         """
-        out = []
-        for sp, seg in zip(stripes, segments):
-            with span(f"step1.stripe[{sp.index}]", nnz=sp.nnz):
-                out.append(self.stripe_spmv_plan(sp, seg))
-        return out
+        return [self.stripe_spmv_plan(sp, seg) for sp, seg in zip(stripes, segments)]
 
     def map_stripe_plans_batch(self, stripes: list, segments: list) -> list:
         """Multi-RHS variant of :meth:`map_stripe_plans`."""
@@ -279,15 +274,12 @@ class ExecutionBackend(ABC):
         """
         out = []
         for radix in range(p):
-            with span(f"inject.class[{radix}]"):
-                # Mask construction is part of the class's work: keep it
-                # inside the span so per-class timings account for it.
-                mask = (keys & (p - 1)) == radix
-                out.append(
-                    self.inject_missing_keys(
-                        keys[mask], vals[mask], (0, hi), stride=p, offset=radix
-                    )
+            mask = (keys & (p - 1)) == radix
+            out.append(
+                self.inject_missing_keys(
+                    keys[mask], vals[mask], (0, hi), stride=p, offset=radix
                 )
+            )
         return out
 
     # ------------------------------------------------------------------

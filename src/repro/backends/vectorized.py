@@ -17,7 +17,6 @@ from repro.backends.base import ExecutionBackend, SparseVector
 from repro.compression.vldi import total_encoded_bits
 from repro.merge.merge_core import inject_missing_keys
 from repro.merge.tournament import merge_accumulate
-from repro.telemetry.session import span
 
 
 class VectorizedBackend(ExecutionBackend):
@@ -141,11 +140,10 @@ class VectorizedBackend(ExecutionBackend):
     def inject_classes_plan(self, symbolic, merged_vals) -> list:
         streams = []
         for radix in range(symbolic.p):
-            with span(f"inject.class[{radix}]"):
-                dense = np.zeros(symbolic.class_keys[radix].size, dtype=np.float64)
-                dense[symbolic.class_positions[radix]] = merged_vals[
-                    symbolic.class_sel[radix]
-                ]
+            dense = np.zeros(symbolic.class_keys[radix].size, dtype=np.float64)
+            dense[symbolic.class_positions[radix]] = merged_vals[
+                symbolic.class_sel[radix]
+            ]
             streams.append(dense)
         return streams
 

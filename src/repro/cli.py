@@ -74,6 +74,15 @@ def add_backend_options(parser: argparse.ArgumentParser) -> None:
         help="disable tracing spans and metrics collection "
         "(default: $REPRO_TELEMETRY, then on; never changes results)",
     )
+
+
+def add_telemetry_outputs(parser: argparse.ArgumentParser) -> None:
+    """Attach ``--trace-out`` / ``--metrics-out`` to a subcommand.
+
+    Only subcommands that call :func:`_emit_telemetry` take them
+    (``run``, ``spgemm``, ``solve``); ``serve`` exposes its metrics on
+    ``/metrics`` instead.
+    """
     parser.add_argument(
         "--trace-out",
         default=None,
@@ -119,7 +128,7 @@ def _emit_telemetry(args: argparse.Namespace, report=None, metrics=None) -> None
         metrics: Metrics registry overriding ``report.metrics`` (used by
             solvers that aggregate on the engine instead of per run).
     """
-    from repro.telemetry import write_chrome_trace, write_prometheus
+    from repro.telemetry import write_chrome_trace
 
     if args.trace_out:
         if report is not None and report.spans:
@@ -132,7 +141,8 @@ def _emit_telemetry(args: argparse.Namespace, report=None, metrics=None) -> None
             report.metrics if report is not None else None
         )
         if registry is not None:
-            write_prometheus(registry, args.metrics_out)
+            with open(args.metrics_out, "w") as fh:
+                fh.write(registry.to_prometheus())
             print(f"wrote metrics to {args.metrics_out}")
         else:
             print("telemetry disabled; --metrics-out skipped", file=sys.stderr)
@@ -496,6 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=0)
     add_backend_options(run)
+    add_telemetry_outputs(run)
     run.add_argument(
         "--batch",
         type=int,
@@ -536,6 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check C against the dense product (small inputs only)",
     )
     add_backend_options(spgemm)
+    add_telemetry_outputs(spgemm)
     spgemm.set_defaults(func=cmd_spgemm)
 
     solve = sub.add_parser(
@@ -555,6 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sources", type=int, default=4, help="BFS sources expanded in one batch"
     )
     add_backend_options(solve)
+    add_telemetry_outputs(solve)
     solve.set_defaults(func=cmd_solve)
 
     serve = sub.add_parser(

@@ -465,10 +465,9 @@ class TwoStepEngine:
             stripe = plan.stripes[0]
             if k is None:
                 with span("step1", n_stripes=1):
-                    with span(f"step1.stripe[{stripe.index}]", nnz=stripe.nnz):
-                        out = self.backend.stripe_spmv_dense(
-                            stripe, X[stripe.col_lo : stripe.col_hi], plan.n_rows
-                        )
+                    out = self.backend.stripe_spmv_dense(
+                        stripe, X[stripe.col_lo : stripe.col_hi], plan.n_rows
+                    )
                 return out if Y is None else out + Y
             if X.flags.f_contiguous:
                 # Each column of a column-major block is contiguous:

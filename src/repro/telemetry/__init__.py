@@ -1,20 +1,19 @@
-"""Runtime observability: tracing spans, metrics registry, profiling hooks.
+"""Runtime observability: tracing spans and a metrics registry.
 
-The paper's whole evaluation is per-phase accounting -- step-1 stripe
-streaming vs. step-2 merge traffic, PRaP shard balance, VLDI compression
-ratios -- so the runtime carries a first-class telemetry layer:
+The paper accounts for the accelerator phase by phase -- step-1 stripe
+streaming, the DRAM round trip, the step-2 merge -- so the runtime
+carries the same accounting:
 
-* **Spans** (:mod:`repro.telemetry.spans`) -- nested, timed trace spans
-  (``spmv.run`` > ``plan.build`` / ``step1.stripe[k]`` /
-  ``step2.merge`` / ``inject`` / ``inject.class[r]``), scoped
-  through a ContextVar session.
+* **Spans** (:mod:`repro.telemetry.spans`) -- one nested, timed span per
+  phase (``spmv.run`` > ``plan.build`` / ``step1`` / ``step2`` >
+  ``step2.merge`` / ``inject``), scoped through a ContextVar session.
+  Per-stripe and per-class counts are attributes of the phase spans.
 * **Metrics** (:mod:`repro.telemetry.metrics`) -- typed counters /
   gauges / histograms (records merged, keys injected, bytes per stream,
   plan-cache hits, shard imbalance, VLDI bits per index) with
   Prometheus-text and JSON export.
-* **Hooks** (:mod:`repro.telemetry.hooks`) -- a callback protocol so
-  benchmarks and external collectors observe spans/metrics live without
-  patching engine internals.
+* **Export** (:mod:`repro.telemetry.export`) -- the Chrome
+  ``trace_event`` form of a run's spans and its schema check.
 
 The contract, enforced by ``tests/test_telemetry.py``: telemetry never
 changes results.  Result vectors are bit-identical and traffic ledgers
@@ -28,26 +27,15 @@ from dataclasses import dataclass, field
 
 from repro.telemetry.export import (
     chrome_trace,
-    prometheus_text,
-    spans_to_jsonl,
     validate_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
 )
-from repro.telemetry.hooks import CallbackHook, NullHook, TelemetryHook
 from repro.telemetry.metrics import MetricsRegistry, SeriesHandle
 from repro.telemetry.session import (
     TelemetrySession,
-    add_global_hook,
-    annotate_span,
     current_session,
-    global_hooks,
     metric_inc,
-    metric_observe,
     metric_record,
-    metric_set,
-    remove_global_hook,
     span,
     telemetry_scope,
     telemetry_session,
@@ -83,14 +71,6 @@ class TelemetryReport:
         """Chrome ``trace_event`` object for this run's spans."""
         return chrome_trace(self.spans)
 
-    def to_jsonl(self) -> str:
-        """JSON-lines form of this run's spans."""
-        return spans_to_jsonl(self.spans)
-
-    def metrics_text(self) -> str:
-        """Prometheus text exposition of this run's metrics."""
-        return self.metrics.to_prometheus()
-
     def to_dict(self) -> dict:
         """JSON-native form: span records plus the metrics snapshot."""
         return {
@@ -116,33 +96,20 @@ def combine_reports(reports) -> TelemetryReport:
 
 
 __all__ = [
-    "CallbackHook",
     "MetricsRegistry",
-    "NullHook",
     "SeriesHandle",
     "Span",
-    "TelemetryHook",
     "TelemetryReport",
     "TelemetrySession",
     "Tracer",
-    "add_global_hook",
-    "annotate_span",
     "chrome_trace",
     "combine_reports",
     "current_session",
-    "global_hooks",
     "metric_inc",
-    "metric_observe",
     "metric_record",
-    "metric_set",
-    "prometheus_text",
-    "remove_global_hook",
     "span",
-    "spans_to_jsonl",
     "telemetry_scope",
     "telemetry_session",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "write_jsonl",
-    "write_prometheus",
 ]

@@ -1,11 +1,10 @@
-"""Exporters: Chrome ``trace_event`` JSON, JSON-lines, Prometheus text.
+"""Chrome ``trace_event`` JSON export of a run's spans.
 
 The Chrome format (one ``{"traceEvents": [...]}`` object of complete
 ``"ph": "X"`` events) loads directly in ``chrome://tracing`` and Perfetto
-for flamegraph viewing; JSON-lines is the append-friendly archival form
-(one span record per line); Prometheus text comes from
-:meth:`~repro.telemetry.metrics.MetricsRegistry.to_prometheus` and is
-re-exported here so callers import one module for every format.
+for flamegraph viewing; ``repro run|spgemm|solve --trace-out`` writes it.
+Metrics have their own text form,
+:meth:`~repro.telemetry.metrics.MetricsRegistry.to_prometheus`.
 
 :func:`validate_chrome_trace` is the schema check the test-suite (and
 any CI consumer) runs before trusting an exported trace.
@@ -14,17 +13,6 @@ any CI consumer) runs before trusting an exported trace.
 from __future__ import annotations
 
 import json
-
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import Span
-
-
-def _as_records(spans) -> list:
-    """Normalize ``Span`` objects / record dicts to record dicts."""
-    records = []
-    for span in spans:
-        records.append(span.to_record() if isinstance(span, Span) else dict(span))
-    return records
 
 
 def chrome_trace(spans, process_name: str = "repro") -> dict:
@@ -35,7 +23,7 @@ def chrome_trace(spans, process_name: str = "repro") -> dict:
     in different threads land correctly relative to each other.
 
     Args:
-        spans: :class:`Span` objects or ``Span.to_record()`` dicts.
+        spans: :class:`~repro.telemetry.spans.Span` objects.
         process_name: Label for the process-name metadata event.
 
     Returns:
@@ -51,20 +39,17 @@ def chrome_trace(spans, process_name: str = "repro") -> dict:
             "args": {"name": process_name},
         }
     ]
-    for record in _as_records(spans):
+    for span in spans:
         events.append(
             {
-                "name": record["name"],
+                "name": span.name,
                 "cat": "span",
                 "ph": "X",
-                "ts": record["wall_start"] * 1e6,
-                "dur": record["dur_s"] * 1e6,
-                "pid": record.get("pid", 0),
-                "tid": record.get("thread", "") or 0,
-                "args": {
-                    **record.get("attrs", {}),
-                    "events": [list(e) for e in record.get("events", ())],
-                },
+                "ts": span.wall_start * 1e6,
+                "dur": span.duration_s * 1e6,
+                "pid": span.pid,
+                "tid": span.thread or 0,
+                "args": dict(span.attrs),
             }
         )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
@@ -109,34 +94,4 @@ def validate_chrome_trace(payload: dict) -> None:
             raise ValueError(f"event {slot} args must be an object")
 
 
-def spans_to_jsonl(spans) -> str:
-    """One JSON object per line, one line per span (archival form)."""
-    return "\n".join(json.dumps(r, sort_keys=True) for r in _as_records(spans)) + "\n"
-
-
-def write_jsonl(spans, path) -> None:
-    """Write :func:`spans_to_jsonl` output at ``path``."""
-    with open(path, "w") as fh:
-        fh.write(spans_to_jsonl(spans))
-
-
-def prometheus_text(metrics: MetricsRegistry) -> str:
-    """Prometheus text exposition of ``metrics`` (re-export convenience)."""
-    return metrics.to_prometheus()
-
-
-def write_prometheus(metrics: MetricsRegistry, path) -> None:
-    """Write the Prometheus text exposition at ``path``."""
-    with open(path, "w") as fh:
-        fh.write(prometheus_text(metrics))
-
-
-__all__ = [
-    "chrome_trace",
-    "prometheus_text",
-    "spans_to_jsonl",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_prometheus",
-]
+__all__ = ["chrome_trace", "validate_chrome_trace", "write_chrome_trace"]

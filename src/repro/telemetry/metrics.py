@@ -83,7 +83,7 @@ class SeriesHandle:
     of them.
     """
 
-    __slots__ = ("name", "kind", "help", "labels", "key", "series_id")
+    __slots__ = ("name", "kind", "help", "key", "series_id")
 
     def __init__(
         self, name: str, kind: str, labels: dict | None = None, help: str = ""
@@ -95,7 +95,6 @@ class SeriesHandle:
         self.name = name
         self.kind = kind
         self.help = help
-        self.labels = dict(labels or {})
         self.key = _label_key(labels)
         self.series_id = (name, self.key)
 
@@ -106,8 +105,7 @@ class SeriesHandle:
 class MetricsRegistry:
     """A mutable, thread-safe collection of typed metrics."""
 
-    def __init__(self, hooks: tuple = ()):  # hooks: TelemetryHook objects
-        self.hooks = tuple(hooks)
+    def __init__(self):
         self._lock = threading.Lock()
         self._metrics: dict[str, Metric] = {}
         # Samples recorded by handle and not yet applied, in order: a
@@ -137,29 +135,25 @@ class MetricsRegistry:
         if amount < 0:
             raise ValueError("counters can only increase")
         self._record(name, "counter", help, _label_key(labels), amount)
-        self._notify(name, "counter", amount, labels)
 
     def set(
         self, name: str, value: float, labels: dict | None = None, help: str = ""
     ) -> None:
         """Set a gauge series to ``value``."""
         self._record(name, "gauge", help, _label_key(labels), value)
-        self._notify(name, "gauge", value, labels)
 
     def observe(
         self, name: str, value: float, labels: dict | None = None, help: str = ""
     ) -> None:
         """Record one observation into a histogram series."""
         self._record(name, "histogram", help, _label_key(labels), value)
-        self._notify(name, "histogram", value, labels)
 
     def record(self, handle: SeriesHandle, value: float) -> None:
         """Record ``value`` into a resolved series, by the handle's kind.
 
         Ends in the same state as ``inc`` (counter), ``set`` (gauge) or
-        ``observe`` (histogram) with the handle's name, labels and help,
-        and hooks hear the same call (each with its own copy of the
-        labels); the sample is queued, as in :meth:`record_all`.
+        ``observe`` (histogram) with the handle's name, labels and help;
+        the sample is queued, as in :meth:`record_all`.
         """
         self.record_all(((handle, value),))
 
@@ -171,20 +165,13 @@ class MetricsRegistry:
         that is only folded into another never builds its own series.
         A sample whose kind clashes with the metric registered under its
         name is dropped then, and that read, write or merge raises
-        ``ValueError``.  Hooks get one ``on_metric`` call per sample at
-        once, in order.
+        ``ValueError``.
         """
         for handle, value in samples:
             if handle.kind == "counter" and value < 0:
                 raise ValueError("counters can only increase")
         with self._lock:
             self._pending.extend(samples)
-        if self.hooks:
-            for handle, value in samples:
-                for hook in self.hooks:
-                    hook.on_metric(
-                        handle.name, handle.kind, value, dict(handle.labels)
-                    )
 
     def _record(self, name: str, kind: str, help: str, key: tuple, value) -> None:
         with self._lock:
@@ -228,10 +215,6 @@ class MetricsRegistry:
                     break
             metric.sums[key] = metric.sums.get(key, 0.0) + float(value)
             metric.counts[key] = metric.counts.get(key, 0) + 1
-
-    def _notify(self, name, kind, value, labels) -> None:
-        for hook in self.hooks:
-            hook.on_metric(name, kind, value, labels or {})
 
     # ------------------------------------------------------------------
     # Reads

@@ -1,8 +1,10 @@
 """Nested, timed trace spans.
 
 A :class:`Tracer` records a tree of :class:`Span` objects for one engine
-execution: ``spmv.run`` at the root, ``plan.build`` / ``step1.stripe[k]`` /
-``step2.merge`` / ``inject`` / ``inject.class[r]`` below it.
+execution: ``spmv.run`` at the root, then one span per phase below it
+(``plan.build``, ``step1``, ``step2`` > ``step2.merge`` / ``inject``).
+Per-stripe and per-class counts ride on the phase spans' attributes
+(``n_stripes``, ``p``), not on spans of their own.
 
 Durations come from ``time.perf_counter`` (monotonic, high resolution);
 every span additionally stamps a wall-clock ``wall_start`` so exporters
@@ -23,15 +25,13 @@ class Span:
     """One timed region of the execution.
 
     Attributes:
-        name: Region label (``"step1.stripe[3]"``, ``"step2.merge"``, ...).
+        name: Region label (``"step1"``, ``"step2.merge"``, ...).
         span_id: Tracer-unique id.
         parent_id: Id of the enclosing span; None for a root.
         t_start: ``perf_counter`` at entry.
         t_end: ``perf_counter`` at exit; 0.0 while the span is open.
         wall_start: ``time.time()`` at entry (absolute timeline).
         attrs: Static key/value annotations set at open time.
-        events: Appended annotations (e.g. fault events) as
-            ``(label, detail)`` pairs, in occurrence order.
         pid: Recording process id.
         thread: Recording thread name.
     """
@@ -43,7 +43,6 @@ class Span:
     t_end: float = 0.0
     wall_start: float = 0.0
     attrs: dict = field(default_factory=dict)
-    events: list = field(default_factory=list)
     pid: int = 0
     thread: str = ""
 
@@ -51,10 +50,6 @@ class Span:
     def duration_s(self) -> float:
         """Elapsed seconds (0.0 while still open)."""
         return max(0.0, self.t_end - self.t_start)
-
-    def annotate(self, label: str, detail: str = "") -> None:
-        """Append one event annotation to this span."""
-        self.events.append((label, detail))
 
     def to_record(self) -> dict:
         """JSON-ready flat form of this span."""
@@ -65,7 +60,6 @@ class Span:
             "wall_start": self.wall_start,
             "dur_s": self.duration_s,
             "attrs": dict(self.attrs),
-            "events": [list(e) for e in self.events],
             "pid": self.pid,
             "thread": self.thread,
         }
@@ -92,12 +86,10 @@ class Tracer:
 
     Spans are opened/closed by the engine's calling thread; the finished
     list is guarded by the tracer lock so readers on other threads see a
-    consistent snapshot.  Hook callbacks (``on_span_start`` /
-    ``on_span_end``) fire synchronously in the recording thread.
+    consistent snapshot.
     """
 
-    def __init__(self, hooks: tuple = ()):  # hooks: TelemetryHook objects
-        self.hooks = tuple(hooks)
+    def __init__(self):
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._finished: list[Span] = []
@@ -122,13 +114,10 @@ class Tracer:
             0.0,
             time.time(),
             attrs,
-            [],
             os.getpid(),
             threading.current_thread().name,
         )
         self._stack.append(span)
-        for hook in self.hooks:
-            hook.on_span_start(span)
         return _OpenSpan(self, span)
 
     def _close(self, span: Span) -> None:
@@ -141,34 +130,15 @@ class Tracer:
             self._stack.pop()
         with self._lock:
             self._finished.append(span)
-        for hook in self.hooks:
-            hook.on_span_end(span)
 
     def current(self) -> Span | None:
         """The innermost open span, or None."""
         return self._stack[-1] if self._stack else None
 
-    def annotate(self, label: str, detail: str = "") -> None:
-        """Annotate the innermost open span (no-op when none is open)."""
-        if self._stack:
-            self._stack[-1].annotate(label, detail)
-
     def finished(self) -> list[Span]:
         """Completed spans in completion order (children before parents)."""
         with self._lock:
             return list(self._finished)
-
-    def roots(self) -> list[Span]:
-        """Completed spans with no parent."""
-        return [s for s in self.finished() if s.parent_id is None]
-
-    def children(self, span: Span) -> list[Span]:
-        """Completed direct children of ``span``."""
-        return [s for s in self.finished() if s.parent_id == span.span_id]
-
-    def find(self, name: str) -> list[Span]:
-        """Completed spans named exactly ``name``."""
-        return [s for s in self.finished() if s.name == name]
 
     def __repr__(self) -> str:
         return f"<Tracer finished={len(self._finished)} open={len(self._stack)}>"

@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.formats.io import read_binary, read_matrix_market
+from repro.telemetry import validate_chrome_trace
 
 
 def test_generate_er_binary(tmp_path):
@@ -77,3 +80,30 @@ def test_datasets_listing(capsys):
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_serve_rejects_trace_and_metrics_outputs(capsys):
+    # serve never writes these artifacts (its metrics are on /metrics),
+    # so the flags are a usage error rather than silently ignored.
+    parser = build_parser()
+    for flag in ("--trace-out", "--metrics-out"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["serve", flag, "t.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_run_writes_trace_and_metrics(tmp_path):
+    matrix = tmp_path / "g.bin"
+    trace = tmp_path / "t.json"
+    metrics = tmp_path / "m.prom"
+    main(["generate", "--family", "er", "--nodes", "500", "--degree", "3",
+          "--output", str(matrix)])
+    rc = main(["run", str(matrix), "--segment-width", "128",
+               "--trace-out", str(trace), "--metrics-out", str(metrics)])
+    assert rc == 0
+    payload = json.loads(trace.read_text())
+    validate_chrome_trace(payload)
+    names = {event["name"] for event in payload["traceEvents"]}
+    assert {"spmv.run", "step1", "step2"} <= names
+    assert "spmv_run_seconds" in metrics.read_text()

@@ -2,14 +2,15 @@
 
 The observability layer must never change results: for every backend, a
 run with telemetry enabled is bit-identical (result vector) and
-byte-identical (traffic ledger) to the same run with telemetry disabled.  On top of that, the exporters must emit artifacts
-their consumers can actually load: the Chrome trace schema-checks, the
-Prometheus text parses under a strict grammar, and the JSON-lines round
-trip through ``json.loads``.
+byte-identical (traffic ledger) to the same run with telemetry disabled.
+On top of that, the exporters must emit artifacts their consumers can
+actually load: the Chrome trace schema-checks and the Prometheus text
+parses under a strict grammar.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import json
@@ -24,26 +25,19 @@ from repro.core.config import TwoStepConfig
 from repro.core.twostep import TwoStepEngine
 from repro.generators.erdos_renyi import erdos_renyi_graph
 from repro.telemetry import (
-    CallbackHook,
     MetricsRegistry,
     SeriesHandle,
     TelemetryReport,
     Tracer,
-    add_global_hook,
     chrome_trace,
     combine_reports,
     current_session,
     metric_inc,
-    prometheus_text,
-    remove_global_hook,
     span,
-    spans_to_jsonl,
     telemetry_scope,
     telemetry_session,
     validate_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
 )
 
 
@@ -122,11 +116,31 @@ class TestEngineSpans:
         engine = _engine(True, backend="reference")
         report = engine.run(graph, x).telemetry
         names = set(report.span_names())
-        assert {"spmv.run", "plan.build", "step1", "step2", "step2.merge"} <= names
-        assert any(n.startswith("step1.stripe[") for n in names)
+        assert names == {
+            "spmv.run", "plan.build", "plan.symbolic", "step1", "step2", "step2.merge"
+        }
         roots = report.roots()
         assert [r.name for r in roots] == ["spmv.run"]
         assert roots[0].attrs["backend"] == "reference"
+
+    @pytest.mark.parametrize("check_interleave", [False, True])
+    def test_warm_run_opens_one_span_per_phase(self, check_interleave):
+        """Spans are per phase, never per stripe or per radix class: a
+        warm run opens the same spans at 32 stripes as at 4."""
+        matrix, x, _ = _contents_inputs()
+        opened = []
+        for width in (64, 512):
+            engine = _engine_with_options(
+                segment_width=width, q=2, check_interleave=check_interleave
+            )
+            engine.run(matrix, x)
+            report = engine.run(matrix, x).telemetry
+            opened.append(collections.Counter(s.name for s in report.spans))
+        assert opened[0] == opened[1]
+        phases = {"spmv.run", "step1", "step2", "step2.merge"}
+        if check_interleave:
+            phases.add("inject")
+        assert opened[0] == collections.Counter(phases)
 
     def test_cached_plan_run_has_no_plan_build_span(self, graph):
         engine = _engine(True)
@@ -160,33 +174,6 @@ class TestEngineSpans:
         engine = _engine(False)
         engine.run(graph, np.ones(graph.n_cols))
         assert engine.metrics().names() == ()
-
-    def test_inject_radix_mask_built_inside_class_span(self):
-        """Regression: ``inject_classes`` once built the radix mask before
-        opening ``inject.class[r]``, so per-class timings missed the mask
-        cost.  Observe the ``keys & (p - 1)`` call via an ndarray subclass
-        and assert it always fires with a class span open."""
-        from repro.backends.vectorized import VectorizedBackend
-
-        recorded = []
-
-        class SpyKeys(np.ndarray):
-            def __and__(self, other):
-                session = current_session()
-                open_span = session.tracer.current() if session else None
-                recorded.append(open_span.name if open_span is not None else None)
-                return np.asarray(self) & other
-
-        p = 4
-        keys = np.array([0, 1, 2, 5, 7, 10], dtype=np.int64).view(SpyKeys)
-        vals = np.arange(keys.size, dtype=np.float64)
-        with telemetry_scope(telemetry_session()):
-            streams = VectorizedBackend().inject_classes(keys, vals, 12, p)
-        assert len(streams) == p
-        assert len(recorded) == p
-        assert all(
-            name is not None and name.startswith("inject.class[") for name in recorded
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -247,51 +234,6 @@ class TestSessionScoping:
 
 
 # ---------------------------------------------------------------------------
-# Profiling hooks
-# ---------------------------------------------------------------------------
-
-
-class TestHooks:
-    def test_callback_hook_sees_spans_and_metrics(self):
-        started, ended, metrics = [], [], []
-        hook = CallbackHook(
-            on_span_start=lambda s: started.append(s.name),
-            on_span_end=lambda s: ended.append(s.name),
-            on_metric=lambda name, kind, value, labels: metrics.append((name, kind)),
-        )
-        session = telemetry_session(hooks=(hook,))
-        with telemetry_scope(session):
-            with span("outer"):
-                with span("inner"):
-                    metric_inc("hooked_total", 2)
-        assert started == ["outer", "inner"]
-        assert ended == ["inner", "outer"]  # LIFO close order
-        assert metrics == [("hooked_total", "counter")]
-
-    def test_global_hook_observes_engine_run(self, graph):
-        seen = []
-        hook = CallbackHook(on_span_end=lambda s: seen.append(s.name))
-        add_global_hook(hook)
-        try:
-            _engine(True).run(graph, np.ones(graph.n_cols))
-        finally:
-            remove_global_hook(hook)
-        assert "spmv.run" in seen
-        # Detached hook no longer fires.
-        count = len(seen)
-        _engine(True).run(graph, np.ones(graph.n_cols))
-        assert len(seen) == count
-
-    def test_partial_callback_hook_defaults_are_noops(self):
-        hook = CallbackHook()  # no callbacks at all
-        session = telemetry_session(hooks=(hook,))
-        with telemetry_scope(session):
-            with span("quiet"):
-                metric_inc("quiet_total")
-        assert session.metrics.value("quiet_total") == 1
-
-
-# ---------------------------------------------------------------------------
 # Chrome trace exporter
 # ---------------------------------------------------------------------------
 
@@ -342,7 +284,7 @@ class TestChromeTrace:
 
 
 # ---------------------------------------------------------------------------
-# JSON-lines + Prometheus exporters
+# Prometheus exporter
 # ---------------------------------------------------------------------------
 
 #: One Prometheus text-exposition line (strict).
@@ -357,21 +299,11 @@ PROM_LINE = re.compile(
 
 
 class TestTextExporters:
-    def test_jsonl_round_trips(self, graph, tmp_path):
-        report = _engine(True).run(graph, np.ones(graph.n_cols)).telemetry
-        text = spans_to_jsonl(report.spans)
-        records = [json.loads(line) for line in text.strip().split("\n")]
-        assert len(records) == len(report.spans)
-        assert {r["name"] for r in records} == set(report.span_names())
-        path = tmp_path / "spans.jsonl"
-        write_jsonl(report.spans, path)
-        assert path.read_text() == text
-
-    def test_prometheus_output_matches_strict_grammar(self, graph, tmp_path):
+    def test_prometheus_output_matches_strict_grammar(self, graph):
         report = _engine(True, backend="vectorized").run(
             graph, np.ones(graph.n_cols)
         ).telemetry
-        text = prometheus_text(report.metrics)
+        text = report.metrics.to_prometheus()
         lines = text.strip().split("\n")
         assert lines, "exposition must not be empty"
         for line in lines:
@@ -382,9 +314,6 @@ class TestTextExporters:
         assert any(l.startswith("spmv_run_seconds_count") for l in lines)
         # Runs are labelled by backend alone: it names the kernels too.
         assert 'spmv_backend_runs_total{backend="vectorized"} 1' in lines
-        path = tmp_path / "metrics.prom"
-        write_prometheus(report.metrics, path)
-        assert path.read_text() == text
 
     def test_histogram_buckets_are_cumulative_and_end_at_count(self):
         registry = MetricsRegistry()
@@ -450,14 +379,13 @@ WARM_METRICS = {
     "run_many": _published(_streams(24000.0, 30256.0)),
 }
 
-#: sha256 prefixes of the same ``to_dict()`` and of the ``on_metric``
-#: call list a global hook saw (``spmv_run_seconds`` value blanked),
-#: recorded at the same point, for the default and a multi-stripe plan.
+#: sha256 prefixes of the same ``to_dict()``, recorded at the same
+#: point, for the default and a multi-stripe plan.
 WARM_DIGESTS = {
-    ("default", "run"): ("d3e802056672765c", "1698b13ab3cb2551"),
-    ("default", "run_many"): ("58bb5b746ca17ad8", "e7e9a7d9b1c83b67"),
-    ("width512", "run"): ("26366bba8cc4e22e", "77def5f21b549440"),
-    ("width512", "run_many"): ("a0833d8d32920478", "3f12495d945aad00"),
+    ("default", "run"): "d3e802056672765c",
+    ("default", "run_many"): "58bb5b746ca17ad8",
+    ("width512", "run"): "26366bba8cc4e22e",
+    ("width512", "run_many"): "a0833d8d32920478",
 }
 
 
@@ -486,7 +414,7 @@ def _engine_with_options(**options) -> TwoStepEngine:
 class TestPublishedContents:
     """The per-run publish replays cached samples through resolved
     handles and folds runs into the lifetime registry in place; what a
-    run reports, what hooks hear and what accumulates must not move."""
+    run reports and what accumulates must not move."""
 
     @staticmethod
     def _op(engine, op):
@@ -506,24 +434,13 @@ class TestPublishedContents:
 
     @pytest.mark.parametrize("op", ["run", "run_many"])
     @pytest.mark.parametrize("geometry", ["default", "width512"])
-    def test_warm_run_and_hook_calls_match_recorded_digests(self, geometry, op):
+    def test_warm_run_metrics_match_recorded_digests(self, geometry, op):
         options = {} if geometry == "default" else {"segment_width": 512}
         engine = _engine_with_options(**options)
         self._op(engine, op)
-        calls = []
-        hook = CallbackHook(
-            on_metric=lambda name, kind, value, labels: calls.append(
-                [name, kind, None if name == "spmv_run_seconds" else value, labels]
-            )
-        )
-        add_global_hook(hook)
-        try:
-            result = self._op(engine, op)
-        finally:
-            remove_global_hook(hook)
-        metrics_digest, calls_digest = WARM_DIGESTS[(geometry, op)]
-        assert _digest(_without_run_seconds(result.telemetry.metrics)) == metrics_digest
-        assert _digest(calls) == calls_digest
+        result = self._op(engine, op)
+        digest = _digest(_without_run_seconds(result.telemetry.metrics))
+        assert digest == WARM_DIGESTS[(geometry, op)]
 
     def test_each_batch_size_publishes_its_own_samples(self):
         engine = _engine_with_options()
@@ -586,13 +503,7 @@ class TestMetricsRegistry:
         }
 
     def test_handles_end_in_the_same_state_as_by_name_writes(self):
-        by_name_calls, handle_calls = [], []
-        by_name = MetricsRegistry(
-            hooks=(CallbackHook(on_metric=lambda *call: by_name_calls.append(call)),)
-        )
-        by_handle = MetricsRegistry(
-            hooks=(CallbackHook(on_metric=lambda *call: handle_calls.append(call)),)
-        )
+        by_name, by_handle = MetricsRegistry(), MetricsRegistry()
         by_name.inc("c_total", 2, labels={"site": "x"}, help="c")
         by_name.set("g", 0.5)
         by_name.observe("h_seconds", 3e-4)
@@ -608,7 +519,6 @@ class TestMetricsRegistry:
         )
         assert by_handle.to_dict() == by_name.to_dict()
         assert by_handle.to_prometheus() == by_name.to_prometheus()
-        assert handle_calls == by_name_calls
 
     def test_handles_reject_bad_input_like_by_name_writes(self):
         registry = MetricsRegistry()
