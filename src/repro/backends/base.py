@@ -286,11 +286,11 @@ class ExecutionBackend(ABC):
     # Fused (symbolic/numeric split) step-2 kernels.
     #
     # A :class:`repro.core.plan.Step2Symbolic` carries the precomputed
-    # merge permutation, run ids, merged keys, per-class injection
-    # positions and the scatter map; the kernels below consume only the
-    # *values*.  Defaults fall back to the scalar kernels, so every
-    # backend (including the record-at-a-time oracle) is automatically
-    # fused-capable and automatically bit-compatible.
+    # merge permutation, run ids and merged keys (the scatter map); the
+    # kernels below consume only the *values*.  Defaults fall back to
+    # the scalar kernels, so every backend (including the
+    # record-at-a-time oracle) is automatically fused-capable and
+    # automatically bit-compatible.
     # ------------------------------------------------------------------
 
     def merge_accumulate_plan(self, symbolic, lists: list) -> np.ndarray:
@@ -316,15 +316,22 @@ class ExecutionBackend(ABC):
         return self.merge_accumulate_batch(lists, k)[1]
 
     def inject_classes_plan(self, symbolic, merged_vals) -> list:
-        """Missing-key injection against precomputed class structure.
+        """Missing-key injection of planned merge output, per residue class.
+
+        The engine no longer calls this: its step 2 scatters the merged
+        keys directly, which writes the same bytes as injecting every
+        class and interleaving the streams through the store queue
+        (paper section 4.2.2).  It stays as the planned counterpart of
+        :meth:`inject_classes` for callers that want the per-core
+        streams, and because ``perfbench/tracer.py`` wraps it by name.
 
         Args:
             symbolic: The plan's :class:`~repro.core.plan.Step2Symbolic`.
             merged_vals: Values aligned with ``symbolic.merged_keys``.
 
         Returns:
-            ``p`` dense per-class *value* streams in radix order; the
-            matching key streams are ``symbolic.class_keys``.
+            ``p`` dense per-class *value* streams in radix order; stream
+            ``r`` holds keys ``r, r + p, ...`` below ``symbolic.padded``.
         """
         streams = self.inject_classes(
             symbolic.merged_keys, merged_vals, symbolic.padded, symbolic.p

@@ -105,13 +105,12 @@ class VectorizedBackend(ExecutionBackend):
         return out
 
     # ------------------------------------------------------------------
-    # Planned step-2 kernels: with the merge permutation, run ids and
-    # injection positions precomputed (:class:`repro.core.plan.
-    # Step2Symbolic`), the per-iteration numeric path collapses to
-    # gather + bincount + scatter -- no concatenate-and-argsort, no
-    # per-class index construction.  bincount's sequential stream-order
-    # addition over the *same* permuted stream keeps outputs
-    # bit-identical to :meth:`merge_accumulate` and the oracle.
+    # Planned step-2 kernels: with the merge permutation and run ids
+    # precomputed (:class:`repro.core.plan.Step2Symbolic`), the
+    # per-iteration numeric path collapses to gather + bincount +
+    # scatter -- no concatenate-and-argsort.  bincount's sequential
+    # stream-order addition over the *same* permuted stream keeps
+    # outputs bit-identical to :meth:`merge_accumulate` and the oracle.
     # ------------------------------------------------------------------
 
     def merge_accumulate_plan(self, symbolic, lists: list) -> np.ndarray:
@@ -136,16 +135,6 @@ class VectorizedBackend(ExecutionBackend):
         # the segment sum reads the raw concatenated block and still
         # replays bincount's stream-order addition, k columns at a time.
         return segment_sum_batch(all_val, symbolic.run_groups)
-
-    def inject_classes_plan(self, symbolic, merged_vals) -> list:
-        streams = []
-        for radix in range(symbolic.p):
-            dense = np.zeros(symbolic.class_keys[radix].size, dtype=np.float64)
-            dense[symbolic.class_positions[radix]] = merged_vals[
-                symbolic.class_sel[radix]
-            ]
-            streams.append(dense)
-        return streams
 
     # ------------------------------------------------------------------
     # SpGEMM kernels: the partial-product expansion is one batched

@@ -88,7 +88,7 @@ def add_telemetry_outputs(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PATH",
         help="write the run's spans as a Chrome trace_event JSON file "
-        "(load in chrome://tracing or Perfetto)",
+        "(load in chrome://tracing or Perfetto; of solve's apps, pagerank only)",
     )
     parser.add_argument(
         "--metrics-out",
@@ -246,6 +246,15 @@ def cmd_spgemm(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.trace_out and args.app != "pagerank":
+        # bfs and kcore aggregate metrics on the engine and keep no
+        # per-call spans, so there is no trace to write.
+        print(
+            f"error: --trace-out is not supported for solve {args.app}; "
+            "only solve pagerank writes a trace (--metrics-out works for all)",
+            file=sys.stderr,
+        )
+        return 2
     matrix = _load_matrix(args.matrix)
     config = engine_config_from_args(args)
     engine = create_engine(config)

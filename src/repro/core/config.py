@@ -28,7 +28,7 @@ class TwoStepConfig:
             the accelerator's scratchpad-bound stripes.
         q: Radix bits of the PRaP merge network (``p = 2**q`` cores).
             Drives the modelled step-2 cycles; the functional merge only
-            runs for multi-stripe plans or under ``check_interleave``.
+            runs for multi-stripe plans.
         precision: Value precision for traffic accounting (the functional
             datapath always computes in float64).
         vldi_vector_block_bits: VLDI block width applied to intermediate
@@ -37,8 +37,6 @@ class TwoStepConfig:
             indices; None disables matrix compression.
         step1_pipelines: P, parallel multiplier/adder-chain sets in step 1.
         hdn: High-degree-node handling; None disables the HDN pipeline.
-        check_interleave: Route step-2 assembly through the store-queue
-            invariant checker (slower but verifies section 4.2.2).
         backend: Execution-backend name (``"reference"`` or
             ``"vectorized"``); None defers to the ``REPRO_BACKEND``
             environment variable, then the package default.  Both
@@ -65,7 +63,6 @@ class TwoStepConfig:
     vldi_matrix_block_bits: int = None
     step1_pipelines: int = 8
     hdn: HDNConfig = None
-    check_interleave: bool = False
     backend: str = None
     plan_cache: int = 8
     strict_validate: bool = None

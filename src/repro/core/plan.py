@@ -113,12 +113,15 @@ class StripePlan:
 class Step2Symbolic:
     """Precomputed step-2 index machinery for one ``(matrix, p)`` pair.
 
-    Everything the K-way merge, PRaP injection and store-queue assembly
-    derive from *structure* -- the stable merge permutation, the run-id
-    array, the merged key set, per-residue-class injection positions and
-    the final scatter map -- computed once from the plan's stripes.  The
-    per-iteration numeric path is then a pure gather / ``bincount`` /
-    scatter datapath over these arrays.
+    Everything the K-way merge and the dense scatter derive from
+    *structure* -- the stable merge permutation, the run-id array and
+    the merged key set that doubles as the scatter map -- computed once
+    from the plan's stripes.  The per-iteration numeric path is then a
+    pure gather / ``bincount`` / scatter datapath over these arrays.
+    The engine scatters merged keys directly, so no per-class injection
+    structure is kept: missing-key injection and the store queue (paper
+    section 4.2.2) only decide where each merged value lands, which the
+    scatter map already says.
 
     Bit-identity argument: ``np.argsort(kind="stable")`` is a pure
     function of the concatenated key stream, which is fixed by the
@@ -133,7 +136,8 @@ class Step2Symbolic:
             ``key & (p - 1) == r``.
         n_out: Output-vector dimension.
         padded: ``n_out`` rounded up to a multiple of ``p`` (store-queue
-            cycles are full rounds).
+            cycles are full rounds); read by the base backend's
+            ``inject_classes_plan``.
         total_records: Records across all intermediate vectors.
         n_merged: Distinct output keys after accumulation.
         order: Stable argsort of the concatenated ``out_indices``
@@ -142,12 +146,6 @@ class Step2Symbolic:
             collapse equal keys in stream order.
         merged_keys: Sorted distinct keys; doubles as the dense scatter
             map (``out[merged_keys] = merged_vals``).
-        class_sel: Per residue class, indices into ``merged_keys``
-            selecting that class's records.
-        class_positions: Per residue class, dense in-class positions
-            (``(key - r) // p``) for value injection.
-        class_keys: Per residue class, the full dense key stream
-            ``r, r+p, ... < padded`` (what the store queue interleaves).
         run_groups: Position-major run layout
             (:class:`~repro.core.segsum.RunLayout`) of the sorted merge
             stream with ``order`` composed in, for the order-preserving
@@ -162,9 +160,6 @@ class Step2Symbolic:
     order: np.ndarray
     run_ids: np.ndarray
     merged_keys: np.ndarray
-    class_sel: tuple
-    class_positions: tuple
-    class_keys: tuple
     run_groups: RunLayout
 
 
@@ -213,25 +208,15 @@ def build_step2_symbolic(stripes: list, n_out: int, p: int) -> Step2Symbolic:
     # The key streams are dead; free them before the layout's temporaries.
     del all_keys, sorted_keys
     run_groups = build_run_layout(run_starts, order=order)
-    padded = -(-n_out // p) * p
-    sel, positions, class_keys = [], [], []
-    for radix in range(p):
-        chosen = np.flatnonzero((merged_keys & (p - 1)) == radix)
-        sel.append(chosen)
-        positions.append((merged_keys[chosen] - radix) // p)
-        class_keys.append(np.arange(radix, padded, p, dtype=np.int64))
     return Step2Symbolic(
         p=p,
         n_out=int(n_out),
-        padded=int(padded),
+        padded=int(-(-n_out // p) * p),
         total_records=int(order.size),
         n_merged=int(merged_keys.size),
         order=order,
         run_ids=run_ids,
         merged_keys=merged_keys,
-        class_sel=tuple(sel),
-        class_positions=tuple(positions),
-        class_keys=tuple(class_keys),
         run_groups=run_groups,
     )
 

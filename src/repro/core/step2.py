@@ -67,7 +67,7 @@ class Step2Engine:
             lists,
             n_out,
             self.config.q,
-            check_interleave=self.config.check_interleave,
+            check_interleave=False,
             backend=self.backend,
         )
         if y is not None:
@@ -106,12 +106,7 @@ class Step2Engine:
             Dense ``float64`` result, bit-identical to
             :func:`~repro.merge.prap.prap_merge_dense` on the same lists.
         """
-        merged = prap_merge_dense_plan(
-            symbolic,
-            lists,
-            check_interleave=self.config.check_interleave,
-            backend=self.backend,
-        )
+        merged = prap_merge_dense_plan(symbolic, lists, backend=self.backend)
         if y is not None:
             y = np.asarray(y, dtype=np.float64)
             if y.shape != (symbolic.n_out,):
@@ -140,11 +135,7 @@ class Step2Engine:
             inputs.
         """
         merged = prap_merge_dense_plan_batch(
-            symbolic,
-            lists,
-            k,
-            check_interleave=self.config.check_interleave,
-            backend=self.backend,
+            symbolic, lists, k, backend=self.backend
         )
         if Y is not None:
             Y = np.asarray(Y, dtype=np.float64)

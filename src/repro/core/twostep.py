@@ -30,8 +30,8 @@ iterative callers pay only for the value datapath after the first run.
 sharing every gather-index computation and merge permutation across the
 batch.
 
-The inner kernels (stripe accumulation, merge, injection, VLDI size
-accounting) are dispatched through an execution backend
+The inner kernels (stripe accumulation, merge, dense scatter, VLDI
+size accounting) are dispatched through an execution backend
 (:mod:`repro.backends`): ``reference`` replays records one at a time,
 and ``vectorized`` runs whole-array NumPy kernels.  Both produce
 bit-identical results and byte-identical ledgers; only wall-clock speed
@@ -55,7 +55,7 @@ from repro.core.plan import (
     build_plan,
     config_fingerprint,
 )
-from repro.core.step1 import IntermediateVector, Step1Engine, Step1Stats
+from repro.core.step1 import Step1Engine, Step1Stats
 from repro.core.step2 import Step2Engine, Step2Stats
 from repro.faults.errors import ConfigurationError
 from repro.faults.validation import validate_inputs, validate_matrix
@@ -443,25 +443,27 @@ class TwoStepEngine:
     ) -> np.ndarray:
         """The value datapath of ``run`` (``k`` None) and ``run_many``.
 
-        Step 1 runs over every stripe.  A plan with several stripes (or
-        ``check_interleave``) then merges the intermediate vectors in
-        step 2.  A one-stripe plan has nothing to merge.  For ``run``
-        the backend's ``stripe_spmv_dense`` hook returns step 1's
-        output as the dense result (``vectorized``: one ``bincount``
-        over the stripe's rows, so no run values are built and nothing
-        is scattered).  ``run_many`` on a column-major ``X`` (every
-        ``k == 1`` block is one) folds each contiguous column with the
-        same hook into one contiguous row of a ``(k, n_rows)`` buffer
-        and returns its transpose, so column ``j`` is ``run``'s vector
-        for ``X[:, j]``; a row-major block goes through the
-        position-major segment sum, which reads it along its rows, and
-        scatters its single row-sorted block into a zero result.  Every
-        route adds each row's products in stream order from ``+0.0``
-        and leaves empty rows at ``0.0``, which is what the planned
-        merge over one list would give, so all of them return the same
-        bytes.
+        The stripe count alone picks the route.  A plan with several
+        stripes runs step 1 and then the planned step-2 merge, which
+        scatters the merged keys directly.  A one-stripe plan never
+        merges: its row-sorted step-1 output already is ``A x``.  For
+        ``run`` the backend's ``stripe_spmv_dense`` hook returns
+        that output as the dense result (``vectorized``: one
+        ``bincount`` over the stripe's rows, so no run values are built
+        and nothing is scattered).  ``run_many`` on a column-major ``X``
+        (every ``k == 1`` block is one) folds each contiguous column
+        with the same hook into one contiguous row of a ``(k, n_rows)``
+        buffer and returns its transpose, so column ``j`` is ``run``'s
+        vector for ``X[:, j]``.  Only a row-major block (and a plan
+        with no columns, hence no stripes) reaches the zero-and-scatter
+        fallback: the position-major segment sum reads the block along
+        its rows, and its single row-sorted output is scattered into a
+        zero result.  Every route adds each row's products in stream
+        order from ``+0.0`` and leaves empty rows at ``0.0``, so all
+        return the bytes of the plan-free store-queue model of paper
+        section 4.2.2 (:func:`~repro.merge.prap.prap_merge_dense`).
         """
-        if len(plan.stripes) == 1 and not self.config.check_interleave:
+        if len(plan.stripes) == 1:
             stripe = plan.stripes[0]
             if k is None:
                 with span("step1", n_stripes=1):
@@ -484,7 +486,7 @@ class TwoStepEngine:
                 lists = self._step1.run_planned(plan, X)
             else:
                 lists = self._step1.run_planned_batch(plan, X)
-        if len(lists) > 1 or self.config.check_interleave:
+        if len(lists) > 1:
             symbolic = plan.step2_symbolic(self.config.n_cores)
             with span("step2", n_lists=len(lists)):
                 if k is None:

@@ -16,9 +16,12 @@ Two granularities are provided:
 * :func:`prap_merge_dense` -- functional model of the merge, re-deriving
   the merge permutation on every call; its merge/injection/scatter
   kernels are supplied by an execution backend (:mod:`repro.backends`),
-  bit-exact output either way.  The engine replays the same merge from a
-  plan's cached structure (:func:`prap_merge_dense_plan`), and tests use
-  this function as the plan-free oracle for that replay.
+  bit-exact output either way.  With ``check_interleave=True`` the
+  ``p`` injected class streams go through a real :class:`StoreQueue`.
+  The engine replays the same merge from a plan's cached structure
+  (:func:`prap_merge_dense_plan`) and scatters the merged keys
+  directly; tests hold that replay to this function's store-queue
+  assembly, byte for byte.
 * :class:`PRaPMergeNetwork` -- record-level simulation threading every
   record through the bitonic pre-sorter, per-radix buffer slots, per-core
   tournament merge, missing-key injection and the store queue; used by the
@@ -145,27 +148,20 @@ def prap_merge_dense(
     return queue.drain()[:n_out]
 
 
-def prap_merge_dense_plan(
-    symbolic,
-    lists: list,
-    check_interleave: bool = False,
-    backend=None,
-) -> np.ndarray:
+def prap_merge_dense_plan(symbolic, lists: list, backend=None) -> np.ndarray:
     """Fused :func:`prap_merge_dense` against precomputed structure.
 
-    The merge permutation, injection positions and scatter map come from
-    the plan's :class:`~repro.core.plan.Step2Symbolic`; only the value
-    datapath runs here, so a warm iteration performs no argsort and no
-    per-class index construction.  Outputs are bit-identical to
-    :func:`prap_merge_dense` (same accumulation order, same span and
-    counter semantics).
+    The merge permutation and scatter map come from the plan's
+    :class:`~repro.core.plan.Step2Symbolic`; only the value datapath
+    runs here (merge, then a direct scatter of the merged keys), so a
+    warm iteration performs no argsort.  Outputs are bit-identical to
+    :func:`prap_merge_dense` with or without its store-queue assembly:
+    the store queue only reorders where each merged value is written.
 
     Args:
         symbolic: Precomputed step-2 structure for this matrix and ``p``.
         lists: ``(indices, values)`` pairs in stripe order -- the order
             the symbolic permutation was derived from.
-        check_interleave: Emulate the store-queue interleave (per-class
-            injection + strided assembly) instead of a direct scatter.
         backend: Optional execution backend; None resolves the default.
 
     Returns:
@@ -174,7 +170,6 @@ def prap_merge_dense_plan(
     from repro.backends import resolve_backend  # deferred: avoids import cycle
 
     backend = resolve_backend(backend)
-    p = symbolic.p
     with span("step2.merge", n_lists=len(lists)):
         merged_val = backend.merge_accumulate_plan(symbolic, lists)
     metric_inc(
@@ -182,30 +177,11 @@ def prap_merge_dense_plan(
         int(symbolic.n_merged),
         help="Records emitted by the K-way merge",
     )
-    if not check_interleave:
-        return backend.scatter_dense_plan(symbolic, merged_val)
-    # Same padding rule as prap_merge_dense; the strided assembly below
-    # is exactly what StoreQueue.drain() produces (stream r fills
-    # positions r, r+p, ...), truncated to n_out.
-    with span("inject", p=p):
-        streams = backend.inject_classes_plan(symbolic, merged_val)
-    metric_inc(
-        "spmv_keys_injected_total",
-        int(symbolic.padded - symbolic.n_merged),
-        help="Zero-value records injected for missing keys",
-    )
-    out = np.empty(symbolic.padded, dtype=np.float64)
-    for radix, stream in enumerate(streams):
-        out[radix::p] = stream
-    return out[: symbolic.n_out]
+    return backend.scatter_dense_plan(symbolic, merged_val)
 
 
 def prap_merge_dense_plan_batch(
-    symbolic,
-    lists: list,
-    k: int,
-    check_interleave: bool = False,
-    backend=None,
+    symbolic, lists: list, k: int, backend=None
 ) -> np.ndarray:
     """Multi-RHS :func:`prap_merge_dense_plan`: values are ``(n, k)``.
 
@@ -217,7 +193,6 @@ def prap_merge_dense_plan_batch(
         symbolic: Precomputed step-2 structure for this matrix and ``p``.
         lists: ``(indices, values)`` pairs with ``(n, k)`` value blocks.
         k: Batch width.
-        check_interleave: Per-column store-queue-equivalent assembly.
         backend: Optional execution backend; None resolves the default.
 
     Returns:
@@ -226,7 +201,6 @@ def prap_merge_dense_plan_batch(
     from repro.backends import resolve_backend  # deferred: avoids import cycle
 
     backend = resolve_backend(backend)
-    p = symbolic.p
     with span("step2.merge", n_lists=len(lists), batch=k):
         merged_val = backend.merge_accumulate_plan_batch(symbolic, lists, k)
     metric_inc(
@@ -234,23 +208,8 @@ def prap_merge_dense_plan_batch(
         int(symbolic.n_merged),
         help="Records emitted by the K-way merge",
     )
-    if not check_interleave:
-        out = np.zeros((symbolic.n_out, k), dtype=np.float64)
-        out[symbolic.merged_keys, :] = merged_val
-        return out
-    out = np.empty((symbolic.n_out, k), dtype=np.float64)
-    with span("inject", p=p, batch=k):
-        for j in range(k):
-            streams = backend.inject_classes_plan(symbolic, merged_val[:, j])
-            full = np.empty(symbolic.padded, dtype=np.float64)
-            for radix, stream in enumerate(streams):
-                full[radix::p] = stream
-            out[:, j] = full[: symbolic.n_out]
-    metric_inc(
-        "spmv_keys_injected_total",
-        int(k * (symbolic.padded - symbolic.n_merged)),
-        help="Zero-value records injected for missing keys",
-    )
+    out = np.zeros((symbolic.n_out, k), dtype=np.float64)
+    out[symbolic.merged_keys, :] = merged_val
     return out
 
 

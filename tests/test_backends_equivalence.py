@@ -167,13 +167,9 @@ LEDGER_FIELDS = (
         {},
         {"hdn": HDNConfig(degree_threshold=16)},
         {"vldi_vector_block_bits": 8, "vldi_matrix_block_bits": 6},
-        {
-            "hdn": HDNConfig(degree_threshold=16),
-            "vldi_vector_block_bits": 4,
-            "check_interleave": True,
-        },
+        {"hdn": HDNConfig(degree_threshold=16), "vldi_vector_block_bits": 4},
     ],
-    ids=["plain", "hdn", "vldi", "hdn+vldi+interleave"],
+    ids=["plain", "hdn", "vldi", "hdn+vldi"],
 )
 @given(seed=st.integers(0, 2**16))
 @settings(max_examples=8, deadline=None)

@@ -107,3 +107,33 @@ def test_run_writes_trace_and_metrics(tmp_path):
     names = {event["name"] for event in payload["traceEvents"]}
     assert {"spmv.run", "step1", "step2"} <= names
     assert "spmv_run_seconds" in metrics.read_text()
+
+
+@pytest.mark.parametrize("app", ["bfs", "kcore"])
+def test_solve_refuses_trace_out_for_apps_without_spans(tmp_path, capsys, app):
+    matrix = tmp_path / "g.bin"
+    trace = tmp_path / "t.json"
+    metrics = tmp_path / "m.prom"
+    main(["generate", "--family", "er", "--nodes", "300", "--degree", "3",
+          "--output", str(matrix)])
+    capsys.readouterr()
+    rc = main(["solve", app, str(matrix), "--trace-out", str(trace)])
+    assert rc == 2
+    assert not trace.exists()
+    assert "only solve pagerank writes a trace" in capsys.readouterr().err
+    rc = main(["solve", app, str(matrix), "--metrics-out", str(metrics)])
+    assert rc == 0
+    assert "spmv_run_seconds" in metrics.read_text()
+
+
+def test_solve_pagerank_writes_trace(tmp_path):
+    matrix = tmp_path / "g.bin"
+    trace = tmp_path / "t.json"
+    main(["generate", "--family", "er", "--nodes", "300", "--degree", "3",
+          "--output", str(matrix)])
+    rc = main(["solve", "pagerank", str(matrix), "--iterations", "3",
+               "--trace-out", str(trace)])
+    assert rc == 0
+    payload = json.loads(trace.read_text())
+    validate_chrome_trace(payload)
+    assert "spmv.run" in {event["name"] for event in payload["traceEvents"]}

@@ -9,6 +9,7 @@ from repro.core.twostep import TwoStepEngine, reference_spmv
 from repro.filters.hdn import HDNConfig
 from repro.formats.hypersparse import StripeFormat
 from repro.generators.erdos_renyi import erdos_renyi_graph
+from repro.merge.prap import prap_merge_dense
 
 
 def run(graph, x, **cfg_kwargs):
@@ -47,9 +48,28 @@ def test_stripe_width_does_not_change_result(small_er_graph, rng, segment_width)
 
 
 def test_checked_interleave_path(small_er_graph, rng):
-    x = rng.uniform(size=small_er_graph.n_cols)
-    y, _ = run(small_er_graph, x, check_interleave=True)
-    assert np.allclose(y, reference_spmv(small_er_graph, x))
+    """The engine's bytes equal the store-queue assembly of section 4.2.2
+    (per-class missing-key injection, then the interleave) at one stripe
+    and at several, for ``run`` and each ``run_many`` column."""
+    x = rng.uniform(-1.0, 1.0, size=small_er_graph.n_cols)
+    x[::5] = -0.0
+    X = np.stack([x, -x, 0.5 * x], axis=1)
+    for segment_width in (None, 256):
+        engine = TwoStepEngine(TwoStepConfig(segment_width=segment_width, q=2))
+        plan = engine.plan(small_er_graph)
+        lists = engine._step1.run_planned(plan, x)
+        checked = prap_merge_dense(
+            lists, small_er_graph.n_rows, q=2, check_interleave=True
+        )
+        assert engine.run(small_er_graph, x).y.tobytes() == checked.tobytes()
+        Y = engine.run_many(small_er_graph, X).y
+        for j in range(X.shape[1]):
+            column = engine._step1.run_planned(plan, X[:, j])
+            checked = prap_merge_dense(
+                column, small_er_graph.n_rows, q=2, check_interleave=True
+            )
+            assert np.ascontiguousarray(Y[:, j]).tobytes() == checked.tobytes()
+        assert np.allclose(checked, reference_spmv(small_er_graph, X[:, -1]))
 
 
 def test_x_shape_validated(small_er_graph):

@@ -97,22 +97,20 @@ class TestSciPyOracle:
         result = create_engine().run(WIDE_ER, x, y=y0).y
         assert np.array_equal(result, (_csr(WIDE_ER) @ x) + y0)
 
-    @pytest.mark.parametrize("check_interleave", [False, True])
     @pytest.mark.parametrize("name", ["er", "rmat"])
-    def test_multi_stripe_run_matches_scipy(self, name, check_interleave):
+    def test_multi_stripe_run_matches_scipy(self, name):
         matrix = MATRICES[name]
         x = _x(matrix.n_cols)
-        engine = create_engine(segment_width=1024, check_interleave=check_interleave)
+        engine = create_engine(segment_width=1024)
         result = engine.run(matrix, x)
         assert result.report.n_stripes > 1
         np.testing.assert_allclose(result.y, _csr(matrix) @ x, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("check_interleave", [False, True])
     @pytest.mark.parametrize("name", ["er", "rmat"])
-    def test_multi_stripe_run_many_matches_scipy(self, name, check_interleave):
+    def test_multi_stripe_run_many_matches_scipy(self, name):
         matrix = MATRICES[name]
         X = np.random.default_rng(1).standard_normal((matrix.n_cols, 3))
-        engine = create_engine(segment_width=1024, check_interleave=check_interleave)
+        engine = create_engine(segment_width=1024)
         result = engine.run_many(matrix, X)
         assert result.report.n_stripes > 1
         np.testing.assert_allclose(result.y, _csr(matrix) @ X, rtol=1e-12, atol=1e-12)
@@ -155,21 +153,6 @@ class TestGeometryContract:
         metrics = engine.metrics()
         assert metrics.total("spmv_plan_symbolic_builds_total") == 0
         assert metrics.total("spmv_records_merged_total") == 0
-
-    def test_check_interleave_still_merges_one_stripe(self):
-        x = _x(WIDE_ER.n_cols)
-        X = np.random.default_rng(4).standard_normal((WIDE_ER.n_cols, 3))
-        checked = create_engine(check_interleave=True, telemetry=True)
-        default = create_engine()
-        result = checked.run(WIDE_ER, x)
-        assert result.report.n_stripes == 1
-        assert np.array_equal(result.y, default.run(WIDE_ER, x).y)
-        assert np.array_equal(
-            checked.run_many(WIDE_ER, X).y, default.run_many(WIDE_ER, X).y
-        )
-        metrics = checked.metrics()
-        assert metrics.total("spmv_plan_symbolic_builds_total") == 1
-        assert metrics.total("spmv_records_merged_total") > 0
 
     @staticmethod
     def _digest(report) -> str:
@@ -273,7 +256,6 @@ class TestDenseFold:
         engine.run(matrix, x, y=y)
         assert calls == [matrix.n_rows]
         engine.run_many(matrix, np.stack([x, x], axis=1))
-        create_engine(backend=backend, check_interleave=True).run(matrix, x)
         create_engine(backend=backend, segment_width=2).run(matrix, x)
         assert calls == [matrix.n_rows]
 
@@ -314,6 +296,5 @@ class TestDenseFold:
         engine.run_many(matrix, x[:, None])
         assert calls == [True] * 4
         engine.run_many(matrix, np.ascontiguousarray(X))
-        create_engine(backend=backend, check_interleave=True).run_many(matrix, X)
         create_engine(backend=backend, segment_width=2).run_many(matrix, X)
         assert calls == [True] * 4

@@ -171,7 +171,7 @@ class TestProvenance:
         assert set(provenance) == {
             "segment_width", "q", "precision", "vldi_vector_block_bits",
             "vldi_matrix_block_bits", "step1_pipelines", "hdn",
-            "check_interleave", "backend", "plan_cache", "strict_validate",
+            "backend", "plan_cache", "strict_validate",
             "telemetry",
         }
         assert provenance["segment_width"] == (512, "explicit")
@@ -212,7 +212,7 @@ class TestCreateEngine:
     def test_create_engine_rejects_unknown_overrides(self):
         with pytest.raises(ConfigurationError, match="unknown engine option") as info:
             create_engine(bakend="reference")
-        assert "valid fields: backend, check_interleave" in str(info.value)
+        assert "valid fields: backend, hdn," in str(info.value)
 
     @pytest.mark.parametrize(
         "config", ["reference", {"backend": "reference"}], ids=["str", "dict"]
@@ -371,6 +371,55 @@ class TestRemovedNativeBackend:
 
     def test_env_vars_are_the_three_remaining(self):
         assert set(ENV_VARS) == {"backend", "strict_validate", "telemetry"}
+
+
+# ----------------------------------------------------------------------
+# Removed check_interleave: the engine no longer replays the store queue
+# ----------------------------------------------------------------------
+
+
+class TestRemovedCheckInterleave:
+    """``check_interleave`` is gone from the engine: naming it fails, and
+    a multi-stripe step 2 merges and scatters without per-class injection
+    (the store-queue model stays in the plan-free ``prap_merge_dense``)."""
+
+    def test_config_field_is_unknown(self):
+        with pytest.raises(TypeError, match="check_interleave"):
+            TwoStepConfig(check_interleave=True)
+
+    def test_create_engine_rejects_it(self, clean_env):
+        with pytest.raises(ConfigurationError, match="unknown engine option") as info:
+            create_engine(check_interleave=True)
+        valid = str(info.value).split("valid fields:", 1)[1]
+        assert "check_interleave" not in valid
+        assert "segment_width" in valid
+
+    @pytest.mark.parametrize("op", ["run", "run_many_C", "run_many_F"])
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_multi_stripe_step2_never_injects(self, monkeypatch, small_graph, backend, op):
+        engine = create_engine(backend=backend, segment_width=64, q=2, telemetry=True)
+        calls = []
+        cls = type(engine.backend)
+        for name in ("inject_classes_plan", "inject_classes"):
+            original = getattr(cls, name)
+
+            def spy(self, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, spy)
+        X = np.random.default_rng(2).standard_normal((small_graph.n_cols, 3))
+        for _ in range(2):  # cold and warm plan
+            if op == "run":
+                result = engine.run(small_graph, X[:, 0])
+            else:
+                order = op[-1]
+                result = engine.run_many(small_graph, np.array(X, order=order))
+            names = set(result.telemetry.span_names())
+            assert result.report.n_stripes > 1
+            assert "step2.merge" in names
+            assert not any(name.startswith("inject") for name in names)
+        assert calls == []
 
 
 # ----------------------------------------------------------------------

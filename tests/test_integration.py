@@ -47,7 +47,6 @@ def test_powerlaw_with_hdn_full_path():
         vldi_vector_block_bits=8,
         vldi_matrix_block_bits=10,
         hdn=HDNConfig(degree_threshold=64),
-        check_interleave=True,
     )
     engine = TwoStepEngine(cfg)
     x = np.random.default_rng(2).uniform(size=graph.n_cols)

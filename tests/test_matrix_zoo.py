@@ -92,7 +92,7 @@ def test_cancelling_matrix_emits_zero_valued_records(rng):
     """Cancellation happens in the accumulators: records exist, values are
     zero -- the engine must not confuse 'zero value' with 'missing key'."""
     matrix = cancelling(32)
-    engine = TwoStepEngine(TwoStepConfig(segment_width=64, q=1, check_interleave=True))
+    engine = TwoStepEngine(TwoStepConfig(segment_width=64, q=1))
     y, report = engine.run(matrix, np.ones(32))
     assert np.allclose(y, 0.0)
     assert report.intermediate_records == 32  # one accumulated record per row

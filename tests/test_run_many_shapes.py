@@ -89,7 +89,8 @@ class TestRunManyShapes:
         assert np.array_equal(batched[:, 0], direct)
 
 
-#: Wide enough that ``segment_width=1024`` cuts two or more stripes.
+#: Wide enough that ``segment_width=1024`` cuts two or more stripes (and
+#: ``segment_width=128`` twelve or more, so most rows merge several lists).
 LAYOUT_GRAPHS = {
     "er": erdos_renyi_graph(n_nodes=1500, avg_degree=3.0, seed=4),
     "rmat": rmat_graph(scale=11, avg_degree=4.0, seed=5),
@@ -97,7 +98,7 @@ LAYOUT_GRAPHS = {
 LAYOUT_CONFIGS = {
     "default": {},
     "width1024": {"segment_width": 1024},
-    "check_interleave": {"check_interleave": True},
+    "width128": {"segment_width": 128},
 }
 
 

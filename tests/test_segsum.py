@@ -244,8 +244,8 @@ class TestSignedZeroContract:
 
     @pytest.mark.parametrize(
         "options",
-        [{}, {"segment_width": 4}, {"check_interleave": True}],
-        ids=["default", "width4", "interleave"],
+        [{}, {"segment_width": 4}],
+        ids=["default", "width4"],
     )
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_signbit_matches_scipy(self, backend, options):

@@ -1,17 +1,17 @@
 """Symbolic/numeric split: property, differential and steady-state tests.
 
-The engine's step 2 precomputes the merge permutation, run-id array,
-merged key set, per-class injection structure and scatter map once per
-``(matrix, p)`` and replays them every iteration.  These tests pin the
-three claims that make the split safe:
+The engine's step 2 precomputes the merge permutation, run-id array and
+merged key set (the scatter map) once per ``(matrix, p)`` and replays
+them every iteration.  These tests pin the three claims that make the
+split safe:
 
 * the precomputed structures equal an independent from-scratch
   derivation on randomized matrices (Hypothesis property);
 * the engine's planned (fused) step 2 is bit-identical to the unfused,
   plan-free :func:`~repro.merge.prap.prap_merge_dense` on the reference
-  backend, fed the same step-1 lists -- across every backend, worker
-  count and interleave mode -- so a ``Step2Symbolic`` bug cannot hide on
-  both sides of the comparison;
+  backend with its store-queue assembly (paper section 4.2.2), fed the
+  same step-1 lists -- across every backend -- so a ``Step2Symbolic``
+  bug cannot hide on both sides of the comparison;
 * steady-state iterations are symbolic-free: after the first run, no
   step-2 argsort executes (telemetry-counter asserted) and the cached
   structure is hit, for the engine and for PageRank/CG/Jacobi clients.
@@ -62,13 +62,10 @@ def _engine(backend, **kwargs) -> TwoStepEngine:
 
 
 def _unfused_merge(engine, graph, lists, backend="reference") -> np.ndarray:
-    """Plan-free step-2 oracle: re-derives the merge from the lists."""
+    """Plan-free step-2 oracle: re-derives the merge from the lists and
+    assembles the dense result through the store queue."""
     return prap_merge_dense(
-        lists,
-        graph.n_rows,
-        engine.config.q,
-        check_interleave=engine.config.check_interleave,
-        backend=backend,
+        lists, graph.n_rows, engine.config.q, check_interleave=True, backend=backend
     )
 
 
@@ -81,8 +78,7 @@ def _oracle_structures(stripes, n_out: int, p: int) -> dict:
     """Independent derivation of every symbolic field with plain numpy.
 
     Deliberately avoids the production code path: merged keys come from
-    ``np.unique``, run ids from ``searchsorted``, class structure from a
-    per-radix loop over modulo arithmetic.
+    ``np.unique``, run ids from ``searchsorted``.
     """
     parts = [sp.out_indices for sp in stripes]
     all_keys = (
@@ -91,24 +87,12 @@ def _oracle_structures(stripes, n_out: int, p: int) -> dict:
     sorted_keys = np.sort(all_keys, kind="stable")
     merged_keys = np.unique(all_keys)
     run_ids = np.searchsorted(merged_keys, sorted_keys)
-    padded = -(-n_out // p) * p
-    classes = []
-    for radix in range(p):
-        sel = np.flatnonzero(merged_keys % p == radix)
-        classes.append(
-            (
-                sel,
-                (merged_keys[sel] - radix) // p,
-                np.arange(radix, padded, p, dtype=np.int64),
-            )
-        )
     return {
         "all_keys": all_keys,
         "sorted_keys": sorted_keys,
         "merged_keys": merged_keys,
         "run_ids": run_ids,
-        "padded": padded,
-        "classes": classes,
+        "padded": -(-n_out // p) * p,
     }
 
 
@@ -138,11 +122,6 @@ def test_symbolic_matches_from_scratch_derivation(plan, p):
     assert symbolic.n_merged == oracle["merged_keys"].size
     assert np.array_equal(symbolic.merged_keys, oracle["merged_keys"])
     assert np.array_equal(symbolic.run_ids, oracle["run_ids"])
-    for radix in range(p):
-        sel, positions, keys = oracle["classes"][radix]
-        assert np.array_equal(symbolic.class_sel[radix], sel)
-        assert np.array_equal(symbolic.class_positions[radix], positions)
-        assert np.array_equal(symbolic.class_keys[radix], keys)
 
     # ``order`` is pinned by its spec: a permutation that sorts the
     # concatenated keys, stable (ties keep stream order).
@@ -173,10 +152,9 @@ def test_symbolic_rejects_out_of_range_keys(graph):
 
 
 @pytest.mark.parametrize("backend", BACKEND_MATRIX)
-@pytest.mark.parametrize("check_interleave", [False, True])
-def test_fused_matches_unfused_bitwise(graph, backend, check_interleave):
+def test_fused_matches_unfused_bitwise(graph, backend):
     x = np.random.default_rng(3).uniform(-1.0, 1.0, size=graph.n_cols)
-    engine = _engine(backend, check_interleave=check_interleave)
+    engine = _engine(backend)
     for _ in range(2):  # cold (symbolic build) and warm (cache hit) runs
         fused = engine.run(graph, x)
         lists = engine._step1.run_planned(engine.plan(graph), x)
@@ -349,7 +327,7 @@ def test_config_change_invalidates_plan_reuse(graph):
     x = np.ones(graph.n_cols)
     engine = _engine("vectorized")
     engine.run(graph, x)
-    flipped = dataclasses.replace(engine.config, check_interleave=True)
+    flipped = dataclasses.replace(engine.config, step1_pipelines=4)
     report = TwoStepEngine(flipped).run(graph, x).telemetry
     # A distinct config fingerprint means a fresh plan (cache miss).
     assert report.metrics.value(

@@ -123,23 +123,18 @@ class TestEngineSpans:
         assert [r.name for r in roots] == ["spmv.run"]
         assert roots[0].attrs["backend"] == "reference"
 
-    @pytest.mark.parametrize("check_interleave", [False, True])
-    def test_warm_run_opens_one_span_per_phase(self, check_interleave):
+    def test_warm_run_opens_one_span_per_phase(self):
         """Spans are per phase, never per stripe or per radix class: a
         warm run opens the same spans at 32 stripes as at 4."""
         matrix, x, _ = _contents_inputs()
         opened = []
         for width in (64, 512):
-            engine = _engine_with_options(
-                segment_width=width, q=2, check_interleave=check_interleave
-            )
+            engine = _engine_with_options(segment_width=width, q=2)
             engine.run(matrix, x)
             report = engine.run(matrix, x).telemetry
             opened.append(collections.Counter(s.name for s in report.spans))
         assert opened[0] == opened[1]
         phases = {"spmv.run", "step1", "step2", "step2.merge"}
-        if check_interleave:
-            phases.add("inject")
         assert opened[0] == collections.Counter(phases)
 
     def test_cached_plan_run_has_no_plan_build_span(self, graph):
