@@ -4,10 +4,12 @@ PageRank's power iteration is ``r' = d * M r + (1 - d)/N`` with ``M`` the
 column-stochastic transition matrix; the SpMV result of one iteration is
 the source of the next -- exactly the pattern ITS (section 5.2) overlaps.
 
-Every iteration runs on the same matrix, so the engine's step 2 replays
-the plan-cached merge permutation and injection structure: iterations
-2..N are a pure gather/bincount/scatter datapath with no per-iteration
-argsort.
+Every iteration runs on the same matrix, so iterations 2..N replay the
+engine's cached plan.  At the default geometry (no ``segment_width``)
+the plan is one stripe and step 1 alone is the product, with no merge;
+with several stripes, step 2 replays the plan-cached merge permutation
+and scatter map, a pure gather/bincount/scatter datapath with no
+per-iteration argsort.
 """
 
 from __future__ import annotations

@@ -33,12 +33,13 @@ class VectorizedBackend(ExecutionBackend):
     ) -> SparseVector:
         if rows.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        # Deferred import: repro.core pulls the backend registry back in
+        # at package-init time, so a module-level import would cycle.
+        from repro.core.segsum import run_boundaries
+
         products = vals * x_segment[cols]
         # Row-major order makes equal-row products adjacent: compress runs.
-        new_run = np.empty(rows.size, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = rows[1:] != rows[:-1]
-        run_ids = np.cumsum(new_run) - 1
+        new_run, run_ids = run_boundaries(rows)[:2]
         values = np.bincount(run_ids, weights=products)
         return rows[new_run], values
 

@@ -300,6 +300,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import BatchPolicy, ResiliencePolicy, SpMVServer
     from repro.serving.http import HTTPServingFrontend
 
+    if args.snapshot_interval_s is not None and args.state_dir is None:
+        print("error: --snapshot-interval-s requires --state-dir", file=sys.stderr)
+        return 2
+    for flag, value in (
+        ("--default-deadline-ms", args.default_deadline_ms),
+        ("--snapshot-interval-s", args.snapshot_interval_s),
+    ):
+        if value is not None and not value > 0:
+            print(f"error: {flag} must be positive", file=sys.stderr)
+            return 2
     config = engine_config_from_args(args)
     policy = BatchPolicy(
         max_batch=args.max_batch,
@@ -308,7 +318,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     resilience = ResiliencePolicy(
         default_deadline_s=(
-            args.default_deadline_ms / 1e3 if args.default_deadline_ms else None
+            None if args.default_deadline_ms is None
+            else args.default_deadline_ms / 1e3
         ),
         snapshot_interval_s=args.snapshot_interval_s,
     )

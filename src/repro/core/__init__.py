@@ -42,7 +42,7 @@ from repro.core.spmspv import spmspv, spmspv_dense_reference
 from repro.core.schedule import ITSSchedule, build_its_schedule, sequential_makespan
 from repro.core.autotune import AutotuneReport, autotune
 from repro.core.step1 import IntermediateVector, Step1Engine, Step1Stats
-from repro.core.step2 import Step2Engine, Step2Stats
+from repro.core.step2 import Step2Stats
 from repro.core.twostep import TwoStepEngine, TwoStepReport, reference_spmv
 
 __all__ = [
@@ -75,7 +75,6 @@ __all__ = [
     "IntermediateVector",
     "Step1Engine",
     "Step1Stats",
-    "Step2Engine",
     "Step2Stats",
     "TwoStepEngine",
     "TwoStepReport",

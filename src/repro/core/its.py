@@ -15,11 +15,12 @@ Effects modelled (and tested):
   state because both fabrics stay busy;
 * the scratchpad must hold two segments, halving the maximum dimension.
 
-The wrapped :class:`~repro.core.twostep.TwoStepEngine` runs step 2 as a
+The wrapped :class:`~repro.core.twostep.TwoStepEngine` caches each
+matrix's execution plan.  With several stripes its step 2 is a
 symbolic/numeric split, so interior iterations reuse the cached merge
-permutation, injection positions and scatter map and perform no
-per-iteration argsort -- the software counterpart of the structural
-reuse ITS assumes in hardware.
+permutation and scatter map and perform no per-iteration argsort -- the
+software counterpart of the structural reuse ITS assumes in hardware.
+A one-stripe plan (no ``segment_width``) does not merge at all.
 """
 
 from __future__ import annotations

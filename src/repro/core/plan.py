@@ -35,9 +35,9 @@ import numpy as np
 from repro.backends import ExecutionBackend
 from repro.compression.delta import delta_encode, stripe_column_deltas
 from repro.core.config import TwoStepConfig
-from repro.core.segsum import RunLayout, build_run_layout
-from repro.core.step1 import Step1Engine, Step1Stats
-from repro.core.step2 import Step2Stats
+from repro.core.segsum import RunLayout, build_run_layout, run_boundaries
+from repro.core.step1 import Step1Stats, account_stripe
+from repro.core.step2 import Step2Stats, merge_stats
 from repro.filters.hdn import HDNDetector
 from repro.formats.blocking import ColumnBlock, column_blocks
 from repro.formats.convert import coo_to_csr
@@ -190,23 +190,12 @@ def build_step2_symbolic(stripes: list, n_out: int, p: int) -> Step2Symbolic:
     )
     order = np.argsort(all_keys, kind="stable")
     sorted_keys = all_keys[order]
-    if sorted_keys.size:
-        if sorted_keys[0] < 0 or sorted_keys[-1] >= n_out:
-            raise ValueError("record key outside output vector range")
-        new_run = np.empty(sorted_keys.size, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        run_ids = (np.cumsum(new_run) - 1).astype(np.int64, copy=False)
-        merged_keys = sorted_keys[new_run]
-        run_starts = np.append(
-            np.flatnonzero(new_run), sorted_keys.size
-        ).astype(np.int64, copy=False)
-    else:
-        run_ids = np.empty(0, dtype=np.int64)
-        merged_keys = np.empty(0, dtype=np.int64)
-        run_starts = np.zeros(1, dtype=np.int64)
+    if sorted_keys.size and (sorted_keys[0] < 0 or sorted_keys[-1] >= n_out):
+        raise ValueError("record key outside output vector range")
+    new_run, run_ids, run_starts = run_boundaries(sorted_keys)
+    merged_keys = sorted_keys[new_run]
     # The key streams are dead; free them before the layout's temporaries.
-    del all_keys, sorted_keys
+    del all_keys, sorted_keys, new_run
     run_groups = build_run_layout(run_starts, order=order)
     return Step2Symbolic(
         p=p,
@@ -345,15 +334,10 @@ def build_spgemm_plan(stripes: list, b: COOMatrix, n_rows: int) -> SpGEMMPlan:
     # linearized (row, col) keys instead of output-row indices.
     order = np.argsort(all_keys, kind="stable")
     sorted_keys = all_keys[order]
-    if sorted_keys.size:
-        new_run = np.empty(sorted_keys.size, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        run_ids = (np.cumsum(new_run) - 1).astype(np.int64, copy=False)
-        merged_keys = sorted_keys[new_run]
-    else:
-        run_ids = np.empty(0, dtype=np.int64)
-        merged_keys = np.empty(0, dtype=np.int64)
+    # The unsorted keys are dead; free them before the run temporaries.
+    del all_keys
+    new_run, run_ids = run_boundaries(sorted_keys)[:2]
+    merged_keys = sorted_keys[new_run]
     n_merged = int(merged_keys.size)
     return SpGEMMPlan(
         b=b,
@@ -592,27 +576,6 @@ def config_fingerprint(config: TwoStepConfig) -> str:
     return repr(config)
 
 
-def _stripe_structure(rows: np.ndarray) -> tuple:
-    """Row-run structure: (out_indices, run_ids, n_runs, run_starts)."""
-    if rows.size == 0:
-        empty_idx = np.empty(0, dtype=np.int64)
-        return empty_idx, np.empty(0, dtype=np.int64), 0, np.zeros(1, dtype=np.int64)
-    new_run = np.empty(rows.size, dtype=bool)
-    new_run[0] = True
-    new_run[1:] = rows[1:] != rows[:-1]
-    run_ids = np.cumsum(new_run) - 1
-    out_indices = rows[new_run].astype(np.int64, copy=False)
-    run_starts = np.append(np.flatnonzero(new_run), rows.size).astype(
-        np.int64, copy=False
-    )
-    return (
-        out_indices,
-        run_ids.astype(np.int64, copy=False),
-        int(out_indices.size),
-        run_starts,
-    )
-
-
 def _stripe_matrix_bytes(
     block: ColumnBlock,
     fmt: StripeFormat,
@@ -655,7 +618,6 @@ def build_plan(
     matrix: COOMatrix,
     config: TwoStepConfig,
     backend: ExecutionBackend,
-    n_banks: int = 32,
 ) -> ExecutionPlan:
     """Build the full execution plan for ``matrix`` under ``config``.
 
@@ -665,7 +627,6 @@ def build_plan(
         backend: Execution backend (supplies VLDI size accounting; all
             backends agree bit for bit, so a plan built under one
             backend is valid for any other).
-        n_banks: Scratchpad banks for the step-1 cycle model.
 
     Returns:
         The immutable :class:`ExecutionPlan`.
@@ -675,13 +636,14 @@ def build_plan(
     if config.hdn is not None:
         detector = HDNDetector(matrix.row_degrees(), config.hdn)
 
-    cycle_model = Step1Engine(config, n_banks=n_banks, backend=backend)
     step1_stats = Step1Stats()
     stripes: list[StripePlan] = []
     formats: list[StripeFormat] = []
     for block in column_blocks(matrix, config.stripe_width(matrix.n_cols)):
         stripe = block.matrix
-        out_indices, run_ids, n_runs, run_starts = _stripe_structure(stripe.rows)
+        new_run, run_ids, run_starts = run_boundaries(stripe.rows)
+        out_indices = stripe.rows[new_run].astype(np.int64, copy=False)
+        n_runs = int(out_indices.size)
         layout = build_run_layout(run_starts)
         fmt = choose_stripe_format(block.nnz, matrix.n_rows)
         formats.append(fmt)
@@ -706,24 +668,13 @@ def build_plan(
                 batch_vals=stripe.vals[layout.rec],
             )
         )
-        # Step-1 statistics are structure-only: accumulate the template
-        # exactly as the per-run loop used to.
-        step1_stats.gathers += stripe.nnz
-        step1_stats.multiplies += stripe.nnz
-        step1_stats.output_records += n_runs
-        step1_stats.per_stripe_nnz.append(n_runs)
-        step1_stats.cycles += cycle_model._stripe_cycles(stripe.rows, detector, step1_stats)
-
-    total_in = sum(sp.n_runs for sp in stripes)
-    distinct = np.zeros(matrix.n_rows, dtype=bool)
-    for sp in stripes:
-        distinct[sp.out_indices] = True
-    step2_stats = Step2Stats(
-        input_records=total_in,
-        output_records=matrix.n_rows,
-        injected_records=matrix.n_rows - int(np.count_nonzero(distinct)),
-        cycles=max(matrix.n_rows, total_in) / config.n_cores,
-        n_lists=len(stripes),
+        # Both steps' statistics are structure-only, so the plan holds
+        # them as templates that every run's report copies.
+        account_stripe(
+            step1_stats, stripe.rows, run_starts, config.step1_pipelines, detector
+        )
+    step2_stats = merge_stats(
+        [sp.out_indices for sp in stripes], matrix.n_rows, config.n_cores
     )
 
     return ExecutionPlan(
@@ -733,7 +684,7 @@ def build_plan(
         stripe_formats=formats,
         detector=detector,
         hdn_filter_bytes=detector.filter_bytes if detector is not None else 0,
-        intermediate_records=total_in,
+        intermediate_records=step2_stats.input_records,
         step1_template=step1_stats,
         step2_template=step2_stats,
         build_s=time.perf_counter() - start,

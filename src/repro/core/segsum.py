@@ -103,6 +103,33 @@ class RunLayout:
         return ((self.runs, self.counts if self.rec is None else self.rec),)
 
 
+def run_boundaries(keys: np.ndarray) -> tuple:
+    """Run structure of a sorted key stream: equal adjacent keys form a run.
+
+    Args:
+        keys: Key stream in which equal keys are adjacent (row-major
+            stripe rows, or a stably sorted merge stream).
+
+    Returns:
+        ``(new_run, run_ids, run_starts)``: the mask of records that
+        start a run, the ``int64`` run id of every record, and the
+        ``int64`` CSR-style run offsets of length ``n_runs + 1`` that
+        :func:`build_run_layout` takes.
+    """
+    n = keys.size
+    # A True past the end closes the last run (and is the only entry of
+    # an empty stream), so the offsets come out of one flatnonzero.
+    bounds = np.empty(n + 1, dtype=bool)
+    bounds[0] = True
+    bounds[1:n] = keys[1:] != keys[:-1]
+    bounds[n] = True
+    new_run = bounds[:n]
+    run_ids = np.cumsum(new_run, dtype=np.int64)
+    run_ids -= 1
+    run_starts = np.flatnonzero(bounds).astype(np.int64, copy=False)
+    return new_run, run_ids, run_starts
+
+
 def build_run_layout(
     run_starts: np.ndarray, order: np.ndarray | None = None
 ) -> RunLayout:

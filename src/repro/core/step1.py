@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backends import ExecutionBackend, resolve_backend
+from repro.backends import resolve_backend
 from repro.core.config import TwoStepConfig
+from repro.core.segsum import run_boundaries
 from repro.filters.hdn import HDNDetector
 from repro.formats.blocking import ColumnBlock
 from repro.memory.scratchpad import expected_conflict_factor
@@ -61,23 +62,80 @@ class Step1Stats:
     per_stripe_nnz: list[int] = field(default_factory=list)
 
 
+#: Scratchpad banks of the step-1 cycle model.
+SCRATCHPAD_BANKS = 32
+
+#: Extra cycles per record when a high-degree row's accumulation is
+#: forced through the general pipeline's single accumulator (FP adder
+#: read-modify-write hazard); the tuned HDN accumulator hides it.
+HDN_HAZARD_CYCLES = 3.0
+
+#: Adder-chain depth: same-row runs longer than this stall the general
+#: accumulator.
+ADDER_CHAIN_DEPTH = 8
+
+
+def account_stripe(
+    stats: Step1Stats,
+    rows: np.ndarray,
+    run_starts: np.ndarray,
+    pipelines: int,
+    detector: HDNDetector | None = None,
+) -> None:
+    """Add one stripe's step-1 statistics to ``stats``.
+
+    The stripe's nonzeros are gathered and multiplied once each, and its
+    accumulated output records (one per row run) are counted overall
+    and per stripe.  Cycles: ``P`` records per cycle across the parallel
+    pipelines, inflated by the expected scratchpad bank-conflict factor.
+    With an HDN detector, records are dispatched between the HDN and
+    general pipelines and flow at full rate; without one, the records of
+    same-row runs longer than the adder chain add the accumulator hazard.
+
+    Args:
+        stats: Accumulator for one step-1 pass.
+        rows: The stripe's row indices, in row-major order.
+        run_starts: The row runs' offsets, length ``n_runs + 1``
+            (:func:`~repro.core.segsum.run_boundaries`).
+        pipelines: ``P``, the parallel multiplier/adder-chain sets.
+        detector: Optional HDN detector for pipeline dispatch.
+    """
+    n_runs = run_starts.size - 1
+    stats.gathers += rows.size
+    stats.multiplies += rows.size
+    stats.output_records += n_runs
+    stats.per_stripe_nnz.append(n_runs)
+    if rows.size == 0:
+        return
+    cycles = rows.size / pipelines * expected_conflict_factor(
+        pipelines, SCRATCHPAD_BANKS
+    )
+    if detector is not None:
+        is_hdn = detector.dispatch(rows)
+        n_hdn = int(np.count_nonzero(is_hdn))
+        stats.hdn_records += n_hdn
+        stats.general_records += rows.size - n_hdn
+        true_hdn = np.isin(rows, detector.hdns)
+        stats.hdn_false_positive_records += int(np.count_nonzero(is_hdn & ~true_hdn))
+    else:
+        stats.general_records += rows.size
+        run_lengths = np.diff(run_starts)
+        long_runs = run_lengths[run_lengths > ADDER_CHAIN_DEPTH]
+        cycles += float(long_runs.sum()) * HDN_HAZARD_CYCLES / pipelines
+    stats.cycles += cycles
+
+
 class Step1Engine:
-    """Functional + instrumented step-1 executor."""
+    """Plan-free step-1 executor: one stripe at a time, instrumented.
 
-    #: Extra cycles per record when a high-degree row's accumulation is
-    #: forced through the general pipeline's single accumulator (FP adder
-    #: read-modify-write hazard); the tuned HDN accumulator hides it.
-    HDN_HAZARD_CYCLES = 3.0
+    The engine's own step 1 runs from a cached plan through the backend's
+    ``map_stripe_plans`` hooks; this class serves callers that stream
+    column blocks without a plan (experiments, autotuning).
+    """
 
-    def __init__(
-        self,
-        config: TwoStepConfig,
-        n_banks: int = 32,
-        backend: str | ExecutionBackend | None = None,
-    ):
+    def __init__(self, config: TwoStepConfig):
         self.config = config
-        self.n_banks = n_banks
-        self.backend = resolve_backend(backend or config.backend)
+        self.backend = resolve_backend(config.backend)
 
     def run_stripe(
         self,
@@ -108,76 +166,12 @@ class Step1Engine:
         indices, values = self.backend.stripe_spmv(
             stripe.rows, stripe.cols, stripe.vals, x_segment
         )
-
         if stats is not None:
-            stats.gathers += stripe.nnz
-            stats.multiplies += stripe.nnz
-            stats.output_records += indices.size
-            stats.per_stripe_nnz.append(int(indices.size))
-            stats.cycles += self._stripe_cycles(stripe.rows, detector, stats)
+            account_stripe(
+                stats,
+                stripe.rows,
+                run_boundaries(stripe.rows)[2],
+                self.config.step1_pipelines,
+                detector,
+            )
         return IntermediateVector(block.index, indices, values)
-
-    def run_planned(self, plan, x: np.ndarray) -> list:
-        """Step 1 over every stripe of a prebuilt execution plan.
-
-        The run structure (boundaries, output rows) lives in the plan, so
-        only the value datapath executes through the backend's
-        ``map_stripe_plans`` hook.
-
-        Args:
-            plan: The matrix's :class:`~repro.core.plan.ExecutionPlan`.
-            x: Dense source vector (length ``n_cols``).
-
-        Returns:
-            Per-stripe sorted ``(indices, values)`` pairs, in stripe
-            order -- the intermediate vectors ``v_k``.
-        """
-        segments = [x[sp.col_lo : sp.col_hi] for sp in plan.stripes]
-        return self.backend.map_stripe_plans(plan.stripes, segments)
-
-    def run_planned_batch(self, plan, X: np.ndarray) -> list:
-        """Multi-RHS step 1: one pass over the plan serves all columns.
-
-        Args:
-            plan: The matrix's :class:`~repro.core.plan.ExecutionPlan`.
-            X: Dense source block, shape ``(n_cols, k)``.
-
-        Returns:
-            Per-stripe ``(indices, values)`` pairs with values of shape
-            ``(n_runs, k)``.
-        """
-        segments = [X[sp.col_lo : sp.col_hi, :] for sp in plan.stripes]
-        return self.backend.map_stripe_plans_batch(plan.stripes, segments)
-
-    def _stripe_cycles(
-        self, rows: np.ndarray, detector: HDNDetector, stats: Step1Stats
-    ) -> float:
-        """Cycle estimate for one stripe's record stream.
-
-        Base rate: ``P`` records per cycle across the parallel pipelines,
-        inflated by the expected scratchpad bank-conflict factor; HDN rows
-        routed through the general pipeline add the accumulator hazard.
-        """
-        if rows.size == 0:
-            return 0.0
-        p = self.config.step1_pipelines
-        conflict = expected_conflict_factor(p, self.n_banks)
-        base = rows.size / p * conflict
-        hazard = 0.0
-        if detector is not None:
-            is_hdn = detector.dispatch(rows)
-            n_hdn = int(np.count_nonzero(is_hdn))
-            stats.hdn_records += n_hdn
-            stats.general_records += rows.size - n_hdn
-            true_hdn = np.isin(rows, detector.hdns)
-            stats.hdn_false_positive_records += int(np.count_nonzero(is_hdn & ~true_hdn))
-            # With the dual pipeline, HDN records flow at full rate: no hazard.
-        else:
-            stats.general_records += rows.size
-            # Without dispatch, long same-row runs stall the general
-            # accumulator; charge the hazard for records in runs longer than
-            # the adder-chain depth.
-            run_lengths = np.diff(np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1], [True]))))
-            long_runs = run_lengths[run_lengths > 8]
-            hazard = float(long_runs.sum()) * self.HDN_HAZARD_CYCLES / p
-        return base + hazard

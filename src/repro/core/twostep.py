@@ -43,20 +43,20 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from repro.api import SpGEMMResult, SpMVResult, resolve_config
-from repro.backends import ExecutionBackend, resolve_backend
+from repro.backends import resolve_backend
+from repro.core import step2
 from repro.core.config import TwoStepConfig
 from repro.core.plan import (
     ExecutionPlan,
     build_plan,
     config_fingerprint,
 )
-from repro.core.step1 import Step1Engine, Step1Stats
-from repro.core.step2 import Step2Engine, Step2Stats
+from repro.core.step1 import Step1Stats
 from repro.faults.errors import ConfigurationError
 from repro.faults.validation import validate_inputs, validate_matrix
 from repro.formats.coo import COOMatrix
@@ -127,7 +127,7 @@ class TwoStepReport:
 
     traffic: TrafficLedger
     step1: Step1Stats
-    step2: Step2Stats
+    step2: step2.Step2Stats
     n_stripes: int = 0
     intermediate_records: int = 0
     stripe_formats: list[StripeFormat] = field(default_factory=list)
@@ -214,27 +214,18 @@ class TwoStepEngine:
     value came from.
     """
 
-    def __init__(
-        self,
-        config: TwoStepConfig,
-        backend: str | ExecutionBackend | None = None,
-    ):
+    def __init__(self, config: TwoStepConfig):
         """
         Args:
             config: Engine configuration; fields left None are resolved
                 from their ``REPRO_*`` variable, then the package default.
-            backend: Optional execution-backend override (a registry
-                name or an instance); defaults to ``config.backend``.
+                ``config.backend`` selects the execution backend.
         """
-        if isinstance(backend, str):
-            config = replace(config, backend=backend)
         config, self.options_provenance = resolve_config(config)
         self.config = config
         # The config is pinned, so its plan-cache key is too.
         self._fingerprint = config_fingerprint(config)
-        self.backend = resolve_backend(backend or config.backend)
-        self._step1 = Step1Engine(config, backend=self.backend)
-        self._step2 = Step2Engine(config, backend=self.backend)
+        self.backend = resolve_backend(config.backend)
         self._plans: OrderedDict[tuple, ExecutionPlan] = OrderedDict()
         # One lock guards the plan cache AND its counters: engines are
         # shared across solver threads, and a torn hits/misses pair (or a
@@ -481,17 +472,26 @@ class TwoStepEngine:
                             stripe, X[:, j], plan.n_rows
                         )
                 return out.T if Y is None else out.T + Y
+        segments = [X[sp.col_lo : sp.col_hi] for sp in plan.stripes]
         with span("step1", n_stripes=len(plan.stripes)):
             if k is None:
-                lists = self._step1.run_planned(plan, X)
+                lists = self.backend.map_stripe_plans(plan.stripes, segments)
             else:
-                lists = self._step1.run_planned_batch(plan, X)
+                lists = self.backend.map_stripe_plans_batch(plan.stripes, segments)
         if len(lists) > 1:
             symbolic = plan.step2_symbolic(self.config.n_cores)
+            # Looked up on the step2 module at call time, so wrappers
+            # installed there (perfbench's tracer) see every call.
             with span("step2", n_lists=len(lists)):
                 if k is None:
-                    return self._step2.run_lists_plan(symbolic, lists, y=Y)
-                return self._step2.run_batch_plan(symbolic, lists, k, Y=Y)
+                    out = step2.prap_merge_dense_plan(
+                        symbolic, lists, backend=self.backend
+                    )
+                else:
+                    out = step2.prap_merge_dense_plan_batch(
+                        symbolic, lists, k, backend=self.backend
+                    )
+            return out if Y is None else out + Y
         out = np.zeros(plan.n_rows if k is None else (plan.n_rows, k))
         for indices, values in lists:
             out[indices] = values

@@ -6,12 +6,12 @@ carries the same accounting:
 
 * **Spans** (:mod:`repro.telemetry.spans`) -- one nested, timed span per
   phase (``spmv.run`` > ``plan.build`` / ``step1`` / ``step2`` >
-  ``step2.merge`` / ``inject``), scoped through a ContextVar session.
-  Per-stripe and per-class counts are attributes of the phase spans.
+  ``step2.merge``), scoped through a ContextVar session.  Per-stripe
+  counts are attributes of the phase spans.
 * **Metrics** (:mod:`repro.telemetry.metrics`) -- typed counters /
-  gauges / histograms (records merged, keys injected, bytes per stream,
-  plan-cache hits, shard imbalance, VLDI bits per index) with
-  Prometheus-text and JSON export.
+  gauges / histograms (records merged, bytes per stream, plan-cache
+  hits, shard imbalance, VLDI bits per index) with Prometheus-text and
+  JSON export.
 * **Export** (:mod:`repro.telemetry.export`) -- the Chrome
   ``trace_event`` form of a run's spans and its schema check.
 

@@ -2,9 +2,11 @@
 
 A :class:`Tracer` records a tree of :class:`Span` objects for one engine
 execution: ``spmv.run`` at the root, then one span per phase below it
-(``plan.build``, ``step1``, ``step2`` > ``step2.merge`` / ``inject``).
-Per-stripe and per-class counts ride on the phase spans' attributes
-(``n_stripes``, ``p``), not on spans of their own.
+(``plan.build``, ``step1``, ``step2`` > ``step2.merge``).  Per-stripe
+counts ride on the phase spans' attributes (``n_stripes``), not on spans
+of their own.  The plan-free merge model
+(:func:`~repro.merge.prap.prap_merge_dense`) adds one ``inject`` span
+for its store-queue assembly; the engine never opens one.
 
 Durations come from ``time.perf_counter`` (monotonic, high resolution);
 every span additionally stamps a wall-clock ``wall_start`` so exporters

@@ -80,3 +80,19 @@ def dense_from_lists(lists, n_out):
     for idx, val in lists:
         np.add.at(out, np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.float64))
     return out
+
+
+def plan_free_step1(config, matrix, x):
+    """Step 1 without a plan: ``(indices, values)`` per stripe of ``config``'s
+    geometry, each computed by :meth:`Step1Engine.run_stripe`."""
+    from repro.core.step1 import Step1Engine
+    from repro.formats.blocking import column_blocks
+
+    step1 = Step1Engine(config)
+    return [
+        (iv.indices, iv.values)
+        for iv in (
+            step1.run_stripe(block, x[block.col_lo : block.col_hi])
+            for block in column_blocks(matrix, config.stripe_width(matrix.n_cols))
+        )
+    ]

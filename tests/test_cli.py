@@ -93,6 +93,33 @@ def test_serve_rejects_trace_and_metrics_outputs(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--snapshot-interval-s", "5"], "--snapshot-interval-s requires --state-dir"),
+        (["--default-deadline-ms", "0"], "--default-deadline-ms must be positive"),
+        (["--default-deadline-ms", "-5"], "--default-deadline-ms must be positive"),
+        (
+            ["--state-dir", "unused", "--snapshot-interval-s", "-1"],
+            "--snapshot-interval-s must be positive",
+        ),
+    ],
+    ids=["interval-without-state-dir", "zero-deadline", "negative-deadline",
+         "negative-interval"],
+)
+def test_serve_rejects_bad_resilience_flags(monkeypatch, capsys, flags, message):
+    import repro.serving
+    import repro.serving.http
+
+    def no_server(*args, **kwargs):
+        raise AssertionError("a server was built for invalid flags")
+
+    monkeypatch.setattr(repro.serving, "SpMVServer", no_server)
+    monkeypatch.setattr(repro.serving.http, "HTTPServingFrontend", no_server)
+    assert main(["serve", *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_run_writes_trace_and_metrics(tmp_path):
     matrix = tmp_path / "g.bin"
     trace = tmp_path / "t.json"

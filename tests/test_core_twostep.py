@@ -10,6 +10,7 @@ from repro.filters.hdn import HDNConfig
 from repro.formats.hypersparse import StripeFormat
 from repro.generators.erdos_renyi import erdos_renyi_graph
 from repro.merge.prap import prap_merge_dense
+from tests.conftest import plan_free_step1
 
 
 def run(graph, x, **cfg_kwargs):
@@ -56,15 +57,14 @@ def test_checked_interleave_path(small_er_graph, rng):
     X = np.stack([x, -x, 0.5 * x], axis=1)
     for segment_width in (None, 256):
         engine = TwoStepEngine(TwoStepConfig(segment_width=segment_width, q=2))
-        plan = engine.plan(small_er_graph)
-        lists = engine._step1.run_planned(plan, x)
+        lists = plan_free_step1(engine.config, small_er_graph, x)
         checked = prap_merge_dense(
             lists, small_er_graph.n_rows, q=2, check_interleave=True
         )
         assert engine.run(small_er_graph, x).y.tobytes() == checked.tobytes()
         Y = engine.run_many(small_er_graph, X).y
         for j in range(X.shape[1]):
-            column = engine._step1.run_planned(plan, X[:, j])
+            column = plan_free_step1(engine.config, small_er_graph, X[:, j])
             checked = prap_merge_dense(
                 column, small_er_graph.n_rows, q=2, check_interleave=True
             )

@@ -21,7 +21,6 @@ from repro.core.config import TwoStepConfig
 from repro.core.design_points import TS_ASIC
 from repro.core.records import Precision
 from repro.core.step1 import Step1Engine
-from repro.core.step2 import Step2Engine
 from repro.core.twostep import TwoStepEngine
 from repro.faults.errors import ConfigurationError
 from repro.generators import erdos_renyi_graph
@@ -115,7 +114,6 @@ _BACKEND_OF = {
     "create_engine": lambda: create_engine().backend,
     "TwoStepEngine": lambda: TwoStepEngine(TwoStepConfig()).backend,
     "Step1Engine": lambda: Step1Engine(TwoStepConfig()).backend,
-    "Step2Engine": lambda: Step2Engine(TwoStepConfig()).backend,
     "resolve_backend": lambda: resolve_backend(None),
 }
 
@@ -420,6 +418,54 @@ class TestRemovedCheckInterleave:
             assert "step2.merge" in names
             assert not any(name.startswith("inject") for name in names)
         assert calls == []
+
+
+# ----------------------------------------------------------------------
+# Removed step-engine knobs: config.backend is the one backend selector
+# ----------------------------------------------------------------------
+
+
+class TestRemovedStepEngineKnobs:
+    """``Step2Engine`` and the engines' ``backend`` / ``n_banks``
+    parameters are gone; the configured backend is the one that runs."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TwoStepEngine(TwoStepConfig(), backend="reference"),
+            lambda: Step1Engine(TwoStepConfig(), backend="reference"),
+            lambda: Step1Engine(TwoStepConfig(), n_banks=64),
+        ],
+        ids=["TwoStepEngine-backend", "Step1Engine-backend", "Step1Engine-n_banks"],
+    )
+    def test_parameter_is_typeerror(self, clean_env, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_step2_engine_is_gone(self):
+        import repro.core
+        import repro.core.step2
+
+        assert not hasattr(repro.core, "Step2Engine")
+        assert "Step2Engine" not in repro.core.__all__
+        assert not hasattr(repro.core.step2, "Step2Engine")
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_configured_backend_is_the_running_one(self, clean_env, small_graph, backend):
+        config = TwoStepConfig(segment_width=256, backend=backend)
+        x = np.ones(small_graph.n_cols)
+        engines = {
+            "create_engine": create_engine(config),
+            "TwoStepEngine": TwoStepEngine(config),
+            "registry": SpMVServer(config=config).registry.engine(),
+        }
+        for name, engine in engines.items():
+            assert engine.config.backend == engine.backend.name == backend, name
+        accelerator = Accelerator(
+            TS_ASIC, simulation_segment_width=256, config=config
+        )
+        assert accelerator.config.backend == backend
+        assert accelerator.run(small_graph, x).report.backend == backend
 
 
 # ----------------------------------------------------------------------

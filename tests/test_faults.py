@@ -119,6 +119,13 @@ class TestValidation:
         with pytest.raises(InvalidMatrixError, match="equal length"):
             validate_matrix(Ragged())
 
+    @pytest.mark.parametrize("segment_width", [None, 2], ids=["one-stripe", "multi-stripe"])
+    def test_engine_accumuland_shape_mismatch(self, tiny_matrix, segment_width):
+        engine = TwoStepEngine(TwoStepConfig(segment_width=segment_width))
+        x = np.ones(tiny_matrix.n_cols)
+        with pytest.raises(InvalidVectorError, match=r"y must have shape \(6,\)"):
+            engine.run(tiny_matrix, x, y=np.zeros(3))
+
     def test_batch_accumuland_width_mismatch(self, tiny_matrix):
         X = np.zeros((tiny_matrix.n_cols, 3))
         Y = np.zeros((tiny_matrix.n_rows, 2))

@@ -3,21 +3,17 @@
 Where two fidelities model one hardware effect, they must agree: the
 analytic bank-conflict factor vs the clocked simulator's measured
 conflicts, the analytic merge-cycle estimate vs the cycle-stepped tree,
-the step-2 simulator vs the Step2Engine estimate, and the clocked energy
-vs the analytic energy (order of magnitude).
+and the clocked cycles' scaling with problem size.  The step-2
+simulator vs the analytic step-2 estimate lives in ``test_core_steps.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.config import TwoStepConfig
-from repro.core.step2 import Step2Engine, Step2Stats
-from repro.core.step1 import IntermediateVector
 from repro.generators.erdos_renyi import erdos_renyi_graph
 from repro.memory.scratchpad import expected_conflict_factor
 from repro.merge.merge_core import MergeCore, MergeCoreConfig
 from repro.simulator.step1_sim import Step1CycleSim, Step1SimConfig
-from repro.simulator.step2_sim import Step2CycleSim, Step2SimConfig
 
 
 def test_bank_conflict_model_vs_clocked_measurement(rng):
@@ -47,24 +43,6 @@ def test_merge_cycle_estimate_vs_cycle_stepped_tree(rng):
     core.merge(lists)
     estimated = cfg.estimate_cycles(1600)
     assert core.cycles == pytest.approx(estimated, rel=0.3)
-
-
-def test_step2_engine_estimate_vs_clocked_simulator(rng):
-    """The Step2Engine's analytic cycles track the clocked simulator."""
-    n_out = 4096
-    lists = []
-    for i in range(6):
-        size = int(rng.integers(400, 900))
-        idx = np.sort(rng.choice(n_out, size=size, replace=False)).astype(np.int64)
-        lists.append((idx, rng.uniform(size=size)))
-    cfg = TwoStepConfig(segment_width=1024, q=2)
-    engine = Step2Engine(cfg)
-    stats = Step2Stats()
-    ivs = [IntermediateVector(i, idx, val) for i, (idx, val) in enumerate(lists)]
-    engine.run(ivs, n_out, stats=stats)
-    clocked = Step2CycleSim(Step2SimConfig(q=2)).run(lists, n_out)
-    ratio = clocked.cycles / stats.cycles
-    assert 0.8 < ratio < 1.5
 
 
 def test_twostep_cycles_scale_with_problem(rng):

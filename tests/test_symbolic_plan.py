@@ -39,6 +39,7 @@ from repro.core.twostep import TwoStepEngine, reference_spmv
 from repro.generators.erdos_renyi import erdos_renyi_graph
 from repro.merge.prap import prap_merge_dense
 from repro.telemetry import telemetry_scope, telemetry_session
+from tests.conftest import plan_free_step1
 
 #: Every backend.  The ids keep the names these cells had when the grid
 #: also swept a thread count (``None`` = the engine default).
@@ -157,7 +158,7 @@ def test_fused_matches_unfused_bitwise(graph, backend):
     engine = _engine(backend)
     for _ in range(2):  # cold (symbolic build) and warm (cache hit) runs
         fused = engine.run(graph, x)
-        lists = engine._step1.run_planned(engine.plan(graph), x)
+        lists = plan_free_step1(engine.config, graph, x)
         assert fused.y.tobytes() == _unfused_merge(engine, graph, lists).tobytes()
         assert np.allclose(fused.y, reference_spmv(graph, x))
 
@@ -168,9 +169,8 @@ def test_fused_matches_unfused_batch(graph, backend):
     X = rng.uniform(-1.0, 1.0, size=(graph.n_cols, 3))
     engine = _engine(backend)
     fused = engine.run_many(graph, X)
-    lists = engine._step1.run_planned_batch(engine.plan(graph), X)
     for j in range(X.shape[1]):
-        column = [(idx, vals[:, j]) for idx, vals in lists]
+        column = plan_free_step1(engine.config, graph, X[:, j])
         oracle = _unfused_merge(engine, graph, column)
         assert fused.y[:, j].tobytes() == oracle.tobytes()
         assert fused.y[:, j].tobytes() == engine.run(graph, X[:, j]).y.tobytes()
@@ -198,7 +198,7 @@ def test_warm_runs_are_argsort_free(graph, backend):
 def test_unfused_runs_do_count_argsorts(graph):
     """The argsort counter discriminates: the plan-free merge bumps it."""
     engine = _engine("vectorized")
-    lists = engine._step1.run_planned(engine.plan(graph), np.ones(graph.n_cols))
+    lists = plan_free_step1(engine.config, graph, np.ones(graph.n_cols))
     session = telemetry_session()
     with telemetry_scope(session):
         _unfused_merge(engine, graph, lists, backend="vectorized")
