@@ -55,7 +55,7 @@ def functional_equivalence():
         size = int(rng.integers(50, 400))
         idx = np.sort(rng.choice(n_out, size=size, replace=False)).astype(np.int64)
         lists.append((idx, rng.uniform(size=size)))
-    prap = prap_merge_dense(lists, n_out, q=3, check_interleave=False)
+    prap = prap_merge_dense(lists, n_out, q=3)
     part = partitioned_merge_dense(lists, n_out, partitions=8)
     return prap, part
 

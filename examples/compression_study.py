@@ -11,29 +11,16 @@ Run:  python examples/compression_study.py
 import numpy as np
 
 from repro.analysis.reporting import format_table
-from repro.compression.delta import delta_encode
 from repro.compression.golomb import geometric_entropy_bits, optimal_rice_k
 from repro.compression.vldi import delta_width_histogram, optimal_block_width
 from repro.core.config import TwoStepConfig
 from repro.core.records import Precision
-from repro.core.step1 import Step1Engine
+from repro.core.step1 import sample_intermediate_deltas
 from repro.core.twostep import TwoStepEngine
-from repro.formats.blocking import column_blocks
 from repro.generators import erdos_renyi_graph
 
 N_NODES = 120_000
 AVG_DEGREE = 3.0
-
-
-def live_deltas(graph, segment):
-    engine = Step1Engine(TwoStepConfig(segment_width=segment, q=4))
-    x = np.ones(graph.n_cols)
-    chunks = []
-    for block in column_blocks(graph, segment):
-        iv = engine.run_stripe(block, x[block.col_lo : block.col_hi])
-        if iv.nnz:
-            chunks.append(delta_encode(iv.indices))
-    return np.concatenate(chunks)
 
 
 def main() -> None:
@@ -44,7 +31,7 @@ def main() -> None:
     rows = []
     chosen = {}
     for segment in (3_000, 12_000, 60_000):
-        deltas = live_deltas(graph, segment)
+        deltas = sample_intermediate_deltas(graph, segment, max_stripes=None)
         hist = delta_width_histogram(deltas, max_bits=16)
         peak_bits = int(np.argmax(hist))
         block, sizes = optimal_block_width(deltas)

@@ -7,21 +7,21 @@ engine settings.  This module turns it into engines:
   field (**explicit value > ``REPRO_*`` environment variable > package
   default**) and reports where every value came from.  It is the only
   reader of the ``REPRO_*`` variables: ``TwoStepEngine.__init__``,
-  :func:`create_engine`, the accelerator facade, the serving layer and
+  :func:`create_engine`, the serving layer and
   :func:`repro.backends.resolve_backend` all pin through it.
 * :func:`create_engine` -- the factory the CLI, the serving layer and
   the examples use.  It returns a ready
-  :class:`~repro.core.twostep.TwoStepEngine`, or an
-  :class:`~repro.core.accelerator.Accelerator` when a design point is
-  requested.  The apps take a ``TwoStepConfig`` and build
+  :class:`~repro.core.twostep.TwoStepEngine`, or its subclass
+  :class:`~repro.core.accelerator.Accelerator` (the engine bound to a
+  design point) when a design point is requested.  The apps take a ``TwoStepConfig`` and build
   ``TwoStepEngine(config)`` / ``ITSEngine(config)`` directly, which pins
   through the same resolver.
 
-Every engine-shaped object in the package (:class:`~repro.core.twostep.
-TwoStepEngine`, :class:`~repro.core.accelerator.Accelerator`) satisfies
-the :class:`SpMVEngine` protocol and returns an :class:`SpMVResult`, so
-callers can swap engines -- and execution backends -- without changing a
-line.  ``SpMVResult`` unpacks like the historical ``(y, report)`` tuple::
+:class:`~repro.core.twostep.TwoStepEngine` is the one class that
+executes SpMV.  It satisfies the :class:`SpMVEngine` protocol and
+returns an :class:`SpMVResult`, so callers can swap engines -- and
+execution backends -- without changing a line.  ``SpMVResult`` unpacks
+like the historical ``(y, report)`` tuple::
 
     y, report = engine.run(matrix, x)          # still works
     result = engine.run(matrix, x, verify=True)
@@ -48,7 +48,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # avoid an import cycle; core.twostep imports this module
     from repro.core.config import TwoStepConfig
-    from repro.core.twostep import SpGEMMReport, TwoStepReport
+    from repro.core.twostep import SpGEMMReport, TwoStepEngine, TwoStepReport
     from repro.formats.coo import COOMatrix
     from repro.telemetry import TelemetryReport
 
@@ -288,7 +288,7 @@ def resolve_config(config: "TwoStepConfig | None" = None) -> tuple:
 
 def create_engine(
     config: "TwoStepConfig | None" = None, *, design_point=None, **overrides
-) -> "SpMVEngine":
+) -> "TwoStepEngine":
     """Build an engine from a config plus field overrides.
 
     The engine pins its settings through :func:`resolve_config` (explicit
@@ -308,9 +308,9 @@ def create_engine(
             ``config``.
 
     Returns:
-        A :class:`~repro.core.twostep.TwoStepEngine`, or an
-        :class:`~repro.core.accelerator.Accelerator` when
-        ``design_point`` is set.
+        A :class:`~repro.core.twostep.TwoStepEngine`; when
+        ``design_point`` is set, the subclass
+        :class:`~repro.core.accelerator.Accelerator` bound to it.
 
     Raises:
         ConfigurationError: An override is not a ``TwoStepConfig`` field

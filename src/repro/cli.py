@@ -303,12 +303,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.snapshot_interval_s is not None and args.state_dir is None:
         print("error: --snapshot-interval-s requires --state-dir", file=sys.stderr)
         return 2
-    for flag, value in (
-        ("--default-deadline-ms", args.default_deadline_ms),
-        ("--snapshot-interval-s", args.snapshot_interval_s),
+    for flag, value, bound in (
+        ("--max-batch", args.max_batch, "positive"),
+        ("--max-delay-ms", args.max_delay_ms, "non-negative"),
+        ("--max-queue", args.max_queue, "positive"),
+        ("--default-deadline-ms", args.default_deadline_ms, "positive"),
+        ("--snapshot-interval-s", args.snapshot_interval_s, "positive"),
     ):
-        if value is not None and not value > 0:
-            print(f"error: {flag} must be positive", file=sys.stderr)
+        if value is None:
+            continue
+        if not (value >= 0 if bound == "non-negative" else value > 0):
+            print(f"error: {flag} must be {bound}", file=sys.stderr)
             return 2
     config = engine_config_from_args(args)
     policy = BatchPolicy(

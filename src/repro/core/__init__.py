@@ -2,12 +2,13 @@
 
 * :mod:`repro.core.twostep` -- the functional, instrumented Two-Step
   engine (section 2) built on the PRaP merge network.
-* :mod:`repro.core.step1` / :mod:`repro.core.step2` -- the two phases.
+* :mod:`repro.core.step1` / :mod:`repro.core.step2` -- the two phases'
+  structure-only models (statistics, intermediate-vector deltas).
 * :mod:`repro.core.its` -- Iteration-overlapped Two-Step (section 5.2).
 * :mod:`repro.core.design_points` -- Table 2's ASIC/FPGA variants.
 * :mod:`repro.core.perf` -- analytic traffic/time/energy model at paper
   scale, validated against the functional engine at simulation scale.
-* :mod:`repro.core.accelerator` -- the user-facing facade.
+* :mod:`repro.core.accelerator` -- the engine bound to a design point.
 """
 
 from repro.core.accelerator import Accelerator
@@ -41,7 +42,7 @@ from repro.core.spgemm import spgemm
 from repro.core.spmspv import spmspv, spmspv_dense_reference
 from repro.core.schedule import ITSSchedule, build_its_schedule, sequential_makespan
 from repro.core.autotune import AutotuneReport, autotune
-from repro.core.step1 import IntermediateVector, Step1Engine, Step1Stats
+from repro.core.step1 import Step1Stats
 from repro.core.step2 import Step2Stats
 from repro.core.twostep import TwoStepEngine, TwoStepReport, reference_spmv
 
@@ -72,8 +73,6 @@ __all__ = [
     "Precision",
     "index_bytes",
     "record_bytes",
-    "IntermediateVector",
-    "Step1Engine",
     "Step1Stats",
     "Step2Stats",
     "TwoStepEngine",

@@ -1,8 +1,10 @@
-"""Top-level accelerator facade.
+"""The accelerator: the Two-Step engine bound to a design point.
 
-Binds a :class:`~repro.core.design_points.DesignPoint` to the functional
-Two-Step engine (simulation scale) and the analytic performance model
-(paper scale).  This is the object examples and benchmarks instantiate:
+:class:`Accelerator` is a :class:`~repro.core.twostep.TwoStepEngine`
+whose structural configuration comes from a
+:class:`~repro.core.design_points.DesignPoint`, so it runs SpMV at
+simulation scale and adds the analytic performance model at paper
+scale.  This is the object examples and benchmarks instantiate:
 
     >>> from repro import Accelerator, TS_ASIC
     >>> acc = Accelerator(TS_ASIC)
@@ -16,7 +18,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.api import SpMVResult, _as_config
+from repro.api import _as_config
 from repro.core.config import TwoStepConfig
 from repro.core.design_points import DesignPoint
 from repro.core.its import ITSEngine
@@ -30,10 +32,12 @@ from repro.generators.datasets import DatasetSpec
 _PRECISION_BY_BYTES = {1: Precision.QUARTER, 2: Precision.HALF, 4: Precision.SINGLE, 8: Precision.DOUBLE}
 
 
-class Accelerator:
+class Accelerator(TwoStepEngine):
     """The proposed SpMV accelerator at one design point.
 
-    Satisfies the :class:`repro.api.SpMVEngine` protocol.
+    A :class:`TwoStepEngine` (so it satisfies the
+    :class:`repro.api.SpMVEngine` protocol) whose structural fields come
+    from ``point``.
     """
 
     def __init__(
@@ -61,7 +65,7 @@ class Accelerator:
         """
         self.point = point
         width = simulation_segment_width or point.segment_elements
-        self._engine = TwoStepEngine(
+        super().__init__(
             dataclasses.replace(
                 _as_config(config),
                 segment_width=width,
@@ -72,46 +76,6 @@ class Accelerator:
                 step1_pipelines=point.step1_pipelines,
             )
         )
-        self.config = self._engine.config
-        self.options_provenance = self._engine.options_provenance
-
-    def metrics(self):
-        """Engine-lifetime telemetry metrics (see ``TwoStepEngine.metrics``)."""
-        return self._engine.metrics()
-
-    def run(
-        self,
-        matrix: COOMatrix,
-        x: np.ndarray,
-        y: np.ndarray | None = None,
-        verify: bool = False,
-    ) -> SpMVResult:
-        """Functional SpMV at simulation scale; see :class:`TwoStepEngine`."""
-        return self._engine.run(matrix, x, y, verify=verify)
-
-    def run_many(
-        self,
-        matrix: COOMatrix,
-        X: np.ndarray,
-        Y: np.ndarray | None = None,
-        verify: bool = False,
-    ) -> SpMVResult:
-        """Batched multi-RHS SpMV; see :meth:`TwoStepEngine.run_many`."""
-        return self._engine.run_many(matrix, X, Y=Y, verify=verify)
-
-    def spgemm(
-        self, a: COOMatrix, b: COOMatrix, verify: bool = False
-    ):
-        """Sparse-sparse product ``C = A @ B``; see :meth:`TwoStepEngine.spgemm`."""
-        return self._engine.spgemm(a, b, verify=verify)
-
-    def run_spgemm_many(self, a: COOMatrix, bs, verify: bool = False) -> list:
-        """Batched SpGEMM; see :meth:`TwoStepEngine.run_spgemm_many`."""
-        return self._engine.run_spgemm_many(a, bs, verify=verify)
-
-    def plan(self, matrix: COOMatrix):
-        """The functional engine's (cached) execution plan for ``matrix``."""
-        return self._engine.plan(matrix)
 
     def run_iterative(self, matrix: COOMatrix, x0: np.ndarray, n_iterations: int, transform=None):
         """Iterative SpMV; applies ITS overlap accounting when enabled."""

@@ -3,9 +3,10 @@
 The paper tunes three knobs to the input: the VLDI block width (Fig. 13:
 depends on stripe geometry), the HDN threshold (section 5.3: depends on
 the degree tail) and the stripe width itself (scratchpad capacity).
-:func:`autotune` measures the input once (a sampled step-1 dry run for
-the delta distribution plus :mod:`repro.analysis.matrix_stats`) and
-returns a ready :class:`~repro.core.config.TwoStepConfig`.
+:func:`autotune` measures the input once (the delta distribution of a
+stripe sample's intermediate vectors plus
+:mod:`repro.analysis.matrix_stats`) and returns a ready
+:class:`~repro.core.config.TwoStepConfig`.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.matrix_stats import MatrixStats, compute_stats
-from repro.compression.delta import delta_encode
 from repro.compression.vldi import optimal_block_width
 from repro.core.config import TwoStepConfig
 from repro.core.design_points import DesignPoint, TS_ASIC
-from repro.core.step1 import Step1Engine
+from repro.core.step1 import sample_intermediate_deltas
 from repro.faults.errors import ConfigurationError
 from repro.filters.hdn import HDNConfig
-from repro.formats.blocking import column_blocks
 from repro.formats.coo import COOMatrix
 
 
@@ -36,45 +35,6 @@ class AutotuneReport:
     sampled_deltas: int
     vldi_block_bits: int
     hdn_enabled: bool
-
-
-def sample_intermediate_deltas(
-    matrix: COOMatrix,
-    segment_width: int,
-    max_stripes: int = 4,
-    max_records: Optional[int] = None,
-) -> np.ndarray:
-    """Delta distribution from a dry step-1 run over a stripe sample.
-
-    Args:
-        matrix: The input.
-        segment_width: Stripe width of the dry run.
-        max_stripes: Stripes sampled (the leading ones).
-        max_records: Total delta-record cap across the sample; stripes
-            past the cap are truncated/skipped so tuning stays cheap on
-            huge matrices.  None samples the full stripes.
-    """
-    engine = Step1Engine(TwoStepConfig(segment_width=segment_width, q=0))
-    # One RHS buffer for every stripe: blocks are at most segment_width
-    # columns wide, so a single ones vector sliced per block replaces
-    # the historical full-n_cols allocation per call.
-    x = np.ones(min(segment_width, max(matrix.n_cols, 1)))
-    chunks = []
-    sampled = 0
-    for block in column_blocks(matrix, segment_width)[:max_stripes]:
-        if max_records is not None and sampled >= max_records:
-            break
-        iv = engine.run_stripe(block, x[: block.col_hi - block.col_lo])
-        if not iv.nnz:
-            continue
-        indices = iv.indices
-        if max_records is not None:
-            indices = indices[: max_records - sampled]
-        chunks.append(delta_encode(indices))
-        sampled += indices.size
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
 
 
 def autotune(

@@ -12,6 +12,11 @@ High-degree rows are optionally dispatched to the dedicated HDN pipeline
 via the Bloom-filter detector (section 5.3); the cycle model charges an
 accumulator-hazard penalty when HDN rows are forced through the general
 pipeline, which is the effect the dual-pipeline design removes.
+
+The kernels live in :mod:`repro.backends`; this module holds step 1's
+structure-only models, which need no ``x``: the statistics
+(:func:`account_stripe`) and the index deltas of every ``v_k``
+(:func:`sample_intermediate_deltas`).
 """
 
 from __future__ import annotations
@@ -20,32 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backends import resolve_backend
-from repro.core.config import TwoStepConfig
+from repro.compression.delta import delta_encode
 from repro.core.segsum import run_boundaries
 from repro.filters.hdn import HDNDetector
-from repro.formats.blocking import ColumnBlock
+from repro.formats.blocking import column_blocks
+from repro.formats.coo import COOMatrix
 from repro.memory.scratchpad import expected_conflict_factor
-
-
-@dataclass
-class IntermediateVector:
-    """One sorted intermediate sparse vector ``v_k`` (step-1 output).
-
-    Attributes:
-        stripe_index: k, the producing column block.
-        indices: Strictly increasing row indices of nonzeros.
-        values: Accumulated partial products.
-    """
-
-    stripe_index: int
-    indices: np.ndarray
-    values: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        """Stored nonzeros."""
-        return int(self.indices.size)
 
 
 @dataclass
@@ -125,53 +110,41 @@ def account_stripe(
     stats.cycles += cycles
 
 
-class Step1Engine:
-    """Plan-free step-1 executor: one stripe at a time, instrumented.
+def sample_intermediate_deltas(
+    matrix: COOMatrix,
+    segment_width: int,
+    max_stripes: int | None = 4,
+    max_records: int | None = None,
+) -> np.ndarray:
+    """Delta streams of the intermediate vectors ``v_k``, concatenated.
 
-    The engine's own step 1 runs from a cached plan through the backend's
-    ``map_stripe_plans`` hooks; this class serves callers that stream
-    column blocks without a plan (experiments, autotuning).
+    Step 1 emits one record per row run of a stripe, in row order, so
+    the indices of ``v_k`` -- and the deltas VLDI encodes (section 5.1)
+    -- follow from the stripe's structure alone; no value is computed.
+
+    Args:
+        matrix: The input.
+        segment_width: Stripe width.
+        max_stripes: Stripes sampled (the leading ones); None takes all.
+        max_records: Total delta-record cap across the sample; stripes
+            past the cap are truncated/skipped so tuning stays cheap on
+            huge matrices.  None samples the full stripes.
+
+    Returns:
+        ``int64`` deltas, stripe after stripe.
     """
-
-    def __init__(self, config: TwoStepConfig):
-        self.config = config
-        self.backend = resolve_backend(config.backend)
-
-    def run_stripe(
-        self,
-        block: ColumnBlock,
-        x_segment: np.ndarray,
-        detector: HDNDetector = None,
-        stats: Step1Stats = None,
-    ) -> IntermediateVector:
-        """Compute ``v_k = A_k @ x_k`` for one stripe.
-
-        Args:
-            block: The column block (local column indices).
-            x_segment: The matching source-vector segment.
-            detector: Optional HDN detector for pipeline dispatch.
-            stats: Optional accumulator for instrumentation.
-
-        Returns:
-            The sorted intermediate sparse vector.
-        """
-        stripe = block.matrix
-        if x_segment.shape != (block.width,):
-            raise ValueError(
-                f"segment has {x_segment.shape[0]} elements, stripe expects {block.width}"
-            )
-        width = self.config.segment_width
-        if width is not None and x_segment.size > width:
-            raise ValueError("segment exceeds configured scratchpad width")
-        indices, values = self.backend.stripe_spmv(
-            stripe.rows, stripe.cols, stripe.vals, x_segment
-        )
-        if stats is not None:
-            account_stripe(
-                stats,
-                stripe.rows,
-                run_boundaries(stripe.rows)[2],
-                self.config.step1_pipelines,
-                detector,
-            )
-        return IntermediateVector(block.index, indices, values)
+    chunks = []
+    sampled = 0
+    for block in column_blocks(matrix, segment_width)[:max_stripes]:
+        if max_records is not None and sampled >= max_records:
+            break
+        rows = block.matrix.rows
+        indices = rows[run_boundaries(rows)[0]]
+        if max_records is not None:
+            indices = indices[: max_records - sampled]
+        if indices.size:
+            chunks.append(delta_encode(indices))
+            sampled += indices.size
+    if not chunks:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(chunks)

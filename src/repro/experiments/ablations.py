@@ -102,23 +102,25 @@ def render_sell() -> str:
 def hdn_collect(scale: int = 13, degree: float = 16.0, segment: int = 2048):
     """``{structure: (graph, stats_without, stats_with, detector)}``."""
     from repro.core.config import TwoStepConfig
-    from repro.core.step1 import Step1Engine, Step1Stats
+    from repro.core.segsum import run_boundaries
+    from repro.core.step1 import Step1Stats, account_stripe
     from repro.filters.hdn import HDNConfig, HDNDetector
     from repro.formats.blocking import column_blocks
     from repro.generators.erdos_renyi import erdos_renyi_graph
     from repro.generators.rmat import rmat_graph
 
+    pipelines = TwoStepConfig().step1_pipelines
+
     def run(graph, with_hdn):
-        engine = Step1Engine(TwoStepConfig(segment_width=segment, q=4))
         detector = None
         if with_hdn:
             degrees = graph.row_degrees()
             threshold = int(8 * max(degrees.mean(), 1.0))
             detector = HDNDetector(degrees, HDNConfig(degree_threshold=threshold))
         stats = Step1Stats()
-        x = np.ones(graph.n_cols)
         for block in column_blocks(graph, segment):
-            engine.run_stripe(block, x[block.col_lo : block.col_hi], detector, stats)
+            rows = block.matrix.rows
+            account_stripe(stats, rows, run_boundaries(rows)[2], pipelines, detector)
         return stats, detector
 
     powerlaw = rmat_graph(scale, degree, seed=17)
@@ -158,25 +160,15 @@ def render_hdn() -> str:
 
 def golomb_collect(n_nodes: int = 150_000, degree: float = 3.0, segments=(2_000, 10_000, 50_000)):
     """Per-stripe-width coder comparison rows."""
-    from repro.compression.delta import delta_encode
     from repro.compression.golomb import geometric_entropy_bits, optimal_rice_k
     from repro.compression.vldi import optimal_block_width
-    from repro.core.config import TwoStepConfig
-    from repro.core.step1 import Step1Engine
-    from repro.formats.blocking import column_blocks
+    from repro.core.step1 import sample_intermediate_deltas
     from repro.generators.erdos_renyi import erdos_renyi_graph
 
     graph = erdos_renyi_graph(n_nodes, degree, seed=23)
     rows = []
     for segment in segments:
-        engine = Step1Engine(TwoStepConfig(segment_width=segment, q=4))
-        x = np.ones(graph.n_cols)
-        chunks = []
-        for block in column_blocks(graph, segment):
-            iv = engine.run_stripe(block, x[block.col_lo : block.col_hi])
-            if iv.nnz:
-                chunks.append(delta_encode(iv.indices))
-        deltas = np.concatenate(chunks)
+        deltas = sample_intermediate_deltas(graph, segment, max_stripes=None)
         vldi_block, vldi_sizes = optimal_block_width(deltas)
         rice_k, rice_sizes = optimal_rice_k(deltas)
         rows.append(
@@ -272,18 +264,18 @@ def its_schedule_collect(n_nodes: int = 50_000, segment: int = 10_000):
     """``((s1, s2), [(iterations, makespan, sequential, speedup, buffers)])``."""
     from repro.core.config import TwoStepConfig
     from repro.core.schedule import build_its_schedule, sequential_makespan
-    from repro.core.step1 import Step1Engine, Step1Stats
+    from repro.core.segsum import run_boundaries
+    from repro.core.step1 import Step1Stats, account_stripe
     from repro.formats.blocking import column_blocks
     from repro.generators.erdos_renyi import erdos_renyi_graph
 
     graph = erdos_renyi_graph(n_nodes, 3.0, seed=91)
     cfg = TwoStepConfig(segment_width=segment, q=4)
-    engine = Step1Engine(cfg)
-    x = np.ones(graph.n_cols)
     s1 = []
     for block in column_blocks(graph, segment):
         stats = Step1Stats()
-        engine.run_stripe(block, x[block.col_lo : block.col_hi], stats=stats)
+        rows = block.matrix.rows
+        account_stripe(stats, rows, run_boundaries(rows)[2], cfg.step1_pipelines)
         s1.append(stats.cycles)
     s2 = [segment / cfg.n_cores] * len(s1)
     s1, s2 = np.asarray(s1), np.asarray(s2)

@@ -9,14 +9,9 @@ distribution -- matches the paper's.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.reporting import format_table
-from repro.compression.delta import delta_encode
 from repro.compression.vldi import delta_width_histogram, optimal_block_width
-from repro.core.config import TwoStepConfig
-from repro.core.step1 import Step1Engine
-from repro.formats.blocking import column_blocks
+from repro.core.step1 import sample_intermediate_deltas
 from repro.generators.erdos_renyi import erdos_renyi_graph
 
 SCALE = 400  # 80M -> 200k nodes
@@ -29,25 +24,12 @@ SEGMENTS = {
 PAPER_OPTIMA = {"5MB": 8, "35MB": 4}
 
 
-def intermediate_deltas(graph, segment_width: int) -> np.ndarray:
-    """Concatenated delta streams of all intermediate vectors."""
-    cfg = TwoStepConfig(segment_width=segment_width, q=4)
-    engine = Step1Engine(cfg)
-    x = np.ones(graph.n_cols)
-    chunks = []
-    for block in column_blocks(graph, segment_width):
-        iv = engine.run_stripe(block, x[block.col_lo : block.col_hi])
-        if iv.nnz:
-            chunks.append(delta_encode(iv.indices))
-    return np.concatenate(chunks)
-
-
 def collect() -> dict:
     """Per-scratchpad-size ``(histogram, optimal_block_bits)``."""
     graph = erdos_renyi_graph(N_NODES, AVG_DEGREE, seed=13)
     out = {}
     for label, segment in SEGMENTS.items():
-        deltas = intermediate_deltas(graph, segment)
+        deltas = sample_intermediate_deltas(graph, segment, max_stripes=None)
         hist = delta_width_histogram(deltas, max_bits=12)
         best, _ = optimal_block_width(deltas, candidates=range(1, 17))
         out[label] = (hist, best)

@@ -25,7 +25,6 @@ from repro.faults.errors import (
     InvalidVectorError,
     OverloadedError,
     QuotaExceededError,
-    RequestCancelledError,
     ServerClosedError,
     ServingError,
     SnapshotCorruptError,
@@ -65,7 +64,6 @@ __all__ = [
     "InvalidVectorError",
     "OverloadedError",
     "QuotaExceededError",
-    "RequestCancelledError",
     "ServerClosedError",
     "ServingError",
     "SnapshotCorruptError",

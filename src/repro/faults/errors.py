@@ -111,16 +111,6 @@ class DeadlineExceededError(ServingError, TimeoutError):
         self.budget_s = budget_s
 
 
-class RequestCancelledError(ServingError):
-    """A request was cancelled (client disconnect) before completion.
-
-    The serving layer normally lets ``asyncio.CancelledError`` propagate
-    (so cancellation still composes with task groups); this typed error
-    exists for callers that need a resolved-not-cancelled outcome, e.g.
-    the chaos harness's every-request-resolves accounting.
-    """
-
-
 class ServerClosedError(ServingError):
     """``submit()`` was called during or after server shutdown.
 
@@ -179,7 +169,6 @@ __all__ = [
     "InvalidVectorError",
     "OverloadedError",
     "QuotaExceededError",
-    "RequestCancelledError",
     "ServerClosedError",
     "ServingError",
     "SnapshotCorruptError",

@@ -14,14 +14,13 @@ streams into consecutive elements of the dense output vector.
 Two granularities are provided:
 
 * :func:`prap_merge_dense` -- functional model of the merge, re-deriving
-  the merge permutation on every call; its merge/injection/scatter
-  kernels are supplied by an execution backend (:mod:`repro.backends`),
-  bit-exact output either way.  With ``check_interleave=True`` the
-  ``p`` injected class streams go through a real :class:`StoreQueue`.
-  The engine replays the same merge from a plan's cached structure
-  (:func:`prap_merge_dense_plan`) and scatters the merged keys
-  directly; tests hold that replay to this function's store-queue
-  assembly, byte for byte.
+  the merge permutation on every call; its merge and injection kernels
+  are supplied by an execution backend (:mod:`repro.backends`),
+  bit-exact output either way.  The ``p`` injected class streams go
+  through a real :class:`StoreQueue`.  The engine replays the same
+  merge from a plan's cached structure (:func:`prap_merge_dense_plan`)
+  and scatters the merged keys directly; tests hold that replay to this
+  function's store-queue assembly, byte for byte.
 * :class:`PRaPMergeNetwork` -- record-level simulation threading every
   record through the bitonic pre-sorter, per-radix buffer slots, per-core
   tournament merge, missing-key injection and the store queue; used by the
@@ -92,24 +91,21 @@ def prap_merge_dense(
     lists: list,
     n_out: int,
     q: int,
-    check_interleave: bool = True,
     backend=None,
 ) -> np.ndarray:
     """Merge sorted sparse vectors into a dense output via the PRaP scheme.
 
     Functionally: per radix ``r``, merge-and-accumulate the records with
     ``key % p == r`` from all lists, inject missing keys with value 0, and
-    interleave the ``p`` dense streams.
+    interleave the ``p`` dense streams through a :class:`StoreQueue`, which
+    checks the dense-position invariant.
 
     Args:
         lists: ``(indices, values)`` pairs, each sorted by index.
         n_out: Dense output length (the result-vector dimension).
         q: Radix bits (``p = 2**q`` cores).
-        check_interleave: When True, route the final assembly through a
-            :class:`StoreQueue` so the dense-position invariant is checked;
-            when False, assemble directly (faster).
         backend: Optional :class:`~repro.backends.ExecutionBackend` (or
-            registry name) providing the merge/injection/scatter kernels;
+            registry name) providing the merge and injection kernels;
             None resolves the package default.
 
     Returns:
@@ -128,8 +124,6 @@ def prap_merge_dense(
     )
     if merged_idx.size and (merged_idx.min() < 0 or merged_idx.max() >= n_out):
         raise ValueError("record key outside output vector range")
-    if not check_interleave:
-        return backend.scatter_dense(merged_idx, merged_val, n_out)
     # The residue classes have unequal lengths when p does not divide n_out;
     # pad the short streams with records beyond n_out so the store queue can
     # drain in full cycles, then truncate.
@@ -155,8 +149,8 @@ def prap_merge_dense_plan(symbolic, lists: list, backend=None) -> np.ndarray:
     :class:`~repro.core.plan.Step2Symbolic`; only the value datapath
     runs here (merge, then a direct scatter of the merged keys), so a
     warm iteration performs no argsort.  Outputs are bit-identical to
-    :func:`prap_merge_dense` with or without its store-queue assembly:
-    the store queue only reorders where each merged value is written.
+    :func:`prap_merge_dense`'s store-queue assembly: the store queue only
+    reorders where each merged value is written.
 
     Args:
         symbolic: Precomputed step-2 structure for this matrix and ``p``.

@@ -46,7 +46,7 @@ Or over HTTP: ``repro serve graph.npz --port 8787 --state-dir state/``.
 
 from repro.serving.batching import BatchPolicy, BatchResult, MicroBatcher
 from repro.serving.chaos import ChaosReport, fault_storm, run_chaos
-from repro.serving.loadgen import LoadReport, run_open_loop, sweep
+from repro.serving.loadgen import LoadReport, run_open_loop
 from repro.serving.registry import MatrixRegistry, Registration, TenantQuotas, matrix_fingerprint
 from repro.serving.resilience import CircuitBreaker, Deadline, ResiliencePolicy
 from repro.serving.server import ServeResult, SpMVServer
@@ -71,5 +71,4 @@ __all__ = [
     "matrix_fingerprint",
     "run_chaos",
     "run_open_loop",
-    "sweep",
 ]

@@ -132,27 +132,4 @@ async def run_open_loop(
     )
 
 
-async def sweep(
-    server: SpMVServer,
-    fingerprint: str,
-    xs,
-    qps_levels,
-    n_requests: int,
-    tenant: str = "default",
-) -> list:
-    """Run :func:`run_open_loop` at each offered-QPS level in turn.
-
-    Levels run sequentially (each drains before the next starts) so one
-    level's backlog cannot pollute the next level's latencies.
-    """
-    reports = []
-    for qps in qps_levels:
-        report = await run_open_loop(
-            server, fingerprint, xs, qps, n_requests, tenant=tenant
-        )
-        await server.close()
-        reports.append(report)
-    return reports
-
-
-__all__ = ["LoadReport", "percentile", "run_open_loop", "sweep"]
+__all__ = ["LoadReport", "percentile", "run_open_loop"]

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.api import SpMVEngine, create_engine, resolve_config
+from repro.api import create_engine, resolve_config
 from repro.core.config import TwoStepConfig
+from repro.core.twostep import TwoStepEngine
 from repro.faults.errors import (
     ConfigurationError,
     SnapshotCorruptError,
@@ -125,10 +126,10 @@ class MatrixRegistry:
         self._on_drop = on_drop
         self._lock = threading.Lock()
         self._matrices: dict[str, OrderedDict[str, Registration]] = {}
-        self._engines: dict[str, SpMVEngine] = {}
+        self._engines: dict[str, TwoStepEngine] = {}
         self.evictions = 0
 
-    def engine(self, tenant: str = "default") -> SpMVEngine:
+    def engine(self, tenant: str = "default") -> TwoStepEngine:
         """The tenant's engine (created through ``create_engine`` once)."""
         with self._lock:
             engine = self._engines.get(tenant)
@@ -209,7 +210,7 @@ class MatrixRegistry:
     def _forget_locked(self, tenant: str, matrix) -> None:
         """Drop a matrix's cached plan from the tenant engine (lock held)."""
         engine = self._engines.get(tenant)
-        if engine is not None and hasattr(engine, "forget"):
+        if engine is not None:
             engine.forget(matrix)
 
     # ------------------------------------------------------------------
@@ -271,9 +272,7 @@ class MatrixRegistry:
                 out["tenants"][tenant] = {
                     "matrices": [reg.describe() for reg in table.values()],
                     "plan_cache": (
-                        engine.plan_cache_stats
-                        if engine is not None and hasattr(engine, "plan_cache_stats")
-                        else None
+                        engine.plan_cache_stats if engine is not None else None
                     ),
                 }
             return out

@@ -520,8 +520,7 @@ class SpMVServer:
         """
         merged = MetricsRegistry()
         for _tenant, engine in self.registry.engines():
-            if hasattr(engine, "metrics"):
-                merged.merge(engine.metrics())
+            merged.merge(engine.metrics())
 
         def flat(name: str) -> dict:
             return {
@@ -545,8 +544,7 @@ class SpMVServer:
             help="Requests currently queued or executing",
         )
         for _tenant, engine in self.registry.engines():
-            if hasattr(engine, "metrics"):
-                merged.merge(engine.metrics())
+            merged.merge(engine.metrics())
         return merged.to_prometheus()
 
 

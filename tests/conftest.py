@@ -84,15 +84,16 @@ def dense_from_lists(lists, n_out):
 
 def plan_free_step1(config, matrix, x):
     """Step 1 without a plan: ``(indices, values)`` per stripe of ``config``'s
-    geometry, each computed by :meth:`Step1Engine.run_stripe`."""
-    from repro.core.step1 import Step1Engine
+    geometry, each computed by the configured backend's raw-array
+    ``stripe_spmv``."""
+    from repro.backends import resolve_backend
     from repro.formats.blocking import column_blocks
 
-    step1 = Step1Engine(config)
+    backend = resolve_backend(config.backend)
     return [
-        (iv.indices, iv.values)
-        for iv in (
-            step1.run_stripe(block, x[block.col_lo : block.col_hi])
-            for block in column_blocks(matrix, config.stripe_width(matrix.n_cols))
+        backend.stripe_spmv(
+            block.matrix.rows, block.matrix.cols, block.matrix.vals,
+            x[block.col_lo : block.col_hi],
         )
+        for block in column_blocks(matrix, config.stripe_width(matrix.n_cols))
     ]

@@ -1,9 +1,9 @@
 """Backfill unit tests for :mod:`repro.core.autotune`.
 
 The structural-decision tests live in ``test_autotune_mesh_power.py``;
-these pin the measurement helpers and the report surface itself:
-:func:`sample_intermediate_deltas` (dry step-1 sampling) and the
-:class:`AutotuneReport` field contract.
+these pin the measurement helper and the report surface itself:
+:func:`~repro.core.step1.sample_intermediate_deltas` (the structure-only
+delta sample) and the :class:`AutotuneReport` field contract.
 """
 
 import dataclasses
@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.matrix_stats import compute_stats
-from repro.core.autotune import AutotuneReport, autotune, sample_intermediate_deltas
+from repro.core.autotune import AutotuneReport, autotune
 from repro.core.config import TwoStepConfig
 from repro.core.design_points import TS_ASIC, TS_FPGA2
+from repro.core.step1 import sample_intermediate_deltas
 from repro.formats.blocking import column_blocks
 from repro.formats.coo import COOMatrix
 from repro.generators.erdos_renyi import erdos_renyi_graph

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.autotune import autotune, sample_intermediate_deltas
+from repro.core.autotune import autotune
 from repro.core.design_points import TS_ASIC, TS_FPGA2
+from repro.core.step1 import sample_intermediate_deltas
 from repro.core.twostep import TwoStepEngine
 from repro.generators.erdos_renyi import erdos_renyi_graph
 from repro.generators.mesh import mesh_graph

@@ -103,9 +103,13 @@ def test_serve_rejects_trace_and_metrics_outputs(capsys):
             ["--state-dir", "unused", "--snapshot-interval-s", "-1"],
             "--snapshot-interval-s must be positive",
         ),
+        (["--max-batch", "0"], "--max-batch must be positive"),
+        (["--max-queue", "0"], "--max-queue must be positive"),
+        (["--max-delay-ms", "-1"], "--max-delay-ms must be non-negative"),
     ],
     ids=["interval-without-state-dir", "zero-deadline", "negative-deadline",
-         "negative-interval"],
+         "negative-interval", "zero-max-batch", "zero-max-queue",
+         "negative-max-delay"],
 )
 def test_serve_rejects_bad_resilience_flags(monkeypatch, capsys, flags, message):
     import repro.serving

@@ -58,16 +58,12 @@ def test_checked_interleave_path(small_er_graph, rng):
     for segment_width in (None, 256):
         engine = TwoStepEngine(TwoStepConfig(segment_width=segment_width, q=2))
         lists = plan_free_step1(engine.config, small_er_graph, x)
-        checked = prap_merge_dense(
-            lists, small_er_graph.n_rows, q=2, check_interleave=True
-        )
+        checked = prap_merge_dense(lists, small_er_graph.n_rows, q=2)
         assert engine.run(small_er_graph, x).y.tobytes() == checked.tobytes()
         Y = engine.run_many(small_er_graph, X).y
         for j in range(X.shape[1]):
             column = plan_free_step1(engine.config, small_er_graph, X[:, j])
-            checked = prap_merge_dense(
-                column, small_er_graph.n_rows, q=2, check_interleave=True
-            )
+            checked = prap_merge_dense(column, small_er_graph.n_rows, q=2)
             assert np.ascontiguousarray(Y[:, j]).tobytes() == checked.tobytes()
         assert np.allclose(checked, reference_spmv(small_er_graph, X[:, -1]))
 

@@ -20,7 +20,6 @@ from repro.core.accelerator import Accelerator
 from repro.core.config import TwoStepConfig
 from repro.core.design_points import TS_ASIC
 from repro.core.records import Precision
-from repro.core.step1 import Step1Engine
 from repro.core.twostep import TwoStepEngine
 from repro.faults.errors import ConfigurationError
 from repro.generators import erdos_renyi_graph
@@ -113,7 +112,6 @@ class TestPrecedence:
 _BACKEND_OF = {
     "create_engine": lambda: create_engine().backend,
     "TwoStepEngine": lambda: TwoStepEngine(TwoStepConfig()).backend,
-    "Step1Engine": lambda: Step1Engine(TwoStepConfig()).backend,
     "resolve_backend": lambda: resolve_backend(None),
 }
 
@@ -426,21 +424,29 @@ class TestRemovedCheckInterleave:
 
 
 class TestRemovedStepEngineKnobs:
-    """``Step2Engine`` and the engines' ``backend`` / ``n_banks``
-    parameters are gone; the configured backend is the one that runs."""
+    """``Step1Engine``, ``Step2Engine`` and ``TwoStepEngine``'s
+    ``backend`` parameter are gone; the configured backend is the one
+    that runs."""
 
     @pytest.mark.parametrize(
         "build",
-        [
-            lambda: TwoStepEngine(TwoStepConfig(), backend="reference"),
-            lambda: Step1Engine(TwoStepConfig(), backend="reference"),
-            lambda: Step1Engine(TwoStepConfig(), n_banks=64),
-        ],
-        ids=["TwoStepEngine-backend", "Step1Engine-backend", "Step1Engine-n_banks"],
+        [lambda: TwoStepEngine(TwoStepConfig(), backend="reference")],
+        ids=["TwoStepEngine-backend"],
     )
     def test_parameter_is_typeerror(self, clean_env, build):
         with pytest.raises(TypeError):
             build()
+
+    @pytest.mark.parametrize("name", ["Step1Engine", "IntermediateVector"])
+    def test_step1_engine_is_gone(self, name):
+        """No plan-free step-1 executor: structure comes from the stripes
+        (``step1.sample_intermediate_deltas``, ``step1.account_stripe``)."""
+        import repro.core
+        import repro.core.step1
+
+        assert not hasattr(repro.core, name)
+        assert name not in repro.core.__all__
+        assert not hasattr(repro.core.step1, name)
 
     def test_step2_engine_is_gone(self):
         import repro.core

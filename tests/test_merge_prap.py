@@ -52,13 +52,6 @@ def test_prap_merge_dense_rejects_out_of_range():
         prap_merge_dense([(np.array([20]), np.array([1.0]))], 10, q=1)
 
 
-def test_prap_merge_fast_path_matches_checked_path(rng):
-    lists = random_sorted_lists(rng, 5, 333, 90)
-    checked = prap_merge_dense(lists, 333, q=2, check_interleave=True)
-    fast = prap_merge_dense(lists, 333, q=2, check_interleave=False)
-    assert np.allclose(checked, fast)
-
-
 def test_prap_network_record_level_matches_reference(rng):
     cfg = PRaPConfig(q=2, core=MergeCoreConfig(ways=8))
     network = PRaPMergeNetwork(cfg)

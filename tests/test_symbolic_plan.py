@@ -65,9 +65,7 @@ def _engine(backend, **kwargs) -> TwoStepEngine:
 def _unfused_merge(engine, graph, lists, backend="reference") -> np.ndarray:
     """Plan-free step-2 oracle: re-derives the merge from the lists and
     assembles the dense result through the store queue."""
-    return prap_merge_dense(
-        lists, graph.n_rows, engine.config.q, check_interleave=True, backend=backend
-    )
+    return prap_merge_dense(lists, graph.n_rows, engine.config.q, backend=backend)
 
 
 # ---------------------------------------------------------------------------
