@@ -77,9 +77,10 @@ class StripePlan:
             order-preserving multi-RHS accumulation kernel; it keeps no
             record map, because the kernel reads ``batch_cols`` and
             ``batch_vals``.
-        batch_cols: ``cols`` permuted into the layout's position-major
-            order.
-        batch_vals: ``vals`` in the same position-major order.
+        batch_cols: ``cols`` permuted into the layout's record order:
+            position-major below the layout's loop cut, then each long
+            run's remaining records.
+        batch_vals: ``vals`` in the same order.
     """
 
     index: int

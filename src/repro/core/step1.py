@@ -28,7 +28,6 @@ import numpy as np
 from repro.compression.delta import delta_encode
 from repro.core.segsum import run_boundaries
 from repro.filters.hdn import HDNDetector
-from repro.formats.blocking import column_blocks
 from repro.formats.coo import COOMatrix
 from repro.memory.scratchpad import expected_conflict_factor
 
@@ -133,12 +132,16 @@ def sample_intermediate_deltas(
     Returns:
         ``int64`` deltas, stripe after stripe.
     """
+    if segment_width <= 0:
+        raise ValueError("segment_width must be positive")
     chunks = []
     sampled = 0
-    for block in column_blocks(matrix, segment_width)[:max_stripes]:
+    # A stripe is cut out only when it is read, so a capped sample costs
+    # what it reads, not a split of the whole matrix.
+    for lo in range(0, matrix.n_cols, segment_width)[:max_stripes]:
         if max_records is not None and sampled >= max_records:
             break
-        rows = block.matrix.rows
+        rows = matrix.select_columns(lo, min(lo + segment_width, matrix.n_cols)).rows
         indices = rows[run_boundaries(rows)[0]]
         if max_records is not None:
             indices = indices[: max_records - sampled]

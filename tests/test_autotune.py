@@ -7,11 +7,13 @@ delta sample) and the :class:`AutotuneReport` field contract.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.analysis.matrix_stats import compute_stats
+from repro.compression.delta import delta_encode
 from repro.core.autotune import AutotuneReport, autotune
 from repro.core.config import TwoStepConfig
 from repro.core.design_points import TS_ASIC, TS_FPGA2
@@ -61,6 +63,37 @@ class TestSampleIntermediateDeltas:
         deltas = sample_intermediate_deltas(graph, segment_width=16, max_records=0)
         assert deltas.size == 0
         assert deltas.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        ("max_stripes", "max_records"),
+        [(4, None), (None, None), (0, None), (30, None), (None, 300), (4, 1)],
+    )
+    def test_cuts_only_the_stripes_it_reads(self, max_stripes, max_records):
+        graph = rmat_graph(9, 4.0, seed=4)
+        width = 40
+        # The sample as a split of every stripe computes it: each
+        # stripe's intermediate indices are its distinct rows.
+        chunks, sampled, read = [], 0, 0
+        for block in column_blocks(graph, width)[:max_stripes]:
+            if max_records is not None and sampled >= max_records:
+                break
+            read += 1
+            indices = np.unique(block.matrix.rows)
+            if max_records is not None:
+                indices = indices[: max_records - sampled]
+            if indices.size:
+                chunks.append(delta_encode(indices))
+                sampled += indices.size
+        want = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        cut = mock.patch.object(
+            COOMatrix, "select_columns", autospec=True,
+            side_effect=COOMatrix.select_columns,
+        )
+        with cut as select:
+            deltas = sample_intermediate_deltas(graph, width, max_stripes, max_records)
+        assert deltas.dtype == np.int64
+        assert deltas.tobytes() == want.tobytes()
+        assert select.call_count == read
 
     def test_single_stripe_equals_unique_rows(self):
         graph = erdos_renyi_graph(200, 3.0, seed=3)
