@@ -17,6 +17,7 @@ from repro.core.config import TwoStepConfig
 from repro.core.design_points import ITS_ASIC, TS_ASIC
 from repro.core.its import ITSEngine, plain_iteration_traffic
 from repro.core.perf import estimate_performance
+from repro.core.twostep import TwoStepEngine
 from repro.generators.erdos_renyi import erdos_renyi_graph
 
 from benchmarks._util import emit
@@ -28,7 +29,7 @@ ITERATIONS = 8
 
 def run_its():
     graph = erdos_renyi_graph(N_NODES, AVG_DEGREE, seed=52)
-    engine = ITSEngine(TwoStepConfig(segment_width=6000, q=4))
+    engine = ITSEngine(TwoStepEngine(TwoStepConfig(segment_width=6000, q=4)))
     x0 = np.full(N_NODES, 1.0 / N_NODES)
     _, report = engine.run_iterations(graph, x0, ITERATIONS)
     return report

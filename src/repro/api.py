@@ -14,8 +14,8 @@ engine settings.  This module turns it into engines:
   :class:`~repro.core.twostep.TwoStepEngine`, or its subclass
   :class:`~repro.core.accelerator.Accelerator` (the engine bound to a
   design point) when a design point is requested.  The apps take a ``TwoStepConfig`` and build
-  ``TwoStepEngine(config)`` / ``ITSEngine(config)`` directly, which pins
-  through the same resolver.
+  ``TwoStepEngine(config)`` directly (``ITSEngine`` wraps such an
+  engine), which pins through the same resolver.
 
 :class:`~repro.core.twostep.TwoStepEngine` is the one class that
 executes SpMV.  It satisfies the :class:`SpMVEngine` protocol and

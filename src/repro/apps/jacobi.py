@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.config import TwoStepConfig
 from repro.core.its import ITSEngine
+from repro.core.twostep import TwoStepEngine
 from repro.formats.coo import COOMatrix
 
 
@@ -91,7 +92,7 @@ def jacobi_solve(
                 return JacobiResult(z, iteration, True, residuals)
         return JacobiResult(z, max_iterations, False, residuals)
 
-    engine = ITSEngine(config)
+    engine = ITSEngine(TwoStepEngine(config))
 
     def update(product: np.ndarray) -> np.ndarray:
         return inv_diag * (b - product)

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.config import TwoStepConfig
 from repro.core.its import ITSEngine
+from repro.core.twostep import TwoStepEngine
 from repro.formats.coo import COOMatrix
 
 
@@ -119,7 +120,7 @@ def pagerank(
         raise ValueError("damping must be in (0, 1)")
     transition = stochastic_matrix(adjacency)
     n = adjacency.n_rows
-    engine = ITSEngine(config)
+    engine = ITSEngine(TwoStepEngine(config))
     residuals = []
 
     def damp(vector: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.core.config import TwoStepConfig
 from repro.core.its import ITSEngine
+from repro.core.twostep import TwoStepEngine
 from repro.formats.coo import COOMatrix
 
 
@@ -68,7 +69,7 @@ def power_iteration(
             estimates[-1] if estimates else 0.0, v, max_iterations, False, estimates
         )
 
-    engine = ITSEngine(config)
+    engine = ITSEngine(TwoStepEngine(config))
     v, report = engine.run_iterations(
         matrix, v0, max_iterations, transform=normalize, stop_condition=converged
     )

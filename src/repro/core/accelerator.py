@@ -81,7 +81,7 @@ class Accelerator(TwoStepEngine):
         """Iterative SpMV; applies ITS overlap accounting when enabled."""
         if not self.point.its:
             raise ValueError(f"{self.point.name} does not implement iteration overlap")
-        its = ITSEngine(self.config, max_dimension=None)
+        its = ITSEngine(self, max_dimension=None)
         return its.run_iterations(matrix, x0, n_iterations, transform=transform)
 
     def estimate(self, n_nodes: int, n_edges: int, check_capacity: bool = True) -> PerfEstimate:

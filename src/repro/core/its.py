@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import TwoStepConfig
 from repro.core.twostep import TwoStepEngine
 from repro.formats.coo import COOMatrix
 from repro.memory.traffic import TrafficLedger
@@ -78,19 +77,29 @@ class ITSEngine:
     repeatedly; the instrumentation applies the overlap accounting.
     """
 
-    def __init__(self, config: TwoStepConfig, max_dimension: int = None):
+    def __init__(self, engine: TwoStepEngine, max_dimension: int = None):
         """
         Args:
-            config: Two-Step configuration.  Note ITS requires buffering
-                two vector segments, so a scratchpad that holds
-                ``segment_width`` elements under plain TS only supports
-                ``segment_width // 2`` here -- pass the halved width.
+            engine: The Two-Step engine every iteration runs on; its
+                plan cache is shared, so iterations (and later runs on
+                the same engine) reuse one plan per matrix.  Note ITS
+                requires buffering two vector segments, so a scratchpad
+                that holds ``segment_width`` elements under plain TS only
+                supports ``segment_width // 2`` here -- configure the
+                engine with the halved width.
             max_dimension: Optional capacity check (reject matrices whose
                 dimension exceeds the ITS maximum).
+
+        Raises:
+            TypeError: ``engine`` is not a :class:`TwoStepEngine`.
         """
-        self.config = config
+        if not isinstance(engine, TwoStepEngine):
+            raise TypeError(
+                f"ITSEngine takes a TwoStepEngine, got {type(engine).__name__}"
+            )
+        self.config = engine.config
         self.max_dimension = max_dimension
-        self._engine = TwoStepEngine(config)
+        self._engine = engine
 
     def run_iterations(
         self,

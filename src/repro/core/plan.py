@@ -17,9 +17,14 @@ every iteration, it never re-derives it.  SpArch's condensed matrix
 staging and SMASH's compressed-index reuse (see PAPERS.md) make the
 same amortization argument.
 
-Plans are immutable once built and hold only structure-derived state,
-so one plan serves any right-hand side -- including batched multi-RHS
-execution -- and any bit-compatible backend.
+Plans hold only structure-derived state, so one plan serves any
+right-hand side -- including batched multi-RHS execution -- and any
+bit-compatible backend.  A plan keeps only what its calls read: a
+one-stripe plan reads the matrix's own arrays in place (so a planned
+matrix must not be mutated), and the state that only some calls read
+-- each stripe's batch layout, the step-2 symbolic structure, SpGEMM
+structures, per-batch ledgers -- is built on first use and cached on
+the plan.
 """
 
 from __future__ import annotations
@@ -51,6 +56,9 @@ from repro.telemetry.session import metric_inc, span
 #: the actual dimension; VLDI is what removes that slack.
 INDEX_FIELD_BYTES = 4
 
+#: Guards the store of a stripe's batch layout (:meth:`StripePlan._batch_layout`).
+_BATCH_LOCK = threading.Lock()
+
 
 @dataclass(frozen=True)
 class StripePlan:
@@ -60,7 +68,10 @@ class StripePlan:
         index: Stripe number ``k``.
         col_lo: First global column (inclusive).
         col_hi: One past the last global column (exclusive).
-        rows: Stripe row indices (row-major order).
+        rows: Stripe row indices (row-major order).  A stripe that
+            spans every column reads the matrix's own ``rows``,
+            ``cols`` and ``vals`` in place; no stripe array is ever
+            written.
         cols: Stripe-local column indices.
         vals: Nonzero values.
         out_indices: Row index of each accumulated output record --
@@ -72,15 +83,11 @@ class StripePlan:
         matrix_bytes: Off-chip bytes to stream the stripe (meta + values).
         iv_index_bits: Encoded bits of the intermediate index stream
             (VLDI when enabled, fixed fields otherwise).
-        run_groups: Position-major run layout
-            (:class:`~repro.core.segsum.RunLayout`) for the
-            order-preserving multi-RHS accumulation kernel; it keeps no
-            record map, because the kernel reads ``batch_cols`` and
-            ``batch_vals``.
-        batch_cols: ``cols`` permuted into the layout's record order:
-            position-major below the layout's loop cut, then each long
-            run's remaining records.
-        batch_vals: ``vals`` in the same order.
+
+    The multi-RHS accumulation kernel's inputs -- :attr:`run_groups`,
+    :attr:`batch_cols` and :attr:`batch_vals` -- are built together the
+    first time one of them is read (a row-major ``run_many``) and kept
+    on the stripe, so a plan that never batches never pays for them.
     """
 
     index: int
@@ -95,9 +102,49 @@ class StripePlan:
     fmt: StripeFormat
     matrix_bytes: float
     iv_index_bits: int
-    run_groups: RunLayout
-    batch_cols: np.ndarray
-    batch_vals: np.ndarray
+    _batch: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def run_groups(self) -> RunLayout:
+        """Position-major run layout
+        (:class:`~repro.core.segsum.RunLayout`) for the order-preserving
+        multi-RHS accumulation kernel; it keeps no record map, because
+        the kernel reads :attr:`batch_cols` and :attr:`batch_vals`."""
+        return self._batch_layout()[0]
+
+    @property
+    def batch_cols(self) -> np.ndarray:
+        """``cols`` permuted into the layout's record order:
+        position-major below the layout's loop cut, then each long run's
+        remaining records."""
+        return self._batch_layout()[1]
+
+    @property
+    def batch_vals(self) -> np.ndarray:
+        """``vals`` in the same order as :attr:`batch_cols`."""
+        return self._batch_layout()[2]
+
+    def _batch_layout(self) -> tuple:
+        """``(run_groups, batch_cols, batch_vals)``, built on first use.
+
+        Safe from several threads: the build runs outside the lock and
+        the first result stored wins, so every caller gets the same
+        arrays and the stripe keeps one layout.
+        """
+        batch = self._batch
+        if batch is None:
+            layout = build_run_layout(run_boundaries(self.rows)[2])
+            built = (
+                replace(layout, rec=None),
+                self.cols[layout.rec],
+                self.vals[layout.rec],
+            )
+            with _BATCH_LOCK:
+                if self._batch is None:
+                    # Frozen dataclass: the cache slot is set past __setattr__.
+                    object.__setattr__(self, "_batch", built)
+                batch = self._batch
+        return batch
 
     @property
     def width(self) -> int:
@@ -363,7 +410,8 @@ class ExecutionPlan:
     Attributes:
         matrix: The planned matrix (held strongly: the plan is only
             valid for exactly this object, and the cache checks
-            identity on lookup).
+            identity on lookup).  A one-stripe plan's stripe reads its
+            arrays in place, so it must not be mutated.
         fingerprint: Configuration fingerprint the plan was built under.
         stripes: Per-stripe plans in stripe order.
         stripe_formats: Chosen formats, in stripe order.
@@ -383,11 +431,15 @@ class ExecutionPlan:
             derived on the first :meth:`run_ledger` call of each size
             and copied into each report from then on.
 
-    The step-2 symbolic structures (:class:`Step2Symbolic`) are built
-    lazily per ``p`` via :meth:`step2_symbolic` and cached on the plan,
-    so they ride the engine's existing LRU plan cache -- the cache key
-    effectively includes ``p`` because each radix gets its own slot and
-    ``q`` is part of the config fingerprint.
+    Building a plan derives only what every call reads.  The rest is
+    built on first use and cached on the plan, so it rides the engine's
+    existing LRU plan cache: each stripe's batch layout on the first
+    row-major ``run_many`` (:attr:`StripePlan.run_groups`), the step-2
+    symbolic structures (:class:`Step2Symbolic`) per ``p`` via
+    :meth:`step2_symbolic` -- the cache key effectively includes ``p``
+    because each radix gets its own slot and ``q`` is part of the config
+    fingerprint -- and SpGEMM structures per right operand via
+    :meth:`spgemm_plan`.
     """
 
     matrix: COOMatrix
@@ -630,7 +682,8 @@ def build_plan(
             backend is valid for any other).
 
     Returns:
-        The immutable :class:`ExecutionPlan`.
+        The :class:`ExecutionPlan`; the state only some calls read is
+        built on first use.
     """
     start = time.perf_counter()
     detector = None
@@ -642,10 +695,9 @@ def build_plan(
     formats: list[StripeFormat] = []
     for block in column_blocks(matrix, config.stripe_width(matrix.n_cols)):
         stripe = block.matrix
-        new_run, run_ids, run_starts = run_boundaries(stripe.rows)
-        out_indices = stripe.rows[new_run].astype(np.int64, copy=False)
+        run_ids, run_starts = run_boundaries(stripe.rows)[1:]
+        out_indices = stripe.rows[run_starts[:-1]]
         n_runs = int(out_indices.size)
-        layout = build_run_layout(run_starts)
         fmt = choose_stripe_format(block.nnz, matrix.n_rows)
         formats.append(fmt)
         stripes.append(
@@ -664,9 +716,6 @@ def build_plan(
                     block, fmt, matrix.n_rows, config, backend
                 ),
                 iv_index_bits=_iv_index_bits(out_indices, config, backend),
-                run_groups=replace(layout, rec=None),
-                batch_cols=stripe.cols[layout.rec],
-                batch_vals=stripe.vals[layout.rec],
             )
         )
         # Both steps' statistics are structure-only, so the plan holds

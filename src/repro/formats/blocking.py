@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.formats.coo import COOMatrix
 
 
@@ -82,20 +84,47 @@ def column_blocks(matrix: COOMatrix, segment_width: int) -> list:
     The final stripe may be narrower.  Stripe column indices are local so
     step 1 can address the scratchpad-resident vector segment directly.
 
+    One stripe spanning every column is ``matrix`` itself (its local
+    columns are the global ones), so its arrays are shared, not copied.
+    Several stripes are split in one pass: a stable argsort of each
+    nonzero's stripe id keeps every stripe's records in row-major order,
+    and each stripe is a slice of the sorted arrays -- the same stripes
+    :meth:`~repro.formats.coo.COOMatrix.select_columns` cuts one at a
+    time.  The stripe id takes the narrowest unsigned dtype, which NumPy
+    radix-sorts up to 16 bits.
+
     Args:
         matrix: The full matrix in RM-COO.
         segment_width: Columns per stripe; in the accelerator this is
             ``scratchpad_vector_bytes // value_bytes``.
 
     Returns:
-        List of :class:`ColumnBlock`, in stripe order.
+        List of :class:`ColumnBlock`, in stripe order; empty when the
+        matrix has no columns.
     """
     if segment_width <= 0:
         raise ValueError("segment_width must be positive")
+    n_cols = matrix.n_cols
+    if n_cols == 0:
+        return []
+    if segment_width >= n_cols:
+        return [ColumnBlock(0, 0, n_cols, matrix)]
+    n_blocks = -(-n_cols // segment_width)
+    stripe_ids, local = np.divmod(matrix.cols, segment_width)
+    stripe_ids = stripe_ids.astype(np.min_scalar_type(n_blocks - 1))
+    order = np.argsort(stripe_ids, kind="stable")
+    ends = np.cumsum(np.bincount(stripe_ids, minlength=n_blocks)).tolist()
+    rows, cols, vals = matrix.rows[order], local[order], matrix.vals[order]
     blocks = []
-    for k, lo in enumerate(range(0, matrix.n_cols, segment_width)):
-        hi = min(lo + segment_width, matrix.n_cols)
-        blocks.append(ColumnBlock(k, lo, hi, matrix.select_columns(lo, hi)))
+    start = 0
+    for k, end in enumerate(ends):
+        lo = k * segment_width
+        hi = min(lo + segment_width, n_cols)
+        stripe = COOMatrix(
+            matrix.n_rows, hi - lo, rows[start:end], cols[start:end], vals[start:end]
+        )
+        blocks.append(ColumnBlock(k, lo, hi, stripe))
+        start = end
     return blocks
 
 

@@ -42,6 +42,30 @@ def test_run_iterative_its(small_er_graph, rng):
     assert report.cycle_speedup > 1.0
 
 
+def test_run_iterative_reuses_the_accelerators_plan(small_er_graph, rng):
+    acc = Accelerator(ITS_ASIC, simulation_segment_width=300)
+    x0 = rng.uniform(size=small_er_graph.n_cols)
+    acc.run(small_er_graph, x0)
+    hits = []
+    for _ in range(2):
+        _, report = acc.run_iterative(small_er_graph, x0, 3)
+        assert [it.plan_cache_misses for it in report.per_iteration] == [1, 1, 1]
+        hits += [it.plan_cache_hits for it in report.per_iteration]
+    assert hits == [1, 2, 3, 4, 5, 6]
+    stats = acc.plan_cache_stats
+    assert (stats["hits"], stats["misses"], stats["size"]) == (6, 1, 1)
+
+
+def test_its_engine_takes_an_engine():
+    from repro.core.config import TwoStepConfig
+    from repro.core.its import ITSEngine
+
+    acc = Accelerator(ITS_ASIC, simulation_segment_width=300)
+    assert ITSEngine(acc).config is acc.config
+    with pytest.raises(TypeError, match="TwoStepEngine"):
+        ITSEngine(TwoStepConfig())
+
+
 def test_estimate_dataset():
     acc = Accelerator(TS_ASIC)
     spec = get_dataset("TW")

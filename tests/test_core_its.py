@@ -9,7 +9,7 @@ from repro.core.twostep import TwoStepEngine
 
 
 def make_engine(**kwargs):
-    return ITSEngine(TwoStepConfig(segment_width=256, q=2), **kwargs)
+    return ITSEngine(TwoStepEngine(TwoStepConfig(segment_width=256, q=2)), **kwargs)
 
 
 def test_its_functional_matches_repeated_spmv(small_er_graph, rng):

@@ -94,9 +94,10 @@ class TestCorruptStreams:
 
     def test_engine_rejects_non_square_for_its(self):
         from repro.core.its import ITSEngine
+        from repro.core.twostep import TwoStepEngine
 
         rect = COOMatrix.from_triples(3, 4, [0], [1], [1.0])
-        engine = ITSEngine(TwoStepConfig(segment_width=2))
+        engine = ITSEngine(TwoStepEngine(TwoStepConfig(segment_width=2)))
         with pytest.raises(ValueError):
             engine.run_iterations(rect, np.ones(4), 1)
 

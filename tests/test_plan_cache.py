@@ -262,3 +262,120 @@ def test_clear_plan_cache_concurrent_with_plan():
     stats = engine.plan_cache_stats
     assert stats["hits"] + stats["misses"] >= stats["misses"] >= 1
     assert stats["size"] in (0, 1)
+
+
+# ----------------------------------------------------------------------
+# What a plan holds and when it builds it.
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def layout_builds(monkeypatch):
+    """Count the stripe batch layouts built (the symbolic merge layout,
+    which composes a permutation, is not counted)."""
+    from repro.core import plan as plan_module
+
+    calls = []
+    original = plan_module.build_run_layout
+
+    def spy(run_starts, order=None):
+        if order is None:
+            calls.append(run_starts.size - 1)
+        return original(run_starts, order=order)
+
+    monkeypatch.setattr(plan_module, "build_run_layout", spy)
+    return calls
+
+
+def test_default_plan_reads_the_matrix_in_place(graph):
+    plan = TwoStepEngine(TwoStepConfig()).plan(graph)
+    (stripe,) = plan.stripes
+    assert stripe.rows is graph.rows
+    assert np.shares_memory(stripe.rows, graph.rows)
+    assert np.shares_memory(stripe.cols, graph.cols)
+    assert np.shares_memory(stripe.vals, graph.vals)
+
+
+@pytest.mark.parametrize("width", [None, 64])
+def test_run_builds_no_batch_layout(graph, layout_builds, width):
+    engine = TwoStepEngine(TwoStepConfig(segment_width=width, q=2))
+    x = np.random.default_rng(6).uniform(size=graph.n_cols)
+    engine.run(graph, x)
+    engine.run(graph, x)
+    if width is None:
+        # A one-stripe column-major run_many folds column by column.
+        engine.run_many(graph, np.asfortranarray(np.ones((graph.n_cols, 3))))
+    assert layout_builds == []
+
+
+@pytest.mark.parametrize("width", [None, 64])
+def test_first_row_major_run_many_builds_one_layout_per_stripe(graph, layout_builds, width):
+    engine = TwoStepEngine(TwoStepConfig(segment_width=width, q=2, backend="vectorized"))
+    X = np.random.default_rng(7).uniform(size=(graph.n_cols, 4))
+    first = engine.run_many(graph, X)
+    stripes = engine.plan(graph).stripes
+    assert len(layout_builds) == len(stripes)
+    layouts = [sp.run_groups for sp in stripes]
+    again = engine.run_many(graph, X)
+    assert len(layout_builds) == len(stripes)
+    assert all(a is b for a, b in zip(layouts, (sp.run_groups for sp in stripes)))
+    assert first.y.tobytes() == again.y.tobytes()
+
+
+@pytest.mark.parametrize("width", [None, 64])
+def test_concurrent_first_run_many_keeps_one_layout_per_stripe(graph, layout_builds, width):
+    import sys
+    import threading
+
+    engine = TwoStepEngine(TwoStepConfig(segment_width=width, q=2, backend="vectorized"))
+    rng = np.random.default_rng(8)
+    X = rng.uniform(size=(graph.n_cols, 3))
+    X[::4] = -0.0
+    want = [engine.run(graph, X[:, j]).y.tobytes() for j in range(3)]
+    assert layout_builds == []
+    n_threads = 4
+    barrier = threading.Barrier(n_threads)
+    results, errors = [None] * n_threads, []
+
+    def worker(t):
+        try:
+            barrier.wait()
+            results[t] = engine.run_many(graph, X).y
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often, so the first builds interleave
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    for Y in results:
+        assert [Y[:, j].tobytes() for j in range(3)] == want
+    stripes = engine.plan(graph).stripes
+    # A race may build a stripe's layout more than once; one is kept.
+    assert len(stripes) <= len(layout_builds) <= n_threads * len(stripes)
+    kept = [sp.run_groups for sp in stripes]
+    builds = len(layout_builds)
+    engine.run_many(graph, X)
+    assert len(layout_builds) == builds
+    assert all(a is sp.run_groups for a, sp in zip(kept, stripes))
+
+
+@pytest.mark.parametrize("width", [None, 64])
+def test_planned_calls_leave_the_matrix_bytes_alone(graph, width):
+    engine = TwoStepEngine(TwoStepConfig(segment_width=width, q=2))
+    before = [a.tobytes() for a in (graph.rows, graph.cols, graph.vals)]
+    rng = np.random.default_rng(9)
+    engine.run(graph, rng.uniform(size=graph.n_cols))
+    X = rng.uniform(size=(graph.n_cols, 5))
+    engine.run_many(graph, np.ascontiguousarray(X), Y=np.ones((graph.n_rows, 5)))
+    engine.run_many(graph, np.asfortranarray(X))
+    engine.spgemm(graph, graph)
+    assert [a.tobytes() for a in (graph.rows, graph.cols, graph.vals)] == before
