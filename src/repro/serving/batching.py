@@ -46,23 +46,27 @@ at batch formation and counted, releasing their queue slot.
 
 All queue state is mutated only on the event-loop thread, so no locks
 are needed.  Batches execute on a small *dedicated* thread pool
-(``BatchPolicy.workers``, default 1) rather than ``asyncio.to_thread``'s
+(``BatchPolicy.workers``, default 2) rather than ``asyncio.to_thread``'s
 shared default pool, so batch execution never queues behind unrelated
-``to_thread`` work.  (The engine is thread-safe: its plan cache is
-locked.)  One batch skips the pool: a lone request (``k == 1``) on an
-otherwise idle server (``in_flight == 1``) whose lane has measured its
-execution at no more than ``BatchPolicy.max_delay_s`` runs **inline**
-on the event-loop thread, sparing it the two thread crossings (handoff
-to the pool, wake-up back on the loop) that otherwise cost as much as
-the kernel.  Blocking the loop for at most ``max_delay_s`` delays any
-other request by no more than the policy already lets a batch wait
-behind a busy lane.  A lane's first batch has no estimate yet and uses
-the pool, and so does every burst, busy server and slow lane.  The
-first batch's time includes the plan build, so the lane's second
-sample replaces it instead of blending with it.  An
-inline ``execute`` that cannot finish without blocking (a retry
-backoff) raises :class:`Offload`, and the rest of the batch finishes on
-the pool.  :attr:`MicroBatcher.inline` counts inline batches.
+``to_thread`` work.  Two workers let a lane's second full batch run at
+once instead of waiting for the first, so two batches of one lane may
+finish in either order; each request still gets its own column.  (The
+engine is thread-safe: its plan cache is locked.)  One batch skips the
+pool: a lone request (``k == 1``) on an otherwise idle server
+(``in_flight == 1``) whose lane has measured its execution at no more
+than ``BatchPolicy.max_delay_s`` runs **inline** on the event-loop
+thread, sparing it the two thread crossings (handoff to the pool,
+wake-up back on the loop) that otherwise cost as much as the kernel.
+Blocking the loop for at most ``max_delay_s`` delays any other request
+by no more than the policy already lets a batch wait behind a busy
+lane.  A lane's first batch has no estimate yet and uses the pool, and
+so does every burst, busy server and slow lane.  A batch dispatched
+before any of its lane's batches succeeded includes the plan build (or
+waits on it on the other worker), so its time only stands in until the
+first later batch's sample replaces it.  An inline ``execute`` that
+cannot finish without blocking (a retry backoff) raises
+:class:`Offload`, and the rest of the batch finishes on the pool.
+:attr:`MicroBatcher.inline` counts inline batches.
 """
 
 from __future__ import annotations
@@ -114,17 +118,20 @@ class BatchPolicy:
         max_queue: Total in-flight requests (queued + executing, across
             all lanes) before submissions are shed with
             ``OverloadedError``.
-        workers: Dedicated batch-execution threads.  Keep small (the
-            default 1 is right for most hosts): a dedicated pool keeps
-            batch execution off asyncio's shared default executor.
-            Every batch runs here except an inline one (see the module
-            docstring).
+        workers: Dedicated batch-execution threads; a dedicated pool
+            keeps batch execution off asyncio's shared default
+            executor.  Every batch runs here except an inline one (see
+            the module docstring).  The default 2 is sized to
+            saturation: more clients than ``max_batch`` form two full
+            batches of a lane, and with one worker the second waits for
+            the first.  Keep it at most the host's CPU count: more
+            threads than CPUs only make the kernels contend.
     """
 
     max_batch: int = 32
     max_delay_s: float = 0.002
     max_queue: int = 1024
-    workers: int = 1
+    workers: int = 2
 
     def __post_init__(self) -> None:
         if self.max_batch <= 0:
@@ -173,9 +180,11 @@ class _Lane:
     #: EWMA of the lane's batch body time (stack, execute, transpose),
     #: on either route; None until its first batch succeeds.
     exec_s: float | None = None
-    #: Batches that fed ``exec_s``.  The first one's time includes the
-    #: plan build, so the second sample replaces it instead of blending.
-    samples: int = 0
+    #: Whether ``exec_s`` holds a warm sample: one from a batch
+    #: dispatched after the lane's first success.  Cold batches pay the
+    #: plan build (or wait on it), so their samples only stand in until
+    #: the first warm one replaces them, and are dropped after it.
+    warm: bool = False
 
 
 @dataclass(frozen=True)
@@ -244,17 +253,17 @@ class MicroBatcher:
         """Estimated queueing delay for a request arriving now.
 
         ``ceil((in_flight + extra) / max_batch)`` batches ahead of it,
-        each costing the observed EWMA batch latency, plus -- only when
-        something is already in flight -- the ``max_delay_s`` it may
-        wait coalescing behind a busy lane (an idle server dispatches
-        at once).  Deliberately simple -- an admission estimate only has
-        to be right about *order of magnitude* to keep doomed requests
-        out of the queue.
+        run ``workers`` at a time, so ``ceil(batches / workers)``
+        observed EWMA batch latencies, plus -- only when something is
+        already in flight -- the ``max_delay_s`` it may wait coalescing
+        behind a busy lane (an idle server dispatches at once).
+        Deliberately simple -- an admission estimate only has to be
+        right about *order of magnitude* to keep doomed requests out of
+        the queue.
         """
-        batches_ahead = (self._in_flight + extra + self.policy.max_batch - 1) // (
-            self.policy.max_batch
-        )
-        wait = batches_ahead * self.ewma_batch_s
+        max_batch, workers = self.policy.max_batch, self.policy.workers
+        batches_ahead = (self._in_flight + extra + max_batch - 1) // max_batch
+        wait = (batches_ahead + workers - 1) // workers * self.ewma_batch_s
         return wait + self.policy.max_delay_s if self._in_flight else wait
 
     async def submit(
@@ -489,9 +498,10 @@ class MicroBatcher:
             min(deadlines, key=lambda d: d.expires_at) if deadlines else None
         )
         xs = [p.x for p in live]
+        cold = lane.exec_s is None  # no batch of this lane has succeeded yet
         inline = (
             self._in_flight == 1  # this lone request is all the server holds
-            and lane.exec_s is not None
+            and not cold
             and lane.exec_s <= self.policy.max_delay_s
         )
         loop = asyncio.get_running_loop()
@@ -531,8 +541,11 @@ class MicroBatcher:
                 if not p.future.done():
                     p.future.set_exception(exc)
         else:
-            lane.exec_s = exec_s if lane.samples < 2 else _ewma(lane.exec_s, exec_s)
-            lane.samples += 1
+            if not cold:
+                lane.exec_s = _ewma(lane.exec_s, exec_s) if lane.warm else exec_s
+                lane.warm = True
+            elif not lane.warm:
+                lane.exec_s = exec_s
             self.ewma_batch_s = _ewma(self.ewma_batch_s, time.perf_counter() - now)
             for j, p in enumerate(live):
                 if not p.future.done():

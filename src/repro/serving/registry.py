@@ -85,16 +85,31 @@ class Registration:
     registered_at: float = field(default_factory=time.time)
     requests_served: int = 0
     batches_served: int = 0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def record_batch(self, k: int) -> None:
+        """Count one served batch of ``k`` requests.
+
+        Locked: two batches of one lane may finish at once on two
+        batch-execution threads.
+        """
+        with self._lock:
+            self.requests_served += k
+            self.batches_served += 1
 
     def describe(self) -> dict:
         """JSON-native summary for ``/stats``."""
+        with self._lock:
+            requests_served, batches_served = self.requests_served, self.batches_served
         return {
             "fingerprint": self.fingerprint,
             "n_rows": int(self.matrix.n_rows),
             "n_cols": int(self.matrix.n_cols),
             "nnz": int(self.matrix.nnz),
-            "requests_served": self.requests_served,
-            "batches_served": self.batches_served,
+            "requests_served": requests_served,
+            "batches_served": batches_served,
         }
 
 

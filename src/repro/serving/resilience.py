@@ -141,7 +141,7 @@ class CircuitBreaker:
     or back to open on its failure.  Any success resets the count.
 
     Thread-safe: ``admit`` runs on the event loop while ``record_*``
-    run in the batch-execution thread.  State transitions invoke
+    run in the batch-execution threads.  State transitions invoke
     ``on_state(state_int)`` (used to keep the
     ``serving_circuit_state{tenant,matrix}`` gauge current).
     """

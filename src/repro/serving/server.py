@@ -337,8 +337,7 @@ class SpMVServer:
                 )
                 continue
             breaker.record_success()
-            registration.requests_served += X.shape[1]
-            registration.batches_served += 1
+            registration.record_batch(X.shape[1])
             return Y
 
     # ------------------------------------------------------------------

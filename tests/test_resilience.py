@@ -227,6 +227,26 @@ class TestDeadlines:
         assert batcher.expired == 1
         assert batcher.in_flight == 0  # never queued
 
+    @pytest.mark.parametrize(
+        "workers, in_flight, batch_times",
+        [
+            (1, 0, 1), (2, 0, 1),  # idle: one batch, no coalescing wait
+            (1, 3, 1), (2, 3, 1),  # one batch ahead costs one batch time
+            (1, 4, 2), (2, 4, 1),  # two batches run side by side on two workers
+            (1, 8, 3), (2, 8, 2),
+        ],
+    )
+    def test_estimated_wait_charges_batches_per_worker(
+        self, workers, in_flight, batch_times
+    ):
+        policy = BatchPolicy(max_batch=4, max_delay_s=0.002, workers=workers)
+        batcher = MicroBatcher(lambda key, X, deadline, inline: X, policy)
+        batcher.ewma_batch_s = 1.0
+        batcher._in_flight = in_flight
+        coalescing = policy.max_delay_s if in_flight else 0.0
+        assert batcher.estimated_wait_s() == pytest.approx(batch_times + coalescing)
+        batcher.shutdown()
+
     def test_idle_batcher_serves_budget_below_max_delay(self):
         batcher = MicroBatcher(
             lambda key, X, deadline, inline: X,

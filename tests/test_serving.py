@@ -8,6 +8,7 @@ server in-process with ``asyncio.run`` (no pytest-asyncio dependency).
 
 import asyncio
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -263,9 +264,7 @@ class TestMicroBatcher:
                 release.wait(timeout=5)
             return X
 
-        batcher = MicroBatcher(
-            execute, BatchPolicy(max_batch=4, max_delay_s=5.0, workers=2)
-        )
+        batcher = MicroBatcher(execute, BatchPolicy(max_batch=4, max_delay_s=5.0))
 
         async def main():
             first = asyncio.ensure_future(batcher.submit("k", -np.ones(2)))
@@ -483,6 +482,32 @@ class TestInlineRouting:
         assert threads[2:] == [loop_thread] * 2
         assert batcher.inline == 2
 
+    def test_concurrent_cold_batches_do_not_keep_lane_off_the_loop(self):
+        """Two cold batches running at once both pay the plan build; the
+        first warm sample replaces them, so the next lone request runs
+        inline."""
+        policy = BatchPolicy(max_batch=4, max_delay_s=0.01)
+        threads = []
+
+        def execute(key, X, deadline, inline):
+            if X.shape[1] == policy.max_batch:  # the cold burst
+                time.sleep(5 * policy.max_delay_s)
+            threads.append(threading.get_ident())
+            return X
+
+        batcher = MicroBatcher(execute, policy)
+
+        async def main():
+            await asyncio.gather(*(batcher.submit("k", np.ones(2)) for _ in range(8)))
+            for _ in range(2):
+                await batcher.submit("k", np.ones(2))
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(main())
+        assert loop_thread not in threads[:3]
+        assert threads[3] == loop_thread
+        assert batcher.inline == 1
+
     def test_same_tick_burst_runs_on_executor(self):
         execute = _Recorder()
         batcher = MicroBatcher(execute, self.POLICY)
@@ -508,9 +533,7 @@ class TestInlineRouting:
                 release.wait(timeout=5)
             return X
 
-        batcher = MicroBatcher(
-            execute, BatchPolicy(max_batch=64, max_delay_s=0.01, workers=2)
-        )
+        batcher = MicroBatcher(execute, BatchPolicy(max_batch=64, max_delay_s=0.01))
 
         async def main():
             await batcher.submit("k", np.ones(2))  # warm the lane
@@ -713,6 +736,73 @@ class TestColumnMajorBatches:
         for x, result in zip(xs, results):
             assert result.y.flags.c_contiguous
             assert result.y.tobytes() == engine.run(graph, x).y.tobytes()
+
+
+class TestTwoWorkers:
+    """The default pool has two workers, so two full batches of one lane
+    execute at once; they stay byte-correct and the server's counters
+    stay exact."""
+
+    def test_two_batches_of_one_lane_run_at_once(self):
+        graph = erdos_renyi_graph(n_nodes=1500, avg_degree=4.0, seed=5)
+        server = SpMVServer()
+        fp = server.register(graph)
+        engine = server.registry.engine()
+        original = engine.run_many
+        both_inside = threading.Barrier(2, timeout=5)
+        threads = []
+
+        def run_many(matrix, X, **kwargs):
+            threads.append(threading.current_thread().name)
+            both_inside.wait()  # times out unless the other batch runs too
+            return original(matrix, X, **kwargs)
+
+        engine.run_many = run_many
+        rng = np.random.default_rng(12)
+        width = server.policy.max_batch
+        xs = [rng.uniform(-1.0, 1.0, size=graph.n_cols) for _ in range(2 * width)]
+
+        async def main():
+            results = await asyncio.gather(*(server.submit(fp, x) for x in xs))
+            await server.shutdown()
+            return results
+
+        results = asyncio.run(main())
+        assert [r.batch_size for r in results] == [width] * (2 * width)
+        for x, result in zip(xs, results):
+            assert result.y.tobytes() == engine.run(graph, x).y.tobytes()
+        assert len(set(threads)) == 2
+        assert all(name.startswith("spmv-batch") for name in threads)
+        stats = server.stats()
+        assert stats["resilience"]["breakers"][f"default/{fp}"] == {
+            "state": "closed",
+            "consecutive_failures": 0,
+            "opens": 0,
+        }
+        (served,) = stats["registry"]["tenants"]["default"]["matrices"]
+        assert (served["requests_served"], served["batches_served"]) == (2 * width, 2)
+
+    def test_served_counters_exact_under_thread_switching(self):
+        graph = erdos_renyi_graph(n_nodes=200, avg_degree=3.0, seed=6)
+        server = SpMVServer(policy=BatchPolicy(max_batch=2))
+        fp = server.register(graph)
+        xs = [np.full(graph.n_cols, float(i)) for i in range(200)]
+
+        async def main():
+            for _wave in range(3):  # 100 full batches each, inside the tenant quota
+                await asyncio.gather(*(server.submit(fp, x) for x in xs))
+            await server.shutdown()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            asyncio.run(main())
+        finally:
+            sys.setswitchinterval(interval)
+        stats = server.stats()
+        (served,) = stats["registry"]["tenants"]["default"]["matrices"]
+        assert stats["queue"]["batches"] == 300
+        assert (served["requests_served"], served["batches_served"]) == (600, 300)
 
 
 # ----------------------------------------------------------------------
