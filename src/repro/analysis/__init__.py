@@ -1,12 +1,8 @@
-"""Metrics, result rendering and model validation for the evaluation
-harness."""
+"""Result rendering, matrix statistics and model validation for the
+evaluation harness."""
 
-from repro.analysis.metrics import gteps, speedup, geomean
 from repro.analysis.reporting import format_table, ascii_bar_chart, format_bytes
 from repro.analysis.matrix_stats import MatrixStats, compute_stats, fit_power_law_alpha
-from repro.analysis.records import RunRecord, aggregate_metric, best_configuration, load_records, save_records
-from repro.analysis.roofline import RooflinePoint, roofline_point, spmv_intensity
-from repro.analysis.sweep import SweepSkip, SweepSpec, SweepResult, design_point_sweep, run_sweep
 from repro.analysis.timeline import render_gantt
 from repro.analysis.validation import (
     ValidationCase,
@@ -15,9 +11,6 @@ from repro.analysis.validation import (
 )
 
 __all__ = [
-    "gteps",
-    "speedup",
-    "geomean",
     "format_table",
     "ascii_bar_chart",
     "format_bytes",
@@ -25,20 +18,7 @@ __all__ = [
     "ValidationReport",
     "validate_traffic_model",
     "render_gantt",
-    "RooflinePoint",
-    "roofline_point",
-    "spmv_intensity",
     "MatrixStats",
     "compute_stats",
     "fit_power_law_alpha",
-    "RunRecord",
-    "aggregate_metric",
-    "best_configuration",
-    "load_records",
-    "save_records",
-    "SweepSkip",
-    "SweepSpec",
-    "SweepResult",
-    "design_point_sweep",
-    "run_sweep",
 ]

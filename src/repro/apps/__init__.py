@@ -14,7 +14,6 @@ the public API end-to-end:
 from repro.apps.pagerank import pagerank, pagerank_reference, stochastic_matrix
 from repro.apps.bfs import bfs_levels, bfs_levels_multi, bfs_levels_multi_spgemm
 from repro.apps.components import connected_components
-from repro.apps.jacobi import JacobiResult, diagonally_dominant_system, jacobi_solve, split_diagonal
 from repro.apps.spectral import PowerIterationResult, power_iteration
 from repro.apps.sssp import sssp_bellman_ford
 from repro.apps.triangles import count_triangles, count_triangles_reference, undirected_simple
@@ -29,10 +28,6 @@ __all__ = [
     "bfs_levels_multi",
     "bfs_levels_multi_spgemm",
     "connected_components",
-    "JacobiResult",
-    "diagonally_dominant_system",
-    "jacobi_solve",
-    "split_diagonal",
     "PowerIterationResult",
     "power_iteration",
     "sssp_bellman_ford",

@@ -4,7 +4,6 @@
   SpMV whose random ``x`` gathers stall on DRAM latency (Fig. 4's
   counterpart to Two-Step); both a trace-driven simulator (small scale)
   and the analytic model (paper scale).
-* :mod:`repro.baselines.csr_spmv`      -- software reference kernels.
 * :mod:`repro.baselines.cpu_model`     -- MKL on dual-socket Xeon E5 and
   the Xeon Phi 5110P co-processor (Figs. 21-22).
 * :mod:`repro.baselines.gpu_model`     -- the 8-node Tesla M2050 PageRank
@@ -19,7 +18,6 @@ from repro.baselines.latency_bound import (
     LatencyBoundEstimate,
     estimate_latency_bound,
 )
-from repro.baselines.csr_spmv import csr_spmv_rowwise, coo_spmv_streaming
 from repro.baselines.merge_path import MergePathStats, merge_path_search, merge_path_spmv
 from repro.baselines.cpu_model import CPUPlatform, XEON_E5_MKL, XEON_PHI_5110, BaselineEstimate
 from repro.baselines.gpu_model import GPUCluster, TESLA_M2050_CLUSTER
@@ -30,8 +28,6 @@ __all__ = [
     "simulate_latency_bound",
     "LatencyBoundEstimate",
     "estimate_latency_bound",
-    "csr_spmv_rowwise",
-    "coo_spmv_streaming",
     "MergePathStats",
     "merge_path_search",
     "merge_path_spmv",

@@ -14,12 +14,6 @@ memory size (Fig. 13); :func:`optimal_block_width` performs that search and
 """
 
 from repro.compression.delta import delta_encode, delta_decode, stripe_column_deltas
-from repro.compression.decoder import (
-    DecodeResult,
-    StreamingVLDIDecoder,
-    decoder_lanes_required,
-    expected_strings_per_record,
-)
 from repro.compression.golomb import (
     RiceCodec,
     geometric_entropy_bits,
@@ -43,10 +37,6 @@ __all__ = [
     "total_encoded_bits",
     "optimal_block_width",
     "delta_width_histogram",
-    "DecodeResult",
-    "StreamingVLDIDecoder",
-    "decoder_lanes_required",
-    "expected_strings_per_record",
     "RiceCodec",
     "geometric_entropy_bits",
     "optimal_rice_k",

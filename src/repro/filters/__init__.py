@@ -14,7 +14,6 @@ streaming pass over the meta-data, and routes them to a dedicated pipeline.
 
 from repro.filters.hashing import xor_fold_hash, hash_family
 from repro.filters.bloom import BloomFilter, OneMemoryAccessBloomFilter, false_positive_rate
-from repro.filters.counting_bloom import CountingBloomFilter
 from repro.filters.hdn import HDNConfig, HDNDetector, find_hdns, size_bloom_for_hdns
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "HDNDetector",
     "find_hdns",
     "size_bloom_for_hdns",
-    "CountingBloomFilter",
 ]

@@ -30,7 +30,6 @@ from repro.formats.convert import coo_to_csr, csr_to_coo, coo_to_csc, csc_to_coo
 from repro.formats.blocking import ColumnBlock, GridBlock, column_blocks, grid_blocks
 from repro.formats.hypersparse import StripeFormat, choose_stripe_format, stripe_metadata_bits
 from repro.formats.sell import SellMatrix, coo_to_sell
-from repro.formats.permute import index_bandwidth, permute, rcm_ordering
 from repro.formats.io import (
     read_matrix_market,
     write_matrix_market,
@@ -59,7 +58,4 @@ __all__ = [
     "write_binary",
     "SellMatrix",
     "coo_to_sell",
-    "index_bandwidth",
-    "permute",
-    "rcm_ordering",
 ]

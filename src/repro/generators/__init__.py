@@ -14,9 +14,7 @@ The paper evaluates on three families of inputs:
 
 from repro.generators.erdos_renyi import erdos_renyi_graph
 from repro.generators.rmat import rmat_graph
-from repro.generators.barabasi_albert import barabasi_albert_graph
 from repro.generators.mesh import mesh_graph
-from repro.generators.vectors import dense_vector, sparse_vector
 from repro.generators.datasets import (
     DatasetSpec,
     CUSTOM_HW_GRAPHS,
@@ -29,10 +27,7 @@ from repro.generators.datasets import (
 __all__ = [
     "erdos_renyi_graph",
     "rmat_graph",
-    "barabasi_albert_graph",
     "mesh_graph",
-    "dense_vector",
-    "sparse_vector",
     "DatasetSpec",
     "CUSTOM_HW_GRAPHS",
     "GPU_GRAPHS",

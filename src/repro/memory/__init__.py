@@ -25,7 +25,6 @@ from repro.memory.cache import CacheConfig, CacheSim, analytic_miss_rate
 from repro.memory.scratchpad import ScratchpadConfig, Scratchpad
 from repro.memory.prefetch import PrefetchBuffer, prefetch_buffer_bytes
 from repro.memory.dram_sim import DRAMSim, DRAMTiming, streaming_trace, random_trace
-from repro.memory.hbm import ChannelAllocator, HBMSystem
 from repro.memory.energy import (
     EnergyModel,
     ASIC_16NM_ENERGY,
@@ -60,6 +59,4 @@ __all__ = [
     "DRAMTiming",
     "streaming_trace",
     "random_trace",
-    "ChannelAllocator",
-    "HBMSystem",
 ]

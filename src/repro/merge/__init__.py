@@ -19,7 +19,6 @@ from repro.merge.merge_core import MergeCore, MergeCoreConfig
 from repro.merge.store_queue import StoreQueue
 from repro.merge.prap import PRaPConfig, PRaPMergeNetwork, prap_merge_dense, radix_of
 from repro.merge.partitioned import PartitionedMergeConfig, partitioned_merge_dense
-from repro.merge.pipeline import Step2Pipeline, Step2PipelineStats
 from repro.merge.partitioned_sim import PartitionedMergeSim, PartitionedSimConfig, PartitionedSimResult
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "radix_of",
     "PartitionedMergeConfig",
     "partitioned_merge_dense",
-    "Step2Pipeline",
-    "Step2PipelineStats",
     "PartitionedMergeSim",
     "PartitionedSimConfig",
     "PartitionedSimResult",

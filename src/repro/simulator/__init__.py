@@ -21,7 +21,6 @@ from repro.simulator.step1_sim import Step1CycleSim, Step1SimConfig, Step1SimRes
 from repro.simulator.step2_sim import Step2CycleSim, Step2SimConfig, Step2SimResult
 from repro.simulator.system import SystemSim, SystemReport
 from repro.simulator.traced import TracedTimes, compare_traced, latency_bound_trace_time, twostep_trace_time
-from repro.simulator.power import ClockedEnergyReport, clocked_energy
 
 __all__ = [
     "Step1CycleSim",
@@ -36,6 +35,4 @@ __all__ = [
     "compare_traced",
     "latency_bound_trace_time",
     "twostep_trace_time",
-    "ClockedEnergyReport",
-    "clocked_energy",
 ]

@@ -1,31 +1,6 @@
-"""Tests for metrics and text rendering."""
+"""Tests for text rendering."""
 
-import pytest
-
-from repro.analysis.metrics import geomean, gteps, speedup
 from repro.analysis.reporting import ascii_bar_chart, format_bytes, format_table
-
-
-def test_gteps():
-    assert gteps(2e9, 1.0) == pytest.approx(2.0)
-    assert gteps(1e9, 0.5) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        gteps(1e9, 0.0)
-
-
-def test_speedup():
-    assert speedup(10.0, 2.0) == 5.0
-    with pytest.raises(ValueError):
-        speedup(1.0, 0.0)
-
-
-def test_geomean():
-    assert geomean([2.0, 8.0]) == pytest.approx(4.0)
-    assert geomean([3.0]) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        geomean([])
-    with pytest.raises(ValueError):
-        geomean([1.0, -2.0])
 
 
 def test_format_bytes():

@@ -1,60 +1,11 @@
-"""Tests for the Jacobi solver and power iteration."""
+"""Tests for power iteration."""
 
 import numpy as np
 import pytest
 
-from repro.apps.jacobi import (
-    diagonally_dominant_system,
-    jacobi_solve,
-    split_diagonal,
-)
 from repro.apps.spectral import power_iteration
 from repro.core.config import TwoStepConfig
 from repro.formats.coo import COOMatrix
-
-
-def test_split_diagonal():
-    m = COOMatrix.from_triples(3, 3, [0, 0, 1, 2], [0, 1, 1, 2], [2.0, 1.0, 3.0, 4.0])
-    diag, remainder = split_diagonal(m)
-    assert diag.tolist() == [2.0, 3.0, 4.0]
-    assert remainder.nnz == 1
-    assert remainder.to_dense()[0, 1] == 1.0
-
-
-def test_split_diagonal_rejects_zero_diag():
-    m = COOMatrix.from_triples(2, 2, [0], [1], [1.0])
-    with pytest.raises(ValueError):
-        split_diagonal(m)
-
-
-def test_jacobi_reference_solves_system():
-    matrix, b = diagonally_dominant_system(200, avg_degree=4.0, seed=5)
-    result = jacobi_solve(matrix, b, tol=1e-12, max_iterations=500)
-    assert result.converged
-    assert np.allclose(matrix.spmv(result.solution), b, atol=1e-8)
-
-
-def test_jacobi_engine_matches_reference():
-    matrix, b = diagonally_dominant_system(300, avg_degree=3.0, seed=6)
-    ref = jacobi_solve(matrix, b, tol=1e-12)
-    cfg = TwoStepConfig(segment_width=100, q=2)
-    ours = jacobi_solve(matrix, b, config=cfg, tol=1e-12)
-    assert ours.converged
-    assert np.allclose(ours.solution, ref.solution, atol=1e-9)
-    assert ours.its_report is not None
-    assert ours.its_report.cycle_speedup >= 1.0
-
-
-def test_jacobi_residuals_decrease():
-    matrix, b = diagonally_dominant_system(150, seed=7)
-    result = jacobi_solve(matrix, b, tol=1e-12)
-    assert result.residuals[-1] < result.residuals[0]
-
-
-def test_jacobi_validates_rhs():
-    matrix, _ = diagonally_dominant_system(50, seed=8)
-    with pytest.raises(ValueError):
-        jacobi_solve(matrix, np.zeros(3))
 
 
 def test_power_iteration_known_matrix():

@@ -10,8 +10,6 @@ from repro.core.twostep import TwoStepEngine
 from repro.generators.erdos_renyi import erdos_renyi_graph
 from repro.generators.mesh import mesh_graph
 from repro.generators.rmat import rmat_graph
-from repro.simulator.power import clocked_energy
-from repro.simulator.system import SystemSim
 
 
 class TestAutotune:
@@ -95,42 +93,3 @@ class TestMeshGenerator:
         a = _mesh_graph(400, 3.0, 9)
         b = mesh_graph(400, 3.0, seed=9)
         assert np.array_equal(a.rows, b.rows)
-
-
-class TestClockedEnergy:
-    def run_clocked(self):
-        graph = erdos_renyi_graph(5000, 4.0, seed=81)
-        x = np.ones(graph.n_cols)
-        sim = SystemSim(segment_width=1000)
-        _, report = sim.run(graph, x)
-        from repro.core.config import TwoStepConfig
-
-        engine = TwoStepEngine(TwoStepConfig(segment_width=1000, q=2))
-        _, functional = engine.run(graph, x)
-        return graph, report, functional.traffic
-
-    def test_components_positive(self):
-        graph, report, traffic = self.run_clocked()
-        energy = clocked_energy(report, traffic, graph.nnz)
-        assert energy.leakage_j > 0
-        assert energy.core_dynamic_j > 0
-        assert energy.dram_j > 0
-        assert energy.total_j == pytest.approx(
-            energy.leakage_j + energy.core_dynamic_j + energy.dram_j
-        )
-
-    def test_nj_per_edge_same_order_as_analytic(self):
-        """The clocked and analytic energy figures agree within an order
-        of magnitude (different models, same physics)."""
-        graph, report, traffic = self.run_clocked()
-        energy = clocked_energy(report, traffic, graph.nnz)
-        from repro.core.perf import estimate_performance
-
-        analytic = estimate_performance(TS_ASIC, 10**9, 3 * 10**9)
-        ratio = energy.nj_per_edge / analytic.nj_per_edge
-        assert 0.05 < ratio < 20
-
-    def test_validation(self):
-        graph, report, traffic = self.run_clocked()
-        with pytest.raises(ValueError):
-            clocked_energy(report, traffic, -1)

@@ -1,10 +1,8 @@
 """Tests for the latency-bound baseline and platform models."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.cpu_model import XEON_E5_MKL, XEON_PHI_5110
-from repro.baselines.csr_spmv import coo_spmv_streaming, csr_spmv_rowwise
 from repro.baselines.custom_hw import BM1_ASIC, CUSTOM_BENCHMARKS, reported_gteps
 from repro.baselines.gpu_model import TESLA_M2050_CLUSTER
 from repro.baselines.latency_bound import (
@@ -14,7 +12,6 @@ from repro.baselines.latency_bound import (
 )
 from repro.core.design_points import TS_ASIC
 from repro.core.perf import estimate_performance, twostep_traffic
-from repro.formats.convert import coo_to_csr
 from repro.memory.cache import CacheConfig
 from repro.memory.dram import DDR4_DUAL_SOCKET
 
@@ -68,12 +65,6 @@ def test_compute_cap_limits_small_problems():
     )
     uncapped = estimate_latency_bound(10**5, 10**6, DDR4_DUAL_SOCKET, 30 << 20)
     assert capped.gteps < uncapped.gteps
-
-
-def test_software_kernels_match(small_er_graph, rng):
-    x = rng.uniform(size=small_er_graph.n_cols)
-    csr = coo_to_csr(small_er_graph)
-    assert np.allclose(csr_spmv_rowwise(csr, x), coo_spmv_streaming(small_er_graph, x))
 
 
 def test_cpu_platform_dimension_limits():

@@ -8,7 +8,6 @@ from repro.analysis.timeline import render_gantt
 from repro.cli import main
 from repro.core.schedule import build_its_schedule
 from repro.generators.datasets import CPU_GRAPHS, CUSTOM_HW_GRAPHS, GPU_GRAPHS, instantiate
-from repro.memory.hbm import ChannelAllocator, HBMSystem
 
 
 class TestRenderingEdges:
@@ -82,22 +81,3 @@ class TestCLIErrors:
     def test_generate_unknown_family(self, tmp_path):
         with pytest.raises(KeyError):
             main(["generate", "--family", "bogus", "--output", str(tmp_path / "g.bin")])
-
-
-class TestAllocatorCorners:
-    def test_balanced_single_stream_gets_everything(self):
-        system = HBMSystem(n_channels=8, channel_bandwidth=1e9)
-        alloc = ChannelAllocator.balanced({"only": 100.0}, system)
-        assert alloc.bandwidth("only") == pytest.approx(8e9)
-
-    def test_balanced_many_tiny_streams_each_get_a_channel(self):
-        system = HBMSystem(n_channels=8, channel_bandwidth=1e9)
-        transfers = {f"s{i}": 1.0 for i in range(8)}
-        alloc = ChannelAllocator.balanced(transfers, system)
-        for name in transfers:
-            assert alloc.bandwidth(name) >= 1e9
-
-    def test_balanced_dominant_stream_gets_most_channels(self):
-        system = HBMSystem(n_channels=32, channel_bandwidth=1e9)
-        alloc = ChannelAllocator.balanced({"big": 1000.0, "small": 1.0}, system)
-        assert alloc.bandwidth("big") > 20e9

@@ -12,7 +12,6 @@ from repro.generators.datasets import (
 )
 from repro.generators.erdos_renyi import erdos_renyi_graph
 from repro.generators.rmat import rmat_graph
-from repro.generators.vectors import dense_vector, sparse_vector
 
 
 def test_er_graph_dimensions_and_degree():
@@ -85,32 +84,6 @@ def test_rmat_validation():
         rmat_graph(0, 4.0)
     with pytest.raises(ValueError):
         rmat_graph(5, 4.0, a=0.9, b=0.2, c=0.2)
-
-
-def test_dense_vector_distributions():
-    assert dense_vector(10, distribution="ones").tolist() == [1.0] * 10
-    u = dense_vector(1000, seed=1, distribution="uniform")
-    assert 0.0 <= u.min() and u.max() < 1.0
-    n = dense_vector(1000, seed=1, distribution="normal")
-    assert abs(n.mean()) < 0.2
-
-
-def test_dense_vector_validation():
-    with pytest.raises(ValueError):
-        dense_vector(-1)
-    with pytest.raises(ValueError):
-        dense_vector(5, distribution="bogus")
-
-
-def test_sparse_vector_sorted_unique():
-    idx, val = sparse_vector(1000, 100, seed=2)
-    assert idx.size == val.size == 100
-    assert np.all(np.diff(idx) > 0)
-
-
-def test_sparse_vector_clamps_nnz():
-    idx, _ = sparse_vector(10, 50, seed=3)
-    assert idx.size == 10
 
 
 def test_dataset_tables_complete():

@@ -1,16 +1,8 @@
-"""Tests for the partitioned-merge simulator, triangle counting and run
-records."""
+"""Tests for the partitioned-merge simulator and triangle counting."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.records import (
-    RunRecord,
-    aggregate_metric,
-    best_configuration,
-    load_records,
-    save_records,
-)
 from repro.apps.triangles import count_triangles, count_triangles_reference, undirected_simple
 from repro.formats.coo import COOMatrix
 from repro.generators.erdos_renyi import erdos_renyi_graph
@@ -97,33 +89,3 @@ class TestTriangles:
     def test_empty_graph(self):
         m = COOMatrix(4, 4, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
         assert count_triangles(m) == 0
-
-
-class TestRunRecords:
-    def make(self):
-        return [
-            RunRecord("fig17", "TW", "TS_ASIC", metrics={"gteps": 10.8}),
-            RunRecord("fig17", "TW", "ITS_ASIC", metrics={"gteps": 21.6}),
-            RunRecord("fig17", "FB", "TS_ASIC", metrics={"gteps": 11.0}),
-        ]
-
-    def test_json_roundtrip(self):
-        record = RunRecord("x", "w", "c", metrics={"a": 1.5}, notes={"n": "v"})
-        assert RunRecord.from_json(record.to_json()) == record
-
-    def test_save_load(self, tmp_path):
-        records = self.make()
-        path = tmp_path / "runs.jsonl"
-        save_records(records, path)
-        assert load_records(path) == records
-
-    def test_aggregate(self):
-        grouped = aggregate_metric(self.make(), "gteps")
-        assert grouped["TS_ASIC"] == [10.8, 11.0]
-        assert grouped["ITS_ASIC"] == [21.6]
-
-    def test_best_configuration(self):
-        assert best_configuration(self.make(), "gteps") == "ITS_ASIC"
-        assert best_configuration(self.make(), "gteps", higher_is_better=False) == "TS_ASIC"
-        with pytest.raises(ValueError):
-            best_configuration(self.make(), "missing")

@@ -11,7 +11,6 @@ from repro.apps.triangles import count_triangles, count_triangles_reference
 from repro.compression.golomb import RiceCodec, rice_encoded_bits
 from repro.core.spmspv import spmspv, spmspv_dense_reference
 from repro.formats.coo import COOMatrix
-from repro.formats.permute import permute, rcm_ordering
 
 settings.register_profile("repro-apps", deadline=None, max_examples=25)
 settings.load_profile("repro-apps")
@@ -83,17 +82,6 @@ def test_spmspv_matches_dense_for_random_frontier(graph):
     dense = np.zeros(graph.n_rows)
     dense[out_idx] = out_val
     assert np.allclose(dense, spmspv_dense_reference(graph, idx, vals), atol=1e-9)
-
-
-@given(small_graphs())
-def test_rcm_permutation_preserves_structure(graph):
-    perm = rcm_ordering(graph)
-    permuted = permute(graph, perm)
-    assert permuted.nnz == graph.nnz
-    x = np.linspace(0.1, 1.0, graph.n_cols)
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(perm.size)
-    assert np.allclose(permuted.spmv(x[perm]), graph.spmv(x)[perm], atol=1e-9)
 
 
 @given(

@@ -8,9 +8,6 @@ from repro.core.schedule import build_its_schedule, sequential_makespan
 from repro.core.spgemm import spgemm
 from repro.formats.coo import COOMatrix
 from repro.formats.sell import coo_to_sell
-from repro.merge.pipeline import Step2Pipeline
-from repro.merge.prap import PRaPConfig
-from repro.merge.merge_core import MergeCoreConfig
 from repro.simulator.step1_sim import Step1CycleSim, Step1SimConfig
 from repro.simulator.step2_sim import Step2CycleSim, Step2SimConfig
 
@@ -90,19 +87,6 @@ def test_step2_sim_functional_invariant(lists, q, pages):
     assert np.allclose(result.output, ref, atol=1e-9)
     # Injection equalizes: total cycles at least N/p.
     assert result.cycles >= n_out // (1 << q)
-
-
-@given(sorted_record_lists(max_lists=3), st.integers(0, 2))
-def test_pipeline_functional_invariant(lists, q):
-    pipeline = Step2Pipeline(
-        PRaPConfig(q=q, core=MergeCoreConfig(ways=4), dpage_bytes=64), record_bytes=8
-    )
-    out, stats = pipeline.run(lists, 48)
-    ref = np.zeros(48)
-    for idx, val in lists:
-        np.add.at(ref, idx, val)
-    assert np.allclose(out, ref, atol=1e-9)
-    assert stats.core_input_records.sum() == sum(i.size for i, _ in lists)
 
 
 @given(

@@ -1,9 +1,8 @@
-"""Tests for the SELL-C-sigma format and the counting Bloom filter."""
+"""Tests for the SELL-C-sigma format."""
 
 import numpy as np
 import pytest
 
-from repro.filters.counting_bloom import CountingBloomFilter
 from repro.formats.sell import coo_to_sell
 from repro.generators.erdos_renyi import erdos_renyi_graph
 from repro.generators.rmat import rmat_graph
@@ -57,64 +56,3 @@ class TestSell:
         sell = coo_to_sell(tiny_matrix)
         with pytest.raises(ValueError):
             sell.spmv(np.zeros(3))
-
-
-class TestCountingBloom:
-    def test_no_false_negatives(self, rng):
-        bloom = CountingBloomFilter(1 << 12)
-        members = rng.choice(1 << 30, size=300, replace=False)
-        bloom.insert(members)
-        assert bloom.query(members).all()
-
-    def test_remove_restores_absence(self, rng):
-        bloom = CountingBloomFilter(1 << 12)
-        keys = rng.choice(1 << 30, size=100, replace=False)
-        bloom.insert(keys)
-        bloom.remove(keys)
-        assert bloom.n_members == 0
-        # With all counters back to zero, nothing is a member.
-        assert not bloom.query(keys).any()
-
-    def test_partial_remove_keeps_others(self, rng):
-        bloom = CountingBloomFilter(1 << 12)
-        keep = rng.choice(1 << 29, size=50, replace=False)
-        drop = rng.choice(1 << 29, size=50, replace=False) + (1 << 29)
-        bloom.insert(keep)
-        bloom.insert(drop)
-        bloom.remove(drop)
-        assert bloom.query(keep).all()
-
-    def test_remove_unknown_raises(self):
-        bloom = CountingBloomFilter(1 << 10)
-        bloom.insert(np.array([1, 2, 3]))
-        with pytest.raises(ValueError):
-            bloom.remove(np.array([999_999]))
-
-    def test_saturation_refuses_remove(self):
-        bloom = CountingBloomFilter(16, g_hashes=2, counter_bits=1)
-        key = np.array([7])
-        bloom.insert(key)  # counters hit the max of 1
-        bloom.insert(key)  # saturate
-        with pytest.raises(ValueError):
-            bloom.remove(key)
-
-    def test_storage_bits(self):
-        bloom = CountingBloomFilter(1000, counter_bits=4)
-        assert bloom.m_cells == 1024
-        assert bloom.storage_bits == 1024 * 4
-
-    def test_degenerate_matches_plain_bloom(self, rng):
-        """counter_bits=1 behaves like the plain filter for queries."""
-        from repro.filters.bloom import BloomFilter
-
-        members = rng.choice(1 << 20, size=200, replace=False)
-        counting = CountingBloomFilter(1 << 12, g_hashes=3, counter_bits=1, seed=5)
-        plain = BloomFilter(1 << 12, 3, seed=5)
-        counting.insert(members)
-        plain.insert(members)
-        probes = rng.integers(0, 1 << 20, size=5000)
-        assert np.array_equal(counting.query(probes), plain.query(probes))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CountingBloomFilter(0)

@@ -1,11 +1,16 @@
-"""Tests for the SpMSpV kernel and the Barabási–Albert generator."""
+"""Tests for the SpMSpV kernel."""
 
 import numpy as np
 import pytest
 
 from repro.core.spmspv import spmspv, spmspv_dense_reference
-from repro.generators.barabasi_albert import barabasi_albert_graph
-from repro.generators.vectors import sparse_vector
+
+
+def sparse_vector(n: int, nnz: int, seed: int) -> tuple:
+    """A sorted sparse frontier ``(indices, values)`` with ``nnz`` entries."""
+    rng = np.random.default_rng(seed)
+    indices = np.sort(rng.choice(n, size=nnz, replace=False).astype(np.int64))
+    return indices, rng.uniform(0.1, 1.0, size=nnz)
 
 
 def test_spmspv_matches_dense(small_er_graph, rng):
@@ -55,45 +60,3 @@ def test_spmspv_validation(small_er_graph):
         spmspv(small_er_graph, np.array([10**9]), np.ones(1))  # out of range
     with pytest.raises(ValueError):
         spmspv(small_er_graph, np.array([1]), np.ones(2))  # length mismatch
-
-
-def test_ba_graph_shape_and_edges():
-    g = barabasi_albert_graph(500, attach=3, seed=8)
-    assert g.shape == (500, 500)
-    # (n - m) new nodes each add m edges.
-    assert g.nnz == (500 - 3) * 3
-
-
-def test_ba_graph_power_law_hubs():
-    g = barabasi_albert_graph(2000, attach=4, seed=9)
-    in_degrees = g.col_degrees()
-    # Preferential attachment: early nodes become hubs.
-    assert in_degrees[:10].mean() > 10 * in_degrees[1000:].mean()
-    assert in_degrees.max() > 8 * in_degrees[in_degrees > 0].mean()
-
-
-def test_ba_graph_reproducible():
-    a = barabasi_albert_graph(300, 2, seed=1)
-    b = barabasi_albert_graph(300, 2, seed=1)
-    assert np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
-
-
-def test_ba_graph_validation():
-    with pytest.raises(ValueError):
-        barabasi_albert_graph(5, attach=0)
-    with pytest.raises(ValueError):
-        barabasi_albert_graph(3, attach=3)
-
-
-def test_ba_hubs_cluster_at_low_indices_hdn_case():
-    """BA hubs are the oldest (lowest-index) nodes -- the Bloom filter
-    handles them without any index-locality assumption."""
-    from repro.filters.hdn import HDNConfig, HDNDetector
-
-    g = barabasi_albert_graph(1500, attach=4, seed=10)
-    in_degrees = g.col_degrees()
-    threshold = int(8 * in_degrees.mean())
-    det = HDNDetector(in_degrees, HDNConfig(degree_threshold=threshold))
-    if det.n_hdns:
-        assert np.median(det.hdns) < 1500 / 4  # hubs skew old
-        assert det.dispatch(det.hdns).all()

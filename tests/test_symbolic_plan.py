@@ -14,7 +14,7 @@ split safe:
   bug cannot hide on both sides of the comparison;
 * steady-state iterations are symbolic-free: after the first run, no
   step-2 argsort executes (telemetry-counter asserted) and the cached
-  structure is hit, for the engine and for PageRank/CG/Jacobi clients.
+  structure is hit, for the engine and for PageRank/CG/power-iteration clients.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.conjugate_gradient import conjugate_gradient, spd_system
-from repro.apps.jacobi import jacobi_solve
 from repro.apps.pagerank import pagerank
+from repro.apps.spectral import power_iteration
 from repro.backends import get_backend
 from repro.core.config import TwoStepConfig
 from repro.faults.errors import ConfigurationError
@@ -205,7 +205,7 @@ def test_unfused_runs_do_count_argsorts(graph):
 
 @pytest.mark.parametrize(
     "solver",
-    ["pagerank", "cg", "jacobi"],
+    ["pagerank", "cg", "power_iteration"],
 )
 def test_iterative_clients_reuse_symbolic_structure(solver):
     config = _config()
@@ -218,11 +218,9 @@ def test_iterative_clients_reuse_symbolic_structure(solver):
             matrix, b, config=config, max_iterations=8
         ).telemetry_reports
     else:
-        from repro.apps.jacobi import diagonally_dominant_system
-
-        matrix, b = diagonally_dominant_system(200, seed=3)
-        reports = jacobi_solve(
-            matrix, b, config=config, max_iterations=8
+        matrix = erdos_renyi_graph(200, 4.0, seed=3)
+        reports = power_iteration(
+            matrix, config, tol=0.0, max_iterations=8
         ).its_report.telemetry_reports
     assert len(reports) >= 2
     for report in reports:
